@@ -185,6 +185,9 @@ class Rad:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a rational value hashes like the int or Fraction it equals
+        if self.is_rational():
+            return hash(self.as_fraction())
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:

@@ -1,31 +1,43 @@
 """Labeled graphs with a declared vertex support, plus the combinatorial
 machinery the rest of the package leans on: edge-induced operations,
-isomorphism and automorphism counting via backtracking canonical labeling,
-cycle and path decompositions of edge differences, independent-cycle
-censuses, and unlabeled rooted-tree counting with a growth-rate estimate.
+canonical labeling with exact automorphism counts, cycle and path
+decompositions of edge differences, independent-cycle censuses, and
+unlabeled rooted-tree counting with a growth-rate estimate.
 
-Graphs here are desk-scale (enumeration budgets around 16 vertices); the
-canonical labeling is homegrown backtracking with color refinement, not a
-general-purpose tool.  All values are immutable and all functions are pure,
-so everything is safe to share across threads.  The canonical-form memo
-table is process-wide with concurrent reads and serialized writes.
+Graphs here are desk-scale (canonical labeling is capped at 16
+non-isolated vertices).  The canonical labeling is an
+individualization-refinement search with automorphism pruning in the
+style of McKay and Piperno, not a general-purpose tool.  All values are
+immutable and all functions are pure.  The canonical-form memo is a
+process-wide dict: each entry is an immutable value written under its own
+key, so concurrent readers and writers at worst repeat a computation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 CANONICAL_VERTEX_BUDGET = 16
-AUTOMORPHISM_VERTEX_BUDGET = 10
 _SEARCH_NODE_BUDGET = 2_000_000
 
 
 class EnumerationBudgetError(ValueError):
-    """Raised when an operation would exceed its desk-scale search budget."""
+    """Raised when an operation would exceed its desk-scale search budget.
+
+    ``where`` names the guarded operation, ``requested`` the size that was
+    asked for and ``budget`` the largest allowed; each is None where the
+    raise site does not say.
+    """
+
+    def __init__(self, message: str, *, where: str | None = None,
+                 requested: int | None = None, budget: int | None = None):
+        super().__init__(message)
+        self.where = where
+        self.requested = requested
+        self.budget = budget
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -286,76 +298,151 @@ class CanonicalGraph:
         return self.canonical_form.hex()
 
 
-def _refine_colors(nbr: list[int], m: int) -> list[int]:
-    colors = [bin(nbr[v]).count("1") for v in range(m)]
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _refine(cells: list[int], nbr: list[int]) -> list[int]:
+    """Coarsest equitable refinement of an ordered partition.
+
+    Cells are vertex bitmasks.  Each round splits every cell by its
+    vertices' neighbour counts into each cell, subcells in increasing key
+    order, until a round splits nothing.  Only the cell order and the
+    adjacency enter the keys, so relabeling the graph relabels the result.
+    """
     while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in range(m) if nbr[v] >> u & 1)))
-            for v in range(m)
-        ]
-        order = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [order[k] for k in keys]
-        if new == colors:
-            return colors
-        colors = new
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            groups: dict[tuple[int, ...], int] = {}
+            for v in _bits(cell):
+                key = tuple((nbr[v] & c).bit_count() for c in cells)
+                groups[key] = groups.get(key, 0) | 1 << v
+            out.extend(groups[k] for k in sorted(groups))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def _orbit(v: int, gens: list[list[int]]) -> int:
+    """Bitmask of the orbit of v under the group generated by gens."""
+    orbit, frontier = 1 << v, [v]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = g[x]
+            if not orbit >> y & 1:
+                orbit |= 1 << y
+                frontier.append(y)
+    return orbit
 
 
 def _canonical_core(nbr: list[int], m: int) -> tuple[tuple[int, ...], int]:
-    """Minimal adjacency encoding over color-consistent orders, plus the
-    number of orders attaining it (= automorphism count of the core)."""
+    """Least row encoding over the leaves of an individualization-refinement
+    search, plus the automorphism count of the core.
+
+    A node refines its ordered partition, then branches on each vertex of
+    its first non-singleton cell, individualized in front of the rest of
+    the cell.  A discrete partition is a leaf: it orders the vertices, and
+    row i of its encoding has bit j < i set when the vertices at positions
+    i and j are adjacent.  Relabeling the graph relabels the tree, so the
+    least encoding over all leaves is canonical.
+
+    A leaf whose encoding equals the first or the best leaf's gives an
+    automorphism, which fixes the vertices individualized above the node
+    where the two paths part and maps the earlier path's subtree there onto
+    the current one; the rest of the current subtree is abandoned.  A node
+    skips a child in the orbit of a searched child under the automorphisms
+    found so far that fix its individualized vertices.  Every child in the
+    orbit of the first path's child at a first-path node leads to a leaf
+    matching the first leaf, so that orbit is complete when the node
+    finishes, and |Aut| is the product of these orbit sizes
+    (orbit-stabilizer; McKay and Piperno, "Practical graph isomorphism,
+    II", 2014).
+    """
     if m == 0:
         return (), 1
-    colors = _refine_colors(nbr, m)
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    cell_order = [cells[c] for c in sorted(cells)]
-
-    best: list[int] | None = None
-    best_count = 0
+    gens: list[list[int]] = []
+    first: tuple | None = None  # (encoding, order, path) of the first leaf
+    best: tuple | None = None
     nodes = 0
+    aut = 1
 
-    def rec(pos: int, placed: list[int], placed_mask: int, rows: list[int]):
-        nonlocal best, best_count, nodes
+    def leaf(cells: list[int], path: list[int]) -> int | None:
+        nonlocal first, best
+        order = [c.bit_length() - 1 for c in cells]
+        pos = [0] * m
+        for i, v in enumerate(order):
+            pos[v] = i
+        enc = tuple(
+            sum(1 << pos[u] for u in _bits(nbr[v]) if pos[u] < i) for i, v in enumerate(order)
+        )
+        if first is None:
+            first = best = (enc, order, path)
+            return None
+        for ref in (first, best):
+            if enc == ref[0]:
+                g = [0] * m
+                for a, b in zip(ref[1], order):
+                    g[a] = b
+                gens.append(g)
+                return next((k for k, (a, b) in enumerate(zip(path, ref[2])) if a != b), len(path))
+        if enc < best[0]:
+            best = (enc, order, path)
+        return None
+
+    def fixing(path: list[int]) -> list[list[int]]:
+        return [g for g in gens if all(g[u] == u for u in path)]
+
+    def search(cells: list[int], path: list[int]) -> int | None:
+        """Search below one node; return the depth to resume at after a
+        jump back, or None to continue with the next sibling."""
+        nonlocal nodes, aut
         nodes += 1
         if nodes > _SEARCH_NODE_BUDGET:
-            raise EnumerationBudgetError("canonical labeling search budget exceeded")
-        if pos == m:
-            if best is None or rows < best:
-                best, best_count = rows[:], 1
-            elif rows == best:
-                best_count += 1
-            return
-        for cell in cell_order:
-            cands = [v for v in cell if not placed_mask >> v & 1]
-            if cands:
-                break
-        for v in cands:
-            row = 0
-            for j, u in enumerate(placed):
-                if nbr[v] >> u & 1:
-                    row |= 1 << j
-            rows.append(row)
-            if best is None or rows <= best[: len(rows)]:
-                placed.append(v)
-                rec(pos + 1, placed, placed_mask | 1 << v, rows)
-                placed.pop()
-            rows.pop()
+            raise EnumerationBudgetError(
+                "canonical labeling search budget exceeded",
+                where="graph_core.canonicalize", requested=nodes, budget=_SEARCH_NODE_BUDGET,
+            )
+        on_first = first is None
+        cells = _refine(cells, nbr)
+        t = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if t is None:
+            return leaf(cells, path)
+        depth, target = len(path), cells[t]
+        searched = 0
+        for v in _bits(target):
+            stab = fixing(path)
+            if any(_orbit(u, stab) >> v & 1 for u in _bits(searched)):
+                continue
+            searched |= 1 << v
+            back = search(cells[:t] + [1 << v, target ^ 1 << v] + cells[t + 1:], path + [v])
+            if back is not None and back < depth:
+                return back
+        if on_first:
+            aut *= _orbit(first[2][depth], fixing(path)).bit_count()
+        return None
 
-    rec(0, [], 0, [])
-    assert best is not None
-    return tuple(best), best_count
-
-
-_canon_memo: dict[tuple, tuple[CanonicalGraph, int]] = {}
-_canon_lock = threading.Lock()
+    search([(1 << m) - 1], [])
+    return best[0], aut
 
 
-def _canonical_with_core_aut(g: LabeledGraph) -> tuple[CanonicalGraph, int]:
+_canon_memo: dict[tuple, CanonicalGraph] = {}
+
+
+def canonicalize(g: LabeledGraph) -> CanonicalGraph:
+    """Canonical form of the isomorphism class of g (declared vertices count)."""
     core = sorted(support(g))
     if len(core) > CANONICAL_VERTEX_BUDGET:
         raise EnumerationBudgetError(
-            f"{len(core)} non-isolated vertices exceeds the canonical budget {CANONICAL_VERTEX_BUDGET}"
+            f"{len(core)} non-isolated vertices exceeds the canonical budget {CANONICAL_VERTEX_BUDGET}",
+            where="graph_core.canonicalize", requested=len(core), budget=CANONICAL_VERTEX_BUDGET,
         )
     iso = len(g.vertices) - len(core)
     index = {v: i for i, v in enumerate(core)}
@@ -373,14 +460,8 @@ def _canonical_with_core_aut(g: LabeledGraph) -> tuple[CanonicalGraph, int]:
     body = b"".join(r.to_bytes((m + 7) // 8, "big") for r in rows)
     cg = CanonicalGraph(header + body, len(g.vertices), len(g.edges),
                         core_aut * math.factorial(iso))
-    with _canon_lock:
-        _canon_memo[key] = (cg, core_aut)
-    return cg, core_aut
-
-
-def canonicalize(g: LabeledGraph) -> CanonicalGraph:
-    """Canonical form of the isomorphism class of g (declared vertices count)."""
-    return _canonical_with_core_aut(g)[0]
+    _canon_memo[key] = cg
+    return cg
 
 
 def are_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
@@ -390,14 +471,10 @@ def are_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
 def automorphism_count(g: LabeledGraph) -> int:
     """Number of vertex bijections of the declared set preserving the edge set.
 
-    Isolated vertices contribute a factorial factor.
+    Isolated vertices contribute a factorial factor.  Same budget as
+    canonicalize.
     """
-    core = support(g)
-    if len(core) > AUTOMORPHISM_VERTEX_BUDGET:
-        raise EnumerationBudgetError(
-            f"{len(core)} non-isolated vertices exceeds the automorphism budget {AUTOMORPHISM_VERTEX_BUDGET}"
-        )
-    return _canonical_with_core_aut(g)[1] * math.factorial(len(isolated_vertices(g)))
+    return canonicalize(g).aut_count
 
 
 def count_embeddings(h: LabeledGraph | CanonicalGraph, s: LabeledGraph) -> int:
@@ -414,7 +491,10 @@ def count_embeddings(h: LabeledGraph | CanonicalGraph, s: LabeledGraph) -> int:
     if h_canon.n_vertices > len(s.vertices) or len(s.vertices) > CANONICAL_VERTEX_BUDGET:
         if h_canon.n_vertices > len(s.vertices):
             return 0
-        raise EnumerationBudgetError("host graph exceeds the embedding budget")
+        raise EnumerationBudgetError(
+            "host graph exceeds the embedding budget", where="graph_core.count_embeddings",
+            requested=len(s.vertices), budget=CANONICAL_VERTEX_BUDGET,
+        )
     # Split the pattern into its edge-bearing core and isolated padding.
     core_edges = h_canon.n_edges
     total = 0
@@ -678,7 +758,10 @@ def rooted_tree_counts(max_n: int) -> list[int]:
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     if max_n > 60:
-        raise EnumerationBudgetError("rooted tree budget is 60 vertices")
+        raise EnumerationBudgetError(
+            "rooted tree budget is 60 vertices", where="graph_core.rooted_tree_counts",
+            requested=max_n, budget=60,
+        )
     r = [0, 1]
     for n in range(1, max_n):
         total = 0

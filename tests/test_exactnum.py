@@ -82,3 +82,11 @@ def test_solve_exact_against_residual():
             for j in range(m):
                 acc = acc + mat[i][j] * sol[j]
             assert (acc - rhs[i]).is_zero()
+
+
+def test_rational_hash_matches_equal_rational():
+    for x in (0, 1, -3, F(1, 2)):
+        assert Rad.of(x) == x
+        assert hash(Rad.of(x)) == hash(x)
+    assert len({Rad.of(1), 1, F(1)}) == 1
+    assert hash(Rad.sqrt(2)) == hash(Rad.sqrt(8) / 2)

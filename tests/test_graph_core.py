@@ -42,6 +42,36 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5, declare_extra: bool
     return g
 
 
+def star(r: int) -> gc.LabeledGraph:
+    return gc.graph(r + 1, [(0, i) for i in range(1, r + 1)])
+
+
+def matching(m: int) -> gc.LabeledGraph:
+    return gc.graph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+
+
+def cycles(copies: int, length: int) -> gc.LabeledGraph:
+    return gc.graph(copies * length, [(c * length + i, c * length + (i + 1) % length)
+                                      for c in range(copies) for i in range(length)])
+
+
+def hypercube_edges(d: int) -> list[tuple[int, int]]:
+    return [(u, u | 1 << b) for u in range(1 << d) for b in range(d) if not u >> b & 1]
+
+
+def petersen() -> gc.LabeledGraph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    return gc.graph(10, outer + inner + spokes)
+
+
+def torus_graph(steps: set[tuple[int, int]]) -> gc.LabeledGraph:
+    """Cayley graph of Z4 x Z4 with a symmetric step set."""
+    return gc.graph(16, [(a, b) for a in range(16) for b in range(a + 1, 16)
+                         if ((b // 4 - a // 4) % 4, (b % 4 - a % 4) % 4) in steps])
+
+
 # -- basics ------------------------------------------------------------------
 
 
@@ -136,6 +166,25 @@ def test_canonical_budget():
         gc.canonicalize(gc.complete_graph(17))
 
 
+def test_budget_errors_carry_fields():
+    with pytest.raises(gc.EnumerationBudgetError) as info:
+        gc.canonicalize(gc.complete_graph(17))
+    err = info.value
+    assert (err.where, err.requested, err.budget) == ("graph_core.canonicalize", 17, 16)
+    assert str(err) == "17 non-isolated vertices exceeds the canonical budget 16"
+    # other raise sites still work with the message alone
+    assert gc.EnumerationBudgetError("plain").requested is None
+
+
+def test_search_budget_error_reports_nodes(monkeypatch):
+    monkeypatch.setattr(gc, "_canon_memo", {})
+    monkeypatch.setattr(gc, "_SEARCH_NODE_BUDGET", 3)
+    with pytest.raises(gc.EnumerationBudgetError) as info:
+        gc.canonicalize(gc.cycle_graph(16))
+    err = info.value
+    assert (err.where, err.requested, err.budget) == ("graph_core.canonicalize", 4, 3)
+
+
 def test_automorphism_counts_against_brute_force():
     cases = [
         (gc.graph(3, [(0, 1), (1, 2), (0, 2)]), 6),
@@ -149,6 +198,16 @@ def test_automorphism_counts_against_brute_force():
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 6), 0.5, declare_extra=True)
         assert gc.automorphism_count(g) == brute_automorphisms(g)
+
+
+def test_automorphism_count_shares_the_canonical_budget():
+    # 11-16 non-isolated vertices
+    q4 = gc.graph(16, hypercube_edges(4))
+    assert gc.automorphism_count(gc.cycle_graph(16)) == 32
+    assert gc.automorphism_count(q4) == 384
+    assert gc.automorphism_count(star(10)) == math.factorial(10)
+    with pytest.raises(gc.EnumerationBudgetError):
+        gc.automorphism_count(gc.complete_graph(17))
 
 
 def test_aut_times_labeled_copies_is_factorial():
@@ -174,6 +233,76 @@ def test_aut_times_labeled_copies_is_factorial():
         if seen >= 12:
             break
     assert seen >= 12
+
+
+def _shuffled(g: gc.LabeledGraph, rng: random.Random) -> gc.LabeledGraph:
+    perm = list(range(g.n_vertices))
+    rng.shuffle(perm)
+    return gc.relabel(g, perm)
+
+
+def test_closed_form_automorphism_counts_and_relabeling_invariance():
+    cases = [(star(r), math.factorial(r)) for r in range(2, 16)]
+    cases += [(matching(m), 2 ** m * math.factorial(m)) for m in range(1, 9)]
+    cases += [(gc.cycle_graph(length), 2 * length) for length in range(3, 17)]
+    cases += [(cycles(2, m), 2 * (2 * m) ** 2) for m in range(3, 9)]
+    cases += [(gc.graph(16, hypercube_edges(4)), 384), (petersen(), 120)]
+    rng = random.Random(12)
+    for g, want in cases:
+        cg = gc.canonicalize(g)
+        assert cg.aut_count == want
+        for _ in range(3):
+            moved = gc.canonicalize(_shuffled(g, rng))
+            assert moved.canonical_form == cg.canonical_form
+            assert moved.aut_count == want
+
+
+def test_156_classes_on_six_vertices():
+    # oracle: OEIS A000088, the number of graphs on 6 unlabeled vertices
+    pairs = list(itertools.combinations(range(6), 2))
+    forms = set()
+    for k in range(len(pairs) + 1):
+        for es in itertools.combinations(pairs, k):
+            forms.add(gc.canonicalize(gc.graph(6, es, vertices=range(6))).canonical_form)
+    assert len(forms) == 156
+
+
+def test_shrikhande_and_rook_graph_are_separated():
+    # both strongly regular with parameters (16, 6, 2, 2); colour refinement
+    # alone cannot tell them apart
+    shrikhande = torus_graph({(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)})
+    rook = torus_graph({(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)})
+    a, b = gc.canonicalize(shrikhande), gc.canonicalize(rook)
+    assert a.canonical_form != b.canonical_form
+    assert (a.aut_count, b.aut_count) == (192, 1152)
+    rng = random.Random(13)
+    for g, cg in ((shrikhande, a), (rook, b)):
+        for _ in range(5):
+            assert gc.canonicalize(_shuffled(g, rng)).canonical_form == cg.canonical_form
+
+
+def test_canonical_equality_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(14)
+
+    def to_graph(h, n):
+        return gc.graph(n, h.edges(), range(n))
+
+    for _ in range(150):
+        n = rng.randint(2, 16)
+        if rng.random() < 0.5 and n >= 6:
+            # sparse: networkx's matcher is slow on dense regular pairs
+            d = rng.choice((2, 4))
+            a = nx.random_regular_graph(d, n, seed=rng.randrange(1 << 30))
+            b = nx.random_regular_graph(d, n, seed=rng.randrange(1 << 30))
+        else:
+            a = nx.gnp_random_graph(n, rng.random(), seed=rng.randrange(1 << 30))
+            b = nx.gnm_random_graph(n, a.number_of_edges(), seed=rng.randrange(1 << 30))
+        moved = nx.relabel_nodes(a, dict(zip(range(n), rng.sample(range(n), n))))
+        ca = gc.canonicalize(to_graph(a, n))
+        assert gc.canonicalize(to_graph(moved, n)).canonical_form == ca.canonical_form
+        same = gc.canonicalize(to_graph(b, n)).canonical_form == ca.canonical_form
+        assert same == nx.is_isomorphic(a, b)
 
 
 def test_count_embeddings():
