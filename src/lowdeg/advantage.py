@@ -21,7 +21,6 @@ import numpy as np
 
 from . import basis as bs
 from . import graph_core as gc
-from .exactnum import Rad
 from .measures import DiscreteMeasure
 from .models import ModelParams
 
@@ -53,33 +52,55 @@ def _to_float_sq(value_squared) -> float:
     return math.sqrt(v)
 
 
-def _square(x):
-    if isinstance(x, Rad):
-        sq = x * x
-        return sq.as_fraction() if sq.is_rational() else sq
-    return x * x
-
-
 def advantage_product_basis(p: DiscreteMeasure, q_params: ModelParams, D: int,
                             kind: str | None = None) -> AdvantageReport:
     """Advantage via the centered-edge product basis.
 
     Valid when the null is the independent-edge measure matching the basis
     normalization in q_params; the squared advantage is then one plus the
-    sum of squared alternative-expectations over nonempty indices.
+    sum of squared alternative-expectations over nonempty indices.  Each
+    square is E[prod_{e in S} (x_e - q)]^2 / (q(1-q))^deg, taken from the
+    unnormalized centered product, so exact inputs give Fractions and no
+    square root is formed; bs.evaluate_basis is the pointwise oracle.  An
+    atom x contributes (1-q)^c (-q)^(deg-c) with c = |S ∩ x|, so the
+    weights are summed by c, as integers over a common denominator in
+    exact mode.
     """
     atom = p.outcomes[0]
     if kind is None:
         kind = "pair" if isinstance(atom, tuple) and len(atom) == 2 else "single"
     n = q_params.n
-    indices = bs.pair_indices(n, D) if kind == "pair" else bs.single_indices(n, D)
+    if kind == "pair":
+        indices, q = bs.pair_indices(n, D), bs.pair_edge_prob(q_params)
+    else:
+        indices, q = bs.single_indices(n, D), bs.null_edge_prob(q_params)
+    bit = {e: 1 << i for i, e in enumerate(itertools.combinations(range(n), 2))}
+    shift = len(bit)  # the second graph of a pair sits above the first
+
+    def mask(edges) -> int:
+        return sum(bit[e] for e in edges)
+
+    if kind == "pair":
+        points = [mask(a) | mask(b) << shift for a, b in p.outcomes]
+    else:
+        points = [mask(x) for x in p.outcomes]
+    if p.exact:
+        scale = math.lcm(*(Fraction(w).denominator for w in p.weights))
+        weights = [int(w * scale) for w in p.weights]
+    else:
+        scale, weights = 1, p.weights
     per_index = {}
     total = Fraction(1) if p.exact else 1.0
     for idx in indices:
         if idx.degree == 0:
             continue
-        e = p.expectation(lambda x: bs.evaluate_basis(idx, x, q_params))
-        contrib = _square(e)
+        s_mask = mask(idx.s1.edges) | (mask(idx.s2.edges) << shift if kind == "pair" else 0)
+        by_overlap = [0] * (idx.degree + 1)
+        for x, w in zip(points, weights):
+            by_overlap[(s_mask & x).bit_count()] += w
+        raw = sum(c_w * (1 - q) ** c * (-q) ** (idx.degree - c)
+                  for c, c_w in enumerate(by_overlap)) / scale
+        contrib = raw * raw / (q * (1 - q)) ** idx.degree
         key = _index_key(idx)
         per_index[key] = per_index.get(key, 0) + contrib
         total = total + contrib

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -136,13 +137,15 @@ def audit_P_sum(s: LabeledGraph, h: LabeledGraph, params: ModelParams,
 # -- conditional-moment audit -------------------------------------------------------
 
 
+# joint measure -> {(i, j): its pair law conditioned on pi(i) = j}; an entry
+# lives as long as its joint
+_MATCH_COND_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def conditional_pair_moment(joint: ms.DiscreteMeasure, s1: LabeledGraph, s2: LabeledGraph,
                             params: ModelParams, i: int = 0, j: int = 0):
     """E[pair basis at (S1, S2) | matching sends i to j] under a matching joint."""
-    cache = getattr(joint, "_match_cond_cache", None)
-    if cache is None:
-        cache = {}
-        joint._match_cond_cache = cache
+    cache = _MATCH_COND_CACHE.setdefault(joint, {})
     if (i, j) not in cache:
         cache[(i, j)] = joint.condition(lambda x: x[0][i] == j).map(lambda x: (x[1], x[2]))
     cond = cache[(i, j)]

@@ -11,15 +11,14 @@ each kernel against its own matrix, so residuals vanish identically for
 both.
 
 The recursion table is built bottom-up by edge count; entries within a
-level are independent.  Memoization is keyed by canonical class and
-parameter hash; writes are serialized, reads are lock-free.
+level are independent.  Memoization is keyed by canonical class, in one
+XiTable per parameter set and kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -143,11 +142,6 @@ class XiTable:
     params: ModelParams
     kernel: str = FIRST_ORDER_KERNEL
     values: dict[str, object] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def store(self, hex_form: str, value):
-        with self._lock:
-            self.values[hex_form] = value
 
 
 def _leafless_edge_subsets(s: LabeledGraph, proper: bool) -> list[frozenset]:
@@ -195,7 +189,7 @@ def xi(s: LabeledGraph, params: ModelParams, table: XiTable | None = None):
     if (isinstance(p_val, Rad) and p_val.is_zero()) or p_val == 0:
         raise ValueError("degenerate label average; parameters out of range")
     value = -(total / p_val)
-    table.store(key, value)
+    table.values[key] = value
     return value
 
 
@@ -333,45 +327,51 @@ def reversed_advantage_exact(params: ModelParams, D: int):
     """Exact reversed advantage sup E_null[f] / sqrt(E_planted[f^2]) over the
     degree-D span, via the planted Gram matrix of the null basis.
 
-    Budget: the planted joint must be enumerable (n <= 4, k = 2, D <= 3 is
-    the supported envelope).
+    Given the labeling sigma the planted edges are independent, so the raw
+    Gram entry E[prod_{S_i} (x_e - q0) prod_{S_j} (x_e - q0)] is the label
+    average of a product over edges: E_sigma[(x_e - q0)^2] on S_i ∩ S_j and
+    p_e(sigma) - q0 on S_i △ S_j.  The labelings are grouped by their
+    equal-label edge set (ms.label_classes).  The orthonormal basis rescales
+    the Gram matrix by the diagonal sqrt(q0(1-q0))^(-deg), which leaves
+    (G^-1)_00 unchanged because the degree-0 scale is 1, so the raw rational
+    system is solved and the value is exact.
+
+    Budget: n <= 4, D <= 3 is the supported envelope.
     """
-    if params.n > 4 or D > 3:
-        raise EnumerationBudgetError("exact reversed advantage is limited to n <= 4, D <= 3")
+    for name, got, cap in (("n", params.n, 4), ("D", D, 3)):
+        if got > cap:
+            raise EnumerationBudgetError("exact reversed advantage is limited to n <= 4, D <= 3",
+                                         where=f"reversed_advantage_exact {name}",
+                                         requested=got, budget=cap)
     if not _exact_mode(params):
         raise ValueError("exact reversed advantage needs rational parameters")
-    joint = ms.sbm_joint_measure(params.n, params.k, params.lam, params.eps)
-    indices = bs.single_indices(params.n, D)
+    n, k = params.n, params.k
+    p_in, p_out = ms.sbm_block_probs(n, k, params.lam, params.eps)
     q0 = bs.null_edge_prob(params)
-    # unnormalized centered products, rational per atom
-    cols = []
-    for idx in indices:
-        es = sorted(idx.s1.edges)
-        col = []
-        for (_sigma, edges) in joint.outcomes:
-            val = Fraction(1)
-            for e in es:
-                val *= (1 if e in edges else 0) - q0
-            col.append(val)
-        cols.append(col)
-    w = joint.weights
-    norm_sq = q0 * (1 - q0)
+    sq_in, sq_out = [p * (1 - q0) ** 2 + (1 - p) * q0 ** 2 for p in (p_in, p_out)]
+    d_in, d_out = p_in - q0, p_out - q0
+    classes = ms.label_classes(n, k)
+    bit = {e: 1 << i for i, e in enumerate(itertools.combinations(range(n), 2))}
+    indices = bs.single_indices(n, D)
+    masks = [sum(bit[e] for e in idx.s1.edges) for idx in indices]
+
+    def raw_entry(both: int, once: int) -> Fraction:
+        total = Fraction(0)
+        for intra, count in classes.items():
+            total += (count * sq_in ** (both & intra).bit_count()
+                      * sq_out ** (both & ~intra).bit_count()
+                      * d_in ** (once & intra).bit_count()
+                      * d_out ** (once & ~intra).bit_count())
+        return total / k ** n
+
     dim = len(indices)
-    gram: list[list[Rad]] = [[Rad.of(0)] * dim for _ in range(dim)]
+    gram = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            raw = sum(wi * a * b for wi, a, b in zip(w, cols[i], cols[j]))
-            e_total = indices[i].degree + indices[j].degree
-            entry = Rad.of(raw) * Rad.sqrt(norm_sq) ** (-e_total)
-            gram[i][j] = entry
-            gram[j][i] = entry
-    rhs = [Rad.of(1 if idx.degree == 0 else 0) for idx in indices]
+            gram[i][j] = gram[j][i] = raw_entry(masks[i] & masks[j], masks[i] ^ masks[j])
+    rhs = [Fraction(1 if idx.degree == 0 else 0) for idx in indices]
     sol = solve_exact(gram, rhs)
-    vsq = None
-    for idx, x in zip(indices, sol):
-        if idx.degree == 0:
-            vsq = x
-    value_sq = vsq.as_fraction() if vsq.is_rational() else vsq
+    value_sq = next(x for idx, x in zip(indices, sol) if idx.degree == 0)
     from .advantage import AdvantageReport
 
     return AdvantageReport(D, math.sqrt(max(float(value_sq), 0.0)), value_sq, "rayleigh")

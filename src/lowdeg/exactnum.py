@@ -197,23 +197,24 @@ class Rad:
         return "Rad(" + " + ".join(bits) + ")"
 
 
-def solve_exact(matrix: list[list[Rad]], rhs: list[Rad]) -> list[Rad]:
+def solve_exact(matrix: list[list], rhs: list) -> list:
     """Solve a nonsingular linear system by Gaussian elimination, exactly.
 
-    Rows and entries are Rad values; pivots are chosen by float magnitude
-    but all arithmetic stays in the extension field.
+    Entries come from one exact field whose zero is falsy and whose inverse
+    is 1 / x: Fractions or Rad values.  Pivots are chosen by float
+    magnitude but all arithmetic stays in the field.
     """
     m = len(matrix)
     a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
     for col in range(m):
         pivot = max(range(col, m), key=lambda r: abs(float(a[r][col])))
-        if a[pivot][col].is_zero():
+        if not a[pivot][col]:
             raise ValueError("singular system")
         a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col].inverse()
+        inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
         for r in range(m):
-            if r != col and not a[r][col].is_zero():
+            if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [a[i][m] for i in range(m)]

@@ -15,12 +15,19 @@ Atom conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from .graph_core import EnumerationBudgetError, _norm_edge
 
 ENUMERATION_BUDGET = 1 << 22
+
+
+def _check_budget(what: str, where: str, size: int) -> None:
+    if size > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(f"{what} exceeds the enumeration budget", where=where,
+                                     requested=size, budget=ENUMERATION_BUDGET)
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
@@ -42,16 +49,14 @@ class DiscreteMeasure:
             if total == 0:
                 raise ValueError("cannot normalize a zero measure")
             self.weights = [w / total for w in self.weights]
-        else:
+        # weights are never reassigned after this point
+        self.exact = all(isinstance(w, (Fraction, int)) for w in self.weights)
+        if not normalize:
             if self.exact:
                 if total != 1:
                     raise ValueError(f"weights sum to {total}, not 1")
             elif abs(float(total) - 1.0) > 1e-12:
                 raise ValueError(f"weights sum to {float(total)}, not 1")
-
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(w, (Fraction, int)) for w in self.weights)
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -83,8 +88,7 @@ class DiscreteMeasure:
         return DiscreteMeasure(list(acc), list(acc.values()))
 
     def product(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        if len(self) * len(other) > ENUMERATION_BUDGET:
-            raise EnumerationBudgetError("product support exceeds the enumeration budget")
+        _check_budget("product support", "DiscreteMeasure.product", len(self) * len(other))
         outs, ws = [], []
         for x, wx in self:
             for y, wy in other:
@@ -94,8 +98,7 @@ class DiscreteMeasure:
 
     def power(self, m: int) -> "DiscreteMeasure":
         """m-fold product with tuple outcomes."""
-        if len(self) ** m > ENUMERATION_BUDGET:
-            raise EnumerationBudgetError("power support exceeds the enumeration budget")
+        _check_budget("power support", "DiscreteMeasure.power", len(self) ** m)
         outs, ws = [()], [_one_like(self.weights)]
         for _ in range(m):
             outs = [o + (x,) for o in outs for x in self.outcomes]
@@ -152,8 +155,7 @@ def _bernoulli_weight(prob, present: int):
 def er_graph_measure(n: int, q) -> DiscreteMeasure:
     """All graphs on [n]; independent edges with probability q."""
     pairs = _all_pairs(n)
-    if 2 ** len(pairs) > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError("graph space exceeds the enumeration budget")
+    _check_budget("graph space", "er_graph_measure", 2 ** len(pairs))
     outs, ws = [], []
     for mask in range(2 ** len(pairs)):
         edges = frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
@@ -171,15 +173,40 @@ def er_pair_measure(n: int, q) -> DiscreteMeasure:
     return single.product(single)
 
 
-def sbm_joint_measure(n: int, k: int, lam, eps) -> DiscreteMeasure:
-    """Joint (sigma, graph) law: uniform labels, block edge probabilities."""
-    pairs = _all_pairs(n)
-    if k ** n * 2 ** len(pairs) > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError("planted space exceeds the enumeration budget")
+def sbm_block_probs(n: int, k: int, lam, eps) -> tuple:
+    """(p_in, p_out): the edge probabilities within and across blocks."""
     p_in = (1 + (k - 1) * eps) * lam / n
     p_out = (1 - eps) * lam / n
     if not (0 <= p_in <= 1 and 0 <= p_out <= 1):
         raise ValueError("block edge probabilities outside [0,1]")
+    return p_in, p_out
+
+
+def label_classes(n: int, k: int) -> dict[int, int]:
+    """Count the labelings sigma in [k]^n by their equal-label edge set.
+
+    Keys are bitmasks over _all_pairs(n) of the edges (u, v) with
+    sigma[u] == sigma[v].  Each set partition of [n] (a restricted growth
+    string) into b blocks is one key and stands for k (k-1) ... (k-b+1)
+    labelings, so the cost does not grow with k.
+    """
+    pairs = _all_pairs(n)
+    strings = [()]
+    for _ in range(n):
+        strings = [rg + (b,) for rg in strings for b in range(max(rg, default=-1) + 2)]
+    counts = {}
+    for rg in strings:
+        count = math.perm(k, max(rg, default=-1) + 1)
+        if count:
+            counts[sum(1 << i for i, (u, v) in enumerate(pairs) if rg[u] == rg[v])] = count
+    return counts
+
+
+def sbm_joint_measure(n: int, k: int, lam, eps) -> DiscreteMeasure:
+    """Joint (sigma, graph) law: uniform labels, block edge probabilities."""
+    pairs = _all_pairs(n)
+    _check_budget("planted space", "sbm_joint_measure", k ** n * 2 ** len(pairs))
+    p_in, p_out = sbm_block_probs(n, k, lam, eps)
     label_w = Fraction(1, k ** n) if isinstance(p_in, Fraction) else 1.0 / k ** n
     outs, ws = [], []
     for sigma in itertools.product(range(k), repeat=n):
@@ -197,49 +224,77 @@ def sbm_graph_measure(n: int, k: int, lam, eps) -> DiscreteMeasure:
     return sbm_joint_measure(n, k, lam, eps).map(lambda x: x[1])
 
 
+def _child_subsampling_joint(n: int, s, parents: list, keep_parent: bool) -> DiscreteMeasure:
+    """Joint law of two children that keep each parent edge independently
+    with probability s, the second relabeled by a uniform permutation pi.
+
+    The parent law is the mixture sum_c coef_c * (independent edges), each
+    component given as (coef, classes) with classes a list of (edge mask,
+    edge probability) partitioning _all_pairs(n).  Given pi and the
+    component every edge is independent, so an atom's weight is a product
+    of per-edge factors -- p s^2 on A∩B, p s (1-s) on A△B, p (1-s)^2 on the
+    rest of the parent G, and 1-p off it -- and is cached by the count of
+    each class's edges in each state.
+    Without keep_parent the atoms are (pi, A, pi(B)), G is summed out, and
+    the last two factors merge into 1 - p + p (1-s)^2.  With keep_parent the
+    atoms are (pi, G, A, pi(B)) with A, B subsets of G.
+    """
+    pairs = _all_pairs(n)
+    m = len(pairs)
+    full = (1 << m) - 1
+    perms = list(itertools.permutations(range(n)))
+    edge_sets = [frozenset(pairs[i] for i in range(m) if mask >> i & 1) for mask in range(1 << m)]
+    if keep_parent:
+        triples = []
+        for g in range(1 << m):
+            subs = [a for a in range(1 << m) if a & ~g == 0]
+            triples.extend((g, a, b) for a in subs for b in subs)
+    else:
+        triples = [(a | b, a, b) for a in range(1 << m) for b in range(1 << m)]
+    weights = [0] * len(triples)
+    for coef, classes in parents:
+        factors = []
+        for mask, p in classes:
+            off = 1 - p if keep_parent else 1 - p + p * (1 - s) * (1 - s)
+            factors.append((mask, (p * s * s, p * s * (1 - s), p * (1 - s) * (1 - s), off)))
+        cache: dict = {}
+        for t, (g, a, b) in enumerate(triples):
+            states = (a & b, a ^ b, g & ~(a | b), full & ~g)
+            counts = tuple(tuple((st & mask).bit_count() for st in states) for mask, _ in factors)
+            w = cache.get(counts)
+            if w is None:
+                w = coef / len(perms)
+                for (_mask, fs), cs in zip(factors, counts):
+                    for f, c in zip(fs, cs):
+                        w = w * f ** c
+                cache[counts] = w
+            weights[t] = weights[t] + w
+    outs = []
+    for pi in perms:
+        image = [frozenset(_norm_edge(pi[u], pi[v]) for u, v in es) for es in edge_sets]
+        if keep_parent:
+            outs.extend((pi, edge_sets[g], edge_sets[a], image[b]) for g, a, b in triples)
+        else:
+            outs.extend((pi, edge_sets[a], image[b]) for _g, a, b in triples)
+    return DiscreteMeasure(outs, weights * len(perms))
+
+
 def correlated_er_joint_measure(n: int, p, s, *, keep_parent: bool = False) -> DiscreteMeasure:
     """Joint (pi, edges_a, edges_b) law of the correlated edge-subsampling model.
 
     The parent is edge-p; both children keep each parent edge independently
     with probability s, and the second child is relabeled by a uniform
     permutation pi.  With keep_parent the atoms are (pi, edges_g, edges_a,
-    edges_b), which event-conditioning on the parent needs.
+    edges_b), which event-conditioning on the parent needs.  Built per edge
+    by _child_subsampling_joint: every (pi, A, B) appears once, no merging.
     """
     if p is None or s is None:
         raise ValueError("the matching joint needs (p, s); derive them from (q, rho) first")
-    pairs = _all_pairs(n)
-    n_pairs = len(pairs)
-    import math as _math
-
-    if _math.factorial(n) * 5 ** n_pairs > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError("matching-joint space exceeds the enumeration budget")
-    one = _one_like([p, s])
-    perm_w = one / _math.factorial(n)
-    acc: dict = {}
-    for pi in itertools.permutations(range(n)):
-        for gmask in range(2 ** n_pairs):
-            g_edges = [pairs[i] for i in range(n_pairs) if gmask >> i & 1]
-            w_g = perm_w
-            for i in range(n_pairs):
-                w_g = w_g * _bernoulli_weight(p, gmask >> i & 1)
-            g_frozen = frozenset(g_edges)
-            for amask in range(2 ** len(g_edges)):
-                a = frozenset(g_edges[i] for i in range(len(g_edges)) if amask >> i & 1)
-                w_a = w_g
-                for i in range(len(g_edges)):
-                    w_a = w_a * _bernoulli_weight(s, amask >> i & 1)
-                for bmask in range(2 ** len(g_edges)):
-                    b = frozenset(
-                        _norm_edge(pi[u], pi[v])
-                        for i, (u, v) in enumerate(g_edges)
-                        if bmask >> i & 1
-                    )
-                    w = w_a
-                    for i in range(len(g_edges)):
-                        w = w * _bernoulli_weight(s, bmask >> i & 1)
-                    key = (pi, g_frozen, a, b) if keep_parent else (pi, a, b)
-                    acc[key] = acc.get(key, 0) + w
-    return DiscreteMeasure(list(acc), list(acc.values()))
+    n_pairs = n * (n - 1) // 2
+    _check_budget("matching-joint space", "correlated_er_joint_measure",
+                  math.factorial(n) * 5 ** n_pairs)
+    parent = [(_one_like([p, s]), [((1 << n_pairs) - 1, p)])]
+    return _child_subsampling_joint(n, s, parent, keep_parent)
 
 
 def correlated_er_pair_measure(n: int, p, s) -> DiscreteMeasure:
@@ -247,35 +302,19 @@ def correlated_er_pair_measure(n: int, p, s) -> DiscreteMeasure:
 
 
 def correlated_sbm_joint_measure(n: int, k: int, lam, eps, s) -> DiscreteMeasure:
-    """Joint (pi, edges_a, edges_b) law with a block-model parent."""
-    pairs = _all_pairs(n)
-    n_pairs = len(pairs)
-    import math as _math
+    """Joint (pi, edges_a, edges_b) law with a block-model parent.
 
-    if _math.factorial(n) * k ** n * 5 ** n_pairs > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError("matching-joint space exceeds the enumeration budget")
-    parent = sbm_joint_measure(n, k, lam, eps)
+    Given sigma the parent has independent edges, p_in within blocks and
+    p_out across them; the labelings are grouped by their equal-label edge
+    set (label_classes), one mixture component each, and the children are
+    built by _child_subsampling_joint.
+    """
+    n_pairs = n * (n - 1) // 2
+    _check_budget("matching-joint space", "correlated_sbm_joint_measure",
+                  math.factorial(n) * k ** n * 5 ** n_pairs)
+    p_in, p_out = sbm_block_probs(n, k, lam, eps)
     one = _one_like([lam, eps, s])
-    perm_w = one / _math.factorial(n)
-    acc: dict = {}
-    for (sigma, g), w_parent in parent:
-        g_edges = sorted(g)
-        for pi in itertools.permutations(range(n)):
-            w_g = perm_w * w_parent
-            for amask in range(2 ** len(g_edges)):
-                a = frozenset(g_edges[i] for i in range(len(g_edges)) if amask >> i & 1)
-                w_a = w_g
-                for i in range(len(g_edges)):
-                    w_a = w_a * _bernoulli_weight(s, amask >> i & 1)
-                for bmask in range(2 ** len(g_edges)):
-                    b = frozenset(
-                        _norm_edge(pi[u], pi[v])
-                        for i, (u, v) in enumerate(g_edges)
-                        if bmask >> i & 1
-                    )
-                    w = w_a
-                    for i in range(len(g_edges)):
-                        w = w * _bernoulli_weight(s, bmask >> i & 1)
-                    key = (pi, a, b)
-                    acc[key] = acc.get(key, 0) + w
-    return DiscreteMeasure(list(acc), list(acc.values()))
+    full = (1 << n_pairs) - 1
+    parents = [(one * count / k ** n, [(intra, p_in), (full & ~intra, p_out)])
+               for intra, count in label_classes(n, k).items()]
+    return _child_subsampling_joint(n, s, parents, keep_parent=False)

@@ -80,6 +80,36 @@ def test_gram_schmidt_null_direction_discard():
     assert rep.value_squared == 1 + F(1, 4)
 
 
+def _square(x):
+    """Square of a Rad that must come out rational."""
+    sq = x * x
+    assert sq.is_rational()
+    return sq.as_fraction()
+
+
+def test_product_basis_per_index_matches_evaluate_basis():
+    # each contribution against the square of the orthonormal basis mean,
+    # summed per class, for both index kinds
+    pr, _, pair, _ = corr_er_setup()
+    sbm = md.ModelParams(n=3, lam=F(1), k=2, eps=F(2, 5))
+    graphs = ms.sbm_graph_measure(3, 2, sbm.lam, sbm.eps)
+    for measure, params, kind in ((pair, pr, "pair"), (graphs, sbm, "single")):
+        rep = adv.advantage_product_basis(measure, params, 4, kind=kind)
+        indices = bs.pair_indices(3, 4) if kind == "pair" else bs.single_indices(3, 4)
+        want = {}
+        for idx in indices:
+            if idx.degree == 0:
+                continue
+            graphs_of = (idx.s1, idx.s2) if kind == "pair" else (idx.s1,)
+            forms = tuple(gc.canonicalize(g).hex_form for g in graphs_of)
+            key = forms if kind == "pair" else forms[0]
+            mean = measure.expectation(lambda x, i=idx: bs.evaluate_basis(i, x, params))
+            want[key] = want.get(key, 0) + _square(mean)
+        assert rep.per_index == want
+        assert all(type(v) is F for v in rep.per_index.values())
+        assert rep.value_squared == 1 + sum(want.values())
+
+
 # -- conditional advantage ----------------------------------------------------------
 
 

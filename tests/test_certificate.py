@@ -198,6 +198,56 @@ def test_reversed_advantage_against_float_oracle():
     assert abs(got.value - oracle) < 1e-9
 
 
+def _brute_reversed_value_sq(pr, D):
+    """(G^-1)_00 for the orthonormal null basis Gram matrix under the planted
+    joint, by summing over its atoms and eliminating in Fractions."""
+    from lowdeg import measures as ms
+
+    joint = ms.sbm_joint_measure(pr.n, pr.k, pr.lam, pr.eps)
+    q0 = pr.lam / pr.n
+    pairs = list(itertools.combinations(range(pr.n), 2))
+    sets = [c for r in range(D + 1) for c in itertools.combinations(pairs, r)]
+    cols = []
+    for es in sets:
+        col = []
+        for _sigma, edges in joint.outcomes:
+            val = F(1)
+            for e in es:
+                val *= ((e in edges) - q0)
+            col.append(val)
+        cols.append(col)
+    # (G^-1)_00 is the same for the raw and the orthonormal basis: the
+    # degree-0 direction has scale 1
+    gram = [[sum(w * a * b for w, a, b in zip(joint.weights, ci, cj)) for cj in cols] for ci in cols]
+    dim = len(sets)
+    aug = [row + [F(int(i == 0))] for i, row in enumerate(gram)]
+    for c in range(dim):
+        piv = next(r for r in range(c, dim) if aug[r][c] != 0)
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(dim):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return aug[0][dim]
+
+
+def test_reversed_advantage_against_brute_force_gram():
+    pr3 = md.ModelParams(n=3, lam=F(1), k=2, eps=F(2, 5), delta=F(1, 100))
+    pr4 = md.ModelParams(n=4, lam=F(1), k=2, eps=F(2, 5), delta=F(1, 100))
+    for pr, D in [(pr3, 1), (pr3, 2), (pr3, 3), (pr4, 2)]:
+        got = ct.reversed_advantage_exact(pr, D).value_squared
+        assert type(got) is F and got == _brute_reversed_value_sq(pr, D)
+
+
+def test_reversed_advantage_budget_error_is_structured():
+    pr = md.ModelParams(n=5, lam=F(1), k=2, eps=F(2, 5), delta=F(1, 100))
+    with pytest.raises(gc.EnumerationBudgetError) as info:
+        ct.reversed_advantage_exact(pr, 2)
+    assert (info.value.requested, info.value.budget) == (5, 4)
+    assert info.value.where.startswith("reversed_advantage_exact")
+
+
 def test_duality_gap_fixture_grid():
     for eps in (F(0), F(1, 5), F(2, 5)):
         pr = md.ModelParams(n=4, lam=F(1, 2), k=2, eps=eps, delta=F(1, 100))

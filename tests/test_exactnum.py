@@ -84,6 +84,22 @@ def test_solve_exact_against_residual():
             assert (acc - rhs[i]).is_zero()
 
 
+def test_solve_exact_on_fractions():
+    rng = random.Random(2)
+    for _ in range(20):
+        m = rng.randint(1, 5)
+        mat = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)] for _ in range(m)]
+        for i in range(m):
+            mat[i][i] += 10  # keep it nonsingular
+        rhs = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(m)]
+        sol = solve_exact(mat, rhs)
+        assert all(type(x) is F for x in sol)
+        for i in range(m):
+            assert sum(mat[i][j] * sol[j] for j in range(m)) == rhs[i]
+    with pytest.raises(ValueError):
+        solve_exact([[F(1), F(2)], [F(2), F(4)]], [F(1), F(0)])
+
+
 def test_rational_hash_matches_equal_rational():
     for x in (0, 1, -3, F(1, 2)):
         assert Rad.of(x) == x

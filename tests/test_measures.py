@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -82,3 +84,59 @@ def test_correlated_sbm_joint_reduces_to_er_at_zero_eps():
     d_sbm = dict(zip(sbm.outcomes, sbm.weights))
     d_er = dict(zip(er.outcomes, er.weights))
     assert d_sbm == d_er
+
+
+def _subsets(items):
+    items = sorted(items)
+    return [frozenset(c) for r in range(len(items) + 1) for c in itertools.combinations(items, r)]
+
+
+def _nested_joint(n, laws, s, keep_parent=False):
+    """Oracle by plain enumeration: pi, a parent law given as (weight, edge
+    probability per pair), the parent G, then both children A, B within G,
+    summed into a dict."""
+    pairs = list(itertools.combinations(range(n), 2))
+    out = {}
+    for pi in itertools.permutations(range(n)):
+        for law_w, prob in laws:
+            for g in _subsets(pairs):
+                w_g = law_w / math.factorial(n)
+                for e in pairs:
+                    w_g *= prob[e] if e in g else 1 - prob[e]
+                for a in _subsets(g):
+                    for b in _subsets(g):
+                        w = w_g * s ** (len(a) + len(b)) * (1 - s) ** (2 * len(g) - len(a) - len(b))
+                        b_img = frozenset(tuple(sorted((pi[u], pi[v]))) for u, v in b)
+                        key = (pi, g, a, b_img) if keep_parent else (pi, a, b_img)
+                        out[key] = out.get(key, 0) + w
+    return out
+
+
+def test_correlated_joints_match_nested_enumeration():
+    n, p, s = 3, F(2, 5), F(2, 3)
+    pairs = list(itertools.combinations(range(n), 2))
+    er = [(F(1), {e: p for e in pairs})]
+    for keep in (False, True):
+        joint = ms.correlated_er_joint_measure(n, p, s, keep_parent=keep)
+        assert dict(zip(joint.outcomes, joint.weights)) == _nested_joint(n, er, s, keep)
+    k, lam, eps = 2, F(3, 2), F(2, 5)
+    p_in, p_out = (1 + (k - 1) * eps) * lam / n, (1 - eps) * lam / n
+    sbm = [(F(1, k ** n), {(u, v): p_in if sigma[u] == sigma[v] else p_out for u, v in pairs})
+           for sigma in itertools.product(range(k), repeat=n)]
+    joint = ms.correlated_sbm_joint_measure(n, k, lam, eps, s)
+    assert dict(zip(joint.outcomes, joint.weights)) == _nested_joint(n, sbm, s)
+
+
+def test_matching_joint_budget_error_is_structured():
+    with pytest.raises(ms.EnumerationBudgetError) as info:
+        ms.correlated_er_joint_measure(5, F(1, 2), F(1, 2))
+    err = info.value
+    assert err.where == "correlated_er_joint_measure"
+    assert err.requested == math.factorial(5) * 5 ** 10
+    assert err.budget == ms.ENUMERATION_BUDGET < err.requested
+
+
+def test_exact_flag_is_fixed_at_construction():
+    m = ms.DiscreteMeasure(["a", "b"], [F(1, 4), F(3, 4)])
+    assert "exact" in vars(m) and m.exact
+    assert not ms.DiscreteMeasure(["a", "b"], [0.25, 0.75]).exact
