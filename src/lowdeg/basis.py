@@ -190,6 +190,47 @@ def evaluate_basis(idx: BasisIndex, point, params: ModelParams):
     return val
 
 
+def centered_moments(measure: DiscreteMeasure, indices: list[BasisIndex], n: int, q) -> list:
+    """Unnormalized centered moments E[prod_{e in S} (x_e - q)] of a graph
+    measure on n vertices, one per index.  The indices are all single, or
+    all pair indices over graph-pair atoms, with S1 on the first graph and
+    S2 on the second.
+
+    The orthonormal moment is this value over sqrt(q(1-q))^deg, so exact
+    inputs give a Fraction and no square root is formed.  An atom x
+    contributes (1-q)^c (-q)^(deg-c) with c = |S ∩ x|, counted on edge
+    bitmasks, so the weights are summed by c, as integers over a common
+    denominator in exact mode.
+    """
+    if not indices:
+        return []
+    bit = {e: 1 << i for i, e in enumerate(itertools.combinations(range(n), 2))}
+    shift = len(bit)  # the second graph of a pair sits above the first
+    pair = indices[0].kind == "pair"
+
+    def mask(edges) -> int:
+        return sum(bit[e] for e in edges)
+
+    if pair:
+        points = [mask(a) | mask(b) << shift for a, b in measure.outcomes]
+    else:
+        points = [mask(x) for x in measure.outcomes]
+    if measure.exact:
+        scale = math.lcm(*(Fraction(w).denominator for w in measure.weights))
+        weights = [int(w * scale) for w in measure.weights]
+    else:
+        scale, weights = 1, measure.weights
+    out = []
+    for idx in indices:
+        s_mask = mask(idx.s1.edges) | (mask(idx.s2.edges) << shift if pair else 0)
+        by_overlap = [0] * (idx.degree + 1)
+        for x, w in zip(points, weights):
+            by_overlap[(s_mask & x).bit_count()] += w
+        out.append(sum(c_w * (1 - q) ** c * (-q) ** (idx.degree - c)
+                       for c, c_w in enumerate(by_overlap)) / scale)
+    return out
+
+
 def exact_expectation(measure: DiscreteMeasure, idx: BasisIndex, params: ModelParams):
     """Expectation of the indexed polynomial; exact in rational mode."""
     if len(measure) > 1 << 22:

@@ -19,9 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from . import advantage as adv
 from . import basis as bs
 from . import graph_core as gc
 from . import measures as ms
+from .exactnum import Rad
 from .graph_core import EnumerationBudgetError, LabeledGraph
 from .models import ModelParams, event_E_indicator
 
@@ -144,13 +146,18 @@ _MATCH_COND_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def conditional_pair_moment(joint: ms.DiscreteMeasure, s1: LabeledGraph, s2: LabeledGraph,
                             params: ModelParams, i: int = 0, j: int = 0):
-    """E[pair basis at (S1, S2) | matching sends i to j] under a matching joint."""
+    """E[pair basis at (S1, S2) | matching sends i to j] under a matching joint:
+    the rational centered moment over sqrt(q(1-q))^deg."""
     cache = _MATCH_COND_CACHE.setdefault(joint, {})
     if (i, j) not in cache:
-        cache[(i, j)] = joint.condition(lambda x: x[0][i] == j).map(lambda x: (x[1], x[2]))
-    cond = cache[(i, j)]
+        cache[(i, j)] = adv.condition_on_match(joint, i, j)
     idx = bs.pair_index(s1, s2)
-    return cond.expectation(lambda x: bs.evaluate_basis(idx, x, params))
+    q = bs.pair_edge_prob(params)
+    (raw,) = bs.centered_moments(cache[(i, j)], [idx], params.n, q)
+    norm_sq = (q * (1 - q)) ** idx.degree
+    if isinstance(raw, Fraction):
+        return raw * Rad.sqrt(1 / norm_sq)
+    return raw / math.sqrt(norm_sq)
 
 
 def audit_conditional_moment(s1: LabeledGraph, s2: LabeledGraph, params: ModelParams,

@@ -10,6 +10,15 @@ the exactly-computed advantage requires.  verify_linear_system checks
 each kernel against its own matrix, so residuals vanish identically for
 both.
 
+The label averages P_of and Q_of behind the recursion and the linear
+system are counted in integers: the per-edge scale takes one value on
+equal labels and one on unequal labels, and the centered kernel omega is
+k-1 or -1, so each component's labelings are tallied as integer
+omega-products by the number of equal-label scaled edges.  Square roots
+enter only in one short sum per component, over powers of the two edge
+scales that are computed once per XiTable together with the powers of
+the transfer weight.  P_of_path_form is an independent oracle.
+
 The recursion table is built bottom-up by edge count; entries within a
 level are independent.  Memoization is keyed by canonical class, in one
 XiTable per parameter set and kernel.
@@ -20,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from . import basis as bs
@@ -54,40 +64,51 @@ def transfer_weight(params: ModelParams, kernel: str):
 # -- label-average expectations -------------------------------------------------
 
 
-def _label_product_expectation(params: ModelParams, h_edges: frozenset, omega_edges: frozenset):
+LABEL_VERTEX_BUDGET = 10
+
+
+def _label_product_expectation(table: "XiTable", h_edges: frozenset, omega_edges: frozenset):
     """E over uniform labels of prod h(edge) over h_edges times prod
-    omega(edge) over omega_edges, component by component."""
-    k = params.k
-    exact = _exact_mode(params)
+    omega(edge) over omega_edges, component by component.
+
+    h takes two values, h_eq on equal labels and h_ne on unequal ones, and
+    omega is the integer k-1 or -1.  So a component's labelings are summed
+    in integers: coeff[j] collects the omega-products of the labelings with
+    j equal-label h edges, and the component average is
+    sum_j coeff[j] h_eq^j h_ne^(m-j) / k^|V|, one short exact sum.  Labels
+    are exchangeable, so the first vertex keeps label 0 and the other
+    vertices range over k^(|V|-1) labelings.
+    """
+    k = table.params.k
+    total = Rad.of(1) if table.exact else 1.0
     all_edges = h_edges | omega_edges
     if not all_edges:
-        return Rad.of(1) if exact else 1.0
-    verts = sorted({v for e in all_edges for v in e})
-    comp_graph = gc.graph(max(verts) + 1, all_edges)
-    total = Rad.of(1) if exact else 1.0
-    for comp in gc.connected_components(comp_graph):
-        cverts = sorted(comp)
-        if len(cverts) > 10:
-            raise EnumerationBudgetError("label enumeration beyond 10 vertices per component")
-        ch = [e for e in h_edges if e[0] in comp]
-        co = [e for e in omega_edges if e[0] in comp]
-        acc = Rad.of(0) if exact else 0.0
-        for labels in itertools.product(range(k), repeat=len(cverts)):
-            assign = dict(zip(cverts, labels))
-            term = Rad.of(1) if exact else 1.0
-            for u, v in ch:
-                term = term * bs.h_weight(k, params.eps, params.lam, params.n, assign[u], assign[v])
+        return total
+    for comp in gc.connected_components(gc.graph(1 + max(v for _, v in all_edges), all_edges)):
+        if len(comp) > LABEL_VERTEX_BUDGET:
+            raise EnumerationBudgetError(
+                f"label enumeration beyond {LABEL_VERTEX_BUDGET} vertices per component",
+                where="certificate.label_average", requested=len(comp), budget=LABEL_VERTEX_BUDGET)
+        pos = {v: i for i, v in enumerate(sorted(comp))}
+        ch = [(pos[u], pos[v]) for u, v in h_edges if u in comp]
+        co = [(pos[u], pos[v]) for u, v in omega_edges if u in comp]
+        coeff = [0] * (len(ch) + 1)
+        for rest in itertools.product(range(k), repeat=len(comp) - 1):
+            labels = (0,) + rest
+            w = 1
             for u, v in co:
-                term = term * bs.omega(k, assign[u], assign[v])
-            acc = acc + term
-        denom = Fraction(k) ** len(cverts) if exact else float(k ** len(cverts))
-        total = total * (acc / denom)
+                w *= k - 1 if labels[u] == labels[v] else -1
+            coeff[sum(labels[u] == labels[v] for u, v in ch)] += w
+        acc = sum((c * term for c, term in zip(coeff, table.h_terms(len(ch))) if c),
+                  Rad.of(0) if table.exact else 0.0)
+        denom = k ** (len(comp) - 1)
+        total = total * acc * (Fraction(1, denom) if table.exact else 1.0 / denom)
     return total
 
 
 def P_of(s: LabeledGraph, params: ModelParams):
     """Label average of the product of per-edge scales over E(S)."""
-    return _label_product_expectation(params, s.edges, frozenset())
+    return _label_product_expectation(XiTable(params), s.edges, frozenset())
 
 
 def Q_of(s: LabeledGraph, h: LabeledGraph, params: ModelParams):
@@ -95,7 +116,7 @@ def Q_of(s: LabeledGraph, h: LabeledGraph, params: ModelParams):
     over E(S) \\ E(H)."""
     if not h.edges <= s.edges:
         raise ValueError("h is not an edge subset of s")
-    return _label_product_expectation(params, h.edges, s.edges - h.edges)
+    return _label_product_expectation(XiTable(params), h.edges, s.edges - h.edges)
 
 
 def P_of_path_form(s: LabeledGraph, params: ModelParams):
@@ -137,24 +158,64 @@ def P_of_path_form(s: LabeledGraph, params: ModelParams):
 
 @dataclass
 class XiTable:
-    """Memoized recursion values keyed by canonical class."""
+    """Memoized recursion values keyed by canonical class, and the
+    per-parameter constants of the label averages: the edge scales h_eq
+    and h_ne on equal and on unequal labels, the products
+    h_eq^j h_ne^(m-j), and the powers of the kernel's transfer weight t.
+    Each constant is computed once per table, on first use."""
 
     params: ModelParams
     kernel: str = FIRST_ORDER_KERNEL
     values: dict[str, object] = field(default_factory=dict)
+    _h_terms: dict[int, list] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def exact(self) -> bool:
+        return _exact_mode(self.params)
+
+    @cached_property
+    def _h_scales(self) -> tuple:
+        pr = self.params
+        return (bs.h_weight(pr.k, pr.eps, pr.lam, pr.n, 0, 0),
+                bs.h_weight(pr.k, pr.eps, pr.lam, pr.n, 0, 1 % pr.k))
+
+    @cached_property
+    def t_powers(self) -> list:
+        """[t^j for j = 0..XI_EDGE_BUDGET], t the kernel's transfer weight."""
+        t = transfer_weight(self.params, self.kernel)
+        powers = [Rad.of(1) if self.exact else 1.0]
+        for _ in range(XI_EDGE_BUDGET):
+            powers.append(powers[-1] * t)
+        return powers
+
+    def h_terms(self, m: int) -> list:
+        """[h_eq^j h_ne^(m-j) for j = 0..m]."""
+        if m not in self._h_terms:
+            one = Rad.of(1) if self.exact else 1.0
+            h_eq, h_ne = self._h_scales if m else (one, one)
+            self._h_terms[m] = [h_eq ** j * h_ne ** (m - j) for j in range(m + 1)]
+        return self._h_terms[m]
 
 
 def _leafless_edge_subsets(s: LabeledGraph, proper: bool) -> list[frozenset]:
+    """Edge subsets of s in which no vertex has degree one, by size; the
+    test is on edge bitmasks: inc[v] marks the edges at v."""
     edges = sorted(s.edges)
     if len(edges) > XI_EDGE_BUDGET:
-        raise EnumerationBudgetError(f"recursion edge budget is {XI_EDGE_BUDGET}")
+        raise EnumerationBudgetError(f"recursion edge budget is {XI_EDGE_BUDGET}",
+                                     where="certificate.xi", requested=len(edges),
+                                     budget=XI_EDGE_BUDGET)
+    inc: dict[int, int] = {}
+    for i, (u, v) in enumerate(edges):
+        inc[u] = inc.get(u, 0) | 1 << i
+        inc[v] = inc.get(v, 0) | 1 << i
     out = []
     top = len(edges) - 1 if proper else len(edges)
     for k in range(top + 1):
-        for subset in itertools.combinations(edges, k):
-            sub = gc.graph(s.n_vertices, subset)
-            if not gc.leaves(sub):
-                out.append(frozenset(subset))
+        for subset in itertools.combinations(range(len(edges)), k):
+            mask = sum(1 << i for i in subset)
+            if all((mask & m).bit_count() != 1 for m in inc.values()):
+                out.append(frozenset(edges[i] for i in subset))
     return out
 
 
@@ -163,7 +224,8 @@ def xi(s: LabeledGraph, params: ModelParams, table: XiTable | None = None):
 
     One for the empty graph, zero for any graph with a leaf; otherwise
     minus the P-normalized, kernel-weighted sum over proper leafless edge
-    subsets.  Multiplicative over vertex-disjoint unions.
+    subsets.  Multiplicative over vertex-disjoint unions.  A table passed
+    in must be built for params.
     """
     if table is None:
         table = XiTable(params)
@@ -176,17 +238,15 @@ def xi(s: LabeledGraph, params: ModelParams, table: XiTable | None = None):
     key = gc.canonicalize(core).hex_form
     if key in table.values:
         return table.values[key]
-    t = transfer_weight(params, table.kernel)
     total = Rad.of(0) if exact else 0.0
     for h_edges in _leafless_edge_subsets(core, proper=True):
-        h = gc.graph(core.n_vertices, h_edges)
-        sub_val = xi(h, params, table)
-        if (isinstance(sub_val, Rad) and sub_val.is_zero()) or sub_val == 0:
+        sub_val = xi(gc.graph(core.n_vertices, h_edges), params, table)
+        if not sub_val:
             continue
-        q_val = Q_of(core, h, params)
-        total = total + t ** (len(core.edges) - len(h_edges)) * sub_val * q_val
-    p_val = P_of(core, params)
-    if (isinstance(p_val, Rad) and p_val.is_zero()) or p_val == 0:
+        q_val = _label_product_expectation(table, h_edges, core.edges - h_edges)
+        total = total + table.t_powers[len(core.edges) - len(h_edges)] * sub_val * q_val
+    p_val = _label_product_expectation(table, core.edges, frozenset())
+    if not p_val:
         raise ValueError("degenerate label average; parameters out of range")
     value = -(total / p_val)
     table.values[key] = value
@@ -198,7 +258,9 @@ def leafless_classes(max_edges: int) -> list[LabeledGraph]:
     graphs with at most max_edges edges (vertex count is then at most the
     edge count)."""
     if max_edges > XI_EDGE_BUDGET:
-        raise EnumerationBudgetError(f"class enumeration budget is {XI_EDGE_BUDGET} edges")
+        raise EnumerationBudgetError(f"class enumeration budget is {XI_EDGE_BUDGET} edges",
+                                     where="certificate.leafless_classes", requested=max_edges,
+                                     budget=XI_EDGE_BUDGET)
     if max_edges < 3:
         return []
     m = max_edges
@@ -286,15 +348,13 @@ def build_dual(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL) ->
 
 def row_residual(s: LabeledGraph, params: ModelParams, table: XiTable):
     """Row value of the defining linear system at S minus its target."""
-    t = transfer_weight(params, table.kernel)
-    exact = _exact_mode(params)
-    total = Rad.of(0) if exact else 0.0
+    total = Rad.of(0) if _exact_mode(params) else 0.0
     for h_edges in _leafless_edge_subsets(s, proper=False):
-        h = gc.graph(s.n_vertices, h_edges)
-        val = xi(h, params, table)
-        if (isinstance(val, Rad) and val.is_zero()) or val == 0:
+        val = xi(gc.graph(s.n_vertices, h_edges), params, table)
+        if not val:
             continue
-        total = total + t ** (len(s.edges) - len(h_edges)) * val * Q_of(s, h, params)
+        q_val = _label_product_expectation(table, h_edges, s.edges - h_edges)
+        total = total + table.t_powers[len(s.edges) - len(h_edges)] * val * q_val
     target = 1 if not s.edges else 0
     return total - target
 
@@ -307,7 +367,9 @@ def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_
     table = XiTable(params, kernel)
     rows = bs.edge_subgraphs(params.n, D)
     if len(rows) > n_rows_cap:
-        raise EnumerationBudgetError("row enumeration exceeds the cap")
+        raise EnumerationBudgetError("row enumeration exceeds the cap",
+                                     where="certificate.verify_linear_system",
+                                     requested=len(rows), budget=n_rows_cap)
     worst = 0.0
     exact_all_zero = True
     for s in rows:
@@ -318,7 +380,7 @@ def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_
                 worst = max(worst, abs(float(r)))
         else:
             worst = max(worst, abs(r))
-    if isinstance(transfer_weight(params, kernel), Rad) and exact_all_zero:
+    if table.exact and exact_all_zero:
         return Fraction(0), len(rows)
     return worst, len(rows)
 

@@ -187,11 +187,12 @@ def _draw_correlated(rng: np.random.Generator, n: int, parent_adj: np.ndarray, s
     return pi, a, b
 
 
-def sample_correlated_er(params: ModelParams, rng_seed: int) -> CorrelatedSample:
-    """Draw (pi, G, A, B): parent edge-p, children subsampled at rate s."""
+def sample_correlated_er(params: ModelParams, rng_seed: int, *stream: int) -> CorrelatedSample:
+    """Draw (pi, G, A, B): parent edge-p, children subsampled at rate s.
+    The generator is derived_rng(rng_seed, *stream)."""
     if params.p is None or params.s is None:
         raise ValueError("correlated model needs (p, s) or (q, rho)")
-    rng = derived_rng(rng_seed)
+    rng = derived_rng(rng_seed, *stream)
     n = params.n
     g = _rand_sym_mask(rng, n, float(params.p))
     pi, a, b = _draw_correlated(rng, n, g, float(params.s))

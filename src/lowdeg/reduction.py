@@ -233,10 +233,11 @@ def one_sided_test(statistic: Callable, threshold: float,
 
 def correlated_er_samplers(params: ModelParams):
     """(alternative, null) pair samplers for the subsampling model; the null
-    is two independent graphs at the subsampled density."""
+    is two independent graphs at the subsampled density.  Trial t of a run
+    seeded with seed draws from derived_rng(seed, t) in both."""
 
     def p_sampler(seed, t):
-        s = md.sample_correlated_er(params, hash((seed, t)) % (1 << 32))
+        s = md.sample_correlated_er(params, seed, t)
         return s.left, s.right
 
     def q_sampler(seed, t):

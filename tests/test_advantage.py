@@ -221,3 +221,22 @@ def test_hidden_rejects_undefined_ratio():
     p = ms.DiscreteMeasure(["x", "y"], [F(1, 2), F(1, 2)])
     with pytest.raises(ValueError):
         adv.build_hidden_sample(q, p, 2)
+
+
+def test_conditional_pair_moment_matches_evaluate_basis():
+    # the rational centered moment against the mean of the orthonormal pair
+    # basis over the conditioned joint, on pairs of odd and even degree
+    from lowdeg import bounds as bd
+
+    pr, joint, _, _ = corr_er_setup(n=3, q=F(1, 4), rho=F(1, 3), D=4)
+    edge = gc.graph(3, [(0, 1)])
+    far = gc.graph(3, [(1, 2)])
+    path = gc.graph(3, [(0, 1), (1, 2)])
+    tri = gc.graph(3, [(0, 1), (1, 2), (0, 2)])
+    empty = gc.empty_graph(3)
+    for i, j in ((0, 0), (0, 1)):
+        cond = joint.condition(lambda x: x[0][i] == j).map(lambda x: (x[1], x[2]))
+        for s1, s2 in ((edge, edge), (edge, far), (path, edge), (tri, path), (empty, tri)):
+            idx = bs.pair_index(s1, s2)
+            want = cond.expectation(lambda x: bs.evaluate_basis(idx, x, pr))
+            assert bd.conditional_pair_moment(joint, s1, s2, pr, i, j) == want

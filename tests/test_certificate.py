@@ -319,3 +319,60 @@ def test_norm_trend_is_bounded_in_n():
     # the copy count grows like n^3 while each squared value decays like
     # n^-3, so the norm approaches a constant: non-exploding is the claim
     assert all(v <= norms[0] * 1.5 for v in norms)
+
+
+def test_label_averages_match_enumeration_on_small_rows():
+    # every S with at most 4 edges on 5 vertices and every leafless H in S,
+    # for k = 2 and k = 3; float mode within 1e-12 of the exact value
+    for k, eps in ((2, F(3, 10)), (3, F(1, 5))):
+        pr = md.ModelParams(n=5, lam=F(1), k=k, eps=eps, delta=F(1, 100))
+        prf = md.ModelParams(n=5, lam=1.0, k=k, eps=float(eps), delta=F(1, 100))
+        checked = 0
+        for s in bs.edge_subgraphs(5, 4):
+            edges = sorted(s.edges)
+            for r in range(len(edges) + 1):
+                for h_edges in itertools.combinations(edges, r):
+                    h = gc.graph(5, h_edges)
+                    if gc.leaves(h):
+                        continue
+                    got = ct.Q_of(s, h, pr)
+                    assert got == brute_label_average(5, k, pr.eps, pr.lam, 5, h.edges,
+                                                      s.edges - h.edges)
+                    assert abs(ct.Q_of(s, h, prf) - float(got)) <= 1e-12
+                    checked += 1
+            if not gc.leaves(s):
+                p_val = ct.P_of(s, pr)
+                assert p_val == brute_label_average(5, k, pr.eps, pr.lam, 5, s.edges, [])
+                assert abs(ct.P_of(s, prf) - float(p_val)) <= 1e-12
+        assert checked > len(bs.edge_subgraphs(5, 4))  # the cycles add rows beyond H = empty
+
+
+def test_linear_system_exactly_zero_k3():
+    pr = md.ModelParams(n=5, lam=F(1), k=3, eps=F(1, 5), delta=F(1, 100))
+    prf = md.ModelParams(n=5, lam=1.0, k=3, eps=0.2, delta=F(1, 100))
+    for kernel in (ct.FIRST_ORDER_KERNEL, ct.EXACT_KERNEL):
+        residual, rows = ct.verify_linear_system(pr, 3, kernel=kernel)
+        assert rows == 176
+        assert type(residual) is F and residual == 0
+        worst, rows_f = ct.verify_linear_system(prf, 3, kernel=kernel)
+        assert rows_f == 176 and worst <= 1e-12
+
+
+def test_certificate_budget_errors_are_structured():
+    pr12 = md.ModelParams(n=12, lam=F(1), k=2, eps=F(3, 10), delta=F(1, 100))
+    pr4 = md.ModelParams(n=4, lam=F(1), k=2, eps=F(3, 10), delta=F(1, 100))
+    cases = [
+        (lambda: ct.P_of(gc.cycle_graph(12, 11), pr12), "certificate.label_average", 11, 10,
+         "label enumeration beyond 10 vertices per component"),
+        (lambda: ct.xi(gc.cycle_graph(12, 7), pr12), "certificate.xi", 7, 6,
+         "recursion edge budget is 6"),
+        (lambda: ct.leafless_classes(7), "certificate.leafless_classes", 7, 6,
+         "class enumeration budget is 6 edges"),
+        (lambda: ct.verify_linear_system(pr4, 2, n_rows_cap=10),
+         "certificate.verify_linear_system", 22, 10, "row enumeration exceeds the cap"),
+    ]
+    for call, where, requested, budget, message in cases:
+        with pytest.raises(gc.EnumerationBudgetError) as info:
+            call()
+        err = info.value
+        assert (err.where, err.requested, err.budget, str(err)) == (where, requested, budget, message)

@@ -159,6 +159,24 @@ def test_lambda_set_bound():
         rd.lambda_set([0.5, 0.6], 0.3)
 
 
+def test_correlated_er_samplers_share_the_derived_seeding():
+    # both samplers draw trial t of a run seeded with seed from
+    # derived_rng(seed, t); the alternative no longer seeds from hash()
+    pr = md.ModelParams(n=10, q=F(1, 4), rho=F(1, 3))
+    p_s, q_s = rd.correlated_er_samplers(pr)
+    for seed, t in ((3, 0), (3, 7), (11, 2)):
+        draw = p_s(seed, t)
+        assert draw == p_s(seed, t)
+        samp = md.sample_correlated_er(pr, seed, t)
+        assert draw == (samp.left, samp.right)
+        old = md.sample_correlated_er(pr, hash((seed, t)) % (1 << 32))
+        assert draw != (old.left, old.right)
+        rng = md.derived_rng(seed, t)
+        first = md._rand_sym_mask(rng, pr.n, float(pr.q))
+        second = md._rand_sym_mask(rng, pr.n, float(pr.q))
+        assert q_s(seed, t) == (md._mask_to_graph(pr.n, first), md._mask_to_graph(pr.n, second))
+
+
 def test_one_sided_test_constant_statistic():
     pr = md.ModelParams(n=8, q=F(1, 4), rho=F(1, 3))
     p_s, q_s = rd.correlated_er_samplers(pr)
