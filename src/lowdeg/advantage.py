@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -130,109 +131,107 @@ def advantage_gram_schmidt(p: DiscreteMeasure, q: DiscreteMeasure,
                            D: int | None = None, exact: bool | None = None) -> AdvantageReport:
     """Advantage by orthogonalizing an explicit feature list under the null.
 
-    Exact mode runs unnormalized Gram-Schmidt in rational arithmetic;
-    directions that vanish almost surely under the null are discarded
-    after checking the alternative does not charge them (otherwise the
-    advantage is infinite and a ValueError is raised).
+    The features are orthogonalized through the null Gram matrix
+    (_null_gram, _ldl): the i-th direction carries E_P[e_i]^2 / E_Q[e_i^2],
+    exactly in rational mode.  Directions that vanish almost surely under
+    the null are discarded after checking the alternative does not charge
+    them (otherwise the advantage is infinite and a ValueError is raised).
     """
+    values, degree = _feature_values(q, features, D)
+    if exact is None:
+        exact = q.exact and p.exact and len(q) * len(values) <= 1 << 18
+    _lower, pivots, reduced = _ldl(*_null_gram(p, q, values, exact), exact)
+    per_index = {i: r * r / d for i, (d, r) in enumerate(zip(pivots, reduced)) if i and d}
+    total = (Fraction(1) if exact else 1.0) + sum(per_index.values())
+    return AdvantageReport(degree, _to_float_sq(total), total, "gram_schmidt", per_index)
+
+
+def _feature_values(q: DiscreteMeasure, features, D) -> tuple[list[list], int]:
+    """Each feature (default_features(q, D) if none are given) evaluated
+    once per null atom, and the degree of the report."""
     if features is None:
         if D is None:
             raise ValueError("need features or D")
         features = default_features(q, D)
     degree = D if D is not None else max(d for d, _ in features)
-    if exact is None:
-        exact = q.exact and p.exact and len(q) * len(features) <= 1 << 18
-    qw = {x: w for x, w in q}
-    missing = [x for x, w in p if w != 0 and qw.get(x, 0) == 0]
-    if missing:
-        raise ValueError("alternative charges atoms outside the null support")
-    if exact:
-        return _gram_schmidt_exact(p, q, features, degree)
-    return _gram_schmidt_float(p, q, features, degree)
+    return [[fn(x) for x in q.outcomes] for _, fn in features], degree
 
 
-def _gram_schmidt_exact(p, q, features, degree):
-    cols = [[Fraction(fn(x)) for x in q.outcomes] for _, fn in features]
-    w = [Fraction(wt) for wt in q.weights]
-    p_cols = [[Fraction(fn(x)) for x in p.outcomes] for _, fn in features]
-    pw = [Fraction(wt) for wt in p.weights]
-    kept: list[list[Fraction]] = []
-    kept_norm: list[Fraction] = []
-    kept_p: list[Fraction] = []
-    per_index = {}
-    for fi, col in enumerate(cols):
-        e = col[:]
-        pe = p_cols[fi][:]
-        for basis_vec, norm, basis_p in zip(kept, kept_norm, kept_p):
-            inner = sum(wi * a * b for wi, a, b in zip(w, e, basis_vec))
-            if inner:
-                coef = inner / norm
-                e = [a - coef * b for a, b in zip(e, basis_vec)]
-                pe = [a - coef * b for a, b in zip(pe, basis_p)]
-        norm = sum(wi * a * a for wi, a in zip(w, e))
-        p_exp = sum(wi * a for wi, a in zip(pw, pe))
-        if norm == 0:
-            if p_exp != 0:
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of exact values over their least common denominator."""
+    fracs = [v if isinstance(v, int) else Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in fracs))
+    return [v.numerator * (den // v.denominator) for v in fracs], den
+
+
+def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, values: list[list], exact: bool):
+    """The null Gram matrix G_ij = E_Q[f_i f_j] and the alternative means
+    c_i = E_P[f_i] as nested lists, from values[i][a] = f_i(q.outcomes[a]).
+    P's weights are carried onto the null atoms, so an alternative that
+    charges an atom outside the null support is rejected.  Exact mode sums
+    integer numerators over each measure's common denominator (and the
+    feature values'); float mode is one numpy product."""
+    at = {x: a for a, x in enumerate(q.outcomes)}
+    pw = [0] * len(q)
+    for x, w in p:
+        if w:
+            a = at.get(x)
+            if a is None or not q.weights[a]:
+                raise ValueError("alternative charges atoms outside the null support")
+            pw[a] += w
+    if not exact:
+        f = np.array(values, dtype=float)
+        gram = (f * np.array(q.weights, dtype=float)) @ f.T
+        return gram.tolist(), (f @ np.array(pw, dtype=float)).tolist()
+    nums, s = _over_common_denominator([v for row in values for v in row])
+    f = np.array(nums, dtype=object).reshape(len(values), len(q))
+    (wq, den_q), (wp, den_p) = _over_common_denominator(q.weights), _over_common_denominator(pw)
+    gram = ((f * np.array(wq, dtype=object)) @ f.T).tolist()
+    return ([[Fraction(g, den_q * s * s) for g in row] for row in gram],
+            [Fraction(c, den_p * s) for c in (f @ np.array(wp, dtype=object)).tolist()])
+
+
+def _ldl(gram: list[list], means: list, exact: bool):
+    """Orthogonalize features from their null Gram matrix by one
+    unnormalized LDL^T pass.
+
+    Returns (lower, pivots, reduced): e_i = f_i - sum_k lower[i][k] e_k is
+    the i-th orthogonalized feature, pivots[i] = E_Q[e_i^2] and
+    reduced[i] = E_P[e_i] (L^-1 c).  A pivot at or below tolerance (0
+    exact, 1e-10 G_ii in float) is a direction that vanishes under the
+    null: it is stored as 0 and no later feature is projected on it; if the
+    alternative charges it (by more than 1e-8 in float) the advantage is
+    infinite and ValueError is raised.  In exact arithmetic these are the
+    values of Gram-Schmidt run on the feature columns.
+    """
+    pivot_tol, mean_tol = (0, 0) if exact else (1e-10, 1e-8)
+    lower: list[list] = []
+    pivots, reduced = [], []
+    for i, g_row in enumerate(gram):
+        scaled: list = []  # scaled[k] = lower[i][k] * pivots[k]
+        for k in range(i):
+            scaled.append(g_row[k] - sum(map(operator.mul, scaled, lower[k])))
+        l_row = [t / d if d else 0 for t, d in zip(scaled, pivots)]
+        pivot = g_row[i] - sum(map(operator.mul, scaled, l_row))
+        mean = means[i] - sum(map(operator.mul, l_row, reduced))
+        if pivot <= pivot_tol * g_row[i]:
+            if abs(mean) > mean_tol:
                 raise ValueError("null direction with nonzero alternative mean: advantage infinite")
-            continue
-        kept.append(e)
-        kept_norm.append(norm)
-        kept_p.append(pe)
-        if fi > 0:
-            per_index[fi] = p_exp * p_exp / norm
-    total = Fraction(1) + sum(per_index.values(), Fraction(0))
-    return AdvantageReport(degree, _to_float_sq(total), total, "gram_schmidt", per_index)
-
-
-def _gram_schmidt_float(p, q, features, degree):
-    fq = np.array([[float(fn(x)) for x in q.outcomes] for _, fn in features])
-    wq = np.array([float(w) for w in q.weights])
-    fp = np.array([[float(fn(x)) for x in p.outcomes] for _, fn in features])
-    wp = np.array([float(w) for w in p.weights])
-    per_index = {}
-    kept_rows = []
-    kept_p_rows = []
-    kept_norms = []
-    scale = float(np.max(np.abs(fq))) or 1.0
-    for fi in range(fq.shape[0]):
-        e = fq[fi].copy()
-        pe = fp[fi].copy()
-        for row, prow, norm in zip(kept_rows, kept_p_rows, kept_norms):
-            coef = float(np.dot(wq * e, row)) / norm
-            e -= coef * row
-            pe -= coef * prow
-        norm = float(np.dot(wq * e, e))
-        if norm <= (1e-10 * scale) ** 2:
-            p_exp = float(np.dot(wp, pe))
-            if abs(p_exp) > 1e-8:
-                raise ValueError("null direction with nonzero alternative mean: advantage infinite")
-            continue
-        kept_rows.append(e)
-        kept_p_rows.append(pe)
-        kept_norms.append(norm)
-        if fi > 0:
-            p_exp = float(np.dot(wp, pe))
-            per_index[fi] = p_exp * p_exp / norm
-    total = 1.0 + sum(per_index.values())
-    return AdvantageReport(degree, math.sqrt(total), total, "gram_schmidt", per_index)
+            pivot = 0
+        lower.append(l_row)
+        pivots.append(pivot)
+        reduced.append(mean)
+    return lower, pivots, reduced
 
 
 def advantage_rayleigh(p: DiscreteMeasure, q: DiscreteMeasure,
                        features: list[tuple[int, Callable]] | None = None,
                        D: int | None = None) -> AdvantageReport:
     """Advantage as sqrt(c^T A^+ c) with A the feature Gram matrix under the
-    null and c the alternative feature means (float route)."""
-    if features is None:
-        if D is None:
-            raise ValueError("need features or D")
-        features = default_features(q, D)
-    degree = D if D is not None else max(d for d, _ in features)
-    fq = np.array([[float(fn(x)) for x in q.outcomes] for _, fn in features])
-    wq = np.array([float(w) for w in q.weights])
-    fp = np.array([[float(fn(x)) for x in p.outcomes] for _, fn in features])
-    wp = np.array([float(w) for w in p.weights])
-    gram = (fq * wq) @ fq.T
-    c = fp @ wp
+    null and c the alternative feature means (float route, a least-squares
+    cross-check of the LDL^T kernel that shares only the Gram builder)."""
+    values, degree = _feature_values(q, features, D)
+    gram, c = (np.array(m) for m in _null_gram(p, q, values, exact=False))
     sol, *_ = np.linalg.lstsq(gram, c, rcond=1e-12)
     if not np.allclose(gram @ sol, c, atol=1e-8):
         raise ValueError("alternative mean outside the null feature range: advantage infinite")
@@ -321,16 +320,13 @@ class HiddenSampleProblem:
 
 
 def _flatten_pair_tuple(m: int):
+    """Flatten the nested pairs (((x0, x1), x2), ...) of an m-fold product."""
     def flatten(x):
-        out = []
-        def rec(y, depth):
-            if depth == 0:
-                out.append(y)
-            else:
-                rec(y[0], depth - 1)
-                out.append(y[1])
-        rec(x, m - 1)
-        return tuple(out)
+        tail = []
+        for _ in range(m - 1):
+            x, last = x
+            tail.append(last)
+        return (x, *reversed(tail))
     return flatten
 
 
@@ -353,43 +349,32 @@ def hidden_likelihood_ratio(problem: HiddenSampleProblem, outcome: tuple):
 def hidden_sample_advantage(problem: HiddenSampleProblem, D: int) -> AdvantageReport:
     """Advantage of the composite problem, computed directly.
 
-    The base one-hot features are orthogonalized under the base null; the
-    composite basis consists of coordinatewise products with at most D
-    nonconstant factors, and the squared advantage sums the squared
-    composite-alternative means.  Exact in rational mode.
+    The base one-hot features are orthogonalized under the base null by
+    the Gram kernel (_null_gram, _ldl), and its coefficients evaluate the
+    base directions atom by atom; the composite basis consists of
+    coordinatewise products with at most D nonconstant factors, and the
+    squared advantage sums the squared composite-alternative means.  Exact
+    in rational mode.
     """
     null = problem.base_null
     exact = null.exact and problem.base_alt.exact
-    one = Fraction(1) if exact else 1.0
-    feats = default_features(null, 1)[1:]  # nonconstant one-hots
-    cols = [[(Fraction(fn(x)) if exact else float(fn(x))) for x in null.outcomes] for _, fn in feats]
-    w = null.weights
-    kept: list[list] = [[one] * len(null)]  # start from the constant function
-    norms: list = [one]
-    for col in cols:
-        e = col[:]
-        for vec, norm in zip(kept, norms):
-            inner = sum(wi * a * b for wi, a, b in zip(w, e, vec))
-            if inner != 0:
-                coef = inner / norm
-                e = [a - coef * b for a, b in zip(e, vec)]
-        norm = sum(wi * a * a for wi, a in zip(w, e))
-        if norm == 0:
-            continue
-        kept.append(e)
-        norms.append(norm)
-    kept, norms = kept[1:], norms[1:]  # products use only nonconstant directions
-    atom_value = [
-        {x: e[i] for i, x in enumerate(null.outcomes)} for e in kept
-    ]
+    values, _ = _feature_values(null, None, 1)
+    lower, pivots, _ = _ldl(*_null_gram(problem.base_alt, null, values, exact), exact)
+    directions: list[list] = []  # e_i = f_i - sum_k lower[i][k] e_k at each null atom
+    for f_row, l_row in zip(values, lower):
+        directions.append([f - sum(c * e[a] for c, e in zip(l_row, directions))
+                           for a, f in enumerate(f_row)])
+    # products use only the nonconstant directions the null does not discard
+    kept = [i for i in range(1, len(values)) if pivots[i]]
+    atom_value = [dict(zip(null.outcomes, directions[i])) for i in kept]
+    norms = [pivots[i] for i in kept]
     alt = problem.composite_alt()
     M = problem.M
     total = Fraction(1) if exact else 1.0
     per_index = {}
-    r = len(kept)
     for size in range(1, min(D, M) + 1):
         for slots in itertools.combinations(range(M), size):
-            for assign in itertools.product(range(r), repeat=size):
+            for assign in itertools.product(range(len(kept)), repeat=size):
                 mean = alt.expectation(
                     lambda y, s=slots, a=assign: _prod(atom_value[ai][y[si]] for si, ai in zip(s, a))
                 )

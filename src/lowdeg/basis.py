@@ -179,7 +179,8 @@ def evaluate_basis(idx: BasisIndex, point, params: ModelParams):
     exact = _exact_inputs(lam, eps)
     if not exact and n > PLANTED_FLOAT_N_CAP:
         raise EnumerationBudgetError(
-            f"planted basis in float mode is limited to n <= {PLANTED_FLOAT_N_CAP}; use Fractions"
+            f"planted basis in float mode is limited to n <= {PLANTED_FLOAT_N_CAP}; use Fractions",
+            where="basis.evaluate_basis", requested=n, budget=PLANTED_FLOAT_N_CAP,
         )
     if tuple(sigma_star) != tuple(idx.sigma):
         return Rad.of(0) if exact else 0.0
@@ -234,7 +235,8 @@ def centered_moments(measure: DiscreteMeasure, indices: list[BasisIndex], n: int
 def exact_expectation(measure: DiscreteMeasure, idx: BasisIndex, params: ModelParams):
     """Expectation of the indexed polynomial; exact in rational mode."""
     if len(measure) > 1 << 22:
-        raise EnumerationBudgetError("measure support exceeds the enumeration budget")
+        raise EnumerationBudgetError("measure support exceeds the enumeration budget",
+                                     where="basis.exact_expectation", requested=len(measure), budget=1 << 22)
     return measure.expectation(lambda x: evaluate_basis(idx, x, params))
 
 
@@ -261,7 +263,8 @@ def cross_moment_planted(params: ModelParams, s: LabeledGraph, sigma: tuple[int,
     k, lam, eps, n = params.k, params.lam, params.eps, params.n
     exact = _exact_inputs(lam, eps)
     if len(s.edges) > (params.D or len(s.edges)) or len(h.edges) > (params.D or len(h.edges)):
-        raise EnumerationBudgetError("index degree exceeds D")
+        raise EnumerationBudgetError("index degree exceeds D", where="basis.cross_moment_planted",
+                                     requested=max(len(s.edges), len(h.edges)), budget=params.D)
     if not h.edges <= s.edges:
         return Rad.of(0) if exact else 0.0
     val = _sqrt(Fraction(1, k ** n) if exact else 1.0 / k ** n, exact)
@@ -326,7 +329,9 @@ def leaf_cancellation_check(s: LabeledGraph, h: LabeledGraph, k: int):
     if not exposed:
         raise ValueError("no exposed leaf: the cancellation identity does not apply")
     if len(s.vertices) > 8:
-        raise EnumerationBudgetError("cancellation check is limited to 8 vertices")
+        raise EnumerationBudgetError("cancellation check is limited to 8 vertices",
+                                     where="basis.leaf_cancellation_check",
+                                     requested=len(s.vertices), budget=8)
     free = sorted(s.vertices - h.vertices)
     fixed = sorted(h.vertices)
     cross = sorted(s.edges - h.edges)

@@ -112,7 +112,8 @@ def _anchored_between(h: LabeledGraph, s: LabeledGraph) -> Iterable[LabeledGraph
     forced to the endpoints plus the isolated vertices of h."""
     extra = sorted(s.edges - h.edges)
     if len(extra) > 16:
-        raise EnumerationBudgetError("anchored enumeration beyond 16 extra edges")
+        raise EnumerationBudgetError("anchored enumeration beyond 16 extra edges",
+                                     where="bounds._anchored_between", requested=len(extra), budget=16)
     iso_h = gc.isolated_vertices(h)
     for k in range(len(extra) + 1):
         for subset in itertools.combinations(extra, k):
@@ -215,7 +216,9 @@ def _anchored_subgraphs_of(s: LabeledGraph) -> Iterable[LabeledGraph]:
     in H (declared vertices range over supersets of the edge endpoints)."""
     edges = sorted(s.edges)
     if len(edges) > 10 or len(s.vertices) > 10:
-        raise EnumerationBudgetError("anchored subgraph enumeration budget")
+        raise EnumerationBudgetError("anchored subgraph enumeration budget",
+                                     where="bounds._anchored_subgraphs_of",
+                                     requested=max(len(edges), len(s.vertices)), budget=10)
     iso_s = gc.isolated_vertices(s)
     for k in range(len(edges) + 1):
         for subset in itertools.combinations(edges, k):

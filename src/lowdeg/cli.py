@@ -4,9 +4,7 @@ Subcommands: sample, adv, hidden, xi, dual-check, bounds-audit, reduce,
 otter, verify.  Outputs are deterministic given (arguments, seed): JSON
 carries a schema_version field, CSV uses stable documented columns with a
 '.' decimal separator, and probabilities are accepted as exact fractions
-"a/b" in --exact mode.  --threads controls trial-level parallelism; the
-derived-seed scheme makes results identical for any thread count, and
---threads 1 additionally fixes the execution order.
+"a/b" in --exact mode.
 """
 
 from __future__ import annotations
@@ -14,9 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -106,17 +102,16 @@ def cmd_sample(args) -> int:
     params = _params_from_args(args, args.exact)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = args.threads or 1
 
     def one(trial: int):
         seed = args.seed + trial
         if args.model == "er":
             rng = md.derived_rng(seed)
             g = md._mask_to_graph(params.n, md._rand_sym_mask(rng, params.n, float(params.q)))
-            return trial, {"graph": g}, {}
+            return {"graph": g}, {}
         if args.model == "sbm":
             sigma, g = md.sample_sbm(params, seed)
-            return trial, {"graph": g}, {"sigma_star": list(sigma)}
+            return {"graph": g}, {"sigma_star": list(sigma)}
         if args.model == "corr-er":
             s = md.sample_correlated_er(params, seed)
         elif args.model == "corr-sbm":
@@ -131,16 +126,10 @@ def cmd_sample(args) -> int:
         side = {"pi_star": list(s.pi_star)}
         if s.sigma_star is not None:
             side["sigma_star"] = list(s.sigma_star)
-        return trial, graphs, side
+        return graphs, side
 
-    trial_ids = list(range(args.trials))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, trial_ids))
-    else:
-        results = [one(t) for t in trial_ids]
-    results.sort(key=lambda r: r[0])
-    for trial, graphs, side in results:
+    for trial in range(args.trials):
+        graphs, side = one(trial)
         for name, g in graphs.items():
             path = out_dir / f"trial{trial:04d}_{name}.edges"
             path.write_text(gc.write_edge_list(g), encoding="utf-8")
@@ -374,10 +363,6 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lowdeg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lowdeg {__version__}")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("LOWDEG_THREADS", os.cpu_count() or 1)),
-                        help="worker threads for trial-level parallelism "
-                             "(default from LOWDEG_THREADS or the core count)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw model samples to edge-list files")

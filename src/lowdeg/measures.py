@@ -42,21 +42,19 @@ class DiscreteMeasure:
         self.weights = list(weights)
         if len(self.outcomes) != len(self.weights):
             raise ValueError("outcomes and weights differ in length")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("negative weight")
-        total = sum(self.weights)
+        total, exact = _checked_total(self.weights)
         if normalize:
             if total == 0:
                 raise ValueError("cannot normalize a zero measure")
             self.weights = [w / total for w in self.weights]
+            exact = exact and isinstance(total, Fraction)  # ints over an int total are floats
+        elif exact:
+            if total != 1:
+                raise ValueError(f"weights sum to {total}, not 1")
+        elif abs(float(total) - 1.0) > 1e-12:
+            raise ValueError(f"weights sum to {float(total)}, not 1")
         # weights are never reassigned after this point
-        self.exact = all(isinstance(w, (Fraction, int)) for w in self.weights)
-        if not normalize:
-            if self.exact:
-                if total != 1:
-                    raise ValueError(f"weights sum to {total}, not 1")
-            elif abs(float(total) - 1.0) > 1e-12:
-                raise ValueError(f"weights sum to {float(total)}, not 1")
+        self.exact = exact
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -139,6 +137,24 @@ class DiscreteMeasure:
             diff = pw.get(x, 0) - qx
             total = total + diff * diff / qx
         return total
+
+
+def _checked_total(weights: list) -> tuple:
+    """(sum, exact) of a weight list, rejecting a negative weight.  Exact
+    weights (ints and Fractions) are sign-tested on their numerators and
+    summed as numerators grouped by denominator; the sum's type is sum()'s."""
+    kinds = set(map(type, weights))
+    if not all(issubclass(k, (Fraction, int)) for k in kinds):
+        if any(w < 0 for w in weights):
+            raise ValueError("negative weight")
+        return sum(weights), False
+    by_den: dict[int, int] = {}
+    for w in weights:
+        if w.numerator < 0:
+            raise ValueError("negative weight")
+        by_den[w.denominator] = by_den.get(w.denominator, 0) + w.numerator
+    total = sum(Fraction(n, d) for d, n in by_den.items())
+    return (total if any(issubclass(k, Fraction) for k in kinds) else int(total)), True
 
 
 def _one_like(weights) -> Fraction | float:

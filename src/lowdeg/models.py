@@ -293,7 +293,8 @@ def _edge_support_subgraphs(h: LabeledGraph) -> Iterable[LabeledGraph]:
     edges = sorted(h.edges)
     if len(edges) > SUBGRAPH_EDGE_BUDGET:
         raise EnumerationBudgetError(
-            f"{len(edges)} edges exceeds the subgraph budget {SUBGRAPH_EDGE_BUDGET}"
+            f"{len(edges)} edges exceeds the subgraph budget {SUBGRAPH_EDGE_BUDGET}",
+            where="models._edge_support_subgraphs", requested=len(edges), budget=SUBGRAPH_EDGE_BUDGET,
         )
     for k in range(len(edges) + 1):
         for subset in itertools.combinations(edges, k):
@@ -320,7 +321,9 @@ def classify_self_bad(h: LabeledGraph, params: ModelParams) -> str:
     each proper edge subset the extremal vertex count is checked directly.
     """
     if len(h.edges) > SUBGRAPH_EDGE_BUDGET:
-        raise EnumerationBudgetError("self-bad check exceeds the edge budget")
+        raise EnumerationBudgetError("self-bad check exceeds the edge budget",
+                                     where="models.classify_self_bad", requested=len(h.edges),
+                                     budget=SUBGRAPH_EDGE_BUDGET)
     log_h = log_upsilon_potential(h, params)
     if log_h >= _bad_threshold(params):
         return "good"
@@ -346,40 +349,24 @@ def _bad_connected_pieces(g: LabeledGraph, params: ModelParams, max_vertices: in
     can be extended (by sub-selecting induced edges) to a negative-log-potential
     piece; returns (vertex_set, min_log_potential) pairs."""
     lv, le = _log_phi_factors(params) if mode == "er" else _log_upsilon_factors(params)
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-
+    adj = _adjacency(g)
     pieces: dict[frozenset[int], float] = {}
-    seen: set[frozenset[int]] = set()
-
-    def grow(current: frozenset[int]):
-        if current in seen:
-            return
-        seen.add(current)
-        if len(seen) > 200_000:
-            raise EnumerationBudgetError("connected-subgraph search budget exceeded")
+    for current in _grow_connected_sets(adj, sorted(g.vertices), max_vertices, 200_000,
+                                        "connected-subgraph search budget exceeded",
+                                        "models._bad_connected_pieces"):
         # bad-subgraph candidates are edge-induced: a connected piece needs
         # at least two vertices and a spanning set of edges
-        if len(current) >= 2:
-            induced = sum(1 for u, v in g.edges if u in current and v in current)
-            if le > 0:
-                # edges only raise the potential: a connected spanning
-                # subgraph pays at least |V|-1 of them
-                log_best = lv * len(current) + le * (len(current) - 1)
-            else:
-                log_best = lv * len(current) + le * induced
-            if log_best < 0:
-                pieces[current] = min(pieces.get(current, 0.0), log_best)
-        if len(current) >= max_vertices:
-            return
-        frontier = set().union(*(adj[v] for v in current)) - current
-        for v in sorted(frontier):
-            grow(current | {v})
-
-    for v in sorted(g.vertices):
-        grow(frozenset([v]))
+        if len(current) < 2:
+            continue
+        if le > 0:
+            # edges only raise the potential: a connected spanning
+            # subgraph pays at least |V|-1 of them
+            log_best = lv * len(current) + le * (len(current) - 1)
+        else:
+            induced = sum(len(adj[v] & current) for v in current) // 2
+            log_best = lv * len(current) + le * induced
+        if log_best < 0:
+            pieces[current] = log_best
     return pieces
 
 
@@ -398,7 +385,8 @@ def contains_bad_subgraph(g: LabeledGraph, params: ModelParams, max_vertices: in
     if not neg:
         return False
     if len(neg) > 22:
-        raise EnumerationBudgetError("too many near-bad pieces to pack exactly")
+        raise EnumerationBudgetError("too many near-bad pieces to pack exactly",
+                                     where="models.contains_bad_subgraph", requested=len(neg), budget=22)
     best = [0.0]
 
     def pack(idx: int, used: frozenset[int], total: float):
@@ -457,8 +445,11 @@ def _listed_removal_targets(g: LabeledGraph, params: ModelParams) -> list[tuple[
     """
     if params.N is None or params.D is None or params.delta is None:
         raise ValueError("the pruned model needs N, D and delta")
-    if params.n > MODIFIED_SBM_BUDGET["n"] or params.N > MODIFIED_SBM_BUDGET["N"] or params.D > MODIFIED_SBM_BUDGET["D"]:
-        raise EnumerationBudgetError("modified-model enumeration budget exceeded")
+    for name, cap in MODIFIED_SBM_BUDGET.items():
+        if getattr(params, name) > cap:
+            raise EnumerationBudgetError("modified-model enumeration budget exceeded",
+                                         where=f"models._listed_removal_targets {name}",
+                                         requested=getattr(params, name), budget=cap)
     targets: set[tuple[tuple[int, int], ...]] = set()
     for cyc in gc.all_cycles(g, params.N):
         edges = tuple(sorted(gc._norm_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))))
@@ -476,29 +467,44 @@ def _listed_removal_targets(g: LabeledGraph, params: ModelParams) -> list[tuple[
     return sorted(targets)
 
 
-def _connected_vertex_sets(g: LabeledGraph, max_size: int):
+def _adjacency(g: LabeledGraph) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {v: set() for v in g.vertices}
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
-    out: set[frozenset[int]] = set()
+    return adj
 
-    def grow(current: frozenset[int]):
-        if current in out:
-            return
-        out.add(current)
-        if len(out) > 100_000:
-            raise EnumerationBudgetError("connected vertex-set budget exceeded")
+
+def _grow_connected_sets(adj: dict[int, set[int]], roots: list[int], max_size: int,
+                         budget: int, message: str, where: str) -> list[frozenset[int]]:
+    """Every connected vertex set of at most max_size vertices whose least
+    vertex is a root, each found once: a set grows only by vertices above
+    its root, and a vertex joins the extension set only when it first
+    becomes adjacent (Wernicke's ESU).  Raises EnumerationBudgetError(message)
+    once more than budget sets are found."""
+    found: list[frozenset[int]] = []
+
+    def grow(current: frozenset[int], extension: set[int], reached: set[int], root: int):
+        found.append(current)
+        if len(found) > budget:
+            raise EnumerationBudgetError(message, where=where, requested=len(found), budget=budget)
         if len(current) >= max_size:
             return
-        frontier = set().union(*(adj[v] for v in current)) - current
-        for v in sorted(frontier):
-            grow(current | {v})
+        while extension:
+            w = extension.pop()
+            fresh = {u for u in adj[w] if u > root and u not in reached}
+            grow(current | {w}, extension | fresh, reached | adj[w], root)
 
-    for v in sorted(g.vertices):
-        if adj[v]:
-            grow(frozenset([v]))
-    return sorted(out, key=sorted)
+    for v in roots:
+        grow(frozenset([v]), {u for u in adj[v] if u > v}, adj[v] | {v}, v)
+    return found
+
+
+def _connected_vertex_sets(g: LabeledGraph, max_size: int):
+    adj = _adjacency(g)
+    sets = _grow_connected_sets(adj, [v for v in sorted(g.vertices) if adj[v]], max_size, 100_000,
+                                "connected vertex-set budget exceeded", "models._connected_vertex_sets")
+    return sorted(sets, key=sorted)
 
 
 def sample_modified_sbm(params: ModelParams, rng_seed: int, *, skip_broken: bool = False) -> CorrelatedSample:

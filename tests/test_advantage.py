@@ -240,3 +240,121 @@ def test_conditional_pair_moment_matches_evaluate_basis():
             idx = bs.pair_index(s1, s2)
             want = cond.expectation(lambda x: bs.evaluate_basis(idx, x, pr))
             assert bd.conditional_pair_moment(joint, s1, s2, pr, i, j) == want
+
+
+# -- the Gram-matrix orthogonalization kernel ------------------------------------------
+
+
+def column_gram_schmidt(p, q, features):
+    """Oracle: unnormalized Gram-Schmidt on the feature columns over the null
+    atoms, in Fractions, with the alternative means carried along; returns
+    (value_squared, per_index) keyed by feature position."""
+    w = [F(x) for x in q.weights]
+    cols = [[F(fn(x)) for x in q.outcomes] for _, fn in features]
+    p_cols = [[F(fn(x)) for x in p.outcomes] for _, fn in features]
+    pw = [F(x) for x in p.weights]
+    kept = []
+    per_index = {}
+    for fi, (col, p_col) in enumerate(zip(cols, p_cols)):
+        e, pe = col[:], p_col[:]
+        for vec, p_vec, norm in kept:
+            coef = sum(wi * a * b for wi, a, b in zip(w, e, vec)) / norm
+            e = [a - coef * b for a, b in zip(e, vec)]
+            pe = [a - coef * b for a, b in zip(pe, p_vec)]
+        norm = sum(wi * a * a for wi, a in zip(w, e))
+        p_mean = sum(wi * a for wi, a in zip(pw, pe))
+        if norm == 0:
+            assert p_mean == 0
+            continue
+        kept.append((e, pe, norm))
+        if fi:
+            per_index[fi] = p_mean * p_mean / norm
+    return 1 + sum(per_index.values()), per_index
+
+
+def test_gram_kernel_matches_column_gram_schmidt_on_pairs():
+    _, _, pair, null = corr_er_setup()
+    rep = adv.advantage_gram_schmidt(pair, null, D=3, exact=True)
+    value_squared, per_index = column_gram_schmidt(pair, null, adv.default_features(null, 3))
+    assert rep.value_squared == value_squared
+    assert rep.per_index == per_index
+    assert len(per_index) == 41 and all(type(v) is F for v in rep.per_index.values())
+
+
+def test_gram_kernel_matches_column_gram_schmidt_on_hidden_composite():
+    q = ms.DiscreteMeasure(["a", "b", "c"], [F(1, 3), F(1, 2), F(1, 6)])
+    p = ms.DiscreteMeasure(["a", "b", "c"], [F(1, 4), F(1, 4), F(1, 2)])
+    problem = adv.build_hidden_sample(q, p, 3)
+    alt, null = problem.composite_alt(), problem.composite_null()
+    rep = adv.advantage_gram_schmidt(alt, null, D=8)
+    value_squared, per_index = column_gram_schmidt(alt, null, adv.default_features(null, 8))
+    assert (rep.value_squared, rep.per_index) == (value_squared, per_index)
+    # the composite of degree up to M is the whole composite chi-square
+    assert adv.hidden_sample_advantage(problem, 3).value_squared == value_squared
+
+
+def test_gram_kernel_discards_null_directions_like_gram_schmidt():
+    q = ms.DiscreteMeasure(["x", "y", "z", "w"], [F(1, 2), F(0), F(1, 3), F(1, 6)])
+    p = ms.DiscreteMeasure(["x", "y", "z", "w"], [F(1, 5), F(0), F(1, 5), F(3, 5)])
+    features = adv.default_features(q, 1) + [(1, lambda x: int(x in "yz"))]
+    rep = adv.advantage_gram_schmidt(p, q, features)
+    value_squared, per_index = column_gram_schmidt(p, q, features)
+    assert (rep.value_squared, rep.per_index) == (value_squared, per_index)
+    assert 1 not in rep.per_index and 4 not in rep.per_index  # the y one-hot, then "y or z" = z
+    assert value_squared == 1 + p.chi_square(q)
+    approx = adv.advantage_gram_schmidt(p, q, features, exact=False)
+    assert approx.per_index.keys() == per_index.keys()
+    assert abs(approx.value_squared - value_squared) < 1e-12
+    # the hidden-sample route drops the same direction of its base
+    problem = adv.build_hidden_sample(q, p, 2)
+    full = adv.advantage_gram_schmidt(problem.composite_alt(), problem.composite_null(), D=4)
+    assert adv.hidden_sample_advantage(problem, 2).value_squared == full.value_squared
+
+
+def test_gram_kernel_fractional_features_and_repeated_atoms():
+    # centered and scaled features, and an alternative listing an atom twice
+    _, _, pair, null = corr_er_setup(n=3, q=F(1, 4), rho=F(1, 3), D=2)
+    features = [(d, lambda x, fn=fn, d=d: (fn(x) - F(1, 4) ** d) / (d + 2))
+                for d, fn in adv.default_features(null, 2)]
+    rep = adv.advantage_gram_schmidt(pair, null, features)
+    value_squared, per_index = column_gram_schmidt(pair, null, features)
+    assert (rep.value_squared, rep.per_index) == (value_squared, per_index)
+    split = ms.DiscreteMeasure(pair.outcomes + pair.outcomes[:1],
+                               [w / 2 if i == 0 else w for i, w in enumerate(pair.weights)]
+                               + [pair.weights[0] / 2])
+    assert adv.advantage_gram_schmidt(split, null, features).per_index == per_index
+
+
+def test_gram_kernel_infinite_advantage_raises():
+    # two equal features: the second direction vanishes under the null, but
+    # an alternative mean off the null's range charges it
+    for gram, means in (([[F(1), F(1)], [F(1), F(1)]], [F(1), F(1) + F(1, 10 ** 9)]),
+                        ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0 + 1e-7])):
+        with pytest.raises(ValueError, match="advantage infinite"):
+            adv._ldl(gram, means, exact=isinstance(means[0], F))
+        lower, pivots, reduced = adv._ldl(gram, [means[0]] * 2, exact=isinstance(means[0], F))
+        assert pivots[1] == 0 and reduced[1] == 0 and lower[1] == [1]
+
+
+def test_gram_kernel_float_mode_within_rounding_of_exact():
+    _, _, pair, null = corr_er_setup()
+    cond = corr_er_setup(n=4, q=F(1, 4), rho=F(7, 20), D=2)
+    cases = ((pair, null, 3), (adv.condition_on_match(cond[1], 0, 0), cond[3], 2))
+    for p, q, D in cases:
+        exact = adv.advantage_gram_schmidt(p, q, D=D, exact=True)
+        approx = adv.advantage_gram_schmidt(p, q, D=D, exact=False)
+        assert abs(approx.value_squared - exact.value_squared) < 1e-12
+        assert approx.per_index.keys() == exact.per_index.keys()
+        assert all(abs(approx.per_index[i] - exact.per_index[i]) < 1e-12 for i in exact.per_index)
+    # the n=4 conditional advantage is 249/200 by the product-basis route
+    assert exact.value_squared == F(249, 200)
+
+
+def test_gram_kernel_float_pivot_tolerance():
+    # a pivot within 1e-10 of its diagonal entry is a discarded direction:
+    # stored as 0, with no later feature projected on it
+    gram = [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-13, 1e-9], [0.0, 1e-9, 1.0]]
+    lower, pivots, _ = adv._ldl(gram, [1.0, 1.0, 0.0], exact=False)
+    assert pivots[1] == 0 and lower[2] == [0.0, 0]
+    kept = [[1.0, 1.0], [1.0, 1.0 + 1e-9]]
+    assert adv._ldl(kept, [1.0, 1.0], exact=False)[1][1] > 0

@@ -132,3 +132,19 @@ def test_suites_all_hold():
         audits = bd.run_suite(name)
         assert audits, name
         assert all(a.holds for a in audits), (name, [a.row() for a in audits if not a.holds])
+
+
+def test_bounds_budget_errors_carry_fields():
+    pr = md.ModelParams(n=20, q=F(1, 4), rho=F(1, 3), D=2, N=3, delta=F(1, 100))
+    star = gc.graph(20, [(0, i) for i in range(1, 18)])
+    with pytest.raises(gc.EnumerationBudgetError) as info:
+        bd.P_sum(star, gc.empty_graph(20), pr)
+    err = info.value
+    assert (str(err), err.where, err.requested, err.budget) == (
+        "anchored enumeration beyond 16 extra edges", "bounds._anchored_between", 17, 16)
+    small_star = gc.graph(20, [(0, i) for i in range(1, 12)])
+    with pytest.raises(gc.EnumerationBudgetError) as info:
+        bd.audit_anchored_subgraph_census(small_star, pr)
+    err = info.value
+    assert (str(err), err.where, err.requested, err.budget) == (
+        "anchored subgraph enumeration budget", "bounds._anchored_subgraphs_of", 12, 10)

@@ -140,3 +140,72 @@ def test_exact_flag_is_fixed_at_construction():
     m = ms.DiscreteMeasure(["a", "b"], [F(1, 4), F(3, 4)])
     assert "exact" in vars(m) and m.exact
     assert not ms.DiscreteMeasure(["a", "b"], [0.25, 0.75]).exact
+
+
+# -- weight validation ------------------------------------------------------------
+
+
+def _primes(count):
+    out = []
+    k = 2
+    while len(out) < count:
+        if all(k % p for p in out):
+            out.append(k)
+        k += 1
+    return out
+
+
+def test_negative_exact_weight_rejected():
+    with pytest.raises(ValueError, match="^negative weight$"):
+        ms.DiscreteMeasure(["a", "b"], [F(-1, 2), F(3, 2)])
+    with pytest.raises(ValueError, match="^negative weight$"):
+        ms.DiscreteMeasure(["a", "b", "c"], [F(1, 2), -1, F(3, 2)])
+    with pytest.raises(ValueError, match="^negative weight$"):
+        ms.DiscreteMeasure(["a", "b"], [-0.5, 1.5])
+    with pytest.raises(ValueError, match="^negative weight$"):
+        ms.DiscreteMeasure(["a", "b"], [F(-1, 2), F(1, 2)], normalize=True)
+
+
+def test_exact_sum_must_be_one_with_the_sum_in_the_message():
+    with pytest.raises(ValueError, match="^weights sum to 5/6, not 1$"):
+        ms.DiscreteMeasure(["a", "b"], [F(1, 2), F(1, 3)])
+    with pytest.raises(ValueError, match="^weights sum to 2, not 1$"):
+        ms.DiscreteMeasure(["a", "b"], [1, 1])
+    with pytest.raises(ValueError, match="^weights sum to 0, not 1$"):
+        ms.DiscreteMeasure([], [])
+
+
+def test_mixed_int_and_fraction_weights_are_exact():
+    m = ms.DiscreteMeasure(["a", "b", "c"], [0, F(1, 2), F(1, 2)])
+    assert m.exact and m.weights == [0, F(1, 2), F(1, 2)]
+    assert ms.DiscreteMeasure(["a", "b"], [1, F(0)]).exact
+    assert not ms.DiscreteMeasure(["a", "b"], [F(1, 2), 0.5]).exact
+    # normalizing divides by the sum: ints over an int sum become floats
+    ints = ms.DiscreteMeasure(["a", "b"], [1, 3], normalize=True)
+    assert ints.weights == [0.25, 0.75] and not ints.exact
+    mixed = ms.DiscreteMeasure(["a", "b"], [1, F(3)], normalize=True)
+    assert mixed.weights == [F(1, 4), F(3, 4)] and mixed.exact
+
+
+def test_many_coprime_denominators_summing_to_one():
+    squares = [p * p for p in _primes(60)]
+    head = [F(1, d) for d in squares]
+    weights = head + [1 - sum(head)]
+    m = ms.DiscreteMeasure(range(len(weights)), weights)
+    assert m.exact and m.weights == weights
+    # off by one part in the product of all the denominators
+    tiny = F(1, math.prod(squares))
+    with pytest.raises(ValueError, match="not 1$"):
+        ms.DiscreteMeasure(range(len(weights)), weights[:-1] + [weights[-1] + tiny])
+    # a telescoping sum with many shared factors
+    n = 3000
+    steps = [F(1, k * (k + 1)) for k in range(1, n)] + [F(1, n)]
+    assert ms.DiscreteMeasure(range(n), steps).exact
+
+
+def test_float_sum_tolerance_is_1e_12():
+    for off in (5e-13, -5e-13):
+        assert not ms.DiscreteMeasure(["a", "b"], [0.5, 0.5 + off]).exact
+    for off in (2e-12, -2e-12):
+        with pytest.raises(ValueError, match=r"^weights sum to 0\.99999|^weights sum to 1\.00000"):
+            ms.DiscreteMeasure(["a", "b"], [0.5, 0.5 + off])

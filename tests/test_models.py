@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -253,3 +254,53 @@ def test_modified_sbm_skip_broken_flag():
         skipping = md.sample_modified_sbm(pr, seed, skip_broken=True)
         assert skipping.parent.edges == default.parent.edges
         assert not gc.has_cycle_at_most(skipping.parent_pruned, pr.N)
+
+
+def _budget_fields(call):
+    with pytest.raises(gc.EnumerationBudgetError) as info:
+        call()
+    err = info.value
+    return str(err), err.where, err.requested, err.budget
+
+
+def test_models_budget_errors_carry_fields():
+    sixteen = gc.graph(20, [(0, i) for i in range(1, 17)])
+    er = md.ModelParams(n=500, q=F(1, 500), D=3)
+    assert _budget_fields(lambda: md.is_admissible_er(sixteen, er)) == (
+        "16 edges exceeds the subgraph budget 15", "models._edge_support_subgraphs", 16, 15)
+    sbm = md.ModelParams(n=30, lam=F(1), k=2, eps=F(1, 10), D=2, delta=F(1, 100), N=3)
+    assert _budget_fields(lambda: md.classify_self_bad(sixteen, sbm)) == (
+        "self-bad check exceeds the edge budget", "models.classify_self_bad", 16, 15)
+    # an edge costs 10 log 10 in vertices and pays log q below that: each of
+    # 23 disjoint edges is a negative piece, none bad on its own
+    near = md.ModelParams(n=10, q=math.exp(-23.1), D=1)
+    matching = gc.graph(46, [(2 * i, 2 * i + 1) for i in range(23)])
+    assert _budget_fields(lambda: md.contains_bad_subgraph(matching, near, 4, "er")) == (
+        "too many near-bad pieces to pack exactly", "models.contains_bad_subgraph", 23, 22)
+    # a star with r leaves has 2^r connected vertex sets through its centre
+    star18 = gc.graph(19, [(0, i) for i in range(1, 19)])
+    assert _budget_fields(lambda: md.contains_bad_subgraph(star18, near, 19, "er")) == (
+        "connected-subgraph search budget exceeded", "models._bad_connected_pieces", 200_001, 200_000)
+    pruned = md.ModelParams(n=30, lam=F(1), k=2, eps=F(1, 10), D=3, delta=F(1, 100), N=3, s=F(1, 2))
+    star17 = gc.graph(30, [(0, i) for i in range(1, 18)])
+    assert _budget_fields(lambda: md._listed_removal_targets(star17, pruned)) == (
+        "connected vertex-set budget exceeded", "models._connected_vertex_sets", 100_001, 100_000)
+    too_big = md.ModelParams(n=31, lam=F(1), k=2, eps=F(1, 10), D=3, delta=F(1, 100), N=3, s=F(1, 2))
+    assert _budget_fields(lambda: md.sample_modified_sbm(too_big, 0)) == (
+        "modified-model enumeration budget exceeded", "models._listed_removal_targets n", 31, 30)
+
+
+def test_connected_vertex_sets_match_brute_force():
+    # every connected vertex set, each once, against a subset scan
+    rng = np.random.default_rng(11)
+    for trial in range(12):
+        n = 8
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+        g = gc.graph(n, edges, vertices=range(n))
+        want = []
+        for size in range(1, 6):
+            for vs in itertools.combinations(range(n), size):
+                sub = gc.graph(n, [e for e in edges if e[0] in vs and e[1] in vs], vertices=vs)
+                if len(gc.connected_components(sub)) == 1 and (size > 1 or g.degree(vs[0])):
+                    want.append(frozenset(vs))
+        assert md._connected_vertex_sets(g, 5) == sorted(want, key=sorted)
