@@ -63,7 +63,7 @@ def F_bound(s1: LabeledGraph, s2: LabeledGraph, params: ModelParams) -> float:
     e1, e2 = len(s1.edges), len(s2.edges)
     v1, v2 = len(s1.vertices), len(s2.vertices)
     total = 0.0
-    for form in common:
+    for form in sorted(common):  # a fixed summation order, whatever the hash seed
         cg = cls1[form]
         total += (
             params.n ** (-(v1 + v2) / 2)
@@ -192,20 +192,36 @@ def audit_conditional_moment(s1: LabeledGraph, s2: LabeledGraph, params: ModelPa
 # -- counting bound audits ------------------------------------------------------------
 
 
+def _vertex_mask(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def audit_supergraph_count(s: LabeledGraph, k_extra: int, l_extra: int) -> BoundAudit:
     """Count of no-isolated supergraphs with k extra vertices and l extra
-    edges against n^k (|V(S)|+k)^(2l)."""
+    edges against n^k (|V(S)|+k)^(2l).
+
+    Counted: the sets of l non-edges of S whose union T with E(S), taken
+    with its edge endpoints as vertices (so T has no isolated vertex),
+    covers the declared vertices of S and has exactly k vertices more.
+    Vertex sets are bitmasks: each l-subset of candidate edges is OR-ed
+    into the support of S.  No enumeration budget applies; the
+    C(#non-edges, l) subsets are all visited.
+    """
     n = s.n_vertices
-    all_pairs = set(itertools.combinations(range(n), 2))
-    candidates = sorted(all_pairs - s.edges)
+    declared = _vertex_mask(s.vertices)
+    base = _vertex_mask(v for e in s.edges for v in e)
+    want = len(s.vertices) + k_extra
+    candidates = [(1 << u) | (1 << v) for u, v in itertools.combinations(range(n), 2)
+                  if (u, v) not in s.edges]
     count = 0
     for subset in itertools.combinations(candidates, l_extra):
-        t = gc.graph(n, s.edges | frozenset(subset))
-        if gc.isolated_vertices(t):
-            continue
-        if not s.vertices <= t.vertices:
-            continue
-        if len(t.vertices) - len(s.vertices) == k_extra:
+        mask = base
+        for ends in subset:
+            mask |= ends
+        if mask & declared == declared and mask.bit_count() == want:
             count += 1
     rhs = n ** k_extra * (len(s.vertices) + k_extra) ** (2 * l_extra)
     return BoundAudit(f"supergraphs k={k_extra} l={l_extra}", count, rhs)
@@ -296,13 +312,15 @@ def audit_anchored_subgraph_census(s: LabeledGraph, params: ModelParams) -> list
         raise ValueError("needs D and N")
     if gc.has_cycle_at_most(s, N):
         raise ValueError("host has a cycle within the girth cut; bound out of domain")
+    cycles = [(c.vertices, len(c.edges)) for c in gc.cycle_components(s)]
     buckets: dict[tuple, int] = {}
     for h in _anchored_subgraphs_of(s):
         m2 = 2 * _shape_exponent(s, h)
-        census = gc.independent_cycle_census(s, h)
-        profile = tuple(census.get(j, 0) for j in range(N + 1, D + 1))
+        # independent cycles of s avoiding h, by length (independent_cycle_census)
+        profile = tuple(sum(1 for vs, m_len in cycles if m_len == j and vs.isdisjoint(h.vertices))
+                        for j in range(N + 1, D + 1))
         buckets[(int(m2), profile)] = buckets.get((int(m2), profile), 0) + 1
-    own_census = {m_len: len([c for c in gc.cycle_components(s) if len(c.edges) == m_len])
+    own_census = {m_len: sum(1 for _, c_len in cycles if c_len == m_len)
                   for m_len in range(3, len(s.edges) + 1)}
     audits = []
     for (m, profile), count in sorted(buckets.items()):

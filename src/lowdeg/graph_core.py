@@ -155,16 +155,6 @@ def is_subgraph(h: LabeledGraph, g: LabeledGraph) -> bool:
     return h.n_vertices == g.n_vertices and h.vertices <= g.vertices and h.edges <= g.edges
 
 
-def is_contained_no_isolated(h: LabeledGraph, g: LabeledGraph) -> bool:
-    """Subgraph containment with h having no isolated vertices."""
-    return is_subgraph(h, g) and not isolated_vertices(h)
-
-
-def is_anchored_subgraph(h: LabeledGraph, g: LabeledGraph) -> bool:
-    """Subgraph containment where every isolated vertex of g is isolated in h."""
-    return is_subgraph(h, g) and isolated_vertices(g) <= isolated_vertices(h)
-
-
 def edge_induced(n: int, edges: Iterable[tuple[int, int]]) -> LabeledGraph:
     return graph(n, edges)
 
@@ -462,10 +452,6 @@ def canonicalize(g: LabeledGraph) -> CanonicalGraph:
                         core_aut * math.factorial(iso))
     _canon_memo[key] = cg
     return cg
-
-
-def are_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
-    return canonicalize(a).canonical_form == canonicalize(b).canonical_form
 
 
 def automorphism_count(g: LabeledGraph) -> int:

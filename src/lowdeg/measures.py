@@ -313,10 +313,6 @@ def correlated_er_joint_measure(n: int, p, s, *, keep_parent: bool = False) -> D
     return _child_subsampling_joint(n, s, parent, keep_parent)
 
 
-def correlated_er_pair_measure(n: int, p, s) -> DiscreteMeasure:
-    return correlated_er_joint_measure(n, p, s).map(lambda x: (x[1], x[2]))
-
-
 def correlated_sbm_joint_measure(n: int, k: int, lam, eps, s) -> DiscreteMeasure:
     """Joint (pi, edges_a, edges_b) law with a block-model parent.
 

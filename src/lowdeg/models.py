@@ -10,6 +10,7 @@ than silently truncating.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -165,13 +166,22 @@ class CorrelatedSample:
 
 
 def _mask_to_graph(n: int, adj: np.ndarray) -> LabeledGraph:
+    # np.triu's nonzero pairs are already normalized (u < v)
     iu, ju = np.nonzero(np.triu(adj, 1))
-    return gc.graph(n, zip(iu.tolist(), ju.tolist()), vertices=range(n))
+    return LabeledGraph(n, frozenset(zip(iu.tolist(), ju.tolist())), frozenset(range(n)))
+
+
+@functools.lru_cache(maxsize=4)
+def _strict_upper(n: int) -> np.ndarray:
+    """Read-only mask of the pairs u < v of an n-vertex adjacency matrix."""
+    mask = np.triu(np.ones((n, n), bool), 1)
+    mask.setflags(write=False)
+    return mask
 
 
 def _rand_sym_mask(rng: np.random.Generator, n: int, prob: float | np.ndarray) -> np.ndarray:
     u = rng.random((n, n))
-    mask = (u < prob) & np.triu(np.ones((n, n), bool), 1)
+    mask = (u < prob) & _strict_upper(n)
     return mask | mask.T
 
 
@@ -282,10 +292,6 @@ def is_bad_er(h: LabeledGraph, params: ModelParams) -> bool:
     return log_phi_potential(h, params) < _bad_threshold(params)
 
 
-def is_bad_sbm(h: LabeledGraph, params: ModelParams) -> bool:
-    return log_upsilon_potential(h, params) < _bad_threshold(params)
-
-
 SUBGRAPH_EDGE_BUDGET = 15
 
 
@@ -349,6 +355,8 @@ def _bad_connected_pieces(g: LabeledGraph, params: ModelParams, max_vertices: in
     can be extended (by sub-selecting induced edges) to a negative-log-potential
     piece; returns (vertex_set, min_log_potential) pairs."""
     lv, le = _log_phi_factors(params) if mode == "er" else _log_upsilon_factors(params)
+    if le > 0 and lv >= 0:
+        return {}  # every piece pays a positive potential: nothing to enumerate
     adj = _adjacency(g)
     pieces: dict[frozenset[int], float] = {}
     for current in _grow_connected_sets(adj, sorted(g.vertices), max_vertices, 200_000,
@@ -442,6 +450,16 @@ def _listed_removal_targets(g: LabeledGraph, params: ModelParams) -> list[tuple[
     Structures are listed against the parent graph g itself; the global
     list over the complete graph filtered to subgraphs of g gives the same
     sequence, so the removal stream is identical and reproducible.
+
+    Counted as self-bad candidates: every nonempty edge set induced inside
+    some connected vertex set of at most D^3 vertices, as a bitmask over
+    g's sorted edges and visited once however many vertex sets hold it.
+    "Good" is decided from its (support size, edge count) alone; only the
+    others become graphs for classify_self_bad.  Budgets: n, N and D
+    against MODIFIED_SBM_BUDGET here, the vertex-set count in
+    _connected_vertex_sets, and classify_self_bad's SUBGRAPH_EDGE_BUDGET,
+    which raises on the first vertex set inducing more edges than that
+    (the same error a subset of that size would raise).
     """
     if params.N is None or params.D is None or params.delta is None:
         raise ValueError("the pruned model needs N, D and delta")
@@ -452,18 +470,41 @@ def _listed_removal_targets(g: LabeledGraph, params: ModelParams) -> list[tuple[
                                          requested=getattr(params, name), budget=cap)
     targets: set[tuple[tuple[int, int], ...]] = set()
     for cyc in gc.all_cycles(g, params.N):
-        edges = tuple(sorted(gc._norm_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))))
-        targets.add(edges)
-    # self-bad candidates: connected edge-bearing subgraphs within the budget
-    for vs in _connected_vertex_sets(g, params.D ** 3):
-        induced = sorted(e for e in g.edges if e[0] in vs and e[1] in vs)
-        for k_edges in range(1, len(induced) + 1):
-            for subset in itertools.combinations(induced, k_edges):
-                sub = gc.graph(g.n_vertices, subset)
-                if len(sub.vertices) > params.D ** 3:
-                    continue
-                if classify_self_bad(sub, params) == "self_bad":
-                    targets.add(tuple(sorted(subset)))
+        targets.add(tuple(sorted(gc._norm_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))))
+    # self-bad candidates: edge sets inside connected vertex sets within the budget
+    max_v = params.D ** 3
+    edges = sorted(g.edges)
+    ends = [(1 << u) | (1 << v) for u, v in edges]
+    seen: set[int] = set()
+    cut = None
+    for vs in _connected_vertex_sets(g, max_v):
+        vs_mask = sum(1 << v for v in vs)
+        induced = [i for i, e in enumerate(ends) if e & vs_mask == e]
+        if not induced:
+            continue
+        if cut is None:
+            lv, le = _log_upsilon_factors(params)
+            cut = _bad_threshold(params)
+        if len(induced) > SUBGRAPH_EDGE_BUDGET:
+            # the first oversized subset raises classify_self_bad's budget error
+            oversized = [edges[i] for i in induced[:SUBGRAPH_EDGE_BUDGET + 1]]
+            classify_self_bad(gc.graph(g.n_vertices, oversized), params)
+        full = sum(1 << i for i in induced)
+        sub = full
+        while sub:
+            if sub not in seen:
+                seen.add(sub)
+                picked = list(gc._bits(sub))
+                support = 0
+                for i in picked:
+                    support |= ends[i]
+                n_support = support.bit_count()
+                # the classify_self_bad "good" test on the graph of these edges
+                if n_support <= max_v and lv * n_support + le * len(picked) < cut:
+                    subset = [edges[i] for i in picked]
+                    if classify_self_bad(gc.graph(g.n_vertices, subset), params) == "self_bad":
+                        targets.add(tuple(subset))
+            sub = (sub - 1) & full
     return sorted(targets)
 
 
@@ -549,11 +590,11 @@ def edge_statistics_correlated_er(params: ModelParams, trials: int, rng_seed: in
     n = params.n
     total_pairs = n * (n - 1) // 2
     a_edges = b_edges = joint = 0
+    iu = np.triu_indices(n, 1)
     for t in range(trials):
         rng = derived_rng(rng_seed, t)
         g = _rand_sym_mask(rng, n, float(params.p))
         pi, a, b = _draw_correlated(rng, n, g, float(params.s))
-        iu = np.triu_indices(n, 1)
         a_u = a[iu]
         b_aligned = b[np.ix_(pi, pi)][iu]
         a_edges += int(a_u.sum())
@@ -578,11 +619,11 @@ def edge_statistics_correlated_er(params: ModelParams, trials: int, rng_seed: in
 def edge_statistics_sbm(params: ModelParams, trials: int, rng_seed: int) -> dict:
     intra_e = intra_n = inter_e = inter_n = 0
     degree_total = 0
+    iu = np.triu_indices(params.n, 1)
     for t in range(trials):
         rng = derived_rng(rng_seed, t)
         sigma, adj = _draw_sbm(rng, params)
         same = sigma[:, None] == sigma[None, :]
-        iu = np.triu_indices(params.n, 1)
         same_u = same[iu]
         adj_u = adj[iu]
         intra_e += int(adj_u[same_u].sum())

@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
 
+from lowdeg import basis as bs
 from lowdeg import bounds as bd
 from lowdeg import graph_core as gc
 from lowdeg import measures as ms
@@ -148,3 +150,95 @@ def test_bounds_budget_errors_carry_fields():
     err = info.value
     assert (str(err), err.where, err.requested, err.budget) == (
         "anchored subgraph enumeration budget", "bounds._anchored_subgraphs_of", 12, 10)
+
+
+# -- oracles: the per-candidate LabeledGraph loops the counts replaced ------------
+
+
+def _supergraph_count_oracle(s, k_extra, l_extra):
+    n = s.n_vertices
+    candidates = sorted(set(itertools.combinations(range(n), 2)) - s.edges)
+    count = 0
+    for subset in itertools.combinations(candidates, l_extra):
+        t = gc.graph(n, s.edges | frozenset(subset))
+        if gc.isolated_vertices(t) or not s.vertices <= t.vertices:
+            continue
+        if len(t.vertices) - len(s.vertices) == k_extra:
+            count += 1
+    return count
+
+
+def test_supergraph_count_matches_graph_loop_on_every_a1_host():
+    for s in bs.edge_subgraphs(5, 4):
+        if not s.edges:
+            continue
+        host = gc.graph(6, s.edges)
+        for k_extra, l_extra in ((0, 1), (1, 1), (1, 2), (2, 2)):
+            audit = bd.audit_supergraph_count(host, k_extra, l_extra)
+            assert audit.lhs == _supergraph_count_oracle(host, k_extra, l_extra), (sorted(s.edges), k_extra)
+            assert audit.rhs == 6 ** k_extra * (len(host.vertices) + k_extra) ** (2 * l_extra)
+
+
+def test_supergraph_count_covers_declared_isolated_vertices():
+    bare = gc.graph(6, [(0, 1)])
+    padded = gc.graph(6, [(0, 1)], vertices=[0, 1, 5])
+    # the extra edge must reach the declared vertex 5: (0,5) or (1,5) add no
+    # vertex, (5,x) for x in 2..4 adds one; without 5 declared, any of the 8
+    # edges from {0,1} to 2..5 adds one
+    assert bd.audit_supergraph_count(bare, 1, 1).lhs == 8
+    assert bd.audit_supergraph_count(bare, 0, 1).lhs == 0
+    assert bd.audit_supergraph_count(padded, 1, 1).lhs == 3
+    assert bd.audit_supergraph_count(padded, 0, 1).lhs == 2
+    assert bd.audit_supergraph_count(padded, 0, 0).lhs == 0
+    for host in (padded, gc.graph(6, [(0, 1), (1, 2)], vertices=[0, 1, 2, 4, 5]),
+                 gc.graph(7, [(2, 3)], vertices=range(7))):
+        for k_extra, l_extra in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2), (1, 3), (3, 3)):
+            want = _supergraph_count_oracle(host, k_extra, l_extra)
+            assert bd.audit_supergraph_count(host, k_extra, l_extra).lhs == want, (host, k_extra, l_extra)
+
+
+def test_anchored_census_buckets_match_per_h_census():
+    pr = bd.suite_default_params("A5")
+    D, N = pr.D, pr.N
+    c4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    hosts = [
+        gc.graph(9, c4 + [(4, 5), (5, 6), (6, 7), (4, 7)]),
+        gc.graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+        gc.graph(9, c4 + [(4, 5), (5, 6), (6, 7), (7, 8), (4, 8)]),
+        gc.graph(9, c4 + [(4, 5), (5, 6), (6, 7), (4, 7)], vertices=range(9)),
+        gc.graph(9, c4 + [(3, 4), (5, 6)]),
+    ]
+    for host in hosts:
+        buckets = {}
+        for h in bd._anchored_subgraphs_of(host):
+            census = gc.independent_cycle_census(host, h)
+            key = (int(2 * bd._shape_exponent(host, h)),
+                   tuple(census.get(j, 0) for j in range(N + 1, D + 1)))
+            buckets[key] = buckets.get(key, 0) + 1
+        own = gc.independent_cycle_census(host, gc.empty_graph(9))
+        want = {}
+        for (m, profile), count in buckets.items():
+            rhs = float(D) ** (15 * m)
+            for j, mj in zip(range(N + 1, D + 1), profile):
+                rhs *= math.comb(own.get(j, 0), mj)
+            want[f"anchored-subgraphs m={m} profile={profile}"] = (count, rhs)
+        got = {a.instance: (a.lhs, a.rhs) for a in bd.audit_anchored_subgraph_census(host, pr)}
+        assert got == want, sorted(host.edges)
+
+
+def test_f_bound_sums_classes_in_canonical_order():
+    # the float sum runs over the common classes sorted by canonical form,
+    # so the printed rhs does not depend on the interpreter's hash seed
+    pr = bd.suite_default_params("B1")
+    tri = gc.graph(4, [(0, 1), (1, 2), (0, 2)])
+    c4 = gc.graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for s1, s2 in ((tri, tri), (tri, c4), (c4, c4)):
+        cls1, cls2 = gc.subgraph_classes(s1), gc.subgraph_classes(s2)
+        total = 0.0
+        for form in sorted(set(cls1) & set(cls2)):
+            cg = cls1[form]
+            total += (pr.n ** (-(len(s1.vertices) + len(s2.vertices)) / 2)
+                      * float(pr.rho) ** cg.n_edges
+                      * float(pr.D) ** (-6 * (len(s1.edges) + len(s2.edges) - 2 * cg.n_edges))
+                      * cg.aut_count)
+        assert bd.F_bound(s1, s2, pr) == total

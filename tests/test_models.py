@@ -304,3 +304,145 @@ def test_connected_vertex_sets_match_brute_force():
                 if len(gc.connected_components(sub)) == 1 and (size > 1 or g.degree(vs[0])):
                     want.append(frozenset(vs))
         assert md._connected_vertex_sets(g, 5) == sorted(want, key=sorted)
+
+
+# -- oracles: the per-candidate LabeledGraph loops the listing and samplers replaced
+
+
+def _listing_oracle(g, params):
+    targets = set()
+    for cyc in gc.all_cycles(g, params.N):
+        targets.add(tuple(sorted(gc._norm_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))))
+    for vs in md._connected_vertex_sets(g, params.D ** 3):
+        induced = sorted(e for e in g.edges if e[0] in vs and e[1] in vs)
+        for k_edges in range(1, len(induced) + 1):
+            for subset in itertools.combinations(induced, k_edges):
+                sub = gc.graph(g.n_vertices, subset)
+                if len(sub.vertices) > params.D ** 3:
+                    continue
+                if md.classify_self_bad(sub, params) == "self_bad":
+                    targets.add(tuple(sorted(subset)))
+    return sorted(targets)
+
+
+def _pruned_params(lam, n=10, D=2, N=4):
+    return md.ModelParams(n=n, lam=lam, k=2, eps=F(1, 10), s=F(1, 2), D=D, delta=F(1, 100), N=N)
+
+
+def test_listed_removal_targets_match_graph_loop():
+    listed = 0
+    for lam in (F(1, 2), F(1), F(3, 2), F(2)):
+        pr = _pruned_params(lam)
+        for seed in range(12):
+            _, g = md.sample_sbm(pr, seed)
+            got = md._listed_removal_targets(g, pr)
+            assert got == _listing_oracle(g, pr), (lam, seed)
+            listed += len(got)
+    assert listed >= 10
+    # at D = 3 single edges are bad (not self-bad): classify_self_bad runs
+    pr = _pruned_params(F(1), D=3, N=3)
+    assert md.classify_self_bad(gc.graph(10, [(0, 1)]), pr) == "bad"
+    for seed in range(4):
+        _, g = md.sample_sbm(pr, seed)
+        assert md._listed_removal_targets(g, pr) == _listing_oracle(g, pr), seed
+
+
+def test_listed_removal_targets_self_bad_under_negative_edge_factors(monkeypatch):
+    # inside MODIFIED_SBM_BUDGET the edge factor is positive, so nothing is
+    # self-bad; these factors make self-bad edge sets exist, and the listing
+    # must find them as the oracle does
+    pr = _pruned_params(F(2))
+    k4 = list(itertools.combinations(range(4), 2))
+    k4_far = [(u + 5, v + 5) for u, v in k4]
+    # lv = 1, le = -1: a K4 is self-bad, and so are two disjoint K4s, which
+    # here span 8 vertices but no connected vertex set of at most 8 holds both
+    monkeypatch.setattr(md, "_log_upsilon_factors", lambda params: (1.0, -1.0))
+    assert md.classify_self_bad(gc.graph(10, k4), pr) == "self_bad"
+    assert md.classify_self_bad(gc.graph(10, k4 + k4_far), pr) == "self_bad"
+    hosts = [gc.graph(10, k4 + [(3, 4), (4, 5), (5, 6), (6, 4)], vertices=range(10)),
+             gc.graph(10, k4 + [(3, 4), (4, 5)] + k4_far, vertices=range(10))]
+    found = 0
+    for g in hosts + [md.sample_sbm(pr, seed)[1] for seed in range(8)]:
+        got = md._listed_removal_targets(g, pr)
+        assert got == _listing_oracle(g, pr)
+        found += sum(1 for t in got if len(t) > pr.N)  # longer than any listed cycle
+    assert found
+    assert tuple(sorted(k4 + k4_far)) not in md._listed_removal_targets(hosts[1], pr)
+    # lv = -0.3, le = -0.1: an edge is good, any two edges on three or more
+    # vertices are bad and self-bad, so the support size decides
+    monkeypatch.setattr(md, "_log_upsilon_factors", lambda params: (-0.3, -0.1))
+    path = gc.graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)], vertices=range(10))
+    want = _listing_oracle(path, pr)
+    assert ((0, 1), (1, 2)) in want and ((0, 1),) not in want
+    assert md._listed_removal_targets(path, pr) == want
+    for seed in range(4):
+        _, g = md.sample_sbm(_pruned_params(F(1)), seed)
+        assert md._listed_removal_targets(g, pr) == _listing_oracle(g, pr), seed
+
+
+def test_listed_removal_targets_budget_raise_matches_graph_loop():
+    # a vertex set inducing 16 edges: K6 plus a pendant edge
+    pr = _pruned_params(F(5), n=12)
+    g = gc.graph(12, list(itertools.combinations(range(6), 2)) + [(0, 6)], vertices=range(12))
+    want = _budget_fields(lambda: _listing_oracle(g, pr))
+    assert want == ("self-bad check exceeds the edge budget", "models.classify_self_bad", 16, 15)
+    assert _budget_fields(lambda: md._listed_removal_targets(g, pr)) == want
+    # missing block-model parameters fail as before: on the first candidate
+    no_k = md.ModelParams(n=12, lam=F(5), D=2, delta=F(1, 100), N=4)
+    with pytest.raises(ValueError, match="upsilon potential needs D, k and lam"):
+        md._listed_removal_targets(g, no_k)
+    assert md._listed_removal_targets(gc.empty_graph(12), no_k) == []
+
+
+def test_mask_to_graph_matches_graph_builder():
+    rng = np.random.default_rng(3)
+    masks = [np.zeros((7, 7), bool), ~np.eye(7, dtype=bool), np.zeros((1, 1), bool)]
+    for n, p in ((7, 0.3), (12, 0.5), (30, 0.1)):
+        upper = np.triu(rng.random((n, n)) < p, 1)
+        masks.append(upper | upper.T)
+    for adj in masks:
+        n = len(adj)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u, v]]
+        got = md._mask_to_graph(n, adj)
+        assert got == gc.graph(n, pairs, vertices=range(n))
+        assert all(type(x) is int for e in got.edges for x in e)
+        assert all(type(v) is int for v in got.vertices)
+
+
+def test_rand_sym_mask_keeps_the_random_stream():
+    for n, prob in ((1, 0.5), (9, 0.4), (40, 0.05)):
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        got = md._rand_sym_mask(a, n, prob)
+        upper = (b.random((n, n)) < prob) & np.triu(np.ones((n, n), bool), 1)
+        assert np.array_equal(got, upper | upper.T)
+        assert got.flags.writeable
+        assert a.random() == b.random()
+    with pytest.raises(ValueError):
+        md._strict_upper(5)[0, 1] = False
+
+
+def test_bad_pieces_empty_when_no_piece_can_be_negative():
+    pr = md.ModelParams(n=500, q=F(1, 500), D=3)
+    lv, le = md._log_phi_factors(pr)
+    assert le > 0 and lv >= 0
+    rng = np.random.default_rng(9)
+    for trial in range(6):
+        n = 8
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        g = gc.graph(n, edges, vertices=range(n))
+        # every connected piece of k >= 2 vertices costs at least lv*k + le*(k-1) > 0
+        for size in range(2, 6):
+            for vs in itertools.combinations(range(n), size):
+                assert lv * size + le * (size - 1) >= 0
+        assert md._bad_connected_pieces(g, pr, 5, "er") == {}
+        assert not md.contains_bad_subgraph(g, pr, 5, "er")
+    # nothing is enumerated, so the 200,000-set budget is no longer reached
+    star18 = gc.graph(19, [(0, i) for i in range(1, 19)])
+    assert md._bad_connected_pieces(star18, pr, 19, "er") == {}
+    # with lv < 0 an edge is a negative piece (a path of two is not), so the
+    # enumeration still runs
+    sbm = md.ModelParams(n=100, lam=2, k=2, eps=F(1, 10), D=3, delta=F(1, 200))
+    lv, le = md._log_upsilon_factors(sbm)
+    assert le > 0 > lv and 3 * lv + 2 * le > 0
+    assert md._bad_connected_pieces(gc.graph(6, [(0, 1), (1, 2)]), sbm, 3, "sbm") == {
+        frozenset({0, 1}): 2 * lv + le, frozenset({1, 2}): 2 * lv + le}
