@@ -197,26 +197,30 @@ class XiTable:
         return self._h_terms[m]
 
 
+def _leafless_masks(edges: list, sizes) -> list[int]:
+    """Bitmasks over edges of the subsets, of each size in sizes in
+    combinations order, in which no vertex has degree one: inc[v] marks the
+    edges at v, and no inc[v] may meet the subset in exactly one bit."""
+    inc: dict[int, int] = {}
+    for i, (u, v) in enumerate(edges):
+        inc[u] = inc.get(u, 0) | 1 << i
+        inc[v] = inc.get(v, 0) | 1 << i
+    incs = list(inc.values())
+    bits = [1 << i for i in range(len(edges))]
+    return [mask for size in sizes for mask in map(sum, itertools.combinations(bits, size))
+            if all((mask & m).bit_count() != 1 for m in incs)]
+
+
 def _leafless_edge_subsets(s: LabeledGraph, proper: bool) -> list[frozenset]:
-    """Edge subsets of s in which no vertex has degree one, by size; the
-    test is on edge bitmasks: inc[v] marks the edges at v."""
+    """Edge subsets of s in which no vertex has degree one, by size."""
     edges = sorted(s.edges)
     if len(edges) > XI_EDGE_BUDGET:
         raise EnumerationBudgetError(f"recursion edge budget is {XI_EDGE_BUDGET}",
                                      where="certificate.xi", requested=len(edges),
                                      budget=XI_EDGE_BUDGET)
-    inc: dict[int, int] = {}
-    for i, (u, v) in enumerate(edges):
-        inc[u] = inc.get(u, 0) | 1 << i
-        inc[v] = inc.get(v, 0) | 1 << i
-    out = []
     top = len(edges) - 1 if proper else len(edges)
-    for k in range(top + 1):
-        for subset in itertools.combinations(range(len(edges)), k):
-            mask = sum(1 << i for i in subset)
-            if all((mask & m).bit_count() != 1 for m in inc.values()):
-                out.append(frozenset(edges[i] for i in subset))
-    return out
+    return [frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
+            for mask in _leafless_masks(edges, range(top + 1))]
 
 
 def xi(s: LabeledGraph, params: ModelParams, table: XiTable | None = None):
@@ -266,13 +270,9 @@ def leafless_classes(max_edges: int) -> list[LabeledGraph]:
     m = max_edges
     pairs = list(itertools.combinations(range(m), 2))
     seen: dict[str, LabeledGraph] = {}
-    for k in range(3, max_edges + 1):
-        for subset in itertools.combinations(pairs, k):
-            g = gc.graph(m, subset)
-            if gc.leaves(g) or gc.isolated_vertices(g):
-                continue
-            key = gc.canonicalize(g).hex_form
-            seen.setdefault(key, g)
+    for mask in _leafless_masks(pairs, range(3, max_edges + 1)):
+        g = gc.graph(m, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        seen.setdefault(gc.canonicalize(g).hex_form, g)
     return list(seen.values())
 
 
@@ -398,6 +398,18 @@ def reversed_advantage_exact(params: ModelParams, D: int):
     (G^-1)_00 unchanged because the degree-0 scale is 1, so the raw rational
     system is solved and the value is exact.
 
+    The system is solved on orbits.  Labels are i.i.d. uniform and each edge
+    probability depends only on label equality, so G commutes with every
+    vertex permutation, and so does G^-1; e_0 (the empty set) is invariant,
+    hence so is x = G^-1 e_0, which is then constant on each orbit of edge
+    subsets.  Writing x_j = y_B for j in orbit B, the rows of G x = e_0 at
+    one representative rep(A) per orbit read R y = e_0 with
+    R[A][B] = sum_{j in B} G[rep(A)][j], and (G^-1)_00 = y_0.  The orbits
+    come from the n! explicit vertex permutations of the edge bitmasks, not
+    from canonical labeling, which the dual certificate uses.  At n=4, D=3
+    the 42 edge subsets fall into 7 orbits: a 7x7 system from 294 raw
+    entries in place of 42x42 from 903.
+
     Budget: n <= 4, D <= 3 is the supported envelope.
     """
     for name, got, cap in (("n", params.n, 4), ("D", D, 3)):
@@ -413,9 +425,8 @@ def reversed_advantage_exact(params: ModelParams, D: int):
     sq_in, sq_out = [p * (1 - q0) ** 2 + (1 - p) * q0 ** 2 for p in (p_in, p_out)]
     d_in, d_out = p_in - q0, p_out - q0
     classes = ms.label_classes(n, k)
-    bit = {e: 1 << i for i, e in enumerate(itertools.combinations(range(n), 2))}
-    indices = bs.single_indices(n, D)
-    masks = [sum(bit[e] for e in idx.s1.edges) for idx in indices]
+    pairs = list(itertools.combinations(range(n), 2))
+    bit = {e: 1 << i for i, e in enumerate(pairs)}
 
     def raw_entry(both: int, once: int) -> Fraction:
         total = Fraction(0)
@@ -426,14 +437,20 @@ def reversed_advantage_exact(params: ModelParams, D: int):
                       * d_out ** (once & ~intra).bit_count())
         return total / k ** n
 
-    dim = len(indices)
-    gram = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            gram[i][j] = gram[j][i] = raw_entry(masks[i] & masks[j], masks[i] ^ masks[j])
-    rhs = [Fraction(1 if idx.degree == 0 else 0) for idx in indices]
-    sol = solve_exact(gram, rhs)
-    value_sq = next(x for idx, x in zip(indices, sol) if idx.degree == 0)
+    # (source bit, image bit) of every edge under every vertex permutation
+    moves = [[(bit[(u, v)], bit[min(p[u], p[v]), max(p[u], p[v])]) for u, v in pairs]
+             for p in itertools.permutations(range(n))]
+    orbits: dict[int, set[int]] = {}  # representative mask -> its orbit
+    placed: set[int] = set()
+    for size in range(D + 1):
+        for mask in map(sum, itertools.combinations(bit.values(), size)):
+            if mask not in placed:
+                orbits[mask] = {sum(dst for src, dst in move if mask & src) for move in moves}
+                placed |= orbits[mask]
+    quotient = [[sum(raw_entry(a & b, a ^ b) for b in orbit) for orbit in orbits.values()]
+                for a in orbits]
+    rhs = [Fraction(int(a == 0)) for a in orbits]
+    value_sq = solve_exact(quotient, rhs)[0]  # the empty set's orbit {0} comes first
     from .advantage import AdvantageReport
 
     return AdvantageReport(D, math.sqrt(max(float(value_sq), 0.0)), value_sq, "rayleigh")

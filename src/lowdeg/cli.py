@@ -225,7 +225,7 @@ def cmd_dual_check(args) -> int:
         "max_residual": float(residual),
         "residual_exactly_zero": isinstance(residual, Fraction) and residual == 0,
     }
-    if params.n <= 4 and args.D <= 3 and params.k == 2:
+    if params.n <= 4 and args.D <= 3 and params.k == 2 and ct._exact_mode(params):
         exact, dual_norm = ct.duality_gap(params, args.D)
         payload["reversed_advantage"] = exact
         payload["dual_norm"] = dual_norm

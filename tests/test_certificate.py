@@ -130,6 +130,29 @@ def test_leafless_classes_census():
     assert ct.leafless_classes(2) == []
 
 
+def _leafless_classes_per_subset(max_edges):
+    """The class enumeration as one LabeledGraph per edge subset of K_m."""
+    if max_edges < 3:
+        return []
+    m = max_edges
+    pairs = list(itertools.combinations(range(m), 2))
+    seen = {}
+    for k in range(3, max_edges + 1):
+        for subset in itertools.combinations(pairs, k):
+            g = gc.graph(m, subset)
+            if gc.leaves(g) or gc.isolated_vertices(g):
+                continue
+            key = gc.canonicalize(g).hex_form
+            seen.setdefault(key, g)
+    return list(seen.values())
+
+
+def test_leafless_classes_match_per_subset_loop():
+    # same representatives in the same order: float norms sum in entry order
+    for m in range(7):
+        assert ct.leafless_classes(m) == _leafless_classes_per_subset(m)
+
+
 def test_dual_norms():
     pr = params6()
     assert ct.build_dual(pr, 2).norm == 1.0
@@ -238,6 +261,59 @@ def test_reversed_advantage_against_brute_force_gram():
     for pr, D in [(pr3, 1), (pr3, 2), (pr3, 3), (pr4, 2)]:
         got = ct.reversed_advantage_exact(pr, D).value_squared
         assert type(got) is F and got == _brute_reversed_value_sq(pr, D)
+
+
+def _full_gram_value_sq(params, D):
+    """(G^-1)_00 from the full Gram system over every edge subset with at
+    most D edges: the body reversed_advantage_exact had before it solved
+    the orbit quotient."""
+    from lowdeg import measures as ms
+    from lowdeg.exactnum import solve_exact
+
+    n, k = params.n, params.k
+    p_in, p_out = ms.sbm_block_probs(n, k, params.lam, params.eps)
+    q0 = bs.null_edge_prob(params)
+    sq_in, sq_out = [p * (1 - q0) ** 2 + (1 - p) * q0 ** 2 for p in (p_in, p_out)]
+    d_in, d_out = p_in - q0, p_out - q0
+    classes = ms.label_classes(n, k)
+    bit = {e: 1 << i for i, e in enumerate(itertools.combinations(range(n), 2))}
+    indices = bs.single_indices(n, D)
+    masks = [sum(bit[e] for e in idx.s1.edges) for idx in indices]
+
+    def raw_entry(both: int, once: int) -> F:
+        total = F(0)
+        for intra, count in classes.items():
+            total += (count * sq_in ** (both & intra).bit_count()
+                      * sq_out ** (both & ~intra).bit_count()
+                      * d_in ** (once & intra).bit_count()
+                      * d_out ** (once & ~intra).bit_count())
+        return total / k ** n
+
+    dim = len(indices)
+    gram = [[F(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            gram[i][j] = gram[j][i] = raw_entry(masks[i] & masks[j], masks[i] ^ masks[j])
+    rhs = [F(1 if idx.degree == 0 else 0) for idx in indices]
+    sol = solve_exact(gram, rhs)
+    return next(x for idx, x in zip(indices, sol) if idx.degree == 0)
+
+
+def test_reversed_advantage_orbit_quotient_matches_full_gram():
+    for D, eps, k, lam in itertools.product((1, 2, 3), (F(0), F(1, 5), F(1, 3), F(2, 5)),
+                                            (2, 3), (F(1, 2), F(1), F(3, 2))):
+        pr = md.ModelParams(n=4, lam=lam, k=k, eps=eps, delta=F(1, 100))
+        got = ct.reversed_advantage_exact(pr, D).value_squared
+        assert type(got) is F and got == _full_gram_value_sq(pr, D), (D, eps, k, lam)
+    null = md.ModelParams(n=4, lam=F(1), k=2, eps=F(0), delta=F(1, 100))
+    assert ct.reversed_advantage_exact(null, 3).value_squared == 1
+
+
+def test_duality_sandwich_three_communities():
+    pr = md.ModelParams(n=4, lam=F(1), k=3, eps=F(2, 5), delta=F(1, 100))
+    exact, dual_norm = ct.duality_gap(pr, 3)
+    assert 1 < exact <= dual_norm
+    assert abs(exact - 1.0011560) < 1e-7 and abs(dual_norm - 1.0018301) < 1e-7
 
 
 def test_reversed_advantage_budget_error_is_structured():

@@ -50,6 +50,15 @@ def test_dual_check(capsys):
     assert payload["duality_holds"] is True
 
 
+def test_dual_check_float_params_skip_duality(capsys):
+    code, out, _ = run_cli(["dual-check", "--n", "4", "--k", "2", "--eps", "1/5",
+                            "--lambda", "1", "--delta", "1/100", "--D", "3"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["max_residual"] <= 1e-9
+    assert "duality_holds" not in payload
+
+
 def test_hidden_command(tmp_path, capsys):
     base_file = tmp_path / "base.json"
     base_file.write_text(json.dumps({"outcomes": ["x", "y"], "null": ["1/2", "1/2"],
