@@ -41,10 +41,6 @@ class AdvantageReport:
     method: str
     per_index: dict = field(default_factory=dict)
 
-    def top_contributions(self, count: int = 10) -> list[tuple[object, float]]:
-        items = sorted(self.per_index.items(), key=lambda kv: -float(kv[1]))
-        return [(k, float(v)) for k, v in items[:count]]
-
 
 def _to_float_sq(value_squared) -> float:
     v = float(value_squared)
@@ -251,9 +247,7 @@ def conditional_advantage(joint: DiscreteMeasure, q_params: ModelParams, D: int,
                           i: int, j: int) -> AdvantageReport:
     """Advantage of the matching-conditioned alternative against the pair null."""
     cond = condition_on_match(joint, i, j)
-    report = advantage_product_basis(cond, q_params, D, kind="pair")
-    report.method = "product_basis"
-    return report
+    return advantage_product_basis(cond, q_params, D, kind="pair")
 
 
 def grouped_conditional_expectation(joint: DiscreteMeasure, idx: bs.BasisIndex,
@@ -296,10 +290,6 @@ class HiddenSampleProblem:
             raise ValueError("M must be at least 1")
         # fail fast if the likelihood ratio is undefined
         self.base_alt.likelihood_ratio_table(self.base_null)
-
-    @classmethod
-    def from_error_rate(cls, base_null, base_alt, error_rate, n) -> "HiddenSampleProblem":
-        return cls(base_null, base_alt, hidden_sample_size(error_rate, n))
 
     def composite_null(self) -> DiscreteMeasure:
         return self.base_null.power(self.M)
@@ -376,17 +366,10 @@ def hidden_sample_advantage(problem: HiddenSampleProblem, D: int) -> AdvantageRe
         for slots in itertools.combinations(range(M), size):
             for assign in itertools.product(range(len(kept)), repeat=size):
                 mean = alt.expectation(
-                    lambda y, s=slots, a=assign: _prod(atom_value[ai][y[si]] for si, ai in zip(s, a))
+                    lambda y, s=slots, a=assign: math.prod(atom_value[ai][y[si]] for si, ai in zip(s, a))
                 )
-                norm = _prod(norms[ai] for ai in assign)
+                norm = math.prod(norms[ai] for ai in assign)
                 contrib = mean * mean / norm
                 total = total + contrib
                 per_index[(slots, assign)] = contrib
     return AdvantageReport(D, _to_float_sq(total), total, "product_basis", per_index)
-
-
-def _prod(items):
-    out = None
-    for x in items:
-        out = x if out is None else out * x
-    return out if out is not None else 1

@@ -3,8 +3,11 @@
 Three index kinds are supported: a single-graph basis (centered edge
 indicators under an edge-q null), a pair basis over two graphs, and a
 planted basis indexed by (labeling, graph) that is orthonormal under the
-joint planted law.  Expectations are exact (radical field over rationals)
-whenever the model parameters are Fractions, float otherwise.
+joint planted law.  These are p-biased Fourier bases (O'Donnell, ch. 8):
+a value is a rational product of per-edge factors 1[e in x] - p_e times
+one square root of a normalization that depends on the index alone, exact
+(radical field over rationals) whenever the model parameters are
+Fractions, float otherwise.
 
 Moment tables are append-only caches keyed by canonical class; evaluation
 itself is pure.
@@ -28,7 +31,7 @@ PLANTED_FLOAT_N_CAP = 20
 
 
 def _exact_inputs(*vals) -> bool:
-    return all(isinstance(v, (Fraction, int)) for v in vals if v is not None)
+    return all(isinstance(v, (Fraction, int)) for v in vals)
 
 
 def _sqrt(x, exact: bool):
@@ -44,14 +47,18 @@ def omega(k: int, a: int, b: int) -> int:
     return k - 1 if a == b else -1
 
 
-def h_weight(k: int, eps, lam, n: int, a: int, b: int):
-    """Per-edge moment scale between the planted and null normalizations."""
+def _h_squared(k: int, eps, lam, n: int, a: int, b: int):
+    """Square of the per-edge scale, p(1-p) / (q0(1-q0)) at planted edge probability p."""
     w = omega(k, a, b)
     p_edge = (1 + eps * w) * lam / n
     if not 0 <= p_edge <= 1:
         raise ValueError("planted edge probability outside [0,1]")
-    val = (1 - p_edge) * (1 + eps * w) / (1 - lam / n)
-    return _sqrt(val, _exact_inputs(eps, lam))
+    return (1 - p_edge) * (1 + eps * w) / (1 - lam / n)
+
+
+def h_weight(k: int, eps, lam, n: int, a: int, b: int):
+    """Per-edge moment scale between the planted and null normalizations."""
+    return _sqrt(_h_squared(k, eps, lam, n, a, b), _exact_inputs(eps, lam))
 
 
 def h_decomposition(k: int, eps, lam, n: int):
@@ -147,48 +154,47 @@ def pair_edge_prob(params: ModelParams):
     raise ValueError("params carry neither q nor (lam, s)")
 
 
-def _centered_edge(edges: frozenset, e: tuple[int, int], prob):
-    return (1 if e in edges else 0) - prob
+def _index_factors(idx: BasisIndex, params: ModelParams):
+    """(exact, factors, norm_sq) from the index alone: factors lists
+    (side, edge, p_e) for the factors 1[e in x_side] - p_e, side 1 being a
+    pair atom's second graph, and norm_sq = prod 1/(p_e(1-p_e)), times k^n
+    for a planted index, is the squared normalization."""
+    if idx.kind == "planted":
+        k, lam, eps, n = params.k, params.lam, params.eps, params.n
+        exact, scale = _exact_inputs(lam, eps), k ** n
+        if not exact and n > PLANTED_FLOAT_N_CAP:
+            raise EnumerationBudgetError(
+                f"planted basis in float mode is limited to n <= {PLANTED_FLOAT_N_CAP}; use Fractions",
+                where="basis.evaluate_basis", requested=n, budget=PLANTED_FLOAT_N_CAP,
+            )
+        factors = [(0, (u, v), (1 + eps * omega(k, idx.sigma[u], idx.sigma[v])) * lam / n)
+                   for u, v in sorted(idx.s1.edges)]
+    else:
+        q = pair_edge_prob(params) if idx.kind == "pair" else null_edge_prob(params)
+        exact, scale = _exact_inputs(q), 1
+        factors = [(side, e, q) for side, g in enumerate((idx.s1, idx.s2)) if g is not None
+                   for e in sorted(g.edges)]
+    one = Fraction(1) if exact else 1.0
+    return exact, factors, scale / math.prod((p * (1 - p) for _, _, p in factors), start=one)
+
+
+def _centered_product(idx: BasisIndex, factors: list, point):
+    """The rational product prod (1[e in x] - p_e) at an atom; zero at a
+    planted atom whose labeling differs from the index's."""
+    if idx.kind == "planted":
+        if tuple(point[0]) != tuple(idx.sigma):
+            return 0
+        graphs = (point[1],)
+    else:
+        graphs = point if idx.kind == "pair" else (point,)
+    return math.prod((e in graphs[side]) - p for side, e, p in factors)
 
 
 def evaluate_basis(idx: BasisIndex, point, params: ModelParams):
-    """Pointwise value of the indexed polynomial at a measure atom."""
-    if idx.kind == "single":
-        q0 = null_edge_prob(params)
-        exact = _exact_inputs(q0)
-        edges = point
-        val = Rad.of(1) if exact else 1.0
-        norm = _sqrt(q0 * (1 - q0), exact)
-        for e in sorted(idx.s1.edges):
-            val = val * _centered_edge(edges, e, q0) / norm
-        return val
-    if idx.kind == "pair":
-        q = pair_edge_prob(params)
-        exact = _exact_inputs(q)
-        a_edges, b_edges = point
-        val = Rad.of(1) if exact else 1.0
-        norm = _sqrt(q * (1 - q), exact)
-        for e in sorted(idx.s1.edges):
-            val = val * _centered_edge(a_edges, e, q) / norm
-        for e in sorted(idx.s2.edges):
-            val = val * _centered_edge(b_edges, e, q) / norm
-        return val
-    # planted
-    sigma_star, edges = point
-    k, lam, eps, n = params.k, params.lam, params.eps, params.n
-    exact = _exact_inputs(lam, eps)
-    if not exact and n > PLANTED_FLOAT_N_CAP:
-        raise EnumerationBudgetError(
-            f"planted basis in float mode is limited to n <= {PLANTED_FLOAT_N_CAP}; use Fractions",
-            where="basis.evaluate_basis", requested=n, budget=PLANTED_FLOAT_N_CAP,
-        )
-    if tuple(sigma_star) != tuple(idx.sigma):
-        return Rad.of(0) if exact else 0.0
-    val = _sqrt(Fraction(k) ** n if exact else float(k) ** n, exact)
-    for u, v in sorted(idx.s1.edges):
-        p_edge = (1 + eps * omega(k, idx.sigma[u], idx.sigma[v])) * lam / n
-        val = val * _centered_edge(edges, (u, v), p_edge) / _sqrt(p_edge * (1 - p_edge), exact)
-    return val
+    """Pointwise value of the indexed polynomial at a measure atom: the
+    centered product times one square root of the normalization."""
+    exact, factors, norm_sq = _index_factors(idx, params)
+    return _centered_product(idx, factors, point) * _sqrt(norm_sq, exact)
 
 
 def centered_moments(measure: DiscreteMeasure, indices: list[BasisIndex], n: int, q) -> list:
@@ -233,32 +239,29 @@ def centered_moments(measure: DiscreteMeasure, indices: list[BasisIndex], n: int
 
 
 def exact_expectation(measure: DiscreteMeasure, idx: BasisIndex, params: ModelParams):
-    """Expectation of the indexed polynomial; exact in rational mode."""
+    """Expectation of the indexed polynomial; exact in rational mode.  The
+    centered products are summed over the atoms and the square root of the
+    normalization is taken once."""
     if len(measure) > 1 << 22:
         raise EnumerationBudgetError("measure support exceeds the enumeration budget",
                                      where="basis.exact_expectation", requested=len(measure), budget=1 << 22)
-    return measure.expectation(lambda x: evaluate_basis(idx, x, params))
+    exact, factors, norm_sq = _index_factors(idx, params)
+    total = sum(w * _centered_product(idx, factors, x) for x, w in measure)
+    return total * _sqrt(norm_sq, exact)
 
 
 # -- closed-form planted moments --------------------------------------------------
 
 
-def cross_edge_weight(params: ModelParams):
-    """Exact per-edge transfer factor between the null and planted bases.
-
-    This is the exact value sqrt(eps^2 lam / (n - lam)); the first-order
-    form sqrt(eps^2 lam / n) differs by (1 - lam/n)^(-1/2) per edge, which
-    matters at desk scale.
-    """
-    k, lam, eps, n = params.k, params.lam, params.eps, params.n
-    return _sqrt(eps * eps * lam / (n - lam), _exact_inputs(lam, eps))
-
-
 def cross_moment_planted(params: ModelParams, s: LabeledGraph, sigma: tuple[int, ...], h: LabeledGraph):
     """Exact expectation of (null basis at S) x (planted basis at (sigma, H)).
 
-    Zero unless H is an edge subset of S; otherwise a product of per-edge
-    scales over E(H) and centered-label factors over E(S) \\ E(H).
+    Zero unless H is an edge subset of S; otherwise the centered labels
+    prod omega over E(S) \\ E(H) times one square root of
+    k^-n prod h^2 over E(H) times t^(2|E(S) \\ E(H)|), with the exact
+    per-edge transfer t^2 = eps^2 lam / (n - lam).  (The first-order
+    eps^2 lam / n differs by (1 - lam/n)^-1 per edge, which matters at desk
+    scale.)
     """
     k, lam, eps, n = params.k, params.lam, params.eps, params.n
     exact = _exact_inputs(lam, eps)
@@ -267,13 +270,11 @@ def cross_moment_planted(params: ModelParams, s: LabeledGraph, sigma: tuple[int,
                                      requested=max(len(s.edges), len(h.edges)), budget=params.D)
     if not h.edges <= s.edges:
         return Rad.of(0) if exact else 0.0
-    val = _sqrt(Fraction(1, k ** n) if exact else 1.0 / k ** n, exact)
+    cross = s.edges - h.edges
+    sq = (Fraction(1, k ** n) if exact else 1.0 / k ** n) * (eps * eps * lam / (n - lam)) ** len(cross)
     for u, v in sorted(h.edges):
-        val = val * h_weight(k, eps, lam, n, sigma[u], sigma[v])
-    t = cross_edge_weight(params)
-    for u, v in sorted(s.edges - h.edges):
-        val = val * omega(k, sigma[u], sigma[v]) * t
-    return val
+        sq *= _h_squared(k, eps, lam, n, sigma[u], sigma[v])
+    return math.prod(omega(k, sigma[u], sigma[v]) for u, v in cross) * _sqrt(sq, exact)
 
 
 def moment_table(measure: DiscreteMeasure, indices: list[BasisIndex], params: ModelParams) -> list[dict]:
@@ -298,9 +299,6 @@ def moment_table(measure: DiscreteMeasure, indices: list[BasisIndex], params: Mo
             frac = value.as_fraction()
             record["expectation_numerator"] = frac.numerator
             record["expectation_denominator"] = frac.denominator
-        elif isinstance(value, Fraction):
-            record["expectation_numerator"] = value.numerator
-            record["expectation_denominator"] = value.denominator
         else:
             record["value"] = float(value)
         out[key] = record

@@ -23,7 +23,6 @@ from . import advantage as adv
 from . import basis as bs
 from . import graph_core as gc
 from . import measures as ms
-from .exactnum import Rad
 from .graph_core import EnumerationBudgetError, LabeledGraph
 from .models import ModelParams, event_E_indicator
 
@@ -155,10 +154,7 @@ def conditional_pair_moment(joint: ms.DiscreteMeasure, s1: LabeledGraph, s2: Lab
     idx = bs.pair_index(s1, s2)
     q = bs.pair_edge_prob(params)
     (raw,) = bs.centered_moments(cache[(i, j)], [idx], params.n, q)
-    norm_sq = (q * (1 - q)) ** idx.degree
-    if isinstance(raw, Fraction):
-        return raw * Rad.sqrt(1 / norm_sq)
-    return raw / math.sqrt(norm_sq)
+    return raw * bs._sqrt((q * (1 - q)) ** -idx.degree, isinstance(raw, Fraction))
 
 
 def audit_conditional_moment(s1: LabeledGraph, s2: LabeledGraph, params: ModelParams,
@@ -374,10 +370,6 @@ def suite_default_params(name: str) -> ModelParams:
     raise ValueError(f"unknown suite {name!r}")
 
 
-def _desk_graph(params: ModelParams, edges) -> LabeledGraph:
-    return gc.graph(params.n, edges)
-
-
 def run_suite(name: str, params: ModelParams | None = None, slack: float = DESK_SLACK) -> list[BoundAudit]:
     """Run one named audit suite; deterministic instance order."""
     if params is None:
@@ -398,9 +390,9 @@ def run_suite(name: str, params: ModelParams | None = None, slack: float = DESK_
             audits.append(audit_admissible_supergraph_count(h, params, m, p_extra, q_extra,
                                                             require_admissible=False))
     elif name == "A5":
-        two_c4 = _desk_graph(params, [(0, 1), (1, 2), (2, 3), (0, 3),
-                                      (4, 5), (5, 6), (6, 7), (4, 7)])
-        c5 = _desk_graph(params, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        two_c4 = gc.graph(params.n, [(0, 1), (1, 2), (2, 3), (0, 3),
+                                     (4, 5), (5, 6), (6, 7), (4, 7)])
+        c5 = gc.graph(params.n, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         for host in (two_c4, c5):
             audits.extend(audit_anchored_subgraph_census(host, params))
     elif name == "B1":
@@ -413,12 +405,12 @@ def run_suite(name: str, params: ModelParams | None = None, slack: float = DESK_
             ([(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 1)]),
             ([(0, 1), (1, 2), (0, 2), (2, 3)], [(2, 3)]),
         ):
-            audits.append(audit_P_sum(_desk_graph(params, s_edges),
-                                      _desk_graph(params, h_edges), params, slack))
+            audits.append(audit_P_sum(gc.graph(params.n, s_edges),
+                                      gc.graph(params.n, h_edges), params, slack))
     elif name == "P-sum":
-        two_tri = _desk_graph(params, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        two_tri = gc.graph(params.n, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         audits.append(audit_P_sum(two_tri, gc.empty_graph(params.n), params, slack))
-        audits.append(audit_P_sum(two_tri, _desk_graph(params, [(0, 1), (1, 2), (0, 2)]), params, slack))
+        audits.append(audit_P_sum(two_tri, gc.graph(params.n, [(0, 1), (1, 2), (0, 2)]), params, slack))
     else:
         raise ValueError(f"unknown suite {name!r}")
     return audits

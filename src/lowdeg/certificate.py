@@ -44,10 +44,6 @@ FIRST_ORDER_KERNEL = "first_order"
 EXACT_KERNEL = "exact"
 
 
-def _exact_mode(params: ModelParams) -> bool:
-    return isinstance(params.lam, (Fraction, int)) and isinstance(params.eps, (Fraction, int))
-
-
 def transfer_weight(params: ModelParams, kernel: str):
     """Per-edge transfer factor t with t^2 = eps^2 lam / n (first order) or
     eps^2 lam / (n - lam) (exact moments)."""
@@ -58,7 +54,7 @@ def transfer_weight(params: ModelParams, kernel: str):
         val = eps * eps * lam / (n - lam)
     else:
         raise ValueError(f"unknown kernel {kernel!r}")
-    return Rad.sqrt(val) if _exact_mode(params) else math.sqrt(float(val))
+    return bs._sqrt(val, bs._exact_inputs(lam, eps))
 
 
 # -- label-average expectations -------------------------------------------------
@@ -127,7 +123,7 @@ def P_of_path_form(s: LabeledGraph, params: ModelParams):
         raise ValueError("path-form evaluation expects a leafless graph")
     k = params.k
     a, b = bs.h_decomposition(k, params.eps, params.lam, params.n)
-    exact = _exact_mode(params)
+    exact = bs._exact_inputs(params.lam, params.eps)
     total = Rad.of(1) if exact else 1.0
     for comp in gc.connected_components(s):
         cedges = [e for e in s.edges if e[0] in comp]
@@ -169,9 +165,9 @@ class XiTable:
     values: dict[str, object] = field(default_factory=dict)
     _h_terms: dict[int, list] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def exact(self) -> bool:
-        return _exact_mode(self.params)
+        return bs._exact_inputs(self.params.lam, self.params.eps)
 
     @cached_property
     def _h_scales(self) -> tuple:
@@ -233,16 +229,15 @@ def xi(s: LabeledGraph, params: ModelParams, table: XiTable | None = None):
     """
     if table is None:
         table = XiTable(params)
-    exact = _exact_mode(params)
     core = gc.graph(s.n_vertices, s.edges)  # recursion sees the edge support only
     if not core.edges:
-        return Rad.of(1) if exact else 1.0
+        return Rad.of(1) if table.exact else 1.0
     if gc.leaves(core):
-        return Rad.of(0) if exact else 0.0
+        return Rad.of(0) if table.exact else 0.0
     key = gc.canonicalize(core).hex_form
     if key in table.values:
         return table.values[key]
-    total = Rad.of(0) if exact else 0.0
+    total = Rad.of(0) if table.exact else 0.0
     for h_edges in _leafless_edge_subsets(core, proper=True):
         sub_val = xi(gc.graph(core.n_vertices, h_edges), params, table)
         if not sub_val:
@@ -328,11 +323,10 @@ def _labeled_count(n: int, class_rep: LabeledGraph) -> int:
 def build_dual(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL) -> DualVector:
     """Recursion values for every leafless class within the degree budget,
     weighted by labeled-copy counts in the ambient complete graph."""
-    exact = _exact_mode(params)
     table = XiTable(params, kernel)
     dual = DualVector(params, D, kernel)
     empty = gc.empty_graph(params.n)
-    dual.entries[gc.canonicalize(empty).hex_form] = (Rad.of(1) if exact else 1.0, 0, 0, 1)
+    dual.entries[gc.canonicalize(empty).hex_form] = (Rad.of(1) if table.exact else 1.0, 0, 0, 1)
     for rep in leafless_classes(min(D, XI_EDGE_BUDGET)):
         count = _labeled_count(params.n, rep)
         if count == 0:
@@ -348,7 +342,7 @@ def build_dual(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL) ->
 
 def row_residual(s: LabeledGraph, params: ModelParams, table: XiTable):
     """Row value of the defining linear system at S minus its target."""
-    total = Rad.of(0) if _exact_mode(params) else 0.0
+    total = Rad.of(0) if table.exact else 0.0
     for h_edges in _leafless_edge_subsets(s, proper=False):
         val = xi(gc.graph(s.n_vertices, h_edges), params, table)
         if not val:
@@ -417,7 +411,7 @@ def reversed_advantage_exact(params: ModelParams, D: int):
             raise EnumerationBudgetError("exact reversed advantage is limited to n <= 4, D <= 3",
                                          where=f"reversed_advantage_exact {name}",
                                          requested=got, budget=cap)
-    if not _exact_mode(params):
+    if not bs._exact_inputs(params.lam, params.eps):
         raise ValueError("exact reversed advantage needs rational parameters")
     n, k = params.n, params.k
     p_in, p_out = ms.sbm_block_probs(n, k, params.lam, params.eps)

@@ -35,6 +35,8 @@ def _parse_number(text: str, exact: bool):
         return None
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"{text!r} has a zero denominator")
         return Fraction(int(num), int(den))
     if exact:
         return Fraction(text)
@@ -158,23 +160,15 @@ def cmd_adv(args) -> int:
             raise SystemExit("--condition must look like 'pi(1)=1'")
         i = int(cond[3 : cond.index(")")])
         j = int(cond.split("=")[1])
-        joint = _build_alt_measure(args.model, params)
-        if args.method == "product-basis":
-            rep = adv.conditional_advantage(joint, params, D, i - 1, j - 1)
-        else:
-            pair = adv.condition_on_match(joint, i - 1, j - 1)
-            qm = ms.er_pair_measure(params.n, bs.pair_edge_prob(params))
-            fn = adv.advantage_gram_schmidt if args.method == "gram-schmidt" else adv.advantage_rayleigh
-            rep = fn(pair, qm, D=D)
+        pair = adv.condition_on_match(_build_alt_measure(args.model, params), i - 1, j - 1)
     else:
-        joint = _build_alt_measure(args.model, params)
-        pair = joint.map(lambda x: (x[1], x[2]))
-        if args.method == "product-basis":
-            rep = adv.advantage_product_basis(pair, params, D, kind="pair")
-        else:
-            qm = ms.er_pair_measure(params.n, bs.pair_edge_prob(params))
-            fn = adv.advantage_gram_schmidt if args.method == "gram-schmidt" else adv.advantage_rayleigh
-            rep = fn(pair, qm, D=D)
+        pair = _build_alt_measure(args.model, params).map(lambda x: (x[1], x[2]))
+    if args.method == "product-basis":
+        rep = adv.advantage_product_basis(pair, params, D, kind="pair")
+    else:
+        qm = ms.er_pair_measure(params.n, bs.pair_edge_prob(params))
+        fn = adv.advantage_gram_schmidt if args.method == "gram-schmidt" else adv.advantage_rayleigh
+        rep = fn(pair, qm, D=D)
     _emit({
         "command": "adv", "model": args.model, "degree": rep.degree,
         "method": rep.method, "value": rep.value, "value_squared": rep.value_squared,
@@ -225,7 +219,7 @@ def cmd_dual_check(args) -> int:
         "max_residual": float(residual),
         "residual_exactly_zero": isinstance(residual, Fraction) and residual == 0,
     }
-    if params.n <= 4 and args.D <= 3 and params.k == 2 and ct._exact_mode(params):
+    if params.n <= 4 and args.D <= 3 and params.k == 2 and bs._exact_inputs(params.lam, params.eps):
         exact, dual_norm = ct.duality_gap(params, args.D)
         payload["reversed_advantage"] = exact
         payload["dual_norm"] = dual_norm

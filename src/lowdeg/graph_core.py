@@ -155,18 +155,14 @@ def is_subgraph(h: LabeledGraph, g: LabeledGraph) -> bool:
     return h.n_vertices == g.n_vertices and h.vertices <= g.vertices and h.edges <= g.edges
 
 
-def edge_induced(n: int, edges: Iterable[tuple[int, int]]) -> LabeledGraph:
-    return graph(n, edges)
-
-
 def edge_induced_ops(s: LabeledGraph, t: LabeledGraph) -> tuple[LabeledGraph, LabeledGraph, LabeledGraph]:
     """Edge-induced intersection, union and symmetric difference (no isolated vertices)."""
     if s.n_vertices != t.n_vertices:
         raise ValueError("graphs live on different ambient vertex sets")
     n = s.n_vertices
-    cap = edge_induced(n, s.edges & t.edges)
-    cup = edge_induced(n, s.edges | t.edges)
-    symdiff = edge_induced(n, s.edges ^ t.edges)
+    cap = graph(n, s.edges & t.edges)
+    cup = graph(n, s.edges | t.edges)
+    symdiff = graph(n, s.edges ^ t.edges)
     return cap, cup, symdiff
 
 
@@ -474,9 +470,9 @@ def count_embeddings(h: LabeledGraph | CanonicalGraph, s: LabeledGraph) -> int:
         h_canon = canonicalize(h)
     else:
         h_canon = h
-    if h_canon.n_vertices > len(s.vertices) or len(s.vertices) > CANONICAL_VERTEX_BUDGET:
-        if h_canon.n_vertices > len(s.vertices):
-            return 0
+    if h_canon.n_vertices > len(s.vertices):
+        return 0
+    if len(s.vertices) > CANONICAL_VERTEX_BUDGET:
         raise EnumerationBudgetError(
             "host graph exceeds the embedding budget", where="graph_core.count_embeddings",
             requested=len(s.vertices), budget=CANONICAL_VERTEX_BUDGET,
@@ -487,20 +483,14 @@ def count_embeddings(h: LabeledGraph | CanonicalGraph, s: LabeledGraph) -> int:
     edges = sorted(s.edges)
     for subset in itertools.combinations(edges, core_edges):
         sub = graph(s.n_vertices, subset)
-        pad = h_canon.n_vertices - len(sub.vertices)
+        spare = sorted(s.vertices - sub.vertices)
+        pad = h_canon.n_vertices - len(sub.vertices)  # at most len(spare): h fits in s
         if pad < 0:
             continue
-        padded = graph(s.n_vertices, subset,
-                       list(sub.vertices) + _first_k(sorted(s.vertices - sub.vertices), pad))
-        if pad > len(s.vertices) - len(sub.vertices):
-            continue
+        padded = graph(s.n_vertices, subset, [*sub.vertices, *spare[:pad]])
         if canonicalize(padded).canonical_form == h_canon.canonical_form:
-            total += math.comb(len(s.vertices) - len(sub.vertices), pad)
+            total += math.comb(len(spare), pad)
     return total
-
-
-def _first_k(seq: list[int], k: int) -> list[int]:
-    return seq[: max(k, 0)]
 
 
 def subgraph_classes(s: LabeledGraph, max_edges: int | None = None) -> dict[bytes, CanonicalGraph]:

@@ -87,7 +87,8 @@ class ModelParams:
             raise ValueError("k must be at least 2")
         if self.eps is not None and not (0 <= self.eps < 1):
             raise ValueError(f"eps={self.eps} outside [0, 1)")
-        if self.delta is not None and not (0 < self.delta <= Fraction(1, 100)):
+        delta_cap = 0.01 if isinstance(self.delta, float) else Fraction(1, 100)
+        if self.delta is not None and not (0 < self.delta <= delta_cap):
             raise ValueError("delta must lie in (0, 0.01]")
         if self.D is not None and self.D < 1:
             raise ValueError("D must be at least 1")

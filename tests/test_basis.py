@@ -85,6 +85,91 @@ def test_pair_basis_orthonormal_exact():
             assert acc == Rad.of(1 if a == b else 0)
 
 
+def _per_edge_oracle(idx, point, params):
+    """The per-edge Rad loop evaluate_basis used to run: one multiplication
+    and one division by a square-root norm per edge of the index."""
+    def sqrt(x, exact):
+        return Rad.sqrt(x) if exact else math.sqrt(float(x))
+
+    def exact_of(*vals):
+        return all(isinstance(v, (F, int)) for v in vals)
+
+    if idx.kind == "planted":
+        sigma_star, edges = point
+        k, lam, eps, n = params.k, params.lam, params.eps, params.n
+        exact = exact_of(lam, eps)
+        if tuple(sigma_star) != tuple(idx.sigma):
+            return Rad.of(0) if exact else 0.0
+        val = sqrt(F(k) ** n if exact else float(k) ** n, exact)
+        for u, v in sorted(idx.s1.edges):
+            p = (1 + eps * bs.omega(k, idx.sigma[u], idx.sigma[v])) * lam / n
+            val = val * ((1 if (u, v) in edges else 0) - p) / sqrt(p * (1 - p), exact)
+        return val
+    q = bs.pair_edge_prob(params) if idx.kind == "pair" else bs.null_edge_prob(params)
+    exact = exact_of(q)
+    norm = sqrt(q * (1 - q), exact)
+    val = Rad.of(1) if exact else 1.0
+    for g, edges in zip((idx.s1, idx.s2), point if idx.kind == "pair" else (point,)):
+        for e in sorted(g.edges):
+            val = val * ((1 if e in edges else 0) - q) / norm
+    return val
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_evaluate_basis_matches_per_edge_loop(exact):
+    num = (lambda x: x) if exact else float
+    pr = md.ModelParams(n=3, lam=num(F(1)), k=2, eps=num(F(2, 5)), q=num(F(1, 4)))
+    graphs = [gc.graph(3, es) for es in all_edge_sets(3)]
+    cases = [(bs.single_indices(3, 3), ms.er_graph_measure(3, pr.lam / 3)),
+             (bs.pair_indices(3, 3), ms.er_pair_measure(3, pr.q)),
+             ([bs.planted_index(sigma, s) for sigma in itertools.product(range(2), repeat=3)
+               for s in graphs], ms.sbm_joint_measure(3, 2, pr.lam, pr.eps))]
+    for indices, measure in cases:
+        for idx in indices:
+            for x in measure.outcomes:
+                got, want = bs.evaluate_basis(idx, x, pr), _per_edge_oracle(idx, x, pr)
+                if exact:
+                    assert isinstance(got, Rad) and got == want, (idx, x)
+                else:
+                    assert isinstance(got, float) and abs(got - want) <= 1e-12 * abs(want), (idx, x)
+
+
+def test_basis_values_take_one_root_and_no_inverse(monkeypatch):
+    pr = md.ModelParams(n=4, lam=F(1), k=2, eps=F(2, 5), q=F(1, 3))
+    tri = [(0, 1), (1, 2), (0, 2)]
+    cases = [(bs.single_index(gc.graph(4, tri)), ms.er_graph_measure(4, F(1, 4))),
+             (bs.single_index(gc.graph(4, tri)), ms.sbm_graph_measure(4, 2, pr.lam, pr.eps)),
+             (bs.pair_index(gc.graph(3, tri), gc.graph(3, [(0, 1)])), ms.er_pair_measure(3, pr.q)),
+             (bs.planted_index((0, 1, 0, 0), gc.graph(4, tri)), ms.sbm_joint_measure(4, 2, pr.lam, pr.eps))]
+    calls = dict.fromkeys(("mul", "inverse", "sqrt"), 0)
+    mul, inverse, sqrt = Rad.__mul__, Rad.inverse, Rad.sqrt
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counted_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    def counted_sqrt(cls, x):
+        calls["sqrt"] += 1
+        return sqrt(x)
+
+    monkeypatch.setattr(Rad, "__mul__", counted_mul)
+    monkeypatch.setattr(Rad, "__rmul__", counted_mul)
+    monkeypatch.setattr(Rad, "inverse", counted_inverse)
+    monkeypatch.setattr(Rad, "sqrt", classmethod(counted_sqrt))
+    for idx, measure in cases:
+        calls.update(dict.fromkeys(calls, 0))
+        assert isinstance(bs.exact_expectation(measure, idx, pr), Rad)
+        assert calls["inverse"] == 0 and calls["sqrt"] <= 1 and calls["mul"] <= 1, (len(measure), calls)
+        for x in measure.outcomes[:16]:
+            calls.update(dict.fromkeys(calls, 0))
+            bs.evaluate_basis(idx, x, pr)
+            assert calls["inverse"] == 0 and calls["sqrt"] <= 1 and calls["mul"] <= 1, calls
+
+
 def test_exact_expectation_null_kills_nonempty():
     q = F(1, 3)
     pr = md.ModelParams(n=3, q=q, lam=F(1))

@@ -138,6 +138,22 @@ def test_error_paths(tmp_path, capsys):
         cli.main(["adv", "--model", "corr-er", "--n", "3", "--condition", "nonsense"])
 
 
+def test_unparsable_probability_is_a_structured_error(capsys):
+    for q in ("1/0", "abc"):
+        for exact in (["--exact"], []):
+            code, out, err = run_cli(["adv", "--model", "corr-er", "--n", "3", "--q", q,
+                                      "--rho", "1/2", "--D", "2", *exact], capsys)
+            assert code == 2 and out == ""
+            assert set(json.loads(err)) == {"error", "schema_version"}
+
+
+def test_dual_check_accepts_float_delta_at_its_cap(capsys):
+    code, out, _ = run_cli(["dual-check", "--n", "3", "--k", "3", "--eps", "0.2",
+                            "--lambda", "1", "--delta", "0.01", "--D", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["max_residual"] <= 1e-9
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "lowdeg.cli", "--version"],
                           capture_output=True, text=True)

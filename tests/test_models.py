@@ -41,6 +41,13 @@ def test_param_validation():
     assert pr.rho == 1
 
 
+def test_float_delta_is_compared_with_the_float_cap():
+    assert md.ModelParams(n=10, delta=0.01).delta == 0.01
+    assert md.ModelParams(n=10, delta=F(1, 100)).delta == F(1, 100)
+    with pytest.raises(ValueError):
+        md.ModelParams(n=10, delta=0.0101)
+
+
 def test_n_constant_inequalities():
     pr = md.ModelParams(n=100, lam=1, k=2, eps=0.2, delta=F(1, 100))
     n_star = md.choose_N(pr)
