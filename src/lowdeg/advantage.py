@@ -50,7 +50,7 @@ def _to_float_sq(value_squared) -> float:
 
 
 def advantage_product_basis(p: DiscreteMeasure, q_params: ModelParams, D: int,
-                            kind: str | None = None) -> AdvantageReport:
+                            kind: str) -> AdvantageReport:
     """Advantage via the centered-edge product basis.
 
     Valid when the null is the independent-edge measure matching the basis
@@ -59,11 +59,8 @@ def advantage_product_basis(p: DiscreteMeasure, q_params: ModelParams, D: int,
     square is E[prod_{e in S} (x_e - q)]^2 / (q(1-q))^deg, taken from the
     unnormalized centered moment (bs.centered_moments), so exact inputs
     give Fractions and no square root is formed; bs.evaluate_basis is the
-    pointwise oracle.
+    pointwise oracle.  kind is "pair" for graph-pair atoms, else "single".
     """
-    atom = p.outcomes[0]
-    if kind is None:
-        kind = "pair" if isinstance(atom, tuple) and len(atom) == 2 else "single"
     n = q_params.n
     if kind == "pair":
         indices, q = bs.pair_indices(n, D), bs.pair_edge_prob(q_params)
@@ -295,29 +292,13 @@ class HiddenSampleProblem:
         return self.base_null.power(self.M)
 
     def composite_alt(self) -> DiscreteMeasure:
-        comps = []
-        coeffs = []
-        one = Fraction(1, self.M) if self.base_null.exact and self.base_alt.exact else 1.0 / self.M
-        for kappa in range(self.M):
-            parts = [self.base_alt if i == kappa else self.base_null for i in range(self.M)]
-            prod = parts[0]
-            for nxt in parts[1:]:
-                prod = prod.product(nxt)
-            prod = prod.map(_flatten_pair_tuple(self.M))
-            comps.append(prod)
-            coeffs.append(one)
-        return DiscreteMeasure.mixture(comps, coeffs)
-
-
-def _flatten_pair_tuple(m: int):
-    """Flatten the nested pairs (((x0, x1), x2), ...) of an m-fold product."""
-    def flatten(x):
-        tail = []
-        for _ in range(m - 1):
-            x, last = x
-            tail.append(last)
-        return (x, *reversed(tail))
-    return flatten
+        """Mixture over the hidden slot kappa of the products with base_alt
+        in slot kappa and base_null elsewhere."""
+        coeff = Fraction(1, self.M) if self.base_null.exact and self.base_alt.exact else 1.0 / self.M
+        comps = [DiscreteMeasure.product(*(self.base_alt if i == kappa else self.base_null
+                                           for i in range(self.M)))
+                 for kappa in range(self.M)]
+        return DiscreteMeasure.mixture(comps, [coeff] * self.M)
 
 
 def build_hidden_sample(base_null: DiscreteMeasure, base_alt: DiscreteMeasure, M: int) -> HiddenSampleProblem:

@@ -24,7 +24,7 @@ from typing import Optional
 from . import graph_core as gc
 from .exactnum import Rad
 from .graph_core import EnumerationBudgetError, LabeledGraph
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, edge_bits
 from .models import ModelParams
 
 PLANTED_FLOAT_N_CAP = 20
@@ -113,7 +113,7 @@ def planted_index(sigma: tuple[int, ...], s: LabeledGraph) -> BasisIndex:
 
 def edge_subgraphs(n: int, max_edges: int) -> list[LabeledGraph]:
     """All edge-induced subgraphs of the complete graph with at most max_edges."""
-    pairs = list(itertools.combinations(range(n), 2))
+    pairs = list(edge_bits(n))
     out = []
     for k in range(min(max_edges, len(pairs)) + 1):
         for subset in itertools.combinations(pairs, k):
@@ -211,7 +211,7 @@ def centered_moments(measure: DiscreteMeasure, indices: list[BasisIndex], n: int
     """
     if not indices:
         return []
-    bit = {e: 1 << i for i, e in enumerate(itertools.combinations(range(n), 2))}
+    bit = edge_bits(n)
     shift = len(bit)  # the second graph of a pair sits above the first
     pair = indices[0].kind == "pair"
 

@@ -19,9 +19,10 @@ enter only in one short sum per component, over powers of the two edge
 scales that are computed once per XiTable together with the powers of
 the transfer weight.  P_of_path_form is an independent oracle.
 
-The recursion table is built bottom-up by edge count; entries within a
-level are independent.  Memoization is keyed by canonical class, in one
-XiTable per parameter set and kernel.
+The recursion and the rows of the linear system share one row sum
+(_row_sum).  The recursion table is built bottom-up by edge count;
+entries within a level are independent.  Memoization is keyed by
+canonical class, in one XiTable per parameter set and kernel.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _label_product_expectation(table: "XiTable", h_edges: frozenset, omega_edges
     vertices range over k^(|V|-1) labelings.
     """
     k = table.params.k
-    total = Rad.of(1) if table.exact else 1.0
+    total = table.one
     all_edges = h_edges | omega_edges
     if not all_edges:
         return total
@@ -95,8 +96,7 @@ def _label_product_expectation(table: "XiTable", h_edges: frozenset, omega_edges
             for u, v in co:
                 w *= k - 1 if labels[u] == labels[v] else -1
             coeff[sum(labels[u] == labels[v] for u, v in ch)] += w
-        acc = sum((c * term for c, term in zip(coeff, table.h_terms(len(ch))) if c),
-                  Rad.of(0) if table.exact else 0.0)
+        acc = sum((c * term for c, term in zip(coeff, table.h_terms(len(ch))) if c), table.zero)
         denom = k ** (len(comp) - 1)
         total = total * acc * (Fraction(1, denom) if table.exact else 1.0 / denom)
     return total
@@ -157,7 +157,8 @@ class XiTable:
     """Memoized recursion values keyed by canonical class, and the
     per-parameter constants of the label averages: the edge scales h_eq
     and h_ne on equal and on unequal labels, the products
-    h_eq^j h_ne^(m-j), and the powers of the kernel's transfer weight t.
+    h_eq^j h_ne^(m-j), the powers of the kernel's transfer weight t, and
+    one and zero in the table's arithmetic (Rad when exact, else float).
     Each constant is computed once per table, on first use."""
 
     params: ModelParams
@@ -165,9 +166,22 @@ class XiTable:
     values: dict[str, object] = field(default_factory=dict)
     _h_terms: dict[int, list] = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        missing = [name for name in ("lam", "eps", "k") if getattr(self.params, name) is None]
+        if missing:
+            raise ValueError(f"the dual certificate needs {', '.join(missing)}")
+
     @cached_property
     def exact(self) -> bool:
         return bs._exact_inputs(self.params.lam, self.params.eps)
+
+    @cached_property
+    def one(self):
+        return Rad.of(1) if self.exact else 1.0
+
+    @cached_property
+    def zero(self):
+        return Rad.of(0) if self.exact else 0.0
 
     @cached_property
     def _h_scales(self) -> tuple:
@@ -179,7 +193,7 @@ class XiTable:
     def t_powers(self) -> list:
         """[t^j for j = 0..XI_EDGE_BUDGET], t the kernel's transfer weight."""
         t = transfer_weight(self.params, self.kernel)
-        powers = [Rad.of(1) if self.exact else 1.0]
+        powers = [self.one]
         for _ in range(XI_EDGE_BUDGET):
             powers.append(powers[-1] * t)
         return powers
@@ -187,8 +201,7 @@ class XiTable:
     def h_terms(self, m: int) -> list:
         """[h_eq^j h_ne^(m-j) for j = 0..m]."""
         if m not in self._h_terms:
-            one = Rad.of(1) if self.exact else 1.0
-            h_eq, h_ne = self._h_scales if m else (one, one)
+            h_eq, h_ne = self._h_scales if m else (self.one, self.one)
             self._h_terms[m] = [h_eq ** j * h_ne ** (m - j) for j in range(m + 1)]
         return self._h_terms[m]
 
@@ -207,16 +220,25 @@ def _leafless_masks(edges: list, sizes) -> list[int]:
             if all((mask & m).bit_count() != 1 for m in incs)]
 
 
-def _leafless_edge_subsets(s: LabeledGraph, proper: bool) -> list[frozenset]:
-    """Edge subsets of s in which no vertex has degree one, by size."""
+def _row_sum(s: LabeledGraph, params: ModelParams, table: XiTable, proper: bool):
+    """Sum of t^|E(S) \\ E(H)| xi(H) Q(H, S) over the leafless edge subsets
+    H of S by size, only the proper ones when proper is set.  xi(S) is
+    minus the proper sum over P(S); row S of the linear system is the
+    full sum, with target [S = empty]."""
     edges = sorted(s.edges)
     if len(edges) > XI_EDGE_BUDGET:
         raise EnumerationBudgetError(f"recursion edge budget is {XI_EDGE_BUDGET}",
                                      where="certificate.xi", requested=len(edges),
                                      budget=XI_EDGE_BUDGET)
     top = len(edges) - 1 if proper else len(edges)
-    return [frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
-            for mask in _leafless_masks(edges, range(top + 1))]
+    total = table.zero
+    for mask in _leafless_masks(edges, range(top + 1)):
+        h_edges = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
+        val = xi(gc.graph(s.n_vertices, h_edges), params, table)
+        if val:
+            q_val = _label_product_expectation(table, h_edges, s.edges - h_edges)
+            total = total + table.t_powers[len(s.edges) - len(h_edges)] * val * q_val
+    return total
 
 
 def xi(s: LabeledGraph, params: ModelParams, table: XiTable | None = None):
@@ -231,19 +253,13 @@ def xi(s: LabeledGraph, params: ModelParams, table: XiTable | None = None):
         table = XiTable(params)
     core = gc.graph(s.n_vertices, s.edges)  # recursion sees the edge support only
     if not core.edges:
-        return Rad.of(1) if table.exact else 1.0
+        return table.one
     if gc.leaves(core):
-        return Rad.of(0) if table.exact else 0.0
+        return table.zero
     key = gc.canonicalize(core).hex_form
     if key in table.values:
         return table.values[key]
-    total = Rad.of(0) if table.exact else 0.0
-    for h_edges in _leafless_edge_subsets(core, proper=True):
-        sub_val = xi(gc.graph(core.n_vertices, h_edges), params, table)
-        if not sub_val:
-            continue
-        q_val = _label_product_expectation(table, h_edges, core.edges - h_edges)
-        total = total + table.t_powers[len(core.edges) - len(h_edges)] * sub_val * q_val
+    total = _row_sum(core, params, table, proper=True)
     p_val = _label_product_expectation(table, core.edges, frozenset())
     if not p_val:
         raise ValueError("degenerate label average; parameters out of range")
@@ -287,11 +303,7 @@ class DualVector:
 
     @property
     def norm_squared(self):
-        total = None
-        for value, _nv, _ne, count in self.entries.values():
-            term = count * _square_of(value)
-            total = term if total is None else total + term
-        return total
+        return sum(count * _square_of(value) for value, _nv, _ne, count in self.entries.values())
 
     @property
     def norm(self) -> float:
@@ -326,7 +338,7 @@ def build_dual(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL) ->
     table = XiTable(params, kernel)
     dual = DualVector(params, D, kernel)
     empty = gc.empty_graph(params.n)
-    dual.entries[gc.canonicalize(empty).hex_form] = (Rad.of(1) if table.exact else 1.0, 0, 0, 1)
+    dual.entries[gc.canonicalize(empty).hex_form] = (table.one, 0, 0, 1)
     for rep in leafless_classes(min(D, XI_EDGE_BUDGET)):
         count = _labeled_count(params.n, rep)
         if count == 0:
@@ -342,15 +354,7 @@ def build_dual(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL) ->
 
 def row_residual(s: LabeledGraph, params: ModelParams, table: XiTable):
     """Row value of the defining linear system at S minus its target."""
-    total = Rad.of(0) if table.exact else 0.0
-    for h_edges in _leafless_edge_subsets(s, proper=False):
-        val = xi(gc.graph(s.n_vertices, h_edges), params, table)
-        if not val:
-            continue
-        q_val = _label_product_expectation(table, h_edges, s.edges - h_edges)
-        total = total + table.t_powers[len(s.edges) - len(h_edges)] * val * q_val
-    target = 1 if not s.edges else 0
-    return total - target
+    return _row_sum(s, params, table, proper=False) - (0 if s.edges else 1)
 
 
 def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL,
@@ -364,19 +368,12 @@ def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_
         raise EnumerationBudgetError("row enumeration exceeds the cap",
                                      where="certificate.verify_linear_system",
                                      requested=len(rows), budget=n_rows_cap)
-    worst = 0.0
-    exact_all_zero = True
+    worst, exact_zero = 0.0, table.exact
     for s in rows:
         r = row_residual(s, params, table)
-        if isinstance(r, Rad):
-            if not r.is_zero():
-                exact_all_zero = False
-                worst = max(worst, abs(float(r)))
-        else:
-            worst = max(worst, abs(r))
-    if table.exact and exact_all_zero:
-        return Fraction(0), len(rows)
-    return worst, len(rows)
+        if r:
+            worst, exact_zero = max(worst, abs(float(r))), False
+    return (Fraction(0) if exact_zero else worst), len(rows)
 
 
 def reversed_advantage_exact(params: ModelParams, D: int):
@@ -419,8 +416,7 @@ def reversed_advantage_exact(params: ModelParams, D: int):
     sq_in, sq_out = [p * (1 - q0) ** 2 + (1 - p) * q0 ** 2 for p in (p_in, p_out)]
     d_in, d_out = p_in - q0, p_out - q0
     classes = ms.label_classes(n, k)
-    pairs = list(itertools.combinations(range(n), 2))
-    bit = {e: 1 << i for i, e in enumerate(pairs)}
+    bit = ms.edge_bits(n)
 
     def raw_entry(both: int, once: int) -> Fraction:
         total = Fraction(0)
@@ -432,7 +428,7 @@ def reversed_advantage_exact(params: ModelParams, D: int):
         return total / k ** n
 
     # (source bit, image bit) of every edge under every vertex permutation
-    moves = [[(bit[(u, v)], bit[min(p[u], p[v]), max(p[u], p[v])]) for u, v in pairs]
+    moves = [[(bit[(u, v)], bit[min(p[u], p[v]), max(p[u], p[v])]) for u, v in bit]
              for p in itertools.permutations(range(n))]
     orbits: dict[int, set[int]] = {}  # representative mask -> its orbit
     placed: set[int] = set()

@@ -160,6 +160,8 @@ def cmd_adv(args) -> int:
             raise SystemExit("--condition must look like 'pi(1)=1'")
         i = int(cond[3 : cond.index(")")])
         j = int(cond.split("=")[1])
+        if not (1 <= i <= params.n and 1 <= j <= params.n):
+            raise ValueError(f"--condition pi({i})={j} needs 1 <= i, j <= n = {params.n}")
         pair = adv.condition_on_match(_build_alt_measure(args.model, params), i - 1, j - 1)
     else:
         pair = _build_alt_measure(args.model, params).map(lambda x: (x[1], x[2]))
@@ -267,20 +269,14 @@ def cmd_reduce(args) -> int:
         g_alt.append(rd.aggregate_statistic(
             float(rows[i][samp.pi_star[i]]) for i in range(params.n)))
     p_sampler, q_sampler = rd.correlated_er_samplers(params)
-
-    def statistic(a, b):
-        h = fam.evaluate(a, b)
-        return float(h.trace())
-
-    g_under_p = [statistic(*p_sampler(args.seed * 2, t)) for t in range(args.trials)]
-    g_under_q = [statistic(*q_sampler(args.seed * 2 + 1, t)) for t in range(args.trials)]
-    report = rd.one_sided_test(statistic, args.threshold, p_sampler, q_sampler, args.trials, args.seed)
+    report = rd.one_sided_test(lambda a, b: float(fam.evaluate(a, b).trace()), args.threshold,
+                               p_sampler, q_sampler, args.trials, args.seed)
     _emit({
         "command": "reduce", "estimator": args.estimator, "trials": args.trials,
         "overlap_mean": sum(overlaps) / len(overlaps), "overlaps": overlaps,
         "planted_statistic_mean": sum(g_alt) / len(g_alt),
-        "statistic_under_alternative": g_under_p,
-        "statistic_under_null": g_under_q,
+        "statistic_under_alternative": report.p_statistics,
+        "statistic_under_null": report.q_statistics,
         "q_accept_rate": report.q_accept_rate, "p_reject_rate": report.p_reject_rate,
         "classification": report.classify(),
     }, args.out)

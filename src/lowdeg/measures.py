@@ -30,8 +30,16 @@ def _check_budget(what: str, where: str, size: int) -> None:
                                      requested=size, budget=ENUMERATION_BUDGET)
 
 
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
+def edge_bits(n: int) -> dict[tuple[int, int], int]:
+    """The edge layout of K_n: pair i of combinations(range(n), 2) is bit 1 << i."""
+    return {e: 1 << i for i, e in enumerate(itertools.combinations(range(n), 2))}
+
+
+def edge_sets(n: int) -> list[frozenset]:
+    """The edge set of every bitmask over edge_bits(n), indexed by mask."""
+    pairs = list(edge_bits(n))
+    return [frozenset(e for i, e in enumerate(pairs) if mask >> i & 1)
+            for mask in range(1 << len(pairs))]
 
 
 class DiscreteMeasure:
@@ -85,23 +93,22 @@ class DiscreteMeasure:
             acc[y] = acc.get(y, 0) + w
         return DiscreteMeasure(list(acc), list(acc.values()))
 
-    def product(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        _check_budget("product support", "DiscreteMeasure.product", len(self) * len(other))
-        outs, ws = [], []
-        for x, wx in self:
-            for y, wy in other:
-                outs.append((x, y))
-                ws.append(wx * wy)
+    def product(self, *others: "DiscreteMeasure") -> "DiscreteMeasure":
+        """Product measure with flat tuple atoms (x, y, ...), one slot per factor."""
+        _check_budget("product support", "DiscreteMeasure.product",
+                      math.prod(map(len, others), start=len(self)))
+        outs, ws = [(x,) for x in self.outcomes], self.weights
+        for other in others:
+            outs = [o + (y,) for o in outs for y in other.outcomes]
+            ws = [w * wy for w in ws for wy in other.weights]
         return DiscreteMeasure(outs, ws)
 
     def power(self, m: int) -> "DiscreteMeasure":
         """m-fold product with tuple outcomes."""
+        if m < 1:
+            raise ValueError("power needs m >= 1")
         _check_budget("power support", "DiscreteMeasure.power", len(self) ** m)
-        outs, ws = [()], [_one_like(self.weights)]
-        for _ in range(m):
-            outs = [o + (x,) for o in outs for x in self.outcomes]
-            ws = [w * wx for w in ws for wx in self.weights]
-        return DiscreteMeasure(outs, ws)
+        return self.product(*[self] * (m - 1))
 
     @staticmethod
     def mixture(components: list["DiscreteMeasure"], coeffs: list) -> "DiscreteMeasure":
@@ -164,23 +171,14 @@ def _one_like(weights) -> Fraction | float:
 # -- enumerated model measures -------------------------------------------------
 
 
-def _bernoulli_weight(prob, present: int):
-    return prob if present else 1 - prob
-
-
 def er_graph_measure(n: int, q) -> DiscreteMeasure:
     """All graphs on [n]; independent edges with probability q."""
-    pairs = _all_pairs(n)
-    _check_budget("graph space", "er_graph_measure", 2 ** len(pairs))
-    outs, ws = [], []
-    for mask in range(2 ** len(pairs)):
-        edges = frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-        w = _one_like([q])
-        for i in range(len(pairs)):
-            w = w * _bernoulli_weight(q, mask >> i & 1)
-        outs.append(edges)
-        ws.append(w)
-    return DiscreteMeasure(outs, ws)
+    m = n * (n - 1) // 2
+    _check_budget("graph space", "er_graph_measure", 2 ** m)
+    one = _one_like([q])
+    return DiscreteMeasure(edge_sets(n), [
+        math.prod((q if mask >> i & 1 else 1 - q for i in range(m)), start=one)
+        for mask in range(1 << m)])
 
 
 def er_pair_measure(n: int, q) -> DiscreteMeasure:
@@ -201,12 +199,12 @@ def sbm_block_probs(n: int, k: int, lam, eps) -> tuple:
 def label_classes(n: int, k: int) -> dict[int, int]:
     """Count the labelings sigma in [k]^n by their equal-label edge set.
 
-    Keys are bitmasks over _all_pairs(n) of the edges (u, v) with
+    Keys are bitmasks over edge_bits(n) of the edges (u, v) with
     sigma[u] == sigma[v].  Each set partition of [n] (a restricted growth
     string) into b blocks is one key and stands for k (k-1) ... (k-b+1)
     labelings, so the cost does not grow with k.
     """
-    pairs = _all_pairs(n)
+    bits = edge_bits(n)
     strings = [()]
     for _ in range(n):
         strings = [rg + (b,) for rg in strings for b in range(max(rg, default=-1) + 2)]
@@ -214,25 +212,24 @@ def label_classes(n: int, k: int) -> dict[int, int]:
     for rg in strings:
         count = math.perm(k, max(rg, default=-1) + 1)
         if count:
-            counts[sum(1 << i for i, (u, v) in enumerate(pairs) if rg[u] == rg[v])] = count
+            counts[sum(b for (u, v), b in bits.items() if rg[u] == rg[v])] = count
     return counts
 
 
 def sbm_joint_measure(n: int, k: int, lam, eps) -> DiscreteMeasure:
     """Joint (sigma, graph) law: uniform labels, block edge probabilities."""
-    pairs = _all_pairs(n)
-    _check_budget("planted space", "sbm_joint_measure", k ** n * 2 ** len(pairs))
+    m = n * (n - 1) // 2
+    _check_budget("planted space", "sbm_joint_measure", k ** n * 2 ** m)
     p_in, p_out = sbm_block_probs(n, k, lam, eps)
     label_w = Fraction(1, k ** n) if isinstance(p_in, Fraction) else 1.0 / k ** n
+    pairs, sets = edge_bits(n), edge_sets(n)
     outs, ws = [], []
     for sigma in itertools.product(range(k), repeat=n):
-        intra = [sigma[u] == sigma[v] for u, v in pairs]
-        for mask in range(2 ** len(pairs)):
-            w = label_w
-            for i in range(len(pairs)):
-                w = w * _bernoulli_weight(p_in if intra[i] else p_out, mask >> i & 1)
-            outs.append((sigma, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)))
-            ws.append(w)
+        probs = [p_in if sigma[u] == sigma[v] else p_out for u, v in pairs]
+        for mask, edges in enumerate(sets):
+            outs.append((sigma, edges))
+            ws.append(math.prod((p if mask >> i & 1 else 1 - p for i, p in enumerate(probs)),
+                                start=label_w))
     return DiscreteMeasure(outs, ws)
 
 
@@ -246,7 +243,7 @@ def _child_subsampling_joint(n: int, s, parents: list, keep_parent: bool) -> Dis
 
     The parent law is the mixture sum_c coef_c * (independent edges), each
     component given as (coef, classes) with classes a list of (edge mask,
-    edge probability) partitioning _all_pairs(n).  Given pi and the
+    edge probability) partitioning edge_bits(n).  Given pi and the
     component every edge is independent, so an atom's weight is a product
     of per-edge factors -- p s^2 on A∩B, p s (1-s) on A△B, p (1-s)^2 on the
     rest of the parent G, and 1-p off it -- and is cached by the count of
@@ -255,18 +252,16 @@ def _child_subsampling_joint(n: int, s, parents: list, keep_parent: bool) -> Dis
     the last two factors merge into 1 - p + p (1-s)^2.  With keep_parent the
     atoms are (pi, G, A, pi(B)) with A, B subsets of G.
     """
-    pairs = _all_pairs(n)
-    m = len(pairs)
-    full = (1 << m) - 1
+    sets = edge_sets(n)
+    full = len(sets) - 1
     perms = list(itertools.permutations(range(n)))
-    edge_sets = [frozenset(pairs[i] for i in range(m) if mask >> i & 1) for mask in range(1 << m)]
     if keep_parent:
         triples = []
-        for g in range(1 << m):
-            subs = [a for a in range(1 << m) if a & ~g == 0]
+        for g in range(len(sets)):
+            subs = [a for a in range(len(sets)) if a & ~g == 0]
             triples.extend((g, a, b) for a in subs for b in subs)
     else:
-        triples = [(a | b, a, b) for a in range(1 << m) for b in range(1 << m)]
+        triples = [(a | b, a, b) for a in range(len(sets)) for b in range(len(sets))]
     weights = [0] * len(triples)
     for coef, classes in parents:
         factors = []
@@ -287,11 +282,11 @@ def _child_subsampling_joint(n: int, s, parents: list, keep_parent: bool) -> Dis
             weights[t] = weights[t] + w
     outs = []
     for pi in perms:
-        image = [frozenset(_norm_edge(pi[u], pi[v]) for u, v in es) for es in edge_sets]
+        image = [frozenset(_norm_edge(pi[u], pi[v]) for u, v in es) for es in sets]
         if keep_parent:
-            outs.extend((pi, edge_sets[g], edge_sets[a], image[b]) for g, a, b in triples)
+            outs.extend((pi, sets[g], sets[a], image[b]) for g, a, b in triples)
         else:
-            outs.extend((pi, edge_sets[a], image[b]) for _g, a, b in triples)
+            outs.extend((pi, sets[a], image[b]) for _g, a, b in triples)
     return DiscreteMeasure(outs, weights * len(perms))
 
 

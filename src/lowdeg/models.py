@@ -64,6 +64,9 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        for name in ("p", "q", "s", "rho", "lam", "eps"):  # keep int inputs exact under division
+            if isinstance(getattr(self, name), int):
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.p is not None and self.s is not None:
             q = self.p * self.s
             rho = self.s * (1 - self.p) / (1 - q)

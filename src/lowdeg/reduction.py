@@ -188,12 +188,16 @@ def aggregate_statistic(g_rows) -> float:
 
 @dataclass
 class OneSidedTestReport:
+    """Rates, their intervals, and each trial's statistic under each law."""
+
     q_accept_rate: float
     p_reject_rate: float
     trials: int
     seed: int
     q_ci: tuple[float, float]
     p_ci: tuple[float, float]
+    q_statistics: list
+    p_statistics: list
 
     def classify(self, strong_accept: float = 0.99, reject_floor: float = 0.5) -> str:
         if self.q_accept_rate >= strong_accept and self.p_reject_rate >= strong_accept:
@@ -213,21 +217,18 @@ def one_sided_test(statistic: Callable, threshold: float,
                    p_sampler: Callable, q_sampler: Callable,
                    trials: int, seed: int) -> OneSidedTestReport:
     """Empirical acceptance rate under the null and rejection rate under the
-    alternative, on disjoint derived-seed streams."""
+    alternative, on disjoint derived-seed streams, one statistic per pair."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    q_accept = 0
-    p_reject = 0
+    q_stats, p_stats = [], []
     for t in range(trials):
-        a, b = q_sampler(seed * 2 + 1, t)
-        if statistic(a, b) <= threshold:
-            q_accept += 1
-        a, b = p_sampler(seed * 2, t)
-        if statistic(a, b) > threshold:
-            p_reject += 1
+        q_stats.append(statistic(*q_sampler(seed * 2 + 1, t)))
+        p_stats.append(statistic(*p_sampler(seed * 2, t)))
+    q_accept = sum(x <= threshold for x in q_stats)
+    p_reject = sum(x > threshold for x in p_stats)
     return OneSidedTestReport(
         q_accept / trials, p_reject / trials, trials, seed,
-        _binom_ci(q_accept, trials), _binom_ci(p_reject, trials),
+        _binom_ci(q_accept, trials), _binom_ci(p_reject, trials), q_stats, p_stats,
     )
 
 

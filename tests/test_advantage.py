@@ -162,6 +162,41 @@ def two_point_base():
     return q, p
 
 
+def _nested_composite_alt(null, alt, M):
+    """The composite alternative built from nested two-factor products, each
+    flattened from (((x0, x1), x2), ...) to (x0, x1, x2, ...) and mixed."""
+    def flatten(x):
+        tail = []
+        for _ in range(M - 1):
+            x, last = x
+            tail.append(last)
+        return (x, *reversed(tail))
+
+    coeff = F(1, M) if null.exact and alt.exact else 1.0 / M
+    comps = []
+    for kappa in range(M):
+        parts = [alt if i == kappa else null for i in range(M)]
+        prod = parts[0]
+        for nxt in parts[1:]:
+            prod = prod.product(nxt)
+        comps.append(prod.map(flatten))
+    return ms.DiscreteMeasure.mixture(comps, [coeff] * M)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_composite_alt_matches_nested_products(exact):
+    null_w, alt_w = [F(1, 2), F(1, 4), F(1, 4)], [F(1, 5), F(2, 5), F(2, 5)]
+    if not exact:
+        null_w, alt_w = [0.5, 0.3, 0.2], [0.1, 0.6, 0.3]
+    null = ms.DiscreteMeasure(["x", "y", "z"], null_w)
+    alt = ms.DiscreteMeasure(["x", "y", "z"], alt_w)
+    for M in (1, 2, 3, 4):
+        got = adv.build_hidden_sample(null, alt, M).composite_alt()
+        want = _nested_composite_alt(null, alt, M)
+        assert dict(zip(got.outcomes, got.weights)) == dict(zip(want.outcomes, want.weights))
+        assert got.exact == exact
+
+
 def test_hidden_sample_size_rule():
     assert adv.hidden_sample_size(0.01, 1000) == 10
     assert adv.hidden_sample_size(0.000001, 50) == 50

@@ -452,3 +452,65 @@ def test_certificate_budget_errors_are_structured():
             call()
         err = info.value
         assert (err.where, err.requested, err.budget, str(err)) == (where, requested, budget, message)
+
+
+def _xi_per_subset_loop(s, params, table):
+    """The recursion written out on its own: leafless proper edge subsets
+    of s by size in combinations order, each term t^|S\\H| xi(H) Q(H, S)
+    accumulated in place, memoized in table.values."""
+    core = gc.graph(s.n_vertices, s.edges)
+    if not core.edges:
+        return Rad.of(1) if table.exact else 1.0
+    if gc.leaves(core):
+        return Rad.of(0) if table.exact else 0.0
+    key = gc.canonicalize(core).hex_form
+    if key not in table.values:
+        edges = sorted(core.edges)
+        total = Rad.of(0) if table.exact else 0.0
+        for size in range(len(edges)):
+            for h in itertools.combinations(edges, size):
+                h_edges = frozenset(h)
+                sub = gc.graph(core.n_vertices, h_edges)
+                if h_edges and gc.leaves(sub):
+                    continue
+                sub_val = _xi_per_subset_loop(sub, params, table)
+                if not sub_val:
+                    continue
+                q_val = ct._label_product_expectation(table, h_edges, core.edges - h_edges)
+                total = total + table.t_powers[len(edges) - size] * sub_val * q_val
+        p_val = ct._label_product_expectation(table, core.edges, frozenset())
+        table.values[key] = -(total / p_val)
+    return table.values[key]
+
+
+@pytest.mark.parametrize("kernel", [ct.FIRST_ORDER_KERNEL, ct.EXACT_KERNEL])
+def test_xi_matches_per_subset_loop_on_every_class(kernel):
+    reps = ct.leafless_classes(6)
+    for k in (2, 3):
+        for lam, eps in ((F(1), F(3, 10)), (1.0, 0.3)):
+            pr = md.ModelParams(n=8, lam=lam, k=k, eps=eps)
+            table, oracle = ct.XiTable(pr, kernel), ct.XiTable(pr, kernel)
+            for rep in reps:
+                assert ct.xi(rep, pr, table) == _xi_per_subset_loop(rep, pr, oracle)
+
+
+def test_xi_table_names_missing_parameters():
+    for kw, missing in ((dict(k=2, eps=F(1, 5)), "lam"), (dict(lam=F(1)), "eps, k"),
+                        (dict(lam=F(1), eps=F(1, 5)), "k")):
+        with pytest.raises(ValueError, match=f"needs {missing}$"):
+            ct.XiTable(md.ModelParams(n=4, **kw))
+
+
+def test_int_rates_give_the_values_of_their_fractions():
+    tri = gc.graph(3, [(0, 1), (1, 2), (0, 2)])
+    sigma = (0, 0, 1)
+
+    def values(pr):
+        return (bs.evaluate_basis(bs.planted_index(sigma, tri), (sigma, tri.edges), pr),
+                ct.XiTable(pr)._h_scales,
+                bs.cross_moment_planted(pr, tri, sigma, gc.graph(3, [(0, 1)])),
+                ct.xi(tri, pr))
+
+    ints = md.ModelParams(n=3, lam=1, k=2, eps=0)
+    assert type(ints.lam) is F and type(ints.eps) is F
+    assert values(ints) == values(md.ModelParams(n=3, lam=F(1), k=2, eps=F(0)))

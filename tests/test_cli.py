@@ -138,6 +138,33 @@ def test_error_paths(tmp_path, capsys):
         cli.main(["adv", "--model", "corr-er", "--n", "3", "--condition", "nonsense"])
 
 
+def test_condition_outside_the_vertex_range_is_a_structured_error(capsys):
+    for cond in ("pi(0)=1", "pi(4)=1", "pi(1)=0", "pi(1)=4"):
+        code, out, err = run_cli(["adv", "--model", "corr-er", "--n", "3", "--q", "1/3",
+                                  "--rho", "1/2", "--D", "2", "--exact", "--condition", cond], capsys)
+        assert code == 2 and out == ""
+        assert "1 <= i, j <= n = 3" in json.loads(err)["error"]
+
+
+def test_certificate_commands_without_lambda_are_structured_errors(capsys):
+    for argv in (["xi", "--D", "3"], ["xi", "--D", "2"], ["dual-check", "--D", "3"]):
+        code, out, err = run_cli([*argv, "--n", "4", "--k", "2", "--eps", "1/5", "--exact"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"].endswith("needs lam")
+
+
+def test_reduce_rates_are_the_shares_of_the_printed_statistics(capsys):
+    code, out, _ = run_cli(["reduce", "--model", "corr-er", "--estimator", "random", "--n", "4",
+                            "--q", "1/2", "--rho", "1/2", "--trials", "40", "--seed", "3",
+                            "--exact"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    null, alt = payload["statistic_under_null"], payload["statistic_under_alternative"]
+    assert len(null) == len(alt) == 40
+    assert payload["q_accept_rate"] == sum(x <= 0.5 for x in null) / 40
+    assert payload["p_reject_rate"] == sum(x > 0.5 for x in alt) / 40
+
+
 def test_unparsable_probability_is_a_structured_error(capsys):
     for q in ("1/0", "abc"):
         for exact in (["--exact"], []):

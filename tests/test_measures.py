@@ -209,3 +209,89 @@ def test_float_sum_tolerance_is_1e_12():
     for off in (2e-12, -2e-12):
         with pytest.raises(ValueError, match=r"^weights sum to 0\.99999|^weights sum to 1\.00000"):
             ms.DiscreteMeasure(["a", "b"], [0.5, 0.5 + off])
+
+
+# -- one tuple product and one edge layout, against plain per-factor loops -----
+
+
+def _pair_product(a, b):
+    """The two-factor product with (x, y) atoms, as a plain double loop."""
+    return ms.DiscreteMeasure([(x, y) for x in a.outcomes for y in b.outcomes],
+                              [wx * wy for wx in a.weights for wy in b.weights])
+
+
+def _flatten(x, m):
+    """((x0, x1), x2), ... of an m-fold nested pair product as (x0, x1, x2, ...)."""
+    tail = []
+    for _ in range(m - 1):
+        x, last = x
+        tail.append(last)
+    return (x, *reversed(tail))
+
+
+def _atoms(m):
+    return list(zip(m.outcomes, m.weights))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_flat_product_matches_flattened_nested_pairs(exact):
+    w = (lambda *ws: [F(x) for x in ws]) if exact else (lambda *ws: [float(F(x)) for x in ws])
+    a = ms.DiscreteMeasure(["a", "b"], w("1/3", "2/3"))
+    b = ms.DiscreteMeasure([0, 1, 2], w("1/7", "2/7", "4/7"))
+    c = ms.DiscreteMeasure([frozenset(), frozenset({(0, 1)})], w("3/10", "7/10"))
+    assert _atoms(a.product(b)) == _atoms(_pair_product(a, b))
+    nested = _pair_product(_pair_product(a, b), c)
+    flat = [(_flatten(x, 3), wx) for x, wx in _atoms(nested)]
+    assert _atoms(a.product(b, c)) == flat
+    assert [x for x, _ in _atoms(a.product())] == [("a",), ("b",)]
+    assert _atoms(c.power(3)) == _atoms(c.product(c, c))
+    assert _atoms(c.power(1)) == _atoms(c.product())
+
+
+def test_edge_layout_round_trips():
+    for n in range(1, 6):
+        bits = ms.edge_bits(n)
+        assert list(bits) == list(itertools.combinations(range(n), 2))
+        assert list(bits.values()) == [1 << i for i in range(len(bits))]
+        sets = ms.edge_sets(n)
+        assert len(sets) == 1 << len(bits)
+        for mask, edges in enumerate(sets):
+            assert sum(bits[e] for e in edges) == mask
+            assert edges == frozenset(e for e, b in bits.items() if mask & b)
+
+
+def _per_edge_er(n, q):
+    """er_graph_measure as a loop over masks with one Bernoulli factor per edge."""
+    pairs = list(itertools.combinations(range(n), 2))
+    outs, ws = [], []
+    for mask in range(2 ** len(pairs)):
+        w = F(1) if isinstance(q, F) else 1.0
+        for i in range(len(pairs)):
+            w = w * (q if mask >> i & 1 else 1 - q)
+        outs.append(frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+        ws.append(w)
+    return list(zip(outs, ws))
+
+
+def _per_edge_sbm(n, k, lam, eps):
+    """sbm_joint_measure as a loop over labelings and masks, per-edge factors."""
+    pairs = list(itertools.combinations(range(n), 2))
+    p_in, p_out = ms.sbm_block_probs(n, k, lam, eps)
+    out = []
+    for sigma in itertools.product(range(k), repeat=n):
+        for mask in range(2 ** len(pairs)):
+            w = F(1, k ** n) if isinstance(p_in, F) else 1.0 / k ** n
+            for i, (u, v) in enumerate(pairs):
+                p = p_in if sigma[u] == sigma[v] else p_out
+                w = w * (p if mask >> i & 1 else 1 - p)
+            out.append(((sigma, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)), w))
+    return out
+
+
+def test_er_and_sbm_measures_match_per_edge_loops():
+    for n in range(2, 5):
+        for q in (F(1, 3), 0.3):
+            assert _atoms(ms.er_graph_measure(n, q)) == _per_edge_er(n, q)
+    for k in (2, 3):
+        for lam, eps in ((F(3, 2), F(2, 5)), (1.5, 0.4)):
+            assert _atoms(ms.sbm_joint_measure(3, k, lam, eps)) == _per_edge_sbm(3, k, lam, eps)
