@@ -179,9 +179,19 @@ def cmd_adv(args) -> int:
     return 0
 
 
+def _json_outcome(value):
+    """A JSON outcome as a hashable value: arrays become tuples, recursively."""
+    outcome = tuple(map(_json_outcome, value)) if isinstance(value, list) else value
+    try:
+        hash(outcome)
+    except TypeError:
+        raise ValueError(f"outcome {value!r} is not hashable") from None
+    return outcome
+
+
 def cmd_hidden(args) -> int:
     payload = json.loads(Path(args.base_spec).read_text(encoding="utf-8"))
-    outcomes = payload["outcomes"]
+    outcomes = [_json_outcome(o) for o in payload["outcomes"]]
     null_w = [Fraction(w) if isinstance(w, str) else w for w in payload["null"]]
     alt_w = [Fraction(w) if isinstance(w, str) else w for w in payload["alt"]]
     base_null = ms.DiscreteMeasure(outcomes, null_w)

@@ -7,6 +7,7 @@ import pytest
 from lowdeg import basis as bs
 from lowdeg import certificate as ct
 from lowdeg import graph_core as gc
+from lowdeg import measures as ms
 from lowdeg import models as md
 from lowdeg.exactnum import Rad
 
@@ -514,3 +515,66 @@ def test_int_rates_give_the_values_of_their_fractions():
     ints = md.ModelParams(n=3, lam=1, k=2, eps=0)
     assert type(ints.lam) is F and type(ints.eps) is F
     assert values(ints) == values(md.ModelParams(n=3, lam=F(1), k=2, eps=F(0)))
+
+
+def _per_row_linear_system(params, D, kernel):
+    """The linear-system check written out row by row: row_residual on
+    every labeled edge subgraph of K_n with at most D edges."""
+    table = ct.XiTable(params, kernel)
+    rows = bs.edge_subgraphs(params.n, D)
+    worst, exact_zero = 0.0, table.exact
+    for s in rows:
+        r = ct.row_residual(s, params, table)
+        if r:
+            worst, exact_zero = max(worst, abs(float(r))), False
+    return (F(0) if exact_zero else worst), len(rows)
+
+
+def test_linear_system_orbit_quotient_matches_per_row_loop(monkeypatch):
+    cases = [(5, 3, 2, 176), (5, 3, 3, 176), (5, 4, 2, 386), (5, 4, 3, 386), (6, 4, 2, 1941)]
+    for n, D, k, rows in cases:
+        pr = md.ModelParams(n=n, lam=F(1), k=k, eps=F(3, 10), delta=F(1, 100))
+        for kernel in (ct.FIRST_ORDER_KERNEL, ct.EXACT_KERNEL):
+            got = ct.verify_linear_system(pr, D, kernel=kernel)
+            assert type(got[0]) is F and got == _per_row_linear_system(pr, D, kernel) == (0, rows)
+    # scaling xi on the triangle class breaks the system on every row that
+    # holds a triangle; the quotient must report the per-row loop's worst row
+    exact_xi = ct.xi
+
+    def perturbed_xi(s, params, table=None):
+        value = exact_xi(s, params, table)
+        tri_key = gc.canonicalize(gc.cycle_graph(s.n_vertices, 3)).hex_form
+        if gc.canonicalize(gc.graph(s.n_vertices, s.edges)).hex_form == tri_key:
+            value = value * F(8, 7)
+        return value
+
+    monkeypatch.setattr(ct, "xi", perturbed_xi)
+    for n, D, k, _ in cases:
+        pr = md.ModelParams(n=n, lam=F(1), k=k, eps=F(3, 10), delta=F(1, 100))
+        for kernel in (ct.FIRST_ORDER_KERNEL, ct.EXACT_KERNEL):
+            want = _per_row_linear_system(pr, D, kernel)
+            assert want[0] > 0
+            assert ct.verify_linear_system(pr, D, kernel=kernel) == want, (n, D, k, kernel)
+
+
+def test_edge_orbit_sizes_match_labeled_copy_counts():
+    for n in range(1, 7):
+        bit = ms.edge_bits(n)
+        for D in range(5):
+            orbits = ct.edge_orbits(n, D)
+            assert next(iter(orbits)) == 0  # the empty set's orbit comes first
+            for rep, orbit in orbits.items():
+                edges = [e for e, b in bit.items() if rep & b]
+                assert all(m.bit_count() == len(edges) for m in orbit)
+                assert len(orbit) == ct._labeled_count(n, gc.graph(n, edges)), (n, D, edges)
+            want = sum(math.comb(len(bit), j) for j in range(D + 1))
+            assert sum(map(len, orbits.values())) == want
+            assert len(set().union(*orbits.values())) == want
+    assert len(ct.edge_orbits(6, 4)) == 18
+
+
+def test_row_cap_is_checked_before_enumerating():
+    pr = md.ModelParams(n=40, lam=F(1), k=2, eps=F(3, 10), delta=F(1, 100))
+    with pytest.raises(gc.EnumerationBudgetError) as info:
+        ct.verify_linear_system(pr, 12)
+    assert info.value.requested == sum(math.comb(780, j) for j in range(13))

@@ -210,3 +210,22 @@ def test_readme_fixtures_run_verbatim(command, tmp_path, capsys, monkeypatch):
             encoding="utf-8")
     argv = shlex.split(command)[1:]
     assert cli.main(argv) == 0
+
+
+def test_hidden_command_array_outcomes(tmp_path, capsys):
+    """JSON array outcomes become tuples; the values match integer outcomes,
+    and an outcome that stays unhashable is a structured error."""
+    payloads = []
+    for outcomes in ([[0, 1], [1, 0]], [0, 1]):
+        base_file = tmp_path / "base.json"
+        base_file.write_text(json.dumps({"outcomes": outcomes, "null": ["1/2", "1/2"],
+                                         "alt": ["1/5", "4/5"]}), encoding="utf-8")
+        code, out, _ = run_cli(["hidden", "--M", "2", "--base-spec", str(base_file)], capsys)
+        assert code == 0
+        payloads.append(json.loads(out))
+    assert payloads[0] == payloads[1]
+    base_file.write_text(json.dumps({"outcomes": [{"a": 0}, [1, 0]], "null": ["1/2", "1/2"],
+                                     "alt": ["1/5", "4/5"]}), encoding="utf-8")
+    code, out, err = run_cli(["hidden", "--M", "2", "--base-spec", str(base_file)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "outcome {'a': 0} is not hashable"
