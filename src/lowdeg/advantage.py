@@ -18,12 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from . import basis as bs
 from . import graph_core as gc
 from .measures import DiscreteMeasure
-from .models import ModelParams
+from .params import ModelParams
 
 
 @dataclass
@@ -162,8 +160,9 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, values: list[list], exact
     c_i = E_P[f_i] as nested lists, from values[i][a] = f_i(q.outcomes[a]).
     P's weights are carried onto the null atoms, so an alternative that
     charges an atom outside the null support is rejected.  Exact mode sums
-    integer numerators over each measure's common denominator (and the
-    feature values'); float mode is one numpy product."""
+    Python-integer numerators over each measure's common denominator (and
+    the feature values'), once per pair j <= i of the symmetric G; float
+    mode is one numpy product."""
     at = {x: a for a, x in enumerate(q.outcomes)}
     pw = [0] * len(q)
     for x, w in p:
@@ -173,15 +172,20 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, values: list[list], exact
                 raise ValueError("alternative charges atoms outside the null support")
             pw[a] += w
     if not exact:
+        import numpy as np
+
         f = np.array(values, dtype=float)
         gram = (f * np.array(q.weights, dtype=float)) @ f.T
         return gram.tolist(), (f @ np.array(pw, dtype=float)).tolist()
     nums, s = _over_common_denominator([v for row in values for v in row])
-    f = np.array(nums, dtype=object).reshape(len(values), len(q))
+    f = [nums[i:i + len(q)] for i in range(0, len(nums), len(q))]
     (wq, den_q), (wp, den_p) = _over_common_denominator(q.weights), _over_common_denominator(pw)
-    gram = ((f * np.array(wq, dtype=object)) @ f.T).tolist()
-    return ([[Fraction(g, den_q * s * s) for g in row] for row in gram],
-            [Fraction(c, den_p * s) for c in (f @ np.array(wp, dtype=object)).tolist()])
+    gram = [[None] * len(f) for _ in f]
+    for i, row in enumerate(f):
+        fw = list(map(operator.mul, row, wq))
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = Fraction(sum(map(operator.mul, fw, f[j])), den_q * s * s)
+    return gram, [Fraction(sum(map(operator.mul, row, wp)), den_p * s) for row in f]
 
 
 def _ldl(gram: list[list], means: list, exact: bool):
@@ -223,6 +227,8 @@ def advantage_rayleigh(p: DiscreteMeasure, q: DiscreteMeasure,
     """Advantage as sqrt(c^T A^+ c) with A the feature Gram matrix under the
     null and c the alternative feature means (float route, a least-squares
     cross-check of the LDL^T kernel that shares only the Gram builder)."""
+    import numpy as np
+
     values, degree = _feature_values(q, features, D)
     gram, c = (np.array(m) for m in _null_gram(p, q, values, exact=False))
     sol, *_ = np.linalg.lstsq(gram, c, rcond=1e-12)

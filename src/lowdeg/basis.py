@@ -25,7 +25,7 @@ from . import graph_core as gc
 from .exactnum import Rad
 from .graph_core import EnumerationBudgetError, LabeledGraph
 from .measures import DiscreteMeasure, edge_bits
-from .models import ModelParams
+from .params import ModelParams
 
 PLANTED_FLOAT_N_CAP = 20
 

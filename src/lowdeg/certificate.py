@@ -41,9 +41,10 @@ from fractions import Fraction
 from . import basis as bs
 from . import graph_core as gc
 from . import measures as ms
+from .advantage import AdvantageReport
 from .exactnum import Rad, solve_exact
 from .graph_core import EnumerationBudgetError, LabeledGraph
-from .models import ModelParams
+from .params import ModelParams
 
 XI_EDGE_BUDGET = 6
 FIRST_ORDER_KERNEL = "first_order"
@@ -479,8 +480,6 @@ def reversed_advantage_exact(params: ModelParams, D: int):
                 for a in orbits]
     rhs = [Fraction(int(a == 0)) for a in orbits]
     value_sq = solve_exact(quotient, rhs)[0]  # the empty set's orbit {0} comes first
-    from .advantage import AdvantageReport
-
     return AdvantageReport(D, math.sqrt(max(float(value_sq), 0.0)), value_sq, "rayleigh")
 
 
@@ -488,12 +487,19 @@ def duality_gap(params: ModelParams, D: int) -> tuple:
     """(exact reversed advantage, dual norm) with the exact-moment kernel.
 
     The dual built on the exact kernel solves the exact linear system, so
-    its norm upper-bounds the exact advantage; a violation beyond 1e-9
-    raises.
+    its norm upper-bounds the exact advantage, and a violation raises.
+    When both squares are rationals the sandwich is decided exactly,
+    value_squared <= norm_squared; otherwise the floats are compared with a
+    1e-9 tolerance.
     """
     rep = reversed_advantage_exact(params, D)
     dual = build_dual(params, D, kernel=EXACT_KERNEL)
-    if rep.value > dual.norm + 1e-9:
+    value_sq, norm_sq = rep.value_squared, dual.norm_squared
+    if isinstance(value_sq, Fraction) and isinstance(norm_sq, Fraction):
+        holds = value_sq <= norm_sq
+    else:
+        holds = rep.value <= dual.norm + 1e-9
+    if not holds:
         raise AssertionError(
             f"duality violated: advantage {rep.value} exceeds dual norm {dual.norm}"
         )

@@ -1,0 +1,98 @@
+"""Scalar model parameters, kept free of numpy.
+
+`ModelParams` is shared by every model, measure, basis and certificate;
+the exact modules import it from here so that only the samplers (in
+`models`) and the float Gram and Rayleigh routes load numpy.  `models`
+re-exports it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from typing import Optional
+
+
+def _check_prob(name: str, value):
+    # degenerate-but-meaningful endpoints are allowed: s = 1 is "no
+    # subsampling", and with it rho = 1; only zero-mass models are rejected
+    if value is None:
+        return
+    if not (0 < value <= 1):
+        raise ValueError(f"{name}={value} outside the valid probability range")
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Scalar parameters shared by every model and every potential.
+
+    Either (p, s) or (q, rho) may be given for the subsampling models; the
+    other pair is derived and both are kept consistent (q = p*s and
+    rho = s(1-p)/(1-p*s)).  Fractions keep everything downstream exact.
+    """
+
+    n: int
+    p: Optional[object] = None
+    q: Optional[object] = None
+    s: Optional[object] = None
+    rho: Optional[object] = None
+    lam: Optional[object] = None
+    k: Optional[int] = None
+    eps: Optional[object] = None
+    delta: Optional[object] = None
+    D: Optional[int] = None
+    N: Optional[int] = None
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("n must be at least 2")
+        for name in ("p", "q", "s", "rho", "lam", "eps"):  # keep int inputs exact under division
+            if isinstance(getattr(self, name), int):
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
+        if self.p is not None and self.s is not None:
+            q = self.p * self.s
+            rho = self.s * (1 - self.p) / (1 - q)
+            if self.q is None:
+                object.__setattr__(self, "q", q)
+            if self.rho is None:
+                object.__setattr__(self, "rho", rho)
+            if abs(float(self.q - q)) > 1e-12 or abs(float(self.rho - rho)) > 1e-12:
+                raise ValueError("inconsistent (p, s) vs (q, rho) parameterizations")
+        elif self.q is not None and self.rho is not None and self.s is None:
+            s = self.q + self.rho * (1 - self.q)
+            object.__setattr__(self, "s", s)
+            object.__setattr__(self, "p", self.q / s if s != 0 else None)
+        for name in ("p", "q", "s"):
+            _check_prob(name, getattr(self, name))
+        if self.rho is not None and not (0 <= self.rho <= 1):
+            raise ValueError(f"rho={self.rho} outside [0, 1]")
+        if self.lam is not None and self.lam <= 0:
+            raise ValueError("lam must be positive")
+        if self.k is not None and self.k < 2:
+            raise ValueError("k must be at least 2")
+        if self.eps is not None and not (0 <= self.eps < 1):
+            raise ValueError(f"eps={self.eps} outside [0, 1)")
+        delta_cap = 0.01 if isinstance(self.delta, float) else Fraction(1, 100)
+        if self.delta is not None and not (0 < self.delta <= delta_cap):
+            raise ValueError("delta must lie in (0, 0.01]")
+        if self.D is not None and self.D < 1:
+            raise ValueError("D must be at least 1")
+        if self.lam is not None and self.k is not None and self.eps is not None:
+            for name, pr in (("intra", self.sbm_p_intra), ("inter", self.sbm_p_inter)):
+                if not (0 <= pr <= 1):
+                    raise ValueError(f"SBM {name} edge probability {pr} outside [0,1]")
+
+    @property
+    def sbm_p_intra(self):
+        return (1 + (self.k - 1) * self.eps) * self.lam / self.n
+
+    @property
+    def sbm_p_inter(self):
+        return (1 - self.eps) * self.lam / self.n
+
+    @property
+    def lam_tilde(self):
+        return self.lam if self.lam >= 1 else type(self.lam)(1)
+
+    def with_(self, **kw) -> "ModelParams":
+        return replace(self, **kw)

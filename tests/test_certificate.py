@@ -333,6 +333,28 @@ def test_duality_gap_fixture_grid():
         assert exact >= 1.0 - 1e-12
 
 
+def test_duality_sandwich_is_decided_in_rationals(monkeypatch):
+    """With both squares rational the comparison is exact: equality holds at
+    eps=0, and a dual short of the advantage by 1e-30 (far inside the float
+    tolerance) is refused."""
+    null = md.ModelParams(n=4, lam=F(1), k=2, eps=F(0), delta=F(1, 100))
+    value_sq = ct.reversed_advantage_exact(null, 3).value_squared
+    norm_sq = ct.build_dual(null, 3, kernel=ct.EXACT_KERNEL).norm_squared
+    assert type(value_sq) is F and type(norm_sq) is F and value_sq == norm_sq
+    assert ct.duality_gap(null, 3) == (1.0, 1.0)
+
+    pr = md.ModelParams(n=4, lam=F(1), k=2, eps=F(1, 5), delta=F(1, 100))
+    short = ct.reversed_advantage_exact(pr, 3).value_squared - F(1, 10 ** 30)
+
+    class ShortDual:
+        norm_squared = short
+        norm = math.sqrt(float(short))
+
+    monkeypatch.setattr(ct, "build_dual", lambda params, D, kernel: ShortDual())
+    with pytest.raises(AssertionError, match="duality violated"):
+        ct.duality_gap(pr, 3)
+
+
 def test_magnitude_bound_audits():
     pr = params6(eps=F(1, 10), lam=F(1, 2))  # small signal: bound regime applies
     assert ct.lambda0_condition_ok(pr)

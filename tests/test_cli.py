@@ -1,4 +1,6 @@
 import json
+import os
+import random
 import shlex
 import subprocess
 import sys
@@ -129,6 +131,13 @@ def test_verify_command(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_leaves_the_global_random_state_alone(capsys):
+    state = random.getstate()
+    code, _, _ = run_cli(["verify"], capsys)
+    assert code == 0
+    assert random.getstate() == state
+
+
 def test_error_paths(tmp_path, capsys):
     code, _, err = run_cli(["adv", "--model", "corr-er", "--n", "9", "--q", "1/3",
                             "--rho", "1/2", "--exact"], capsys)
@@ -229,3 +238,49 @@ def test_hidden_command_array_outcomes(tmp_path, capsys):
     code, out, err = run_cli(["hidden", "--M", "2", "--base-spec", str(base_file)], capsys)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "outcome {'a': 0} is not hashable"
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+# Runs one CLI command in a fresh interpreter and reports on stderr whether
+# numpy was imported by the time it returned.
+NUMPY_PROBE = ("import sys\nfrom lowdeg.cli import main\ncode = main(sys.argv[1:])\n"
+               "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+               "raise SystemExit(code)")
+
+
+def run_in_subprocess(argv, cwd):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def readme_command(name, condition=False):
+    return next(shlex.split(c)[1:] for c in readme_cli_commands()
+                if shlex.split(c)[1] == name and ("--condition" in c) == condition)
+
+
+@pytest.mark.parametrize("name,condition", [
+    ("adv", False), ("adv", True), ("hidden", False), ("xi", False), ("dual-check", False),
+    ("otter", False), ("verify", False)])
+def test_exact_commands_do_not_import_numpy(name, condition, tmp_path):
+    (tmp_path / "base.json").write_text(json.dumps(
+        {"outcomes": [0, 1], "null": ["1/2", "1/2"], "alt": ["1/5", "4/5"]}), encoding="utf-8")
+    proc = run_in_subprocess(readme_command(name, condition), tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy loaded: False" in proc.stderr
+
+
+def test_sampling_commands_run_behind_the_import_boundary(tmp_path):
+    for name in ("sample", "reduce"):
+        proc = run_in_subprocess(readme_command(name), tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "numpy loaded: True" in proc.stderr  # the probe can see numpy
+    proc = run_in_subprocess(["reduce", "--estimator", "bogus", "--n", "4", "--q", "1/4",
+                              "--rho", "1/3"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: lowdeg reduce")
+    assert "argument --estimator: invalid choice: 'bogus'" in proc.stderr
+    proc = run_in_subprocess(["bounds-audit", "--suite", "bogus"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: lowdeg bounds-audit")
+    assert "argument --suite: invalid choice: 'bogus'" in proc.stderr
