@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import graph_core as gc
+from . import measures as ms
 from .exactnum import Rad
 from .graph_core import EnumerationBudgetError, LabeledGraph
 from .measures import DiscreteMeasure, edge_bits
@@ -112,13 +113,9 @@ def planted_index(sigma: tuple[int, ...], s: LabeledGraph) -> BasisIndex:
 
 
 def edge_subgraphs(n: int, max_edges: int) -> list[LabeledGraph]:
-    """All edge-induced subgraphs of the complete graph with at most max_edges."""
-    pairs = list(edge_bits(n))
-    out = []
-    for k in range(min(max_edges, len(pairs)) + 1):
-        for subset in itertools.combinations(pairs, k):
-            out.append(gc.graph(n, subset))
-    return out
+    """All edge-induced subgraphs of the complete graph with at most max_edges,
+    in the edge_bits order of its edges."""
+    return list(gc.edge_induced_subgraphs(gc.complete_graph(n), max_edges))
 
 
 def single_indices(n: int, D: int) -> list[BasisIndex]:
@@ -242,9 +239,7 @@ def exact_expectation(measure: DiscreteMeasure, idx: BasisIndex, params: ModelPa
     """Expectation of the indexed polynomial; exact in rational mode.  The
     centered products are summed over the atoms and the square root of the
     normalization is taken once."""
-    if len(measure) > 1 << 22:
-        raise EnumerationBudgetError("measure support exceeds the enumeration budget",
-                                     where="basis.exact_expectation", requested=len(measure), budget=1 << 22)
+    ms._check_budget("measure support", "basis.exact_expectation", len(measure))
     exact, factors, norm_sq = _index_factors(idx, params)
     total = sum(w * _centered_product(idx, factors, x) for x, w in measure)
     return total * _sqrt(norm_sq, exact)

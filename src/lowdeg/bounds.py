@@ -109,16 +109,13 @@ def _anchored_between(h: LabeledGraph, s: LabeledGraph) -> Iterable[LabeledGraph
     """Graphs K with h anchored-in K and K a subgraph of s: the edge set
     ranges over supersets of E(h) inside E(s); declared vertices are then
     forced to the endpoints plus the isolated vertices of h."""
-    extra = sorted(s.edges - h.edges)
-    if len(extra) > 16:
+    extra = gc.graph(s.n_vertices, s.edges - h.edges)
+    if extra.n_edges > 16:
         raise EnumerationBudgetError("anchored enumeration beyond 16 extra edges",
-                                     where="bounds._anchored_between", requested=len(extra), budget=16)
-    iso_h = gc.isolated_vertices(h)
-    for k in range(len(extra) + 1):
-        for subset in itertools.combinations(extra, k):
-            edges = h.edges | frozenset(subset)
-            verts = {v for e in edges for v in e} | iso_h
-            yield gc.graph(s.n_vertices, edges, verts)
+                                     where="bounds._anchored_between",
+                                     requested=extra.n_edges, budget=16)
+    for sub in gc.edge_induced_subgraphs(extra):
+        yield gc.graph_union(h, sub)
 
 
 def P_sum(s: LabeledGraph, h: LabeledGraph, params: ModelParams) -> float:
@@ -226,19 +223,16 @@ def audit_supergraph_count(s: LabeledGraph, k_extra: int, l_extra: int) -> Bound
 def _anchored_subgraphs_of(s: LabeledGraph) -> Iterable[LabeledGraph]:
     """All H with H a subgraph of s and every isolated vertex of s isolated
     in H (declared vertices range over supersets of the edge endpoints)."""
-    edges = sorted(s.edges)
-    if len(edges) > 10 or len(s.vertices) > 10:
+    if len(s.edges) > 10 or len(s.vertices) > 10:
         raise EnumerationBudgetError("anchored subgraph enumeration budget",
                                      where="bounds._anchored_subgraphs_of",
-                                     requested=max(len(edges), len(s.vertices)), budget=10)
+                                     requested=max(len(s.edges), len(s.vertices)), budget=10)
     iso_s = gc.isolated_vertices(s)
-    for k in range(len(edges) + 1):
-        for subset in itertools.combinations(edges, k):
-            endpoints = {v for e in subset for v in e}
-            spare = sorted(s.vertices - endpoints - iso_s)
-            for r in range(len(spare) + 1):
-                for extra in itertools.combinations(spare, r):
-                    yield gc.graph(s.n_vertices, subset, endpoints | set(extra) | iso_s)
+    for sub in gc.edge_induced_subgraphs(s):
+        spare = sorted(s.vertices - sub.vertices - iso_s)
+        for r in range(len(spare) + 1):
+            for extra in itertools.combinations(spare, r):
+                yield gc.graph(s.n_vertices, sub.edges, sub.vertices | set(extra) | iso_s)
 
 
 def audit_admissible_supergraph_count(h: LabeledGraph, params: ModelParams,

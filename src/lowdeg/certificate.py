@@ -12,8 +12,9 @@ both.  A row's residual is invariant under vertex permutations (labels
 are i.i.d. uniform and xi is keyed by class), so the system is checked
 once per S_n-orbit of rows: 18 orbits stand for the 1,941 rows at n=6,
 D=4.  The orbits come from closing each edge bitmask under two generators
-of S_n, independently of the canonical labeling that keys xi, and the
-exact reversed advantage is solved on the same orbits.
+of S_n, independently of the canonical labeling that keys xi.  The exact
+reversed advantage is solved on the same orbits, and the leafless classes
+of the dual vector are the leafless orbits of K_m's edge subsets.
 
 The label averages P_of and Q_of behind the recursion and the linear
 system are counted in integers: the per-edge scale takes one value on
@@ -277,20 +278,15 @@ def xi(s: LabeledGraph, params: ModelParams, table: XiTable | None = None):
 def leafless_classes(max_edges: int) -> list[LabeledGraph]:
     """One labeled representative per isomorphism class of nonempty leafless
     graphs with at most max_edges edges (vertex count is then at most the
-    edge count)."""
+    edge count): the leafless orbits of edge_orbits(max_edges, max_edges)."""
     if max_edges > XI_EDGE_BUDGET:
         raise EnumerationBudgetError(f"class enumeration budget is {XI_EDGE_BUDGET} edges",
                                      where="certificate.leafless_classes", requested=max_edges,
                                      budget=XI_EDGE_BUDGET)
-    if max_edges < 3:
-        return []
-    m = max_edges
-    pairs = list(itertools.combinations(range(m), 2))
-    seen: dict[str, LabeledGraph] = {}
-    for mask in _leafless_masks(pairs, range(3, max_edges + 1)):
-        g = gc.graph(m, [e for i, e in enumerate(pairs) if mask >> i & 1])
-        seen.setdefault(gc.canonicalize(g).hex_form, g)
-    return list(seen.values())
+    bit = ms.edge_bits(max_edges)
+    reps = (gc.graph(max_edges, [e for e, b in bit.items() if rep & b])
+            for rep in edge_orbits(max_edges, max_edges) if rep)
+    return [g for g in reps if not gc.leaves(g)]
 
 
 @dataclass

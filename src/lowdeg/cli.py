@@ -61,7 +61,7 @@ def _jsonable(x):
     return x
 
 
-def _emit(payload: dict, out: str | None):
+def _emit(payload: dict, out: str | Path | None):
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
     if out:
@@ -148,10 +148,8 @@ def cmd_sample(args) -> int:
         for name, g in graphs.items():
             path = out_dir / f"trial{trial:04d}_{name}.edges"
             path.write_text(gc.write_edge_list(g), encoding="utf-8")
-        sidecar = {"schema_version": SCHEMA_VERSION, "model": args.model,
-                   "seed": args.seed + trial, "trial": trial, **side}
-        (out_dir / f"trial{trial:04d}_meta.json").write_text(
-            json.dumps(_jsonable(sidecar), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _emit({"model": args.model, "seed": args.seed + trial, "trial": trial, **side},
+              out_dir / f"trial{trial:04d}_meta.json")
     print(f"wrote {args.trials} trial(s) to {out_dir}")
     return 0
 
@@ -205,8 +203,8 @@ def _json_outcome(value):
 def cmd_hidden(args) -> int:
     payload = json.loads(Path(args.base_spec).read_text(encoding="utf-8"))
     outcomes = [_json_outcome(o) for o in payload["outcomes"]]
-    null_w = [Fraction(w) if isinstance(w, str) else w for w in payload["null"]]
-    alt_w = [Fraction(w) if isinstance(w, str) else w for w in payload["alt"]]
+    null_w = [_parse_number(w, exact=True) if isinstance(w, str) else w for w in payload["null"]]
+    alt_w = [_parse_number(w, exact=True) if isinstance(w, str) else w for w in payload["alt"]]
     base_null = ms.DiscreteMeasure(outcomes, null_w)
     base_alt = ms.DiscreteMeasure(outcomes, alt_w)
     problem = adv.build_hidden_sample(base_null, base_alt, args.M)
@@ -260,7 +258,7 @@ def cmd_bounds_audit(args) -> int:
     params = None
     if args.params:
         raw = json.loads(Path(args.params).read_text(encoding="utf-8"))
-        raw = {k: (Fraction(v) if isinstance(v, str) and "/" in v else v) for k, v in raw.items()}
+        raw = {k: (_parse_number(v, exact=True) if isinstance(v, str) else v) for k, v in raw.items()}
         params = ModelParams(**raw)
     slack = bd.DESK_SLACK if args.slack is None else args.slack
     audits = bd.run_suite(args.suite, params, slack=slack)

@@ -493,15 +493,22 @@ def count_embeddings(h: LabeledGraph | CanonicalGraph, s: LabeledGraph) -> int:
     return total
 
 
-def subgraph_classes(s: LabeledGraph, max_edges: int | None = None) -> dict[bytes, CanonicalGraph]:
-    """Canonical classes of edge-induced subgraphs of s (no isolated vertices)."""
-    out: dict[bytes, CanonicalGraph] = {}
+def edge_induced_subgraphs(s: LabeledGraph, max_edges: int | None = None) -> Iterable[LabeledGraph]:
+    """Every edge-induced subgraph of s (no isolated vertices) with at most
+    max_edges edges: by edge count, then in combinations order of sorted(s.edges)."""
     edges = sorted(s.edges)
     cap = len(edges) if max_edges is None else min(max_edges, len(edges))
     for k in range(cap + 1):
         for subset in itertools.combinations(edges, k):
-            cg = canonicalize(graph(s.n_vertices, subset))
-            out.setdefault(cg.canonical_form, cg)
+            yield graph(s.n_vertices, subset)
+
+
+def subgraph_classes(s: LabeledGraph, max_edges: int | None = None) -> dict[bytes, CanonicalGraph]:
+    """Canonical classes of edge-induced subgraphs of s (no isolated vertices)."""
+    out: dict[bytes, CanonicalGraph] = {}
+    for sub in edge_induced_subgraphs(s, max_edges):
+        cg = canonicalize(sub)
+        out.setdefault(cg.canonical_form, cg)
     return out
 
 

@@ -215,15 +215,12 @@ SUBGRAPH_EDGE_BUDGET = 15
 
 
 def _edge_support_subgraphs(h: LabeledGraph) -> Iterable[LabeledGraph]:
-    edges = sorted(h.edges)
-    if len(edges) > SUBGRAPH_EDGE_BUDGET:
+    if len(h.edges) > SUBGRAPH_EDGE_BUDGET:
         raise EnumerationBudgetError(
-            f"{len(edges)} edges exceeds the subgraph budget {SUBGRAPH_EDGE_BUDGET}",
-            where="models._edge_support_subgraphs", requested=len(edges), budget=SUBGRAPH_EDGE_BUDGET,
+            f"{len(h.edges)} edges exceeds the subgraph budget {SUBGRAPH_EDGE_BUDGET}",
+            where="models._edge_support_subgraphs", requested=len(h.edges), budget=SUBGRAPH_EDGE_BUDGET,
         )
-    for k in range(len(edges) + 1):
-        for subset in itertools.combinations(edges, k):
-            yield gc.graph(h.n_vertices, subset)
+    yield from gc.edge_induced_subgraphs(h)
 
 
 def is_admissible_er(h: LabeledGraph, params: ModelParams) -> bool:

@@ -85,6 +85,19 @@ def test_pair_basis_orthonormal_exact():
             assert acc == Rad.of(1 if a == b else 0)
 
 
+def _edge_subgraphs_per_subset(n, max_edges):
+    """The K_n subgraph listing as its own loop over combinations of pairs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return [gc.graph(n, subset) for k in range(min(max_edges, len(pairs)) + 1)
+            for subset in itertools.combinations(pairs, k)]
+
+
+def test_edge_subgraphs_match_per_subset_loop():
+    for n in range(1, 6):
+        for D in range(-1, n * (n - 1) // 2 + 2):
+            assert bs.edge_subgraphs(n, D) == _edge_subgraphs_per_subset(n, D)
+
+
 def _per_edge_oracle(idx, point, params):
     """The per-edge Rad loop evaluate_basis used to run: one multiplication
     and one division by a square-root norm per edge of the index."""

@@ -226,6 +226,43 @@ def test_anchored_census_buckets_match_per_h_census():
         assert got == want, sorted(host.edges)
 
 
+def _anchored_between_per_subset(h, s):
+    """The anchored intermediate graphs as their own loop over extra edges."""
+    extra = sorted(s.edges - h.edges)
+    iso_h = gc.isolated_vertices(h)
+    for k in range(len(extra) + 1):
+        for subset in itertools.combinations(extra, k):
+            edges = h.edges | frozenset(subset)
+            yield gc.graph(s.n_vertices, edges, {v for e in edges for v in e} | iso_h)
+
+
+def _anchored_subgraphs_per_subset(s):
+    """The anchored subgraphs as their own loop over edge and vertex subsets."""
+    edges = sorted(s.edges)
+    iso_s = gc.isolated_vertices(s)
+    for k in range(len(edges) + 1):
+        for subset in itertools.combinations(edges, k):
+            endpoints = {v for e in subset for v in e}
+            spare = sorted(s.vertices - endpoints - iso_s)
+            for r in range(len(spare) + 1):
+                for extra in itertools.combinations(spare, r):
+                    yield gc.graph(s.n_vertices, subset, endpoints | set(extra) | iso_s)
+
+
+def test_anchored_enumerations_match_per_subset_loops():
+    path_tri = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]
+    hosts = [gc.graph(8, path_tri, vertices=range(7)), gc.graph(8, path_tri),
+             gc.graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), gc.empty_graph(4),
+             gc.graph(5, [(0, 1)], vertices=range(5))]
+    for s in hosts:
+        assert list(bd._anchored_subgraphs_of(s)) == list(_anchored_subgraphs_per_subset(s))
+    s = hosts[0]
+    # h may declare isolated vertices, inside and outside the edge support of s
+    for h in (gc.empty_graph(8), gc.graph(8, [(0, 1)]), gc.graph(8, [(0, 1)], vertices=[0, 1, 3, 5]),
+              gc.graph(8, [(0, 1), (1, 2), (0, 2)], vertices=[0, 1, 2, 6]), s):
+        assert list(bd._anchored_between(h, s)) == list(_anchored_between_per_subset(h, s))
+
+
 def test_f_bound_sums_classes_in_canonical_order():
     # the float sum runs over the common classes sorted by canonical form,
     # so the printed rhs does not depend on the interpreter's hash seed

@@ -154,6 +154,18 @@ def test_leafless_classes_match_per_subset_loop():
         assert ct.leafless_classes(m) == _leafless_classes_per_subset(m)
 
 
+def test_leafless_classes_come_from_the_edge_orbits(monkeypatch):
+    want = {m: _leafless_classes_per_subset(m) for m in range(7)}
+
+    def refuse(*args):
+        raise AssertionError("leafless_classes reads the edge orbits only")
+
+    monkeypatch.setattr(gc, "canonicalize", refuse)
+    monkeypatch.setattr(ct, "_leafless_masks", refuse)
+    for m in range(7):
+        assert ct.leafless_classes(m) == want[m]
+
+
 def test_dual_norms():
     pr = params6()
     assert ct.build_dual(pr, 2).norm == 1.0

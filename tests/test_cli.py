@@ -183,6 +183,39 @@ def test_unparsable_probability_is_a_structured_error(capsys):
             assert set(json.loads(err)) == {"error", "schema_version"}
 
 
+def test_hidden_weight_with_zero_denominator_is_a_structured_error(tmp_path, capsys):
+    base_file = tmp_path / "base.json"
+    base_file.write_text(json.dumps({"outcomes": [0, 1], "null": ["1/2", "1/2"],
+                                     "alt": ["1/0", "4/5"]}), encoding="utf-8")
+    code, out, err = run_cli(["hidden", "--M", "2", "--base-spec", str(base_file)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "'1/0' has a zero denominator", "schema_version": 1}
+
+
+def _params_file(tmp_path, **strings):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"n": 10 ** 140, "q": "1/4", "rho": "1/3", "D": 3,
+                                "delta": "1/100", "N": 3, **strings}), encoding="utf-8")
+    return str(path)
+
+
+def test_bounds_audit_param_with_zero_denominator_is_a_structured_error(tmp_path, capsys):
+    code, out, err = run_cli(["bounds-audit", "--suite", "P-sum",
+                              "--params", _params_file(tmp_path, q="1/0")], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "'1/0' has a zero denominator", "schema_version": 1}
+
+
+def test_bounds_audit_params_read_decimal_strings_exactly(tmp_path, capsys):
+    outs = []
+    for strings in ({}, {"q": "0.25", "delta": "0.01"}):
+        code, out, _ = run_cli(["bounds-audit", "--suite", "P-sum",
+                                "--params", _params_file(tmp_path, **strings)], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_dual_check_accepts_float_delta_at_its_cap(capsys):
     code, out, _ = run_cli(["dual-check", "--n", "3", "--k", "3", "--eps", "0.2",
                             "--lambda", "1", "--delta", "0.01", "--D", "3"], capsys)

@@ -318,6 +318,39 @@ def test_count_embeddings():
     assert gc.count_embeddings(pattern, host) == 4
 
 
+def _subgraph_classes_per_subset(s, max_edges=None):
+    """The class census as its own loop over the edge subsets of s by size."""
+    out = {}
+    edges = sorted(s.edges)
+    cap = len(edges) if max_edges is None else min(max_edges, len(edges))
+    for k in range(cap + 1):
+        for subset in itertools.combinations(edges, k):
+            cg = gc.canonicalize(gc.graph(s.n_vertices, subset))
+            out.setdefault(cg.canonical_form, cg)
+    return out
+
+
+def test_edge_induced_subgraphs_by_size_then_combinations_order():
+    host = gc.graph(6, [(2, 3), (0, 1), (1, 2)], vertices=range(6))
+    got = [(sorted(g.edges), sorted(g.vertices)) for g in gc.edge_induced_subgraphs(host)]
+    assert got == [([], []), ([(0, 1)], [0, 1]), ([(1, 2)], [1, 2]), ([(2, 3)], [2, 3]),
+                   ([(0, 1), (1, 2)], [0, 1, 2]), ([(0, 1), (2, 3)], [0, 1, 2, 3]),
+                   ([(1, 2), (2, 3)], [1, 2, 3]), ([(0, 1), (1, 2), (2, 3)], [0, 1, 2, 3])]
+    assert [g.n_edges for g in gc.edge_induced_subgraphs(host, 1)] == [0, 1, 1, 1]
+    assert list(gc.edge_induced_subgraphs(host, -1)) == []
+
+
+def test_subgraph_classes_match_per_subset_loop():
+    rng = random.Random(12)
+    hosts = [gc.graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5)], vertices=range(7)),
+             gc.complete_graph(4), gc.empty_graph(3)]
+    hosts += [random_graph(rng, rng.randint(2, 5), declare_extra=True) for _ in range(8)]
+    for s in hosts:
+        for max_edges in (None, 0, 2, 4):
+            want = _subgraph_classes_per_subset(s, max_edges)
+            assert list(gc.subgraph_classes(s, max_edges).items()) == list(want.items())
+
+
 # -- cycles ---------------------------------------------------------------------
 
 

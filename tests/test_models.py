@@ -209,6 +209,20 @@ def test_event_indicator_and_rate():
     assert md.event_E_indicator(gc.empty_graph(30), pr_sbm, "sbm")
 
 
+def test_edge_support_subgraphs_match_per_subset_loop():
+    hosts = [gc.graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5)], vertices=range(7)),
+             gc.complete_graph(4), gc.empty_graph(3)]
+    for h in hosts:
+        edges = sorted(h.edges)
+        want = [gc.graph(h.n_vertices, subset)
+                for k in range(len(edges) + 1) for subset in itertools.combinations(edges, k)]
+        assert list(md._edge_support_subgraphs(h)) == want
+    # the budget is checked on the first next(), not when the generator is made
+    lazy = md._edge_support_subgraphs(gc.graph(20, [(0, i) for i in range(1, 17)]))
+    with pytest.raises(gc.EnumerationBudgetError):
+        next(lazy)
+
+
 # -- the pruned model --------------------------------------------------------------
 
 
