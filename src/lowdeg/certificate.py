@@ -364,12 +364,21 @@ def edge_orbits(n: int, max_edges: int) -> dict[int, set[int]]:
     max_edges edges: representative mask -> its orbit.  Representatives come
     by size, then in combinations order, so the empty set's orbit {0} is
     first.  Each orbit is the closure of its representative under two
-    generators of S_n, the transposition (0 1) and the cycle (0 1 ... n-1),
-    each a table from an edge's bit position to its image bit; a mask is
-    mapped through its set bits only.  Canonical labeling is not used."""
+    generators of S_n, the transposition (0 1) and the cycle (0 1 ... n-1).
+    A generator maps a mask one byte at a time: the table of each byte, with
+    one entry per subset of the edge bits that byte holds, gives the OR of
+    their images.  Canonical labeling is not used."""
     bit = ms.edge_bits(n)
-    gens = [[bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in bit]
-            for p in ([1, 0, *range(2, n)], [*range(1, n), 0])]
+    gens = []
+    for p in ([1, 0, *range(2, n)], [*range(1, n), 0]):
+        image = [bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in bit]
+        tables = []
+        for start in range(0, len(image), 8):
+            table = [0]
+            for img in image[start:start + 8]:
+                table += [x | img for x in table]
+            tables.append((start, table))
+        gens.append(tables)
     orbits: dict[int, set[int]] = {}
     placed: set[int] = set()
     for size in range(max_edges + 1):
@@ -379,12 +388,10 @@ def edge_orbits(n: int, max_edges: int) -> dict[int, set[int]]:
             orbit, frontier = {mask}, [mask]
             while frontier:
                 src = frontier.pop()
-                for gen in gens:
-                    img, rest = 0, src
-                    while rest:
-                        low = rest & -rest
-                        img |= gen[low.bit_length() - 1]
-                        rest ^= low
+                for tables in gens:
+                    img = 0
+                    for shift, table in tables:
+                        img |= table[src >> shift & 255]
                     if img not in orbit:
                         orbit.add(img)
                         frontier.append(img)
@@ -421,6 +428,10 @@ def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_
     return (Fraction(0) if exact_zero else worst), rows
 
 
+# the sizes reversed_advantage_exact accepts; dual-check reads them too
+REVERSED_ADVANTAGE_ENVELOPE = {"n": 4, "D": 3}
+
+
 def reversed_advantage_exact(params: ModelParams, D: int):
     """Exact reversed advantage sup E_null[f] / sqrt(E_planted[f^2]) over the
     degree-D span, via the planted Gram matrix of the null basis.
@@ -442,15 +453,27 @@ def reversed_advantage_exact(params: ModelParams, D: int):
     one representative rep(A) per orbit read R y = e_0 with
     R[A][B] = sum_{j in B} G[rep(A)][j], and (G^-1)_00 = y_0.  The orbits
     are those of verify_linear_system (edge_orbits), found by generator
-    closure on edge bitmasks, not by canonical labeling.  At n=4, D=3
-    the 42 edge subsets fall into 7 orbits: a 7x7 system from 294 raw
-    entries in place of 42x42 from 903.
+    closure on edge bitmasks, not by canonical labeling.  At n=4, D=3 the
+    42 edge subsets fall into 7 orbits: a 7x7 system in place of 42x42.
 
-    Budget: n <= 4, D <= 3 is the supported envelope.
+    The entries of R are summed in integers.  The second moments are
+    s_in/qs and s_out/qs over one denominator, the mean shifts p - q0 are
+    e_in/qd and e_out/qd over another.  With m = |S_i ∩ S_j| <= D and
+    o = |S_i △ S_j| <= 2D, a label class with i intra edges among the m and
+    j among the o contributes count * sq_terms[m][i] * d_terms[o][j], where
+    sq_terms[m][i] = s_in^i s_out^(m-i) qs^(D-m) and d_terms[o][j] =
+    e_in^j e_out^(o-j) qd^(2D-o) are tabulated once per call.  So every
+    entry of R is one integer over the common denominator k^n qs^D qd^(2D),
+    and one Fraction is formed per entry.
+
+    Budget: REVERSED_ADVANTAGE_ENVELOPE (n <= 4, D <= 3) is the supported
+    envelope.
     """
-    for name, got, cap in (("n", params.n, 4), ("D", D, 3)):
+    for name, got in (("n", params.n), ("D", D)):
+        cap = REVERSED_ADVANTAGE_ENVELOPE[name]
         if got > cap:
-            raise EnumerationBudgetError("exact reversed advantage is limited to n <= 4, D <= 3",
+            limits = ", ".join(f"{key} <= {val}" for key, val in REVERSED_ADVANTAGE_ENVELOPE.items())
+            raise EnumerationBudgetError(f"exact reversed advantage is limited to {limits}",
                                          where=f"reversed_advantage_exact {name}",
                                          requested=got, budget=cap)
     if not bs._exact_inputs(params.lam, params.eps):
@@ -460,23 +483,34 @@ def reversed_advantage_exact(params: ModelParams, D: int):
     q0 = bs.null_edge_prob(params)
     sq_in, sq_out = [p * (1 - q0) ** 2 + (1 - p) * q0 ** 2 for p in (p_in, p_out)]
     d_in, d_out = p_in - q0, p_out - q0
-    classes = ms.label_classes(n, k)
+    qs = math.lcm(sq_in.denominator, sq_out.denominator)
+    qd = math.lcm(d_in.denominator, d_out.denominator)
+    sq_terms = _power_products(int(sq_in * qs), int(sq_out * qs), qs, D)
+    d_terms = _power_products(int(d_in * qd), int(d_out * qd), qd, 2 * D)
+    classes = list(ms.label_classes(n, k).items())
+    denom = k ** n * qs ** D * qd ** (2 * D)
 
-    def raw_entry(both: int, once: int) -> Fraction:
-        total = Fraction(0)
-        for intra, count in classes.items():
-            total += (count * sq_in ** (both & intra).bit_count()
-                      * sq_out ** (both & ~intra).bit_count()
-                      * d_in ** (once & intra).bit_count()
-                      * d_out ** (once & ~intra).bit_count())
-        return total / k ** n
+    def quotient_entry(a: int, orbit: set[int]) -> Fraction:
+        total = 0
+        for b in orbit:
+            both, once = a & b, a ^ b
+            sq_row, d_row = sq_terms[both.bit_count()], d_terms[once.bit_count()]
+            for intra, count in classes:
+                total += count * sq_row[(both & intra).bit_count()] * d_row[(once & intra).bit_count()]
+        return Fraction(total, denom)
 
     orbits = edge_orbits(n, D)
-    quotient = [[sum(raw_entry(a & b, a ^ b) for b in orbit) for orbit in orbits.values()]
-                for a in orbits]
+    quotient = [[quotient_entry(a, orbit) for orbit in orbits.values()] for a in orbits]
     rhs = [Fraction(int(a == 0)) for a in orbits]
     value_sq = solve_exact(quotient, rhs)[0]  # the empty set's orbit {0} comes first
     return AdvantageReport(D, math.sqrt(max(float(value_sq), 0.0)), value_sq, "rayleigh")
+
+
+def _power_products(x: int, y: int, q: int, top: int) -> list[list[int]]:
+    """rows[m][i] = x^i y^(m-i) q^(top-m) for 0 <= i <= m <= top: the
+    product of m factors, i of them x/q and the rest y/q, over q^top."""
+    xs, ys = [x ** i for i in range(top + 1)], [y ** i for i in range(top + 1)]
+    return [[xs[i] * ys[m - i] * q ** (top - m) for i in range(m + 1)] for m in range(top + 1)]
 
 
 def duality_gap(params: ModelParams, D: int) -> tuple:
@@ -484,18 +518,12 @@ def duality_gap(params: ModelParams, D: int) -> tuple:
 
     The dual built on the exact kernel solves the exact linear system, so
     its norm upper-bounds the exact advantage, and a violation raises.
-    When both squares are rationals the sandwich is decided exactly,
-    value_squared <= norm_squared; otherwise the floats are compared with a
-    1e-9 tolerance.
+    The sandwich is decided exactly: norm_squared - value_squared >= 0 by
+    Rad.sign, whether the squared norm is a Fraction (k = 2) or a Rad.
     """
     rep = reversed_advantage_exact(params, D)
     dual = build_dual(params, D, kernel=EXACT_KERNEL)
-    value_sq, norm_sq = rep.value_squared, dual.norm_squared
-    if isinstance(value_sq, Fraction) and isinstance(norm_sq, Fraction):
-        holds = value_sq <= norm_sq
-    else:
-        holds = rep.value <= dual.norm + 1e-9
-    if not holds:
+    if Rad.of(dual.norm_squared - rep.value_squared).sign() < 0:
         raise AssertionError(
             f"duality violated: advantage {rep.value} exceeds dual norm {dual.norm}"
         )

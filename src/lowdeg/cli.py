@@ -242,7 +242,9 @@ def cmd_dual_check(args) -> int:
         "max_residual": float(residual),
         "residual_exactly_zero": isinstance(residual, Fraction) and residual == 0,
     }
-    if params.n <= 4 and args.D <= 3 and params.k == 2 and bs._exact_inputs(params.lam, params.eps):
+    envelope = ct.REVERSED_ADVANTAGE_ENVELOPE
+    in_envelope = params.n <= envelope["n"] and args.D <= envelope["D"]
+    if in_envelope and bs._exact_inputs(params.lam, params.eps):
         exact, dual_norm = ct.duality_gap(params, args.D)  # raises unless the sandwich holds
         payload["reversed_advantage"] = exact
         payload["dual_norm"] = dual_norm

@@ -3,7 +3,8 @@
 A value is stored as a finite sum ``sum_d c_d * sqrt(d)`` with rational
 coefficients ``c_d`` and squarefree positive integer radicands ``d``.
 Square roots of distinct squarefree integers are linearly independent
-over the rationals, so zero tests and equality are exact.  Every
+over the rationals, so zero tests and equality are exact, and the sign
+is decided exactly by bracketing the square roots in integers.  Every
 closed-form quantity in this package (basis normalizations, label
 averages, the dual-vector recursion) lives in such an extension, which
 is what makes the "exactly zero" assertions in the test suite honest.
@@ -104,6 +105,27 @@ class Rad:
         if not self.is_rational():
             raise ValueError(f"{self!r} is irrational")
         return self.terms[1]
+
+    def sign(self) -> int:
+        """-1, 0 or 1, decided exactly.  Zero is the empty sum (the radicals
+        are linearly independent).  Otherwise each sqrt(d) 2^b lies in
+        [r, r + 1] with r = isqrt(d 4^b), and the precision b doubles until
+        the bracket of the scaled sum excludes zero."""
+        if self.is_rational():
+            x = self.as_fraction()
+            return (x > 0) - (x < 0)
+        b = 64
+        while True:
+            lo = hi = Fraction(0)
+            for d, c in self.terms.items():
+                r = math.isqrt(d << 2 * b)
+                ends = (c * r, c * (r + 1))
+                lo, hi = lo + min(ends), hi + max(ends)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            b *= 2
 
     def __float__(self) -> float:
         return float(sum(float(c) * math.sqrt(d) for d, c in self.terms.items()))

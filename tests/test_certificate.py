@@ -322,6 +322,86 @@ def test_reversed_advantage_orbit_quotient_matches_full_gram():
     assert ct.reversed_advantage_exact(null, 3).value_squared == 1
 
 
+def _bit_loop_edge_orbits(n, max_edges):
+    """The S_n-orbits of edge bitmasks by closure under (0 1) and (0 1 ... n-1),
+    each mask mapped one set bit at a time: the body edge_orbits had before
+    it mapped masks by byte tables."""
+    bit = {e: 1 << i for i, e in enumerate(itertools.combinations(range(n), 2))}
+    gens = [[bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in bit]
+            for p in ([1, 0, *range(2, n)], [*range(1, n), 0])]
+    orbits, placed = {}, set()
+    for size in range(max_edges + 1):
+        for mask in map(sum, itertools.combinations(bit.values(), size)):
+            if mask in placed:
+                continue
+            orbit, frontier = {mask}, [mask]
+            while frontier:
+                src = frontier.pop()
+                for gen in gens:
+                    img, rest = 0, src
+                    while rest:
+                        low = rest & -rest
+                        img |= gen[low.bit_length() - 1]
+                        rest ^= low
+                    if img not in orbit:
+                        orbit.add(img)
+                        frontier.append(img)
+            orbits[mask] = orbit
+            placed |= orbit
+    return orbits
+
+
+def test_edge_orbits_match_the_bit_loop_closure():
+    """Same representatives in the same order, and the same orbits; at n=7
+    and n=8 the masks span three and four bytes."""
+    cases = [(n, m) for n in range(2, 7) for m in range(7)] + [(n, m) for n in (7, 8) for m in range(4)]
+    for n, m in cases:
+        assert list(ct.edge_orbits(n, m).items()) == list(_bit_loop_edge_orbits(n, m).items()), (n, m)
+
+
+def _per_class_value_sq(params, D):
+    """(G^-1)_00 on the orbit quotient with each raw Gram entry a sum of
+    Fraction powers over the label classes: the body reversed_advantage_exact
+    had before it summed in integers, on the bit-loop orbits."""
+    from lowdeg.exactnum import solve_exact
+
+    n, k = params.n, params.k
+    p_in, p_out = ms.sbm_block_probs(n, k, params.lam, params.eps)
+    q0 = bs.null_edge_prob(params)
+    sq_in, sq_out = [p * (1 - q0) ** 2 + (1 - p) * q0 ** 2 for p in (p_in, p_out)]
+    d_in, d_out = p_in - q0, p_out - q0
+    classes = ms.label_classes(n, k)
+
+    def raw_entry(both, once):
+        total = F(0)
+        for intra, count in classes.items():
+            total += (count * sq_in ** (both & intra).bit_count()
+                      * sq_out ** (both & ~intra).bit_count()
+                      * d_in ** (once & intra).bit_count()
+                      * d_out ** (once & ~intra).bit_count())
+        return total / k ** n
+
+    orbits = _bit_loop_edge_orbits(n, D)
+    quotient = [[sum(raw_entry(a & b, a ^ b) for b in orbit) for orbit in orbits.values()]
+                for a in orbits]
+    return solve_exact(quotient, [F(int(a == 0)) for a in orbits])[0]
+
+
+def test_reversed_advantage_integer_sums_match_per_class_fractions():
+    """The grid n in {2,3,4}, D in 0..3, four eps, k in {2,3,4}, three
+    lambda: 432 points, of which the 36 with p_in > 1 are not a model."""
+    checked = 0
+    for n, D, eps, k, lam in itertools.product((2, 3, 4), range(4), (F(0), F(1, 5), F(1, 3), F(2, 5)),
+                                               (2, 3, 4), (F(1, 2), F(1), F(3, 2))):
+        if (1 + (k - 1) * eps) * lam > n:
+            continue
+        pr = md.ModelParams(n=n, lam=lam, k=k, eps=eps, delta=F(1, 100))
+        got = ct.reversed_advantage_exact(pr, D).value_squared
+        assert type(got) is F and got == _per_class_value_sq(pr, D), (n, D, eps, k, lam)
+        checked += 1
+    assert checked == 396
+
+
 def test_duality_sandwich_three_communities():
     pr = md.ModelParams(n=4, lam=F(1), k=3, eps=F(2, 5), delta=F(1, 100))
     exact, dual_norm = ct.duality_gap(pr, 3)
@@ -365,6 +445,32 @@ def test_duality_sandwich_is_decided_in_rationals(monkeypatch):
     monkeypatch.setattr(ct, "build_dual", lambda params, D, kernel: ShortDual())
     with pytest.raises(AssertionError, match="duality violated"):
         ct.duality_gap(pr, 3)
+
+
+def test_duality_sandwich_is_decided_exactly_at_three_communities(monkeypatch):
+    """At k=3 the squared dual norm is irrational, and the sandwich is still
+    decided exactly: a dual short of the advantage by sqrt(91) 1e-30, far
+    below float resolution, is refused, and one over it by as much passes."""
+    pr = md.ModelParams(n=4, lam=F(1), k=3, eps=F(2, 5), delta=F(1, 100))
+    value_sq = ct.reversed_advantage_exact(pr, 3).value_squared
+    norm_sq = ct.build_dual(pr, 3, kernel=ct.EXACT_KERNEL).norm_squared
+    assert type(value_sq) is F and isinstance(norm_sq, Rad) and not norm_sq.is_rational()
+    assert (norm_sq - value_sq).sign() == 1
+    exact, dual_norm = ct.duality_gap(pr, 3)
+    assert exact == math.sqrt(float(value_sq)) and dual_norm == math.sqrt(float(norm_sq))
+
+    hair = Rad({91: F(1, 10 ** 30)})
+    for stub_sq, holds in ((value_sq - hair, False), (value_sq + hair, True)):
+        class StubDual:
+            norm_squared = stub_sq
+            norm = math.sqrt(float(stub_sq))
+
+        monkeypatch.setattr(ct, "build_dual", lambda params, D, kernel: StubDual())
+        if holds:
+            assert ct.duality_gap(pr, 3) == (exact, StubDual.norm)
+        else:
+            with pytest.raises(AssertionError, match="duality violated"):
+                ct.duality_gap(pr, 3)
 
 
 def test_magnitude_bound_audits():

@@ -223,6 +223,28 @@ def test_dual_check_accepts_float_delta_at_its_cap(capsys):
     assert json.loads(out)["max_residual"] <= 1e-9
 
 
+DUAL_CHECK_K3 = ["dual-check", "--n", "4", "--k", "3", "--eps", "2/5", "--lambda", "1",
+                 "--delta", "1/100", "--D", "3", "--exact"]
+
+
+def test_dual_check_reports_the_sandwich_at_three_communities(capsys):
+    from fractions import Fraction
+
+    from lowdeg import certificate as ct
+    from lowdeg.params import ModelParams
+
+    code, out, _ = run_cli(DUAL_CHECK_K3, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    pr = ModelParams(n=4, lam=Fraction(1), k=3, eps=Fraction(2, 5), delta=Fraction(1, 100))
+    exact, dual_norm = ct.duality_gap(pr, 3)
+    assert (payload["reversed_advantage"], payload["dual_norm"]) == (exact, dual_norm)
+    assert payload["duality_holds"] is True and 1 < exact <= dual_norm
+    # beyond the reversed advantage's envelope only the linear system is reported
+    code, out, _ = run_cli([*DUAL_CHECK_K3[:-2], "4", "--exact"], capsys)
+    assert code == 0 and "duality_holds" not in json.loads(out)
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "lowdeg.cli", "--version"],
                           capture_output=True, text=True)
@@ -301,6 +323,13 @@ def test_exact_commands_do_not_import_numpy(name, condition, tmp_path):
     proc = run_in_subprocess(readme_command(name, condition), tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "numpy loaded: False" in proc.stderr
+
+
+def test_dual_check_at_three_communities_does_not_import_numpy(tmp_path):
+    proc = run_in_subprocess(DUAL_CHECK_K3, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy loaded: False" in proc.stderr
+    assert json.loads(proc.stdout)["duality_holds"] is True
 
 
 def test_sampling_commands_run_behind_the_import_boundary(tmp_path):

@@ -106,3 +106,20 @@ def test_rational_hash_matches_equal_rational():
         assert hash(Rad.of(x)) == hash(x)
     assert len({Rad.of(1), 1, F(1)}) == 1
     assert hash(Rad.sqrt(2)) == hash(Rad.sqrt(8) / 2)
+
+
+def test_sign_is_exact():
+    assert Rad().sign() == 0 and (Rad.sqrt(8) - 2 * Rad.sqrt(2)).sign() == 0
+    assert Rad.of(F(-1, 3)).sign() == -1 and Rad.of(F(2, 7)).sign() == 1
+    assert (Rad.sqrt(2) + Rad.sqrt(3) - Rad.sqrt(10)).sign() == -1
+    # (3 - 2 sqrt 2)^40 is about 2e-31 but its coefficients are about 2e30:
+    # the float value is noise, and the bracket must be refined past 64 bits
+    tiny = Rad({1: F(3), 2: F(-2)}) ** 40
+    assert abs(float(tiny)) > 1e-20
+    assert tiny.sign() == 1 and (-tiny).sign() == -1
+    assert (tiny - F(1, 10 ** 31)).sign() == 1 and (tiny - F(1, 10 ** 30)).sign() == -1
+    rng = random.Random(5)
+    for _ in range(200):
+        x = Rad({d: F(rng.randint(-50, 50), rng.randint(1, 9)) for d in (1, 2, 3, 5, 91)})
+        want = 0 if x.is_zero() else (1 if float(x) > 0 else -1)
+        assert x.sign() == want, x
