@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -58,6 +61,8 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, frozenset):
         return sorted(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        return None  # strict JSON has no NaN or Infinity
     return x
 
 
@@ -68,6 +73,21 @@ def _emit(payload: dict, out: str | Path | None):
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+
+
+def _json_object(path: str, option: str, required=(), allowed=None) -> dict:
+    """The JSON object in the file at path; a file holding anything else, or
+    lacking a required key or carrying a key outside allowed, is a ValueError."""
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"{option} file must hold a JSON object, not {type(raw).__name__}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ValueError(f"{option} file lacks {', '.join(missing)}")
+    unknown = sorted(set(raw) - set(allowed)) if allowed is not None else []
+    if unknown:
+        raise ValueError(f"{option} file has unknown key(s) {', '.join(unknown)}")
+    return raw
 
 
 def _params_from_args(args, exact: bool) -> ModelParams:
@@ -166,11 +186,10 @@ def cmd_adv(args) -> int:
     params = _params_from_args(args, args.exact)
     D = args.D if args.D is not None else 2
     if args.condition:
-        cond = args.condition.replace(" ", "")
-        if not (cond.startswith("pi(") and "=" in cond):
-            raise SystemExit("--condition must look like 'pi(1)=1'")
-        i = int(cond[3 : cond.index(")")])
-        j = int(cond.split("=")[1])
+        match = re.fullmatch(r"pi\((\d+)\)=(\d+)", args.condition.replace(" ", ""))
+        if not match:
+            args.usage_error("--condition must look like 'pi(1)=1'")
+        i, j = int(match[1]), int(match[2])
         if not (1 <= i <= params.n and 1 <= j <= params.n):
             raise ValueError(f"--condition pi({i})={j} needs 1 <= i, j <= n = {params.n}")
         pair = adv.condition_on_match(_build_alt_measure(args.model, params), i - 1, j - 1)
@@ -201,7 +220,7 @@ def _json_outcome(value):
 
 
 def cmd_hidden(args) -> int:
-    payload = json.loads(Path(args.base_spec).read_text(encoding="utf-8"))
+    payload = _json_object(args.base_spec, "--base-spec", required=("outcomes", "null", "alt"))
     outcomes = [_json_outcome(o) for o in payload["outcomes"]]
     null_w = [_parse_number(w, exact=True) if isinstance(w, str) else w for w in payload["null"]]
     alt_w = [_parse_number(w, exact=True) if isinstance(w, str) else w for w in payload["alt"]]
@@ -259,7 +278,8 @@ def cmd_bounds_audit(args) -> int:
     _check_choice(args, "--suite", args.suite, bd.SUITES)
     params = None
     if args.params:
-        raw = json.loads(Path(args.params).read_text(encoding="utf-8"))
+        raw = _json_object(args.params, "--params", required=("n",),
+                           allowed=[f.name for f in dataclasses.fields(ModelParams)])
         raw = {k: (_parse_number(v, exact=True) if isinstance(v, str) else v) for k, v in raw.items()}
         params = ModelParams(**raw)
     slack = bd.DESK_SLACK if args.slack is None else args.slack
@@ -400,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="product-basis",
                    choices=["product-basis", "gram-schmidt", "rayleigh"])
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_adv)
+    p.set_defaults(fn=cmd_adv, usage_error=p.error)
 
     p = sub.add_parser("hidden", help="hidden-informative-sample advantage")
     p.add_argument("--M", type=int, required=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 CANONICAL_VERTEX_BUDGET = 16
 _SEARCH_NODE_BUDGET = 2_000_000
@@ -173,12 +173,18 @@ def graph_union(s: LabeledGraph, t: LabeledGraph) -> LabeledGraph:
     return graph(s.n_vertices, s.edges | t.edges, s.vertices | t.vertices)
 
 
-def connected_components(g: LabeledGraph) -> list[frozenset[int]]:
-    """Components of the declared support, isolated vertices as singletons."""
+def _adjacency(g: LabeledGraph) -> dict[int, set[int]]:
+    """Neighbour sets, keyed by every declared vertex of g."""
     adj: dict[int, set[int]] = {v: set() for v in g.vertices}
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
+    return adj
+
+
+def connected_components(g: LabeledGraph) -> list[frozenset[int]]:
+    """Components of the declared support, isolated vertices as singletons."""
+    adj = _adjacency(g)
     seen: set[int] = set()
     comps = []
     for v in sorted(g.vertices):
@@ -545,97 +551,22 @@ class PathCycleDecomposition:
         return sorted(out)
 
 
-class _EdgePool:
-    """Mutable view of the not-yet-covered edges during decomposition."""
-
-    def __init__(self, edges: Iterable[tuple[int, int]]):
-        self.adj: dict[int, set[int]] = {}
-        self.count = 0
-        for u, v in edges:
-            self.adj.setdefault(u, set()).add(v)
-            self.adj.setdefault(v, set()).add(u)
-            self.count += 1
-
-    def remove(self, u: int, v: int):
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
-        self.count -= 1
-
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(self.adj.get(v, ()))
-
-    def degree(self, v: int) -> int:
-        return len(self.adj.get(v, ()))
-
-    def component_of(self, v: int) -> set[int]:
-        comp, stack = set(), [v]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(self.adj.get(x, ()))
-        return comp
-
-    def components(self) -> list[set[int]]:
-        seen: set[int] = set()
-        comps = []
-        for v in sorted(self.adj):
-            if v not in seen and self.adj[v]:
-                comp = self.component_of(v)
-                seen |= comp
-                comps.append(comp)
-        return comps
-
-    def find_cycle(self, comp: set[int]) -> list[int]:
-        """Some simple cycle inside comp (every vertex there has degree >= 2).
-
-        Walks without immediate backtracking until a vertex repeats; with
-        minimum degree two the walk can never get stuck.
-        """
-        start = min(comp)
-        walk = [start]
-        first_seen = {start: 0}
-        while True:
-            x = walk[-1]
-            prev = walk[-2] if len(walk) >= 2 else None
-            nxt = None
-            for y in self.neighbors(x):
-                if y != prev:
-                    nxt = y
-                    break
-            if nxt is None:
-                raise AssertionError("walk stuck in a min-degree-2 component")
-            if nxt in first_seen:
-                return walk[first_seen[nxt]:]
-            first_seen[nxt] = len(walk)
-            walk.append(nxt)
-
-
-def _walk_ear(pool: _EdgePool, anchors: set[int], start: int) -> tuple[list[int], Optional[list[int]]]:
-    """Walk from an anchor through fresh vertices until another anchor or a
-    repeat.  Returns (walk, cycle_part); cycle_part is set when the walk bit
-    its own tail, in which case walk is the stem up to the bite vertex."""
+def _walk(pool: dict[int, set[int]], start: int, stops) -> list[int]:
+    """Walk from start, always along the smallest remaining edge, removing
+    each edge taken.  Ends at the first vertex that is in stops or already on
+    the walk, and returns the walk including that vertex."""
     walk = [start]
-    on_walk = {start}
     while True:
         x = walk[-1]
-        nxt = None
-        for y in pool.neighbors(x):
-            if len(walk) >= 2 and y == walk[-2]:
-                continue  # never reuse the entry edge; fresh vertices have degree >= 2
-            nxt = y
-            break
-        if nxt is None:
-            raise AssertionError("walk stuck at a fresh vertex")
-        if nxt in anchors:
-            walk.append(nxt)
-            return walk, None
-        if nxt in on_walk:
-            i = walk.index(nxt)
-            return walk[: i + 1], walk[i:] + [nxt]
-        walk.append(nxt)
-        on_walk.add(nxt)
+        if not pool[x]:
+            raise AssertionError(f"walk stuck at vertex {x}")
+        y = min(pool[x])
+        pool[x].remove(y)
+        pool[y].remove(x)
+        done = y in stops or y in walk
+        walk.append(y)
+        if done:
+            return walk
 
 
 def decompose_difference(s: LabeledGraph, h: LabeledGraph, variant: str = "A2") -> PathCycleDecomposition:
@@ -650,7 +581,9 @@ def decompose_difference(s: LabeledGraph, h: LabeledGraph, variant: str = "A2") 
     pairwise meet only in endpoints, and the path count is at most five
     times the A2 count.
 
-    Determinism: ties are always broken toward the smallest vertex.
+    Both variants cut their pieces with one walk over the remaining edges
+    (`_walk`).  Determinism: ties are always broken toward the smallest
+    vertex.
     """
     if variant not in ("A2", "A3"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -666,66 +599,40 @@ def decompose_difference(s: LabeledGraph, h: LabeledGraph, variant: str = "A2") 
 
     if variant == "A3":
         # independent cycles of s away from V(h) come out first
-        carved = []
-        for c in cycle_components(s):
-            if not (support(c) & h.vertices):
-                carved.append(c)
-        pool = _EdgePool(rest - frozenset(e for c in carved for e in c.edges))
+        carved = [c for c in cycle_components(s) if not (support(c) & h.vertices)]
+        pool = _adjacency(graph(n, rest - frozenset(e for c in carved for e in c.edges)))
         out.cycles.extend(sorted(carved, key=lambda c: sorted(c.edges)))
         for c in out.cycles:
             anchors |= support(c)
         # remaining pieces: maximal threads between branch/anchor vertices
-        branch = {v for v in pool.adj if pool.degree(v) != 2}
-        stops = anchors | branch
+        stops = anchors | {v for v, ys in pool.items() if len(ys) != 2}
         for t in sorted(stops):
-            while pool.degree(t) > 0:
-                path = [t]
-                while True:
-                    x = path[-1]
-                    ys = [y for y in pool.neighbors(x)]
-                    y = ys[0]
-                    pool.remove(x, y)
-                    path.append(y)
-                    if y in stops:
-                        break
+            while pool.get(t):
+                path = _walk(pool, t, stops)
                 out.paths.append(graph(n, zip(path, path[1:])))
                 out.endpoints.append((path[0], path[-1]))
-        if pool.count:
+        if any(pool.values()):
             raise AssertionError("threads left edges uncovered")
         return out
 
-    # variant A2
-    pool = _EdgePool(rest)
-    while pool.count:
-        comps = pool.components()
-        comp = None
-        for c in comps:
-            if c & anchors:
-                comp = c
-                break
-        if comp is None:
-            # anchor-free component: carve a cycle to seed it
-            comp = comps[0]
-            cyc = pool.find_cycle(comp)
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                pool.remove(a, b)
-            cg = graph(n, zip(cyc, cyc[1:] + cyc[:1]))
-            out.cycles.append(cg)
-            anchors |= set(cyc)
-            continue
-        start = min(v for v in comp if v in anchors and pool.degree(v) > 0)
-        walk, cycle_part = _walk_ear(pool, anchors, start)
-        if cycle_part is not None:
-            # lollipop: carve the all-fresh cycle; the stem becomes an ear later
-            for a, b in zip(cycle_part, cycle_part[1:]):
-                pool.remove(a, b)
-            out.cycles.append(graph(n, zip(cycle_part, cycle_part[1:])))
-            anchors |= set(cycle_part)
-            continue
-        for a, b in zip(walk, walk[1:]):
-            pool.remove(a, b)
-        out.paths.append(graph(n, zip(walk, walk[1:])))
-        out.endpoints.append((walk[0], walk[-1]))
+    # variant A2: ears from the smallest anchor; with no anchor left on the
+    # remaining edges, a walk from the smallest vertex seeds a cycle
+    pool = _adjacency(graph(n, rest))
+    while any(pool.values()):
+        start = min([v for v in anchors if pool.get(v)] or [v for v, ys in pool.items() if ys])
+        walk = _walk(pool, start, anchors)
+        if walk[-1] not in anchors:
+            # the walk bit its own tail at a fresh vertex: the loop becomes a
+            # cycle and the stem goes back to the pool
+            i = walk.index(walk[-1])
+            for a, b in zip(walk[:i], walk[1 : i + 1]):
+                pool[a].add(b)
+                pool[b].add(a)
+            walk = walk[i:]
+            out.cycles.append(graph(n, zip(walk, walk[1:])))
+        else:
+            out.paths.append(graph(n, zip(walk, walk[1:])))
+            out.endpoints.append((walk[0], walk[-1]))
         anchors |= set(walk)
     return out
 

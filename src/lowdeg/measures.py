@@ -202,18 +202,15 @@ def label_classes(n: int, k: int) -> dict[int, int]:
     Keys are bitmasks over edge_bits(n) of the edges (u, v) with
     sigma[u] == sigma[v].  Each set partition of [n] (a restricted growth
     string) into b blocks is one key and stands for k (k-1) ... (k-b+1)
-    labelings, so the cost does not grow with k.
+    labelings, so the cost does not grow with k.  Only strings with at
+    most k blocks are grown: the others stand for no labeling.
     """
     bits = edge_bits(n)
     strings = [()]
     for _ in range(n):
-        strings = [rg + (b,) for rg in strings for b in range(max(rg, default=-1) + 2)]
-    counts = {}
-    for rg in strings:
-        count = math.perm(k, max(rg, default=-1) + 1)
-        if count:
-            counts[sum(b for (u, v), b in bits.items() if rg[u] == rg[v])] = count
-    return counts
+        strings = [rg + (b,) for rg in strings for b in range(min(max(rg, default=-1) + 2, k))]
+    return {sum(b for (u, v), b in bits.items() if rg[u] == rg[v]): math.perm(k, max(rg, default=-1) + 1)
+            for rg in strings}
 
 
 def sbm_joint_measure(n: int, k: int, lam, eps) -> DiscreteMeasure:

@@ -273,7 +273,7 @@ def _bad_connected_pieces(g: LabeledGraph, params: ModelParams, max_vertices: in
     lv, le = _log_phi_factors(params) if mode == "er" else _log_upsilon_factors(params)
     if le > 0 and lv >= 0:
         return {}  # every piece pays a positive potential: nothing to enumerate
-    adj = _adjacency(g)
+    adj = gc._adjacency(g)
     pieces: dict[frozenset[int], float] = {}
     for current in _grow_connected_sets(adj, sorted(g.vertices), max_vertices, 200_000,
                                         "connected-subgraph search budget exceeded",
@@ -424,14 +424,6 @@ def _listed_removal_targets(g: LabeledGraph, params: ModelParams) -> list[tuple[
     return sorted(targets)
 
 
-def _adjacency(g: LabeledGraph) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def _grow_connected_sets(adj: dict[int, set[int]], roots: list[int], max_size: int,
                          budget: int, message: str, where: str) -> list[frozenset[int]]:
     """Every connected vertex set of at most max_size vertices whose least
@@ -458,7 +450,7 @@ def _grow_connected_sets(adj: dict[int, set[int]], roots: list[int], max_size: i
 
 
 def _connected_vertex_sets(g: LabeledGraph, max_size: int):
-    adj = _adjacency(g)
+    adj = gc._adjacency(g)
     sets = _grow_connected_sets(adj, [v for v in sorted(g.vertices) if adj[v]], max_size, 100_000,
                                 "connected vertex-set budget exceeded", "models._connected_vertex_sets")
     return sorted(sets, key=sorted)

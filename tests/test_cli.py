@@ -216,6 +216,58 @@ def test_bounds_audit_params_read_decimal_strings_exactly(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+
+def test_malformed_condition_is_a_usage_error(capsys):
+    for cond in ("x", "pi(x)=1", "pi(1)=1=3", "pi(1)junk=1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["adv", "--model", "corr-er", "--n", "3", "--q", "1/3", "--rho", "1/2",
+                      "--exact", "--condition", cond])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.rstrip().endswith("error: --condition must look like 'pi(1)=1'")
+
+
+def _raw_params_file(tmp_path, payload):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def test_bounds_audit_params_with_an_unknown_key_is_a_structured_error(tmp_path, capsys):
+    code, out, err = run_cli(["bounds-audit", "--suite", "P-sum", "--params",
+                              _raw_params_file(tmp_path, {"n": 10, "q": "1/4", "bogus": 1})], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "--params file has unknown key(s) bogus", "schema_version": 1}
+
+
+def test_bounds_audit_params_not_an_object_is_a_structured_error(tmp_path, capsys):
+    code, out, err = run_cli(["bounds-audit", "--suite", "P-sum", "--params",
+                              _raw_params_file(tmp_path, [10, "1/4"])], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "--params file must hold a JSON object, not list",
+                               "schema_version": 1}
+
+
+def test_hidden_base_spec_without_alt_is_a_structured_error(tmp_path, capsys):
+    base_file = tmp_path / "base.json"
+    base_file.write_text(json.dumps({"outcomes": [0, 1], "null": ["1/2", "1/2"]}), encoding="utf-8")
+    code, out, err = run_cli(["hidden", "--M", "2", "--base-spec", str(base_file)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "--base-spec file lacks alt", "schema_version": 1}
+
+
+def test_otter_output_is_strict_json(capsys):
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    code, out, _ = run_cli(["otter", "--max-n", "1"], capsys)
+    assert code == 0
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["estimate"] is None and payload["raw_ratio"] is None
+    assert payload["counts"] == [1] and payload["converged"] is False
+
+
 def test_dual_check_accepts_float_delta_at_its_cap(capsys):
     code, out, _ = run_cli(["dual-check", "--n", "3", "--k", "3", "--eps", "0.2",
                             "--lambda", "1", "--delta", "0.01", "--D", "3"], capsys)

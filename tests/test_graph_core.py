@@ -482,6 +482,95 @@ def test_decompose_deterministic():
     assert [sorted(c.edges) for c in a.cycles] == [sorted(c.edges) for c in b.cycles]
 
 
+
+def _threads_oracle(s, h):
+    """The A3 thread loop on a plain neighbour dict, written apart from
+    decompose_difference: carve the independent cycles away from V(h), then
+    from each stop (anchor or vertex of remaining degree other than 2) in
+    sorted order follow the smallest remaining edge until the next stop."""
+    carved = sorted((c for c in gc.cycle_components(s) if not (gc.support(c) & h.vertices)),
+                    key=lambda c: sorted(c.edges))
+    adj: dict = {}
+    for u, v in s.edges - h.edges - frozenset(e for c in carved for e in c.edges):
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    stops = set(h.vertices) | set(gc.leaves(s)) | {v for c in carved for v in gc.support(c)}
+    stops |= {v for v, ys in adj.items() if len(ys) != 2}
+    paths = []
+    for t in sorted(stops):
+        while adj.get(t):
+            path = [t]
+            while len(path) == 1 or path[-1] not in stops:
+                x = path[-1]
+                y = sorted(adj[x])[0]
+                adj[x].discard(y)
+                adj[y].discard(x)
+                path.append(y)
+            paths.append(path)
+    assert not any(adj.values())
+    return ([sorted(c.edges) for c in carved],
+            [sorted(gc.graph(s.n_vertices, zip(p, p[1:])).edges) for p in paths],
+            [(p[0], p[-1]) for p in paths])
+
+
+def _random_pair(rng, n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+    h_edges = rng.sample(edges, rng.randint(0, len(edges))) if edges else []
+    return gc.graph(n, edges), gc.graph(n, h_edges)
+
+
+def test_a3_threads_match_the_thread_loop_oracle():
+    rng = random.Random(23)
+    for _ in range(600):
+        s, h = _random_pair(rng, rng.randint(3, 9))
+        d = gc.decompose_difference(s, h, "A3")
+        got = ([sorted(c.edges) for c in d.cycles], [sorted(p.edges) for p in d.paths], d.endpoints)
+        assert got == _threads_oracle(s, h)
+
+
+def test_a2_lollipop_and_dumbbell_fixtures():
+    empty = gc.empty_graph(7)
+    # a triangle on 2, 3, 4 hung on the stem 0-1-2 from the leaf 0: the
+    # walk from 0 bites its tail at 2, so the triangle is a cycle and the
+    # stem comes back as the one ear
+    lollipop = gc.graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)])
+    # triangles on 0, 1, 2 and 4, 5, 6 joined by the path 2-3-4: no anchor,
+    # so the first cycle is seeded from vertex 0
+    dumbbell = gc.graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+    for s, cycles, paths, endpoints in (
+        (lollipop, [[(2, 3), (2, 4), (3, 4)]], [[(0, 1), (1, 2)]], [(0, 2)]),
+        (dumbbell, [[(0, 1), (0, 2), (1, 2)], [(4, 5), (4, 6), (5, 6)]], [[(2, 3), (3, 4)]], [(2, 4)]),
+    ):
+        d = gc.decompose_difference(s, empty, "A2")
+        assert [sorted(c.edges) for c in d.cycles] == cycles
+        assert [sorted(p.edges) for p in d.paths] == paths
+        assert d.endpoints == endpoints
+        assert d.t == a2_count(s, empty) == 1
+        assert d.reassembled_edges() == sorted(s.edges)
+        _a2_properties(s, empty, d)
+
+
+def test_decompose_random_properties_on_larger_graphs():
+    rng = random.Random(29)
+    for n in range(9, 13):
+        for _ in range(60):
+            s, h = _random_pair(rng, n)
+            d2 = gc.decompose_difference(s, h, "A2")
+            assert d2.reassembled_edges() == sorted(s.edges - h.edges)
+            assert d2.t == a2_count(s, h)
+            _a2_properties(s, h, d2)
+            d3 = gc.decompose_difference(s, h, "A3")
+            assert d3.reassembled_edges() == sorted(s.edges - h.edges)
+            assert d3.t <= 5 * a2_count(s, h)
+            _a3_properties(s, h, d3)
+
+
+def test_walk_with_no_edge_left_is_an_assertion():
+    with pytest.raises(AssertionError):
+        gc._walk({0: set(), 1: set()}, 0, set())
+
+
 # -- rooted trees ------------------------------------------------------------------
 
 

@@ -295,3 +295,17 @@ def test_er_and_sbm_measures_match_per_edge_loops():
     for k in (2, 3):
         for lam, eps in ((F(3, 2), F(2, 5)), (1.5, 0.4)):
             assert _atoms(ms.sbm_joint_measure(3, k, lam, eps)) == _per_edge_sbm(3, k, lam, eps)
+
+
+def test_label_classes_match_enumeration_of_labelings():
+    """Oracle: group every sigma in [k]^n by its equal-label edge mask."""
+    for n in range(1, 6):
+        bits = ms.edge_bits(n)
+        for k in range(1, 5):
+            brute: dict = {}
+            for sigma in itertools.product(range(k), repeat=n):
+                mask = sum(b for (u, v), b in bits.items() if sigma[u] == sigma[v])
+                brute[mask] = brute.get(mask, 0) + 1
+            classes = ms.label_classes(n, k)
+            assert classes == brute
+            assert sum(classes.values()) == k ** n
