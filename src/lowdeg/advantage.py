@@ -6,7 +6,8 @@ orthogonalization over an explicit feature map (exact on small supports,
 float otherwise), and a generalized Rayleigh-quotient route through the
 feature Gram matrix.  On top of these sit the conditional advantage for
 matching-joint measures and the hidden-informative-sample construction,
-which dilutes a base testing problem across M independent coordinates.
+which dilutes a base testing problem across M independent coordinates:
+its squared advantage is exactly 1 + (Adv^2(base) - 1)/M at every D >= 1.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from . import basis as bs
 from . import graph_core as gc
 from .measures import DiscreteMeasure
 from .params import ModelParams
+
+EXACT_GRAM_CUTOFF = 1 << 18  # exact by default while len(null) * len(features) is at most this
 
 
 @dataclass
@@ -130,7 +133,7 @@ def advantage_gram_schmidt(p: DiscreteMeasure, q: DiscreteMeasure,
     """
     values, degree = _feature_values(q, features, D)
     if exact is None:
-        exact = q.exact and p.exact and len(q) * len(values) <= 1 << 18
+        exact = q.exact and p.exact and len(q) * len(values) <= EXACT_GRAM_CUTOFF
     _lower, pivots, reduced = _ldl(*_null_gram(p, q, values, exact), exact)
     per_index = {i: r * r / d for i, (d, r) in enumerate(zip(pivots, reduced)) if i and d}
     total = (Fraction(1) if exact else 1.0) + sum(per_index.values())
@@ -324,39 +327,21 @@ def hidden_likelihood_ratio(problem: HiddenSampleProblem, outcome: tuple):
 
 
 def hidden_sample_advantage(problem: HiddenSampleProblem, D: int) -> AdvantageReport:
-    """Advantage of the composite problem, computed directly.
+    """Advantage of the composite problem by its 1/M law.
 
-    The base one-hot features are orthogonalized under the base null by
-    the Gram kernel (_null_gram, _ldl), and its coefficients evaluate the
-    base directions atom by atom; the composite basis consists of
-    coordinatewise products with at most D nonconstant factors, and the
-    squared advantage sums the squared composite-alternative means.  Exact
-    in rational mode.
+    A composite direction is a product of null-orthonormal base directions
+    over its slots.  Under the component with base_alt in slot kappa its
+    mean factors by slot and every other slot has null mean 0, so only
+    single-slot products carry mean (E_alt[e]/M): for every D >= 1 the
+    squared advantage is 1 + (Adv^2(base) - 1)/M, the base taken over its
+    degree-one features by the Gram kernel (exact when both measures are).
+    per_index is keyed like the base report's: contribution / M, summed
+    over the M slots.
     """
-    null = problem.base_null
-    exact = null.exact and problem.base_alt.exact
-    values, _ = _feature_values(null, None, 1)
-    lower, pivots, _ = _ldl(*_null_gram(problem.base_alt, null, values, exact), exact)
-    directions: list[list] = []  # e_i = f_i - sum_k lower[i][k] e_k at each null atom
-    for f_row, l_row in zip(values, lower):
-        directions.append([f - sum(c * e[a] for c, e in zip(l_row, directions))
-                           for a, f in enumerate(f_row)])
-    # products use only the nonconstant directions the null does not discard
-    kept = [i for i in range(1, len(values)) if pivots[i]]
-    atom_value = [dict(zip(null.outcomes, directions[i])) for i in kept]
-    norms = [pivots[i] for i in kept]
-    alt = problem.composite_alt()
-    M = problem.M
-    total = Fraction(1) if exact else 1.0
-    per_index = {}
-    for size in range(1, min(D, M) + 1):
-        for slots in itertools.combinations(range(M), size):
-            for assign in itertools.product(range(len(kept)), repeat=size):
-                mean = alt.expectation(
-                    lambda y, s=slots, a=assign: math.prod(atom_value[ai][y[si]] for si, ai in zip(s, a))
-                )
-                norm = math.prod(norms[ai] for ai in assign)
-                contrib = mean * mean / norm
-                total = total + contrib
-                per_index[(slots, assign)] = contrib
-    return AdvantageReport(D, _to_float_sq(total), total, "product_basis", per_index)
+    if D < 1:
+        raise ValueError("D must be at least 1")
+    exact = problem.base_null.exact and problem.base_alt.exact
+    base = advantage_gram_schmidt(problem.base_alt, problem.base_null, D=1, exact=exact)
+    per_index = {i: c / problem.M for i, c in base.per_index.items()}
+    vsq = 1 + (base.value_squared - 1) / problem.M
+    return AdvantageReport(D, _to_float_sq(vsq), vsq, "hidden_sample_law", per_index)

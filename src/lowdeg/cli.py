@@ -90,6 +90,15 @@ def _json_object(path: str, option: str, required=(), allowed=None) -> dict:
     return raw
 
 
+def _json_number(value, where: str):
+    """A JSON number, or a string read exactly as a rational; else a ValueError naming where."""
+    if isinstance(value, str):
+        return _parse_number(value, exact=True)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{where} {json.dumps(value)} is not a number or a rational string")
+
+
 def _params_from_args(args, exact: bool) -> ModelParams:
     kw = dict(n=args.n)
     for name in ("p", "q", "s", "rho", "eps", "delta"):
@@ -199,8 +208,10 @@ def cmd_adv(args) -> int:
         rep = adv.advantage_product_basis(pair, params, D, kind="pair")
     else:
         qm = ms.er_pair_measure(params.n, bs.pair_edge_prob(params))
-        fn = adv.advantage_gram_schmidt if args.method == "gram-schmidt" else adv.advantage_rayleigh
-        rep = fn(pair, qm, D=D)
+        if args.method == "gram-schmidt":  # --exact is exact past the kernel's size cutoff
+            rep = adv.advantage_gram_schmidt(pair, qm, D=D, exact=args.exact or None)
+        else:
+            rep = adv.advantage_rayleigh(pair, qm, D=D)
     _emit({
         "command": "adv", "model": args.model, "degree": rep.degree,
         "method": rep.method, "value": rep.value, "value_squared": rep.value_squared,
@@ -221,9 +232,12 @@ def _json_outcome(value):
 
 def cmd_hidden(args) -> int:
     payload = _json_object(args.base_spec, "--base-spec", required=("outcomes", "null", "alt"))
+    for key in ("outcomes", "null", "alt"):
+        if not isinstance(payload[key], list):
+            raise ValueError(f"--base-spec {key} {json.dumps(payload[key])} is not a JSON array")
     outcomes = [_json_outcome(o) for o in payload["outcomes"]]
-    null_w = [_parse_number(w, exact=True) if isinstance(w, str) else w for w in payload["null"]]
-    alt_w = [_parse_number(w, exact=True) if isinstance(w, str) else w for w in payload["alt"]]
+    null_w, alt_w = ([_json_number(w, f"--base-spec {f} weight") for w in payload[f]]
+                     for f in ("null", "alt"))
     base_null = ms.DiscreteMeasure(outcomes, null_w)
     base_alt = ms.DiscreteMeasure(outcomes, alt_w)
     problem = adv.build_hidden_sample(base_null, base_alt, args.M)
@@ -280,7 +294,7 @@ def cmd_bounds_audit(args) -> int:
     if args.params:
         raw = _json_object(args.params, "--params", required=("n",),
                            allowed=[f.name for f in dataclasses.fields(ModelParams)])
-        raw = {k: (_parse_number(v, exact=True) if isinstance(v, str) else v) for k, v in raw.items()}
+        raw = {k: _json_number(v, f"--params {k}") for k, v in raw.items()}
         params = ModelParams(**raw)
     slack = bd.DESK_SLACK if args.slack is None else args.slack
     audits = bd.run_suite(args.suite, params, slack=slack)

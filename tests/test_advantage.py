@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -256,6 +258,66 @@ def test_hidden_rejects_undefined_ratio():
     p = ms.DiscreteMeasure(["x", "y"], [F(1, 2), F(1, 2)])
     with pytest.raises(ValueError):
         adv.build_hidden_sample(q, p, 2)
+
+
+def slot_product_features(base_null, M, D):
+    """Oracle features of the degree-D composite: the constant, then every
+    product over distinct slots of the base's nonconstant degree-one
+    features, with at most D factors.  They span what the products of the
+    base's orthogonalized directions span."""
+    base = [fn for _, fn in adv.default_features(base_null, 1)[1:]]
+    feats = [(0, lambda y: 1)]
+    for size in range(1, min(D, M) + 1):
+        for slots in itertools.combinations(range(M), size):
+            for fns in itertools.product(base, repeat=size):
+                feats.append((size, lambda y, s=slots, f=fns: math.prod(
+                    fn(y[i]) for i, fn in zip(s, f))))
+    return feats
+
+
+def hidden_oracle(problem, D, exact=None):
+    """The composite Gram-Schmidt advantage over slot_product_features."""
+    features = slot_product_features(problem.base_null, problem.M, D)
+    return adv.advantage_gram_schmidt(problem.composite_alt(), problem.composite_null(),
+                                      features, exact=exact).value_squared
+
+
+def test_hidden_law_matches_slot_product_oracle():
+    q = ms.DiscreteMeasure(["a", "b", "c"], [F(1, 3), F(1, 2), F(1, 6)])
+    p = ms.DiscreteMeasure(["a", "b", "c"], [F(1, 4), F(1, 4), F(1, 2)])
+    chi2 = p.chi_square(q)
+    for M in (1, 2, 3, 4):
+        problem = adv.build_hidden_sample(q, p, M)
+        for D in (1, 2, 3):
+            rep = adv.hidden_sample_advantage(problem, D)
+            assert rep.value_squared == hidden_oracle(problem, D) == 1 + chi2 / M
+            assert rep.method == "hidden_sample_law" and rep.degree == D
+            assert sum(rep.per_index.values()) == chi2 / M
+        with pytest.raises(ValueError, match="D must be at least 1"):
+            adv.hidden_sample_advantage(problem, 0)
+    # float weights take the float kernel on both sides
+    qf = ms.DiscreteMeasure(["a", "b", "c"], [0.5, 0.3, 0.2])
+    pf = ms.DiscreteMeasure(["a", "b", "c"], [0.1, 0.6, 0.3])
+    problem = adv.build_hidden_sample(qf, pf, 3)
+    rep = adv.hidden_sample_advantage(problem, 2)
+    assert type(rep.value_squared) is float
+    assert abs(rep.value_squared - hidden_oracle(problem, 2)) < 1e-12
+    assert abs(rep.value_squared - (1 + pf.chi_square(qf) / 3)) < 1e-12
+
+
+def test_hidden_law_on_a_graph_base():
+    # an n=3 graph base whose degree-one features are the edge indicators:
+    # the law dilutes the degree-one base advantage, not the chi-square
+    q = ms.er_graph_measure(3, F(1, 3))
+    planted = ms.DiscreteMeasure([frozenset({(0, 1)}), frozenset({(0, 1), (1, 2)})],
+                                 [F(1, 2), F(1, 2)])
+    p = ms.DiscreteMeasure.mixture([ms.er_graph_measure(3, F(1, 4)), planted], [F(1, 2)] * 2)
+    base = adv.advantage_gram_schmidt(p, q, D=1).value_squared
+    assert base < 1 + p.chi_square(q)
+    problem = adv.build_hidden_sample(q, p, 2)
+    for D in (1, 2, 3):
+        rep = adv.hidden_sample_advantage(problem, D)
+        assert rep.value_squared == hidden_oracle(problem, D) == 1 + (base - 1) / 2
 
 
 def test_conditional_pair_moment_matches_evaluate_basis():

@@ -4,6 +4,7 @@ import random
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -249,12 +250,82 @@ def test_bounds_audit_params_not_an_object_is_a_structured_error(tmp_path, capsy
                                "schema_version": 1}
 
 
+def test_bounds_audit_param_not_a_number_is_a_structured_error(tmp_path, capsys):
+    code, out, err = run_cli(["bounds-audit", "--suite", "P-sum", "--params",
+                              _raw_params_file(tmp_path, {"n": 10, "q": [1], "rho": "1/3"})], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "--params q [1] is not a number or a rational string",
+                               "schema_version": 1}
+
+
 def test_hidden_base_spec_without_alt_is_a_structured_error(tmp_path, capsys):
     base_file = tmp_path / "base.json"
     base_file.write_text(json.dumps({"outcomes": [0, 1], "null": ["1/2", "1/2"]}), encoding="utf-8")
     code, out, err = run_cli(["hidden", "--M", "2", "--base-spec", str(base_file)], capsys)
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "--base-spec file lacks alt", "schema_version": 1}
+
+
+THREE_OUTCOME_BASE = {"outcomes": ["a", "b", "c"], "null": ["1/3", "1/2", "1/6"],
+                      "alt": ["1/4", "1/4", "1/2"]}
+
+
+def _base_spec(tmp_path, **fields):
+    base_file = tmp_path / "base.json"
+    base_file.write_text(json.dumps({**THREE_OUTCOME_BASE, **fields}), encoding="utf-8")
+    return str(base_file)
+
+
+def test_hidden_at_many_slots_is_the_diluted_chi_square(tmp_path, capsys):
+    code, out, _ = run_cli(["hidden", "--M", "64", "--D", "8", "--base-spec",
+                            _base_spec(tmp_path)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    chi2 = Fraction(13, 16)  # 1/48 + 1/8 + 2/3
+    assert payload["base_value_squared"]["numerator"] == 29
+    composite = payload["composite_value_squared"]
+    assert Fraction(composite["numerator"], composite["denominator"]) == 1 + chi2 / 64
+    assert payload["identity_residual"] == 0.0
+
+
+def test_hidden_degree_below_one_is_a_structured_error(tmp_path, capsys):
+    for degree in ("0", "-3"):
+        code, out, err = run_cli(["hidden", "--M", "4", "--D", degree, "--base-spec",
+                                  _base_spec(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "D must be at least 1", "schema_version": 1}
+
+
+def test_hidden_base_spec_outcomes_not_an_array_is_a_structured_error(tmp_path, capsys):
+    code, out, err = run_cli(["hidden", "--M", "2", "--base-spec",
+                              _base_spec(tmp_path, outcomes=5)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "--base-spec outcomes 5 is not a JSON array",
+                               "schema_version": 1}
+
+
+def test_hidden_base_spec_weight_not_a_number_is_a_structured_error(tmp_path, capsys):
+    code, out, err = run_cli(["hidden", "--M", "2", "--base-spec",
+                              _base_spec(tmp_path, null=[None, "1/2", "1/2"])], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "--base-spec null weight null is not a number or a "
+                                        "rational string", "schema_version": 1}
+
+
+def test_adv_exact_gram_schmidt_stays_exact_past_the_size_cutoff(capsys, monkeypatch):
+    # a cutoff of one feature value puts this n=3 call past it, as 4,096
+    # atoms times 79 features put the n=4 call past the real cutoff
+    from lowdeg import advantage as adv
+
+    monkeypatch.setattr(adv, "EXACT_GRAM_CUTOFF", 1)
+    argv = ["adv", "--model", "corr-er", "--n", "3", "--q", "1/3", "--rho", "1/2", "--D", "2",
+            "--exact", "--condition", "pi(1)=1"]
+    code, out, _ = run_cli([*argv, "--method", "gram-schmidt"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert all(isinstance(v, dict) for v in payload["per_class_contributions"].values())
+    code, out, _ = run_cli(argv, capsys)  # the product-basis route
+    assert payload["value_squared"] == json.loads(out)["value_squared"]
 
 
 def test_otter_output_is_strict_json(capsys):
