@@ -21,7 +21,7 @@ from typing import Callable
 
 from . import basis as bs
 from . import graph_core as gc
-from .measures import DiscreteMeasure
+from .measures import ENUMERATION_BUDGET, DiscreteMeasure
 from .params import ModelParams
 
 EXACT_GRAM_CUTOFF = 1 << 18  # exact by default while len(null) * len(features) is at most this
@@ -87,36 +87,38 @@ def _index_key(idx: bs.BasisIndex):
 # -- generic feature maps ---------------------------------------------------------
 
 
+def _edge_coordinates(measure: DiscreteMeasure):
+    """(coords, pair): the sorted edge coordinates default_features grades,
+    tagged (side, edge) when pair is True (graph-pair atoms); None for
+    abstract atoms."""
+    atom = measure.outcomes[0]
+    if isinstance(atom, frozenset):
+        return sorted({e for x in measure.outcomes for e in x}), False
+    if isinstance(atom, tuple) and len(atom) == 2 and isinstance(atom[0], frozenset):
+        return [(side, e) for side in (0, 1)
+                for e in sorted({e for x in measure.outcomes for e in x[side]})], True
+    return None
+
+
 def default_features(measure: DiscreteMeasure, D: int) -> list[tuple[int, Callable]]:
     """Degree-graded feature map for the atoms of a measure.
 
     Graph and graph-pair atoms get edge-indicator monomials up to degree D;
     abstract atoms get one-hot indicators (degree one each).
     """
-    atom = measure.outcomes[0]
-    if isinstance(atom, frozenset):
-        pairs = sorted({e for x in measure.outcomes for e in x})
-        feats: list[tuple[int, Callable]] = [(0, lambda x: 1)]
-        for k in range(1, D + 1):
-            for combo in itertools.combinations(pairs, k):
+    feats: list[tuple[int, Callable]] = [(0, lambda x: 1)]
+    coords = _edge_coordinates(measure)
+    if coords is None:  # abstract atoms: indicators of all but the first support point
+        for pt in list(measure.outcomes)[1:]:
+            feats.append((1, lambda x, p=pt: int(x == p)))
+        return feats
+    coords, pair = coords
+    for k in range(1, D + 1):
+        for combo in itertools.combinations(coords, k):
+            if pair:
+                feats.append((k, lambda x, c=combo: int(all(e in x[side] for side, e in c))))
+            else:
                 feats.append((k, lambda x, c=combo: int(all(e in x for e in c))))
-        return feats
-    if isinstance(atom, tuple) and len(atom) == 2 and isinstance(atom[0], frozenset):
-        pa = sorted({e for x in measure.outcomes for e in x[0]})
-        pb = sorted({e for x in measure.outcomes for e in x[1]})
-        tagged = [(0, e) for e in pa] + [(1, e) for e in pb]
-        feats = [(0, lambda x: 1)]
-        for k in range(1, D + 1):
-            for combo in itertools.combinations(tagged, k):
-                def fn(x, c=combo):
-                    return int(all(e in x[side] for side, e in c))
-                feats.append((k, fn))
-        return feats
-    # abstract atoms: indicators of all but the first support point
-    support = list(measure.outcomes)
-    feats = [(0, lambda x: 1)]
-    for pt in support[1:]:
-        feats.append((1, lambda x, p=pt: int(x == p)))
     return feats
 
 
@@ -131,41 +133,48 @@ def advantage_gram_schmidt(p: DiscreteMeasure, q: DiscreteMeasure,
     the null are discarded after checking the alternative does not charge
     them (otherwise the advantage is infinite and a ValueError is raised).
     """
-    values, degree = _feature_values(q, features, D)
+    feats, degree = _features(q, features, D)
     if exact is None:
-        exact = q.exact and p.exact and len(q) * len(values) <= EXACT_GRAM_CUTOFF
-    _lower, pivots, reduced = _ldl(*_null_gram(p, q, values, exact), exact)
+        exact = q.exact and p.exact and len(q) * len(feats) <= EXACT_GRAM_CUTOFF
+    gram_inputs = _null_gram(p, q, feats, exact, monomial_degree=D if features is None else None)
+    _lower, pivots, reduced = _ldl(*gram_inputs, exact)
     per_index = {i: r * r / d for i, (d, r) in enumerate(zip(pivots, reduced)) if i and d}
     total = (Fraction(1) if exact else 1.0) + sum(per_index.values())
     return AdvantageReport(degree, _to_float_sq(total), total, "gram_schmidt", per_index)
 
 
-def _feature_values(q: DiscreteMeasure, features, D) -> tuple[list[list], int]:
-    """Each feature (default_features(q, D) if none are given) evaluated
-    once per null atom, and the degree of the report."""
+def _features(q: DiscreteMeasure, features, D) -> tuple[list, int]:
+    """The feature list (default_features(q, D) if none is given) and the
+    degree of the report."""
     if features is None:
         if D is None:
             raise ValueError("need features or D")
         features = default_features(q, D)
-    degree = D if D is not None else max(d for d, _ in features)
-    return [[fn(x) for x in q.outcomes] for _, fn in features], degree
+    return features, D if D is not None else max(d for d, _ in features)
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators of exact values over their least common denominator."""
-    fracs = [v if isinstance(v, int) else Fraction(v) for v in values]
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in fracs))
     return [v.numerator * (den // v.denominator) for v in fracs], den
 
 
-def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, values: list[list], exact: bool):
+def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list, exact: bool,
+               monomial_degree: int | None = None):
     """The null Gram matrix G_ij = E_Q[f_i f_j] and the alternative means
-    c_i = E_P[f_i] as nested lists, from values[i][a] = f_i(q.outcomes[a]).
-    P's weights are carried onto the null atoms, so an alternative that
-    charges an atom outside the null support is rejected.  Exact mode sums
-    Python-integer numerators over each measure's common denominator (and
-    the feature values'), once per pair j <= i of the symmetric G; float
-    mode is one numpy product."""
+    c_i = E_P[f_i] as nested lists.  P's weights are carried onto the null
+    atoms, so an alternative that charges an atom outside the null support
+    is rejected.
+
+    When the features are default_features(q, monomial_degree) on graph or
+    graph-pair atoms, f_i is the indicator that x holds the coordinate set
+    S_i, so exact mode reads G_ij = M_Q(S_i | S_j) and c_i = M_P(S_i) off
+    one superset-sum table per measure (_superset_sums), if its 2^N entries
+    fit ENUMERATION_BUDGET.  Otherwise each feature is evaluated once per
+    null atom: exact mode sums Python-integer numerators over each measure's
+    common denominator (and the feature values'), once per pair j <= i of
+    the symmetric G; float mode is one numpy product."""
     at = {x: a for a, x in enumerate(q.outcomes)}
     pw = [0] * len(q)
     for x, w in p:
@@ -174,6 +183,10 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, values: list[list], exact
             if a is None or not q.weights[a]:
                 raise ValueError("alternative charges atoms outside the null support")
             pw[a] += w
+    coords = _edge_coordinates(q) if exact and monomial_degree is not None else None
+    if coords is not None and 1 << len(coords[0]) <= ENUMERATION_BUDGET:
+        return _monomial_gram(q, pw, *coords, monomial_degree)
+    values = [[fn(x) for x in q.outcomes] for _, fn in features]
     if not exact:
         import numpy as np
 
@@ -191,6 +204,40 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, values: list[list], exact
     return gram, [Fraction(sum(map(operator.mul, row, wp)), den_p * s) for row in f]
 
 
+def _monomial_gram(q: DiscreteMeasure, pw: list, coords: list, pair: bool, D: int):
+    """_null_gram of default_features(q, D) from superset-sum tables over
+    the atoms' bitmasks on coords; monomial i is the mask of its coordinate
+    set, in default_features' order."""
+    bit = {c: 1 << t for t, c in enumerate(coords)}
+    if pair:
+        masks = [sum(bit[0, e] for e in a) + sum(bit[1, e] for e in b) for a, b in q.outcomes]
+    else:
+        masks = [sum(map(bit.__getitem__, x)) for x in q.outcomes]
+    (wq, den_q), (wp, den_p) = _over_common_denominator(q.weights), _over_common_denominator(pw)
+    mq, mp = (_superset_sums(masks, w, len(coords)) for w in (wq, wp))
+    mono = [sum(1 << t for t in c) for k in range(D + 1)
+            for c in itertools.combinations(range(len(coords)), k)]
+    gram = [[None] * len(mono) for _ in mono]
+    for i, a in enumerate(mono):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = Fraction(mq[a | mono[j]], den_q)
+    return gram, [Fraction(mp[a], den_p) for a in mono]
+
+
+def _superset_sums(masks: list[int], weights: list[int], bits: int) -> list[int]:
+    """M(T) = sum of weights[a] over the masks[a] that contain T, for every
+    T below 2^bits, by Yates' zeta transform (bits * 2^(bits-1) additions)."""
+    table = [0] * (1 << bits)
+    for m, w in zip(masks, weights):
+        table[m] += w
+    for t in range(bits):
+        b = 1 << t
+        for m in range(1 << bits):
+            if m & b:
+                table[m ^ b] += table[m]
+    return table
+
+
 def _ldl(gram: list[list], means: list, exact: bool):
     """Orthogonalize features from their null Gram matrix by one
     unnormalized LDL^T pass.
@@ -202,9 +249,11 @@ def _ldl(gram: list[list], means: list, exact: bool):
     null: it is stored as 0 and no later feature is projected on it; if the
     alternative charges it (by more than 1e-8 in float) the advantage is
     infinite and ValueError is raised.  In exact arithmetic these are the
-    values of Gram-Schmidt run on the feature columns.
+    values of Gram-Schmidt run on the feature columns, computed in integers
+    by _ldl_fraction_free.
     """
-    pivot_tol, mean_tol = (0, 0) if exact else (1e-10, 1e-8)
+    if exact:
+        return _ldl_fraction_free(gram, means)
     lower: list[list] = []
     pivots, reduced = [], []
     for i, g_row in enumerate(gram):
@@ -214,13 +263,51 @@ def _ldl(gram: list[list], means: list, exact: bool):
         l_row = [t / d if d else 0 for t, d in zip(scaled, pivots)]
         pivot = g_row[i] - sum(map(operator.mul, scaled, l_row))
         mean = means[i] - sum(map(operator.mul, l_row, reduced))
-        if pivot <= pivot_tol * g_row[i]:
-            if abs(mean) > mean_tol:
+        if pivot <= 1e-10 * g_row[i]:
+            if abs(mean) > 1e-8:
                 raise ValueError("null direction with nonzero alternative mean: advantage infinite")
             pivot = 0
         lower.append(l_row)
         pivots.append(pivot)
         reduced.append(mean)
+    return lower, pivots, reduced
+
+
+def _ldl_fraction_free(gram: list[list], means: list):
+    """Exact _ldl by Bareiss' fraction-free elimination.
+
+    G's lower triangle and the means c become integers a_ij and a_ic over
+    their common denominators.  Eliminating kept pivot k from a later row i
+    sets a_ij <- (a_kk a_ij - a_ik a_jk) / a_prev (j in k+1..i, and j = c),
+    a_prev the previous kept pivot (1 at first): by Sylvester's identity
+    each entry stays a bordered minor, so the division is exact, and
+    a_kk / a_prev is the Schur pivot.  A pivot at or below 0 is skipped;
+    for a PSD Gram matrix its Schur row is all zero.
+    """
+    size = len(gram)
+    nums, den_g = _over_common_denominator([g for i, row in enumerate(gram) for g in row[:i + 1]])
+    rows = [nums[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(size)]
+    col, den_c = _over_common_denominator(means)
+    lower = [[0] * i for i in range(size)]
+    pivots, reduced = [], []
+    prev = 1
+    for k, row in enumerate(rows):
+        piv, ck = row[k], col[k]
+        if piv <= 0:
+            if ck:
+                raise ValueError("null direction with nonzero alternative mean: advantage infinite")
+            pivots.append(0)
+            reduced.append(Fraction(0))
+            continue
+        pivots.append(Fraction(piv, prev * den_g))
+        reduced.append(Fraction(ck, prev * den_c))
+        column = [r[k] for r in rows[k + 1:]]
+        for i in range(k + 1, size):
+            r, a = rows[i], rows[i][k]
+            lower[i][k] = Fraction(a, piv)
+            r[k + 1:] = [(piv * x - a * y) // prev for x, y in zip(r[k + 1:], column)]
+            col[i] = (piv * col[i] - a * ck) // prev
+        prev = piv
     return lower, pivots, reduced
 
 
@@ -232,8 +319,8 @@ def advantage_rayleigh(p: DiscreteMeasure, q: DiscreteMeasure,
     cross-check of the LDL^T kernel that shares only the Gram builder)."""
     import numpy as np
 
-    values, degree = _feature_values(q, features, D)
-    gram, c = (np.array(m) for m in _null_gram(p, q, values, exact=False))
+    feats, degree = _features(q, features, D)
+    gram, c = (np.array(m) for m in _null_gram(p, q, feats, exact=False))
     sol, *_ = np.linalg.lstsq(gram, c, rcond=1e-12)
     if not np.allclose(gram @ sol, c, atol=1e-8):
         raise ValueError("alternative mean outside the null feature range: advantage infinite")

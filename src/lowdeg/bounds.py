@@ -339,7 +339,9 @@ def default_pair_fixtures(n: int = 4) -> list[tuple[LabeledGraph, LabeledGraph]]
     return [(edge, edge), (edge, tri), (tri, tri), (path, c4)]
 
 
-SUITES = ("A1", "A4", "A5", "B1", "B3", "P-sum")
+# Each suite and the parameters it reads besides n.
+SUITES = {"A1": (), "A4": ("D", "N", "k", "lam"), "A5": ("D", "N"),
+          "B1": ("p", "q", "s", "rho", "D"), "B3": ("D", "delta"), "P-sum": ("D", "delta")}
 
 
 def suite_default_params(name: str) -> ModelParams:
@@ -366,8 +368,14 @@ def suite_default_params(name: str) -> ModelParams:
 
 def run_suite(name: str, params: ModelParams | None = None, slack: float = DESK_SLACK) -> list[BoundAudit]:
     """Run one named audit suite; deterministic instance order."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
     if params is None:
         params = suite_default_params(name)
+    missing = [f for f in SUITES[name] if getattr(params, f) is None]
+    if missing:
+        raise ValueError(f"suite {name} reads {', '.join(('n',) + SUITES[name])}; "
+                         f"the parameters lack {', '.join(missing)}")
     audits: list[BoundAudit] = []
     if name == "A1":
         for s in bs.edge_subgraphs(min(params.n, 5), 4):
@@ -405,6 +413,4 @@ def run_suite(name: str, params: ModelParams | None = None, slack: float = DESK_
         two_tri = gc.graph(params.n, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         audits.append(audit_P_sum(two_tri, gc.empty_graph(params.n), params, slack))
         audits.append(audit_P_sum(two_tri, gc.graph(params.n, [(0, 1), (1, 2), (0, 2)]), params, slack))
-    else:
-        raise ValueError(f"unknown suite {name!r}")
     return audits

@@ -192,6 +192,8 @@ def _build_alt_measure(model: str, params: ModelParams):
 
 
 def cmd_adv(args) -> int:
+    if args.exact and args.method == "rayleigh":
+        args.usage_error("--method rayleigh is a float route; it cannot be --exact")
     params = _params_from_args(args, args.exact)
     D = args.D if args.D is not None else 2
     if args.condition:

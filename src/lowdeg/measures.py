@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -149,17 +150,21 @@ class DiscreteMeasure:
 def _checked_total(weights: list) -> tuple:
     """(sum, exact) of a weight list, rejecting a negative weight.  Exact
     weights (ints and Fractions) are sign-tested on their numerators and
-    summed as numerators grouped by denominator; the sum's type is sum()'s."""
+    summed as numerators grouped by denominator, once per distinct weight
+    object times its multiplicity (atoms of one weight class share their
+    immutable weight); the sum's type is sum()'s."""
     kinds = set(map(type, weights))
     if not all(issubclass(k, (Fraction, int)) for k in kinds):
         if any(w < 0 for w in weights):
             raise ValueError("negative weight")
         return sum(weights), False
+    distinct = dict(zip(map(id, weights), weights))
     by_den: dict[int, int] = {}
-    for w in weights:
+    for key, count in Counter(map(id, weights)).items():
+        w = distinct[key]
         if w.numerator < 0:
             raise ValueError("negative weight")
-        by_den[w.denominator] = by_den.get(w.denominator, 0) + w.numerator
+        by_den[w.denominator] = by_den.get(w.denominator, 0) + w.numerator * count
     total = sum(Fraction(n, d) for d, n in by_den.items())
     return (total if any(issubclass(k, Fraction) for k in kinds) else int(total)), True
 
@@ -243,8 +248,10 @@ def _child_subsampling_joint(n: int, s, parents: list, keep_parent: bool) -> Dis
     edge probability) partitioning edge_bits(n).  Given pi and the
     component every edge is independent, so an atom's weight is a product
     of per-edge factors -- p s^2 on A∩B, p s (1-s) on A△B, p (1-s)^2 on the
-    rest of the parent G, and 1-p off it -- and is cached by the count of
-    each class's edges in each state.
+    rest of the parent G, and 1-p off it -- summed over the components.  It
+    depends only on the count of edges in each state within each class
+    mask, so it is computed once per such key and every atom of a key
+    shares one weight object.
     Without keep_parent the atoms are (pi, A, pi(B)), G is summed out, and
     the last two factors merge into 1 - p + p (1-s)^2.  With keep_parent the
     atoms are (pi, G, A, pi(B)) with A, B subsets of G.
@@ -259,31 +266,37 @@ def _child_subsampling_joint(n: int, s, parents: list, keep_parent: bool) -> Dis
             triples.extend((g, a, b) for a in subs for b in subs)
     else:
         triples = [(a | b, a, b) for a in range(len(sets)) for b in range(len(sets))]
-    weights = [0] * len(triples)
+    masks = list(dict.fromkeys(mask for _coef, classes in parents for mask, _p in classes))
+    components = []
     for coef, classes in parents:
         factors = []
         for mask, p in classes:
             off = 1 - p if keep_parent else 1 - p + p * (1 - s) * (1 - s)
-            factors.append((mask, (p * s * s, p * s * (1 - s), p * (1 - s) * (1 - s), off)))
-        cache: dict = {}
-        for t, (g, a, b) in enumerate(triples):
-            states = (a & b, a ^ b, g & ~(a | b), full & ~g)
-            counts = tuple(tuple((st & mask).bit_count() for st in states) for mask, _ in factors)
-            w = cache.get(counts)
-            if w is None:
-                w = coef / len(perms)
-                for (_mask, fs), cs in zip(factors, counts):
-                    for f, c in zip(fs, cs):
-                        w = w * f ** c
-                cache[counts] = w
-            weights[t] = weights[t] + w
+            at = 4 * masks.index(mask)
+            factors.append((at, (p * s * s, p * s * (1 - s), p * (1 - s) * (1 - s), off)))
+        components.append((coef / len(perms), factors))
+    cache: dict = {}
+    weights = []
+    for g, a, b in triples:
+        states = (a & b, a ^ b, g & ~(a | b), full & ~g)
+        key = tuple((st & mask).bit_count() for mask in masks for st in states)
+        w = cache.get(key)
+        if w is None:
+            w = 0
+            for term, factors in components:
+                for at, fs in factors:
+                    for f, c in zip(fs, key[at:at + 4]):
+                        term = term * f ** c
+                w = w + term
+            cache[key] = w
+        weights.append(w)
+    g_index, a_index, b_index = zip(*triples)
+    lead = [[sets[g] for g in g_index]] if keep_parent else []
+    lead.append([sets[a] for a in a_index])
     outs = []
     for pi in perms:
         image = [frozenset(_norm_edge(pi[u], pi[v]) for u, v in es) for es in sets]
-        if keep_parent:
-            outs.extend((pi, sets[g], sets[a], image[b]) for g, a, b in triples)
-        else:
-            outs.extend((pi, sets[a], image[b]) for _g, a, b in triples)
+        outs.extend(zip(itertools.repeat(pi), *lead, map(image.__getitem__, b_index)))
     return DiscreteMeasure(outs, weights * len(perms))
 
 

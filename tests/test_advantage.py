@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -455,3 +456,146 @@ def test_gram_kernel_float_pivot_tolerance():
     assert pivots[1] == 0 and lower[2] == [0.0, 0]
     kept = [[1.0, 1.0], [1.0, 1.0 + 1e-9]]
     assert adv._ldl(kept, [1.0, 1.0], exact=False)[1][1] > 0
+
+
+# -- the fraction-free LDL^T and the superset-sum table ---------------------------------
+
+
+def fraction_ldl(gram, means):
+    """Oracle: the unnormalized LDL^T pass in Fractions, as the exact kernel
+    ran it before it worked in integers."""
+    lower, pivots, reduced = [], [], []
+    for i, g_row in enumerate(gram):
+        scaled = []  # scaled[k] = lower[i][k] * pivots[k]
+        for k in range(i):
+            scaled.append(g_row[k] - sum(a * b for a, b in zip(scaled, lower[k])))
+        l_row = [t / d if d else 0 for t, d in zip(scaled, pivots)]
+        pivot = g_row[i] - sum(a * b for a, b in zip(scaled, l_row))
+        mean = means[i] - sum(a * b for a, b in zip(l_row, reduced))
+        if pivot <= 0:
+            if mean != 0:
+                raise ValueError("null direction with nonzero alternative mean: advantage infinite")
+            pivot = 0
+        lower.append(l_row)
+        pivots.append(pivot)
+        reduced.append(mean)
+    return lower, pivots, reduced
+
+
+def random_gram(rng, n_atoms, n_feats):
+    """G = E_Q[f_i f_j] and c = E_P[f_i] for random integer features over
+    atoms with random rational weights.  Some null weights are 0 (features
+    living there vanish under the null), some features repeat or combine
+    earlier ones, and P charges the null support only, so the kernel must
+    discard directions without raising."""
+    wq = [F(rng.randint(0, 3), rng.randint(1, 9)) for _ in range(n_atoms)]
+    wq[0] = wq[0] or F(1, 7)
+    wp = [F(rng.randint(1, 5), rng.randint(1, 9)) if w else F(0) for w in wq]
+    feats = []
+    for _ in range(n_feats):
+        roll = rng.random()
+        if feats and roll < 0.2:
+            feats.append(feats[rng.randrange(len(feats))][:])
+        elif len(feats) > 1 and roll < 0.35:
+            a, b = rng.sample(feats, 2)
+            k = F(rng.randint(-3, 3), rng.randint(1, 4))
+            feats.append([x + k * y for x, y in zip(a, b)])
+        elif roll < 0.45:  # supported where the null has no mass
+            feats.append([rng.randint(-2, 2) if not w else 0 for w in wq])
+        else:
+            feats.append([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n_atoms)])
+    gram = [[sum(w * x * y for w, x, y in zip(wq, fi, fj)) for fj in feats] for fi in feats]
+    means = [sum(w * x for w, x in zip(wp, fi)) for fi in feats]
+    return gram, means, feats, wq
+
+
+def test_fraction_free_ldl_matches_fraction_loop_on_random_psd_grams():
+    rng = random.Random(20241)
+    discarded = raised = 0
+    for _ in range(60):
+        gram, means, feats, wq = random_gram(rng, rng.randint(2, 9), rng.randint(1, 12))
+        want = fraction_ldl(gram, means)
+        assert adv._ldl(gram, means, exact=True) == want
+        discarded += want[1].count(0)
+        # the alternative also charging the atoms without null mass
+        bad = [m + F(sum(x for x, w in zip(fi, wq) if not w), 5) for m, fi in zip(means, feats)]
+        try:
+            want = fraction_ldl(gram, bad)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError, match="advantage infinite"):
+                adv._ldl(gram, bad, exact=True)
+        else:
+            assert adv._ldl(gram, bad, exact=True) == want
+    assert discarded > 20 and raised > 10  # both discard cases were exercised
+
+
+def n4_conditioned():
+    _, joint, _, null = corr_er_setup(n=4, q=F(1, 4), rho=F(7, 20), D=2)
+    return adv.condition_on_match(joint, 0, 0), null
+
+
+def test_fraction_free_ldl_matches_fraction_loop_on_advantage_kernels():
+    _, _, pair, null = corr_er_setup()
+    cases = [(pair, null, D) for D in (1, 2, 3)] + [(*n4_conditioned(), 2)]
+    for p, q, D in cases:
+        gram, means = adv._null_gram(p, q, adv.default_features(q, D), True, monomial_degree=D)
+        lower, pivots, reduced = adv._ldl(gram, means, exact=True)
+        assert (lower, pivots, reduced) == fraction_ldl(gram, means)
+        assert all(type(v) is F for v in pivots + reduced if v)
+    assert 1 + sum(r * r / d for d, r in zip(pivots[1:], reduced[1:]) if d) == F(249, 200)
+
+
+def test_superset_sum_table_matches_the_values_path():
+    _, joint, pair, null = corr_er_setup()
+    graph_null = ms.er_graph_measure(3, F(1, 3))
+    graph_alt = joint.map(lambda x: x[2])  # the relabeled child: again edge-q
+    tilted = ms.DiscreteMeasure(graph_null.outcomes, [w * (1 + len(x)) for x, w in graph_null],
+                                normalize=True)
+    cases = [(graph_alt, graph_null, D) for D in (1, 2, 3)] + [(tilted, graph_null, 2)]
+    cases += [(pair, null, D) for D in (1, 2, 3)] + [(*n4_conditioned(), 2)]
+    # a null and an alternative that are not symmetric in the two graphs
+    lopsided = ms.er_graph_measure(3, F(1, 3)).product(ms.er_graph_measure(3, F(1, 4)))
+    cases.append((pair, lopsided, 2))
+    cases.append((ms.DiscreteMeasure(lopsided.outcomes, [w * (1 + 2 * len(a) + len(b)) for (a, b), w
+                                                         in lopsided], normalize=True), lopsided, 3))
+    for p, q, D in cases:
+        feats = adv.default_features(q, D)
+        table = adv._null_gram(p, q, feats, True, monomial_degree=D)
+        assert table == adv._null_gram(p, q, feats, True)
+
+
+def test_custom_features_and_abstract_atoms_skip_the_table(monkeypatch):
+    calls = []
+    table = adv._monomial_gram
+
+    def spy(*args):
+        calls.append(args[-1])
+        return table(*args)
+
+    _, _, pair, null = corr_er_setup()
+    linear_want = adv.advantage_gram_schmidt(pair, null, D=1, exact=True).value_squared
+    monkeypatch.setattr(adv, "_monomial_gram", spy)
+    default = adv.advantage_gram_schmidt(pair, null, D=2, exact=True)
+    assert calls == [2]
+    custom = adv.advantage_gram_schmidt(pair, null, adv.default_features(null, 2), exact=True)
+    assert calls == [2] and custom.value_squared == default.value_squared
+    linear = adv.advantage_gram_schmidt(pair, null, adv.default_features(null, 1), D=2, exact=True)
+    assert calls == [2] and linear.value_squared == linear_want
+    adv.advantage_gram_schmidt(pair, null, D=2, exact=False)  # float mode evaluates features
+    monkeypatch.setattr(adv, "ENUMERATION_BUDGET", (1 << 6) - 1)  # below the 2^6 masks of n=3 pairs
+    assert adv.advantage_gram_schmidt(pair, null, D=2, exact=True) == default
+    base = ms.DiscreteMeasure(["a", "b"], [F(1, 2), F(1, 2)])
+    adv.advantage_gram_schmidt(base, base, D=1, exact=True)
+    assert calls == [2]
+
+
+def test_table_path_rejects_alternative_outside_null_support():
+    _, _, pair, null = corr_er_setup()
+    restricted = null.condition(lambda x: (0, 1) not in x[0])
+    with pytest.raises(ValueError, match="outside the null support"):
+        adv.advantage_gram_schmidt(pair, restricted, D=2, exact=True)
+    zeroed = ms.DiscreteMeasure(null.outcomes, [w if (0, 1) not in x[0] else 0 * w for x, w in null],
+                                normalize=True)
+    with pytest.raises(ValueError, match="outside the null support"):
+        adv.advantage_gram_schmidt(pair, zeroed, D=2, exact=True)

@@ -250,6 +250,30 @@ def test_bounds_audit_params_not_an_object_is_a_structured_error(tmp_path, capsy
                                "schema_version": 1}
 
 
+def test_bounds_audit_params_without_a_suite_field_is_a_structured_error(tmp_path, capsys):
+    code, out, err = run_cli(["bounds-audit", "--suite", "P-sum", "--params",
+                              _raw_params_file(tmp_path, {"n": 10})], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "suite P-sum reads n, D, delta; the parameters lack D, delta",
+                               "schema_version": 1}
+    code, out, err = run_cli(["bounds-audit", "--suite", "B1", "--params",
+                              _raw_params_file(tmp_path, {"n": 3, "q": "1/4", "D": 2})], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == ("suite B1 reads n, p, q, s, rho, D; "
+                                        "the parameters lack p, s, rho")
+
+
+def test_exact_rayleigh_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["adv", "--model", "corr-er", "--n", "3", "--q", "1/3", "--rho", "1/2",
+                  "--D", "2", "--exact", "--method", "rayleigh"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: lowdeg adv")
+    assert "error: --method rayleigh is a float route; it cannot be --exact" in out.err
+
+
 def test_bounds_audit_param_not_a_number_is_a_structured_error(tmp_path, capsys):
     code, out, err = run_cli(["bounds-audit", "--suite", "P-sum", "--params",
                               _raw_params_file(tmp_path, {"n": 10, "q": [1], "rho": "1/3"})], capsys)
@@ -437,13 +461,20 @@ def readme_command(name, condition=False):
                 if shlex.split(c)[1] == name and ("--condition" in c) == condition)
 
 
+# Exact commands probed besides the README's: the exact Gram-Schmidt route
+# (its superset-sum table and fraction-free LDL^T).
+EXACT_COMMANDS = {"adv-gram-schmidt": ["adv", "--model", "corr-er", "--n", "3", "--q", "1/3",
+                                       "--rho", "1/2", "--D", "3", "--exact",
+                                       "--method", "gram-schmidt"]}
+
+
 @pytest.mark.parametrize("name,condition", [
     ("adv", False), ("adv", True), ("hidden", False), ("xi", False), ("dual-check", False),
-    ("otter", False), ("verify", False)])
+    ("otter", False), ("verify", False), ("adv-gram-schmidt", False)])
 def test_exact_commands_do_not_import_numpy(name, condition, tmp_path):
     (tmp_path / "base.json").write_text(json.dumps(
         {"outcomes": [0, 1], "null": ["1/2", "1/2"], "alt": ["1/5", "4/5"]}), encoding="utf-8")
-    proc = run_in_subprocess(readme_command(name, condition), tmp_path)
+    proc = run_in_subprocess(EXACT_COMMANDS.get(name) or readme_command(name, condition), tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "numpy loaded: False" in proc.stderr
 

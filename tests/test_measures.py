@@ -309,3 +309,76 @@ def test_label_classes_match_enumeration_of_labelings():
             classes = ms.label_classes(n, k)
             assert classes == brute
             assert sum(classes.values()) == k ** n
+
+
+def _per_triple_joint(n, s, parents, keep_parent):
+    """Oracle: the matching joint as built before its weights were keyed by
+    class over all components -- one per-component count key and one
+    Fraction sum per triple, and one outcome tuple per (pi, triple)."""
+    sets = ms.edge_sets(n)
+    full = len(sets) - 1
+    perms = list(itertools.permutations(range(n)))
+    if keep_parent:
+        triples = [(g, a, b) for g in range(len(sets)) for a in range(len(sets)) if a & ~g == 0
+                   for b in range(len(sets)) if b & ~g == 0]
+    else:
+        triples = [(a | b, a, b) for a in range(len(sets)) for b in range(len(sets))]
+    weights = [0] * len(triples)
+    for coef, classes in parents:
+        factors = []
+        for mask, p in classes:
+            off = 1 - p if keep_parent else 1 - p + p * (1 - s) * (1 - s)
+            factors.append((mask, (p * s * s, p * s * (1 - s), p * (1 - s) * (1 - s), off)))
+        for t, (g, a, b) in enumerate(triples):
+            states = (a & b, a ^ b, g & ~(a | b), full & ~g)
+            w = coef / len(perms)
+            for mask, fs in factors:
+                for f, st in zip(fs, states):
+                    w = w * f ** (st & mask).bit_count()
+            weights[t] = weights[t] + w
+    outs = []
+    for pi in perms:
+        image = [frozenset(ms._norm_edge(pi[u], pi[v]) for u, v in es) for es in sets]
+        for g, a, b in triples:
+            outs.append((pi, sets[g], sets[a], image[b]) if keep_parent else (pi, sets[a], image[b]))
+    return outs, weights * len(perms)
+
+
+@pytest.mark.parametrize("n,p,s,keep_parent", [
+    (3, F(2, 3), F(1, 2), False), (4, F(5, 14), F(7, 10), False), (3, F(2, 5), F(3, 4), True),
+    (3, 0.4, 0.7, False)])
+def test_correlated_er_joint_matches_per_triple_loop(n, p, s, keep_parent):
+    joint = ms.correlated_er_joint_measure(n, p, s, keep_parent=keep_parent)
+    one = ms._one_like([p, s])
+    outs, weights = _per_triple_joint(n, s, [(one, [((1 << n * (n - 1) // 2) - 1, p)])], keep_parent)
+    assert joint.outcomes == outs
+    assert joint.weights == weights and list(map(type, joint.weights)) == list(map(type, weights))
+    if joint.exact:  # one weight object per weight class
+        assert len(set(map(id, joint.weights))) < len(joint) // math.factorial(n)
+
+
+def test_correlated_sbm_joint_matches_per_triple_loop():
+    for lam, eps, s in ((F(1), F(3, 10), F(1, 2)), (1.0, 0.3, 0.5)):
+        joint = ms.correlated_sbm_joint_measure(3, 2, lam, eps, s)
+        p_in, p_out = ms.sbm_block_probs(3, 2, lam, eps)
+        one = ms._one_like([lam, eps, s])
+        parents = [(one * count / 2 ** 3, [(intra, p_in), (7 & ~intra, p_out)])
+                   for intra, count in ms.label_classes(3, 2).items()]
+        outs, weights = _per_triple_joint(3, s, parents, keep_parent=False)
+        assert joint.outcomes == outs and joint.weights == weights
+
+
+def test_checked_total_counts_repeated_weight_objects():
+    third, sixth = F(1, 3), F(1, 6)
+    assert ms._checked_total([third] * 3) == (1, True)
+    weights = [third] * 1000 + [sixth] * 2 + [F(1, 6)] * 2 + [2] * 5
+    total, exact = ms._checked_total(weights)
+    assert exact and total == F(1000, 3) + F(4, 6) + 10 and type(total) is F
+    assert ms._checked_total([1] * 7) == (7, True) and type(ms._checked_total([1] * 7)[0]) is int
+    negative = F(-1, 5)
+    for bad in ([negative] * 5000 + [F(1, 2)] * 10, [F(1, 2)] * 10 + [negative], [-1] * 3):
+        with pytest.raises(ValueError, match="negative weight"):
+            ms._checked_total(bad)
+    with pytest.raises(ValueError, match="negative weight"):
+        ms.DiscreteMeasure(range(6), [negative] * 2 + [F(7, 20)] * 4)  # sums to 1
+    assert ms.DiscreteMeasure(range(4), [F(1, 4)] * 4).exact
