@@ -21,7 +21,7 @@ from typing import Callable
 
 from . import basis as bs
 from . import graph_core as gc
-from .measures import ENUMERATION_BUDGET, DiscreteMeasure
+from .measures import ENUMERATION_BUDGET, DiscreteMeasure, integer_weights
 from .params import ModelParams
 
 EXACT_GRAM_CUTOFF = 1 << 18  # exact by default while len(null) * len(features) is at most this
@@ -153,13 +153,6 @@ def _features(q: DiscreteMeasure, features, D) -> tuple[list, int]:
     return features, D if D is not None else max(d for d, _ in features)
 
 
-def _over_common_denominator(values) -> tuple[list[int], int]:
-    """Integer numerators of exact values over their least common denominator."""
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = math.lcm(*(v.denominator for v in fracs))
-    return [v.numerator * (den // v.denominator) for v in fracs], den
-
-
 def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list, exact: bool,
                monomial_degree: int | None = None):
     """The null Gram matrix G_ij = E_Q[f_i f_j] and the alternative means
@@ -193,9 +186,9 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list, exact: bo
         f = np.array(values, dtype=float)
         gram = (f * np.array(q.weights, dtype=float)) @ f.T
         return gram.tolist(), (f @ np.array(pw, dtype=float)).tolist()
-    nums, s = _over_common_denominator([v for row in values for v in row])
+    nums, s = integer_weights([v for row in values for v in row])
     f = [nums[i:i + len(q)] for i in range(0, len(nums), len(q))]
-    (wq, den_q), (wp, den_p) = _over_common_denominator(q.weights), _over_common_denominator(pw)
+    (wq, den_q), (wp, den_p) = integer_weights(q.weights), integer_weights(pw)
     gram = [[None] * len(f) for _ in f]
     for i, row in enumerate(f):
         fw = list(map(operator.mul, row, wq))
@@ -213,7 +206,7 @@ def _monomial_gram(q: DiscreteMeasure, pw: list, coords: list, pair: bool, D: in
         masks = [sum(bit[0, e] for e in a) + sum(bit[1, e] for e in b) for a, b in q.outcomes]
     else:
         masks = [sum(map(bit.__getitem__, x)) for x in q.outcomes]
-    (wq, den_q), (wp, den_p) = _over_common_denominator(q.weights), _over_common_denominator(pw)
+    (wq, den_q), (wp, den_p) = integer_weights(q.weights), integer_weights(pw)
     mq, mp = (_superset_sums(masks, w, len(coords)) for w in (wq, wp))
     mono = [sum(1 << t for t in c) for k in range(D + 1)
             for c in itertools.combinations(range(len(coords)), k)]
@@ -285,9 +278,9 @@ def _ldl_fraction_free(gram: list[list], means: list):
     for a PSD Gram matrix its Schur row is all zero.
     """
     size = len(gram)
-    nums, den_g = _over_common_denominator([g for i, row in enumerate(gram) for g in row[:i + 1]])
+    nums, den_g = integer_weights([g for i, row in enumerate(gram) for g in row[:i + 1]])
     rows = [nums[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(size)]
-    col, den_c = _over_common_denominator(means)
+    col, den_c = integer_weights(means)
     lower = [[0] * i for i in range(size)]
     pivots, reduced = [], []
     prev = 1

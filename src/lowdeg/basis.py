@@ -219,11 +219,7 @@ def centered_moments(measure: DiscreteMeasure, indices: list[BasisIndex], n: int
         points = [mask(a) | mask(b) << shift for a, b in measure.outcomes]
     else:
         points = [mask(x) for x in measure.outcomes]
-    if measure.exact:
-        scale = math.lcm(*(Fraction(w).denominator for w in measure.weights))
-        weights = [int(w * scale) for w in measure.weights]
-    else:
-        scale, weights = 1, measure.weights
+    weights, scale = ms.integer_weights(measure.weights) if measure.exact else (measure.weights, 1)
     out = []
     for idx in indices:
         s_mask = mask(idx.s1.edges) | (mask(idx.s2.edges) << shift if pair else 0)

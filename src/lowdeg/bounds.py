@@ -24,7 +24,7 @@ from . import basis as bs
 from . import graph_core as gc
 from . import measures as ms
 from .graph_core import EnumerationBudgetError, LabeledGraph
-from .models import ModelParams, event_E_indicator
+from .params import ModelParams
 
 DESK_SLACK = 2.0
 
@@ -163,6 +163,8 @@ def audit_conditional_moment(s1: LabeledGraph, s2: LabeledGraph, params: ModelPa
     The conditioning event is checked for vacuity (all graphs admissible at
     these parameters) and the regime is recorded on the audit.
     """
+    from .models import event_E_indicator
+
     if event_E_indicator(gc.complete_graph(params.n), params, "er"):
         # nothing is bad at these parameters: the event has full mass
         regime = "event-vacuous"

@@ -483,10 +483,10 @@ def reversed_advantage_exact(params: ModelParams, D: int):
     q0 = bs.null_edge_prob(params)
     sq_in, sq_out = [p * (1 - q0) ** 2 + (1 - p) * q0 ** 2 for p in (p_in, p_out)]
     d_in, d_out = p_in - q0, p_out - q0
-    qs = math.lcm(sq_in.denominator, sq_out.denominator)
-    qd = math.lcm(d_in.denominator, d_out.denominator)
-    sq_terms = _power_products(int(sq_in * qs), int(sq_out * qs), qs, D)
-    d_terms = _power_products(int(d_in * qd), int(d_out * qd), qd, 2 * D)
+    (s_in, s_out), qs = ms.integer_weights([sq_in, sq_out])
+    (e_in, e_out), qd = ms.integer_weights([d_in, d_out])
+    sq_terms = _power_products(s_in, s_out, qs, D)
+    d_terms = _power_products(e_in, e_out, qd, 2 * D)
     classes = list(ms.label_classes(n, k).items())
     denom = k ** n * qs ** D * qd ** (2 * D)
 

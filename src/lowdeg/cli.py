@@ -6,10 +6,10 @@ carries a schema_version field, CSV uses stable documented columns with a
 '.' decimal separator, and probabilities are accepted as exact fractions
 "a/b" in --exact mode.
 
-numpy is loaded only by the commands that sample (sample, reduce), by
-bounds-audit, and by the float --method gram-schmidt / rayleigh routes of
-adv: the modules behind them are imported inside those commands, so the
-exact commands start without it.
+numpy is loaded only by the commands that sample (sample, reduce), by the
+B1 and A4 suites of bounds-audit, and by the float --method gram-schmidt /
+rayleigh routes of adv: the modules behind them are imported inside those
+commands, so the exact commands start without it.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ SCHEMA_VERSION = 1
 
 
 def _parse_number(text: str, exact: bool):
-    if text is None:
-        return None
     if "/" in text:
         num, den = text.split("/", 1)
         if int(den) == 0:
@@ -101,13 +99,10 @@ def _json_number(value, where: str):
 
 def _params_from_args(args, exact: bool) -> ModelParams:
     kw = dict(n=args.n)
-    for name in ("p", "q", "s", "rho", "eps", "delta"):
+    for name in ("p", "q", "s", "rho", "eps", "delta", "lam"):
         val = getattr(args, name, None)
         if val is not None:
             kw[name] = _parse_number(val, exact)
-    lam = getattr(args, "lam", None)
-    if lam is not None:
-        kw["lam"] = _parse_number(lam, exact)
     for name in ("k", "D", "N"):
         val = getattr(args, name, None)
         if val is not None:

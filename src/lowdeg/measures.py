@@ -52,10 +52,12 @@ class DiscreteMeasure:
         if len(self.outcomes) != len(self.weights):
             raise ValueError("outcomes and weights differ in length")
         total, exact = _checked_total(self.weights)
-        if normalize:
+        if normalize:  # one division per distinct weight object, shared by its atoms
             if total == 0:
                 raise ValueError("cannot normalize a zero measure")
-            self.weights = [w / total for w in self.weights]
+            distinct = dict(zip(map(id, self.weights), self.weights))
+            scaled = {key: w / total for key, w in distinct.items()}
+            self.weights = list(map(scaled.__getitem__, map(id, self.weights)))
             exact = exact and isinstance(total, Fraction)  # ints over an int total are floats
         elif exact:
             if total != 1:
@@ -81,17 +83,21 @@ class DiscreteMeasure:
         return sum(w for x, w in self if predicate(x))
 
     def condition(self, predicate: Callable) -> "DiscreteMeasure":
-        kept = [(x, w) for x, w in self if predicate(x) and w != 0]
-        if not kept:
+        keep = [predicate(x) and w != 0 for x, w in self]
+        if not any(keep):
             raise ValueError("conditioning event has zero mass")
-        return DiscreteMeasure([x for x, _ in kept], [w for _, w in kept], normalize=True)
+        outs, ws = (itertools.compress(v, keep) for v in (self.outcomes, self.weights))
+        return DiscreteMeasure(outs, ws, normalize=True)
 
     def map(self, fn: Callable) -> "DiscreteMeasure":
-        """Pushforward, merging atoms with equal image."""
+        """Pushforward merging atoms with equal image; exact weights are summed
+        as integer_weights numerators, float weights atom by atom."""
+        weights, den = integer_weights(self.weights) if self.exact else (self.weights, 1)
         acc: dict = {}
-        for x, w in self:
-            y = fn(x)
+        for y, w in zip(map(fn, self.outcomes), weights):
             acc[y] = acc.get(y, 0) + w
+        if self.exact and any(isinstance(w, Fraction) for w in self.weights):
+            acc = {y: Fraction(v, den) for y, v in acc.items()}
         return DiscreteMeasure(list(acc), list(acc.values()))
 
     def product(self, *others: "DiscreteMeasure") -> "DiscreteMeasure":
@@ -147,26 +153,32 @@ class DiscreteMeasure:
         return total
 
 
+def integer_weights(values: list) -> tuple[list[int], int]:
+    """(nums, den) with values[i] == nums[i] / den over the least common
+    denominator, converting each distinct object once (ints and Fractions
+    directly, other numbers through Fraction)."""
+    distinct = dict(zip(map(id, values), values))
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in distinct.values()]
+    den = math.lcm(*(v.denominator for v in fracs))
+    nums = dict(zip(distinct, [v.numerator * (den // v.denominator) for v in fracs]))
+    return list(map(nums.__getitem__, map(id, values))), den
+
+
 def _checked_total(weights: list) -> tuple:
     """(sum, exact) of a weight list, rejecting a negative weight.  Exact
-    weights (ints and Fractions) are sign-tested on their numerators and
-    summed as numerators grouped by denominator, once per distinct weight
-    object times its multiplicity (atoms of one weight class share their
-    immutable weight); the sum's type is sum()'s."""
+    weights (ints and Fractions) are immutable: each distinct object is
+    sign-tested and summed once, as integer_weights numerators times count."""
     kinds = set(map(type, weights))
     if not all(issubclass(k, (Fraction, int)) for k in kinds):
         if any(w < 0 for w in weights):
             raise ValueError("negative weight")
         return sum(weights), False
-    distinct = dict(zip(map(id, weights), weights))
-    by_den: dict[int, int] = {}
-    for key, count in Counter(map(id, weights)).items():
-        w = distinct[key]
-        if w.numerator < 0:
-            raise ValueError("negative weight")
-        by_den[w.denominator] = by_den.get(w.denominator, 0) + w.numerator * count
-    total = sum(Fraction(n, d) for d, n in by_den.items())
-    return (total if any(issubclass(k, Fraction) for k in kinds) else int(total)), True
+    counts = Counter(map(id, weights))  # first-occurrence order, as the dict below
+    nums, den = integer_weights(list(dict(zip(map(id, weights), weights)).values()))
+    if any(num < 0 for num in nums):
+        raise ValueError("negative weight")
+    total = sum(num * count for num, count in zip(nums, counts.values()))
+    return (Fraction(total, den) if any(issubclass(k, Fraction) for k in kinds) else total), True
 
 
 def _one_like(weights) -> Fraction | float:
@@ -326,6 +338,8 @@ def correlated_sbm_joint_measure(n: int, k: int, lam, eps, s) -> DiscreteMeasure
     set (label_classes), one mixture component each, and the children are
     built by _child_subsampling_joint.
     """
+    if s is None:
+        raise ValueError("the block-model matching joint needs s, a child's edge-keep probability")
     n_pairs = n * (n - 1) // 2
     _check_budget("matching-joint space", "correlated_sbm_joint_measure",
                   math.factorial(n) * k ** n * 5 ** n_pairs)

@@ -274,6 +274,16 @@ def test_exact_rayleigh_is_a_usage_error(capsys):
     assert "error: --method rayleigh is a float route; it cannot be --exact" in out.err
 
 
+def test_adv_corr_sbm_without_s_is_a_structured_error(capsys):
+    code, out, err = run_cli(["adv", "--model", "corr-sbm", "--n", "3", "--k", "2", "--lambda", "1",
+                              "--eps", "3/10", "--rho", "1/2", "--D", "2", "--exact",
+                              "--method", "gram-schmidt"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "the block-model matching joint needs s, a child's edge-keep probability",
+        "schema_version": 1}
+
+
 def test_bounds_audit_param_not_a_number_is_a_structured_error(tmp_path, capsys):
     code, out, err = run_cli(["bounds-audit", "--suite", "P-sum", "--params",
                               _raw_params_file(tmp_path, {"n": 10, "q": [1], "rho": "1/3"})], capsys)
@@ -470,7 +480,7 @@ EXACT_COMMANDS = {"adv-gram-schmidt": ["adv", "--model", "corr-er", "--n", "3", 
 
 @pytest.mark.parametrize("name,condition", [
     ("adv", False), ("adv", True), ("hidden", False), ("xi", False), ("dual-check", False),
-    ("otter", False), ("verify", False), ("adv-gram-schmidt", False)])
+    ("otter", False), ("verify", False), ("adv-gram-schmidt", False), ("bounds-audit", False)])
 def test_exact_commands_do_not_import_numpy(name, condition, tmp_path):
     (tmp_path / "base.json").write_text(json.dumps(
         {"outcomes": [0, 1], "null": ["1/2", "1/2"], "alt": ["1/5", "4/5"]}), encoding="utf-8")

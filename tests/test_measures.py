@@ -382,3 +382,68 @@ def test_checked_total_counts_repeated_weight_objects():
     with pytest.raises(ValueError, match="negative weight"):
         ms.DiscreteMeasure(range(6), [negative] * 2 + [F(7, 20)] * 4)  # sums to 1
     assert ms.DiscreteMeasure(range(4), [F(1, 4)] * 4).exact
+
+
+def test_integer_weights_over_the_least_common_denominator():
+    half = F(1, 2)
+    nums, den = ms.integer_weights([half, 3, F(2, 3), half, F(-1, 4), 0])
+    assert (nums, den) == ([6, 36, 8, 6, -3, 0], 12)
+    assert ms.integer_weights([half] * 1000) == ([1] * 1000, 2)
+    assert ms.integer_weights([2, 5, True]) == ([2, 5, 1], 1)
+    nums, den = ms.integer_weights([0.25, F(1, 3)])  # a float through Fraction, exactly
+    assert (nums, den) == ([3, 4], 12)
+    nums, den = ms.integer_weights([0.1])
+    assert F(nums[0], den) == F(0.1) and den == 2 ** 55
+
+
+def _per_atom_condition(m, predicate):
+    """Oracle: the conditioned law with one division per atom."""
+    kept = [(x, w) for x, w in m if predicate(x) and w != 0]
+    total = sum(w for _, w in kept)
+    return [x for x, _ in kept], [w / total for _, w in kept]
+
+
+def _per_atom_map(m, fn):
+    """Oracle: the pushforward with one weight addition per atom."""
+    acc: dict = {}
+    for x, w in m:
+        acc[fn(x)] = acc.get(fn(x), 0) + w
+    return list(acc), list(acc.values())
+
+
+def _same_law(measure, outcomes, weights):
+    assert measure.outcomes == outcomes
+    assert measure.weights == weights
+    assert list(map(type, measure.weights)) == list(map(type, weights))
+
+
+@pytest.mark.parametrize("n,p,s", [(3, F(2, 3), F(1, 2)), (4, F(5, 14), F(7, 10)),
+                                   (3, F(1, 3), F(1)), (3, 0.4, 0.7)])  # s = 1: zero weights
+def test_condition_and_map_match_per_atom_oracles(n, p, s):
+    joint = ms.correlated_er_joint_measure(n, p, s)
+    match, pair = (lambda x: x[0][0] == 0), (lambda x: (x[1], x[2]))
+    cond = joint.condition(match)
+    _same_law(cond, *_per_atom_condition(joint, match))
+    _same_law(cond.map(pair), *_per_atom_map(cond, pair))
+    _same_law(joint.map(pair), *_per_atom_map(joint, pair))
+    if not joint.exact:  # float laws are bit-identical, addition order included
+        assert [w.hex() for w in joint.map(pair).weights] == \
+            [w.hex() for w in _per_atom_map(joint, pair)[1]]
+        return
+    # atoms shared a weight object before conditioning iff they share one after
+    before = [id(w) for x, w in joint if match(x) and w != 0]
+    shared = set(zip(before, map(id, cond.weights)))
+    assert len(shared) == len(set(before)) == len(set(map(id, cond.weights))) < len(cond)
+
+
+def test_weight_types_survive_measure_surgery():
+    ints = ms.DiscreteMeasure(["a", "b", "c"], [0, 1, 0])
+    image = ints.map(lambda x: x == "b")
+    assert image.weights == [0, 1] and list(map(type, image.weights)) == [int, int]
+    assert image.exact
+    halves = ms.DiscreteMeasure(range(4), [F(1, 4)] * 4).map(lambda x: 0)
+    assert halves.weights == [1] and type(halves.weights[0]) is F
+    unnormalized = ms.DiscreteMeasure(range(4), [1, 1, 2, 0], normalize=True)  # ints over ints
+    assert unnormalized.weights == [0.25, 0.25, 0.5, 0.0] and not unnormalized.exact
+    floats = ms.DiscreteMeasure(range(3), [0.1, 0.2, 0.7]).condition(lambda x: x > 0)
+    assert floats.weights == [0.2 / (0.2 + 0.7), 0.7 / (0.2 + 0.7)] and not floats.exact
