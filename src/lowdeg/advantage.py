@@ -2,8 +2,8 @@
 
 Three routes are provided and cross-checked by the tests: the product
 basis route (exact, for independent-edge nulls), generic Gram-Schmidt
-orthogonalization over an explicit feature map (exact on small supports,
-float otherwise), and a generalized Rayleigh-quotient route through the
+orthogonalization over an explicit feature map (exact when both measures
+are, float otherwise), and a generalized Rayleigh-quotient route through the
 feature Gram matrix.  On top of these sit the conditional advantage for
 matching-joint measures and the hidden-informative-sample construction,
 which dilutes a base testing problem across M independent coordinates:
@@ -23,8 +23,6 @@ from . import basis as bs
 from . import graph_core as gc
 from .measures import ENUMERATION_BUDGET, DiscreteMeasure, integer_weights
 from .params import ModelParams
-
-EXACT_GRAM_CUTOFF = 1 << 18  # exact by default while len(null) * len(features) is at most this
 
 
 @dataclass
@@ -132,10 +130,11 @@ def advantage_gram_schmidt(p: DiscreteMeasure, q: DiscreteMeasure,
     exactly in rational mode.  Directions that vanish almost surely under
     the null are discarded after checking the alternative does not charge
     them (otherwise the advantage is infinite and a ValueError is raised).
+    exact=None means exact iff both measures are.
     """
     feats, degree = _features(q, features, D)
     if exact is None:
-        exact = q.exact and p.exact and len(q) * len(feats) <= EXACT_GRAM_CUTOFF
+        exact = q.exact and p.exact
     gram_inputs = _null_gram(p, q, feats, exact, monomial_degree=D if features is None else None)
     _lower, pivots, reduced = _ldl(*gram_inputs, exact)
     per_index = {i: r * r / d for i, (d, r) in enumerate(zip(pivots, reduced)) if i and d}
@@ -160,14 +159,16 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list, exact: bo
     atoms, so an alternative that charges an atom outside the null support
     is rejected.
 
-    When the features are default_features(q, monomial_degree) on graph or
-    graph-pair atoms, f_i is the indicator that x holds the coordinate set
-    S_i, so exact mode reads G_ij = M_Q(S_i | S_j) and c_i = M_P(S_i) off
-    one superset-sum table per measure (_superset_sums), if its 2^N entries
-    fit ENUMERATION_BUDGET.  Otherwise each feature is evaluated once per
-    null atom: exact mode sums Python-integer numerators over each measure's
-    common denominator (and the feature values'), once per pair j <= i of
-    the symmetric G; float mode is one numpy product."""
+    Every entry is an exact sum of integers over a common denominator; float
+    mode rounds each finished entry once.  When the features are
+    default_features(q, monomial_degree) on graph or graph-pair atoms, f_i
+    is the indicator that x holds the coordinate set S_i, so G_ij =
+    M_Q(S_i | S_j) and c_i = M_P(S_i) are read off one superset-sum table
+    per measure (_superset_sums), if its 2^N entries fit
+    ENUMERATION_BUDGET.  Otherwise each feature is evaluated once per null
+    atom, and Python-integer numerators over each measure's common
+    denominator (and the feature values') are summed once per pair j <= i
+    of the symmetric G."""
     at = {x: a for a, x in enumerate(q.outcomes)}
     pw = [0] * len(q)
     for x, w in p:
@@ -176,25 +177,23 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list, exact: bo
             if a is None or not q.weights[a]:
                 raise ValueError("alternative charges atoms outside the null support")
             pw[a] += w
-    coords = _edge_coordinates(q) if exact and monomial_degree is not None else None
+    coords = _edge_coordinates(q) if monomial_degree is not None else None
     if coords is not None and 1 << len(coords[0]) <= ENUMERATION_BUDGET:
-        return _monomial_gram(q, pw, *coords, monomial_degree)
-    values = [[fn(x) for x in q.outcomes] for _, fn in features]
-    if not exact:
-        import numpy as np
-
-        f = np.array(values, dtype=float)
-        gram = (f * np.array(q.weights, dtype=float)) @ f.T
-        return gram.tolist(), (f @ np.array(pw, dtype=float)).tolist()
-    nums, s = integer_weights([v for row in values for v in row])
-    f = [nums[i:i + len(q)] for i in range(0, len(nums), len(q))]
-    (wq, den_q), (wp, den_p) = integer_weights(q.weights), integer_weights(pw)
-    gram = [[None] * len(f) for _ in f]
-    for i, row in enumerate(f):
-        fw = list(map(operator.mul, row, wq))
-        for j in range(i + 1):
-            gram[i][j] = gram[j][i] = Fraction(sum(map(operator.mul, fw, f[j])), den_q * s * s)
-    return gram, [Fraction(sum(map(operator.mul, row, wp)), den_p * s) for row in f]
+        gram, means = _monomial_gram(q, pw, *coords, monomial_degree)
+    else:
+        values = [[fn(x) for x in q.outcomes] for _, fn in features]
+        nums, s = integer_weights([v for row in values for v in row])
+        f = [nums[i:i + len(q)] for i in range(0, len(nums), len(q))]
+        (wq, den_q), (wp, den_p) = integer_weights(q.weights), integer_weights(pw)
+        gram = [[None] * len(f) for _ in f]
+        for i, row in enumerate(f):
+            fw = list(map(operator.mul, row, wq))
+            for j in range(i + 1):
+                gram[i][j] = gram[j][i] = Fraction(sum(map(operator.mul, fw, f[j])), den_q * s * s)
+        means = [Fraction(sum(map(operator.mul, row, wp)), den_p * s) for row in f]
+    if exact:
+        return gram, means
+    return [list(map(float, row)) for row in gram], list(map(float, means))
 
 
 def _monomial_gram(q: DiscreteMeasure, pw: list, coords: list, pair: bool, D: int):
@@ -313,7 +312,8 @@ def advantage_rayleigh(p: DiscreteMeasure, q: DiscreteMeasure,
     import numpy as np
 
     feats, degree = _features(q, features, D)
-    gram, c = (np.array(m) for m in _null_gram(p, q, feats, exact=False))
+    gram, c = (np.array(m) for m in _null_gram(p, q, feats, False,
+                                                monomial_degree=D if features is None else None))
     sol, *_ = np.linalg.lstsq(gram, c, rcond=1e-12)
     if not np.allclose(gram @ sol, c, atol=1e-8):
         raise ValueError("alternative mean outside the null feature range: advantage infinite")
@@ -420,8 +420,7 @@ def hidden_sample_advantage(problem: HiddenSampleProblem, D: int) -> AdvantageRe
     """
     if D < 1:
         raise ValueError("D must be at least 1")
-    exact = problem.base_null.exact and problem.base_alt.exact
-    base = advantage_gram_schmidt(problem.base_alt, problem.base_null, D=1, exact=exact)
+    base = advantage_gram_schmidt(problem.base_alt, problem.base_null, D=1)
     per_index = {i: c / problem.M for i, c in base.per_index.items()}
     vsq = 1 + (base.value_squared - 1) / problem.M
     return AdvantageReport(D, _to_float_sq(vsq), vsq, "hidden_sample_law", per_index)

@@ -341,7 +341,7 @@ def build_dual(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL) ->
     dual = DualVector(params, D, kernel)
     empty = gc.empty_graph(params.n)
     dual.entries[gc.canonicalize(empty).hex_form] = (table.one, 0, 0, 1)
-    for rep in leafless_classes(min(D, XI_EDGE_BUDGET)):
+    for rep in leafless_classes(min(D, math.comb(params.n, 2))):
         count = _labeled_count(params.n, rep)
         if count == 0:
             continue

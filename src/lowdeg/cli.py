@@ -7,9 +7,9 @@ carries a schema_version field, CSV uses stable documented columns with a
 "a/b" in --exact mode.
 
 numpy is loaded only by the commands that sample (sample, reduce), by the
-B1 and A4 suites of bounds-audit, and by the float --method gram-schmidt /
-rayleigh routes of adv: the modules behind them are imported inside those
-commands, so the exact commands start without it.
+B1 and A4 suites of bounds-audit, and by the --method rayleigh route of
+adv: the modules behind them are imported inside those commands, so the
+exact commands and float --method gram-schmidt start without it.
 """
 
 from __future__ import annotations
@@ -138,6 +138,8 @@ def _add_model_args(p: argparse.ArgumentParser):
 def cmd_sample(args) -> int:
     from . import models as md
 
+    if args.trials < 1:
+        raise ValueError("need at least one trial")
     params = _params_from_args(args, args.exact)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -205,8 +207,8 @@ def cmd_adv(args) -> int:
         rep = adv.advantage_product_basis(pair, params, D, kind="pair")
     else:
         qm = ms.er_pair_measure(params.n, bs.pair_edge_prob(params))
-        if args.method == "gram-schmidt":  # --exact is exact past the kernel's size cutoff
-            rep = adv.advantage_gram_schmidt(pair, qm, D=D, exact=args.exact or None)
+        if args.method == "gram-schmidt":
+            rep = adv.advantage_gram_schmidt(pair, qm, D=D)
         else:
             rep = adv.advantage_rayleigh(pair, qm, D=D)
     _emit({

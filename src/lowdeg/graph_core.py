@@ -208,12 +208,7 @@ def connected_components(g: LabeledGraph) -> list[frozenset[int]]:
 def all_cycles(g: LabeledGraph, max_len: int | None = None) -> list[tuple[int, ...]]:
     """All simple cycles, each reported once as a vertex tuple starting at
     its smallest vertex with the smaller neighbor second."""
-    adj: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
+    adj = {v: sorted(nbrs) for v, nbrs in _adjacency(g).items()}
     cap = max_len if max_len is not None else len(g.vertices)
     out: list[tuple[int, ...]] = []
 

@@ -52,6 +52,8 @@ class DiscreteMeasure:
         if len(self.outcomes) != len(self.weights):
             raise ValueError("outcomes and weights differ in length")
         total, exact = _checked_total(self.weights)
+        if not (exact or math.isfinite(total)):  # NaN passes every comparison below
+            raise ValueError(f"weights sum to {total}, not 1")
         if normalize:  # one division per distinct weight object, shared by its atoms
             if total == 0:
                 raise ValueError("cannot normalize a zero measure")

@@ -587,7 +587,34 @@ def test_custom_features_and_abstract_atoms_skip_the_table(monkeypatch):
     assert adv.advantage_gram_schmidt(pair, null, D=2, exact=True) == default
     base = ms.DiscreteMeasure(["a", "b"], [F(1, 2), F(1, 2)])
     adv.advantage_gram_schmidt(base, base, D=1, exact=True)
-    assert calls == [2]
+    assert calls == [2, 2]
+
+
+def test_float_gram_on_the_table_is_the_exact_sum_rounded_once(monkeypatch):
+    calls = []
+    table = adv._monomial_gram
+
+    def spy(*args):
+        calls.append(args[-1])
+        return table(*args)
+
+    monkeypatch.setattr(adv, "_monomial_gram", spy)
+    cases = []
+    for q, rho in ((F(1, 3), F(1, 2)), (0.25, 0.35)):
+        _, joint, pair, null = corr_er_setup(q=q, rho=rho)
+        cases += [(joint.map(lambda x: x[2]), ms.er_graph_measure(3, q)), (pair, null)]
+    for p, q in cases:
+        feats = adv.default_features(q, 2)
+        gram, means = adv._null_gram(p, q, feats, False, monomial_degree=2)
+        # oracle: Fraction sums over the atoms, each rounded by float() at the end
+        rows = [[f(x) * F(w) for x, w in q] for _, f in feats]
+        assert gram == [[float(sum(a * g(x) for a, x in zip(row, q.outcomes))) for _, g in feats]
+                        for row in rows]
+        assert means == [float(sum(f(x) * F(w) for x, w in p)) for _, f in feats]
+        assert all(type(v) is float for v in means + gram[-1])
+    assert calls == [2] * 4
+    adv.advantage_rayleigh(*cases[-1], D=2)
+    assert calls == [2] * 5
 
 
 def test_table_path_rejects_alternative_outside_null_support():

@@ -585,6 +585,8 @@ def test_certificate_budget_errors_are_structured():
          "recursion edge budget is 6"),
         (lambda: ct.leafless_classes(7), "certificate.leafless_classes", 7, 6,
          "class enumeration budget is 6 edges"),
+        (lambda: ct.build_dual(params6(), 7), "certificate.leafless_classes", 7, 6,
+         "class enumeration budget is 6 edges"),
         (lambda: ct.verify_linear_system(pr4, 2, n_rows_cap=10),
          "certificate.verify_linear_system", 22, 10, "row enumeration exceeds the cap"),
     ]
@@ -593,6 +595,8 @@ def test_certificate_budget_errors_are_structured():
             call()
         err = info.value
         assert (err.where, err.requested, err.budget, str(err)) == (where, requested, budget, message)
+    # K4 has 6 edges, so no class past the budget has a labeled copy
+    assert ct.build_dual(pr4, 7).entries == ct.build_dual(pr4, 6).entries
 
 
 def _xi_per_subset_loop(s, params, table):

@@ -44,6 +44,14 @@ def test_xi_table_has_two_entries(capsys):
     assert payload["norm"] >= 1.0
 
 
+def test_xi_past_the_class_budget_is_a_structured_error(capsys):
+    # 7-edge leafless classes fit on 5 of the 6 vertices
+    code, out, err = run_cli(["xi", "--n", "6", "--k", "2", "--eps", "3/10",
+                              "--lambda", "1", "--D", "7"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "class enumeration budget is 6 edges", "schema_version": 1}
+
+
 def test_dual_check(capsys):
     code, out, _ = run_cli(["dual-check", "--n", "4", "--k", "2", "--eps", "1/5",
                             "--lambda", "1", "--delta", "1/100", "--D", "3", "--exact"], capsys)
@@ -87,6 +95,15 @@ def test_sample_outputs_and_determinism(tmp_path, capsys):
     assert sorted(meta["pi_star"]) == list(range(6))
     header = (d1 / "trial0000_G.edges").read_text().splitlines()[0]
     assert header.startswith("6 ")
+
+
+def test_sample_without_trials_is_a_structured_error(tmp_path, capsys):
+    for trials in ("0", "-1"):
+        code, out, err = run_cli(["sample", "--model", "er", "--n", "4", "--q", "1/2",
+                                  "--trials", trials, "--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "need at least one trial", "schema_version": 1}
+    assert not (tmp_path / "out").exists()
 
 
 def test_sample_modified_model(tmp_path, capsys):
@@ -346,12 +363,14 @@ def test_hidden_base_spec_weight_not_a_number_is_a_structured_error(tmp_path, ca
                                         "rational string", "schema_version": 1}
 
 
-def test_adv_exact_gram_schmidt_stays_exact_past_the_size_cutoff(capsys, monkeypatch):
-    # a cutoff of one feature value puts this n=3 call past it, as 4,096
-    # atoms times 79 features put the n=4 call past the real cutoff
-    from lowdeg import advantage as adv
+def test_hidden_base_spec_nan_weight_is_a_structured_error(tmp_path, capsys):
+    spec = _base_spec(tmp_path, outcomes=[0, 1], null=[float("nan"), 1.0], alt=[0.2, 0.8])
+    code, out, err = run_cli(["hidden", "--M", "2", "--base-spec", spec], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "weights sum to nan, not 1", "schema_version": 1}
 
-    monkeypatch.setattr(adv, "EXACT_GRAM_CUTOFF", 1)
+
+def test_adv_exact_gram_schmidt_stays_exact_past_the_size_cutoff(capsys):
     argv = ["adv", "--model", "corr-er", "--n", "3", "--q", "1/3", "--rho", "1/2", "--D", "2",
             "--exact", "--condition", "pi(1)=1"]
     code, out, _ = run_cli([*argv, "--method", "gram-schmidt"], capsys)
@@ -360,6 +379,19 @@ def test_adv_exact_gram_schmidt_stays_exact_past_the_size_cutoff(capsys, monkeyp
     assert all(isinstance(v, dict) for v in payload["per_class_contributions"].values())
     code, out, _ = run_cli(argv, capsys)  # the product-basis route
     assert payload["value_squared"] == json.loads(out)["value_squared"]
+
+
+def test_adv_gram_schmidt_is_exact_iff_its_inputs_are_rational(capsys):
+    # 4,096 atoms and 79 features: the n=4 conditioned law on the superset-sum table
+    argv = ["adv", "--model", "corr-er", "--n", "4", "--D", "2", "--method", "gram-schmidt",
+            "--condition", "pi(1)=1"]
+    code, out, _ = run_cli([*argv, "--q", "1/4", "--rho", "7/20"], capsys)
+    assert code == 0
+    assert json.loads(out)["value_squared"] == {"numerator": 249, "denominator": 200,
+                                                "value": 1.245}
+    code, out, _ = run_cli([*argv, "--q", "0.25", "--rho", "0.35"], capsys)
+    assert code == 0
+    assert abs(json.loads(out)["value_squared"] - 1.245) <= 1e-12
 
 
 def test_otter_output_is_strict_json(capsys):
@@ -471,16 +503,20 @@ def readme_command(name, condition=False):
                 if shlex.split(c)[1] == name and ("--condition" in c) == condition)
 
 
-# Exact commands probed besides the README's: the exact Gram-Schmidt route
-# (its superset-sum table and fraction-free LDL^T).
+# Commands probed besides the README's: the exact Gram-Schmidt route (its
+# superset-sum table and fraction-free LDL^T) and the float one.
 EXACT_COMMANDS = {"adv-gram-schmidt": ["adv", "--model", "corr-er", "--n", "3", "--q", "1/3",
                                        "--rho", "1/2", "--D", "3", "--exact",
-                                       "--method", "gram-schmidt"]}
+                                       "--method", "gram-schmidt"],
+                  "adv-gram-schmidt-float": ["adv", "--model", "corr-er", "--n", "3",
+                                             "--q", "0.25", "--rho", "0.5", "--D", "3",
+                                             "--method", "gram-schmidt"]}
 
 
 @pytest.mark.parametrize("name,condition", [
     ("adv", False), ("adv", True), ("hidden", False), ("xi", False), ("dual-check", False),
-    ("otter", False), ("verify", False), ("adv-gram-schmidt", False), ("bounds-audit", False)])
+    ("otter", False), ("verify", False), ("adv-gram-schmidt", False),
+    ("adv-gram-schmidt-float", False), ("bounds-audit", False)])
 def test_exact_commands_do_not_import_numpy(name, condition, tmp_path):
     (tmp_path / "base.json").write_text(json.dumps(
         {"outcomes": [0, 1], "null": ["1/2", "1/2"], "alt": ["1/5", "4/5"]}), encoding="utf-8")

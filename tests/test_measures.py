@@ -211,6 +211,13 @@ def test_float_sum_tolerance_is_1e_12():
             ms.DiscreteMeasure(["a", "b"], [0.5, 0.5 + off])
 
 
+def test_non_finite_float_weights_rejected():
+    nan, inf = float("nan"), float("inf")
+    for weights, normalize in (([nan, 1.0], False), ([nan, 1.0], True), ([inf, 1.0], True)):
+        with pytest.raises(ValueError, match="^weights sum to (nan|inf), not 1$"):
+            ms.DiscreteMeasure([0, 1], weights, normalize=normalize)
+
+
 # -- one tuple product and one edge layout, against plain per-factor loops -----
 
 
