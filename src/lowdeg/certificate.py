@@ -19,7 +19,7 @@ of the dual vector are the leafless orbits of K_m's edge subsets.
 The label averages P_of and Q_of behind the recursion and the linear
 system are counted in integers: the per-edge scale takes one value on
 equal labels and one on unequal labels, and the centered kernel omega is
-k-1 or -1, so each component's labelings are tallied as integer
+k-1 or -1, so each component's label classes are tallied as integer
 omega-products by the number of equal-label scaled edges.  Square roots
 enter only in one short sum per component, over powers of the two edge
 scales that are computed once per XiTable together with the powers of
@@ -76,12 +76,13 @@ def _label_product_expectation(table: "XiTable", h_edges: frozenset, omega_edges
     omega(edge) over omega_edges, component by component.
 
     h takes two values, h_eq on equal labels and h_ne on unequal ones, and
-    omega is the integer k-1 or -1.  So a component's labelings are summed
-    in integers: coeff[j] collects the omega-products of the labelings with
-    j equal-label h edges, and the component average is
-    sum_j coeff[j] h_eq^j h_ne^(m-j) / k^|V|, one short exact sum.  Labels
-    are exchangeable, so the first vertex keeps label 0 and the other
-    vertices range over k^(|V|-1) labelings.
+    omega is the integer k-1 or -1.  So a component's labelings are tallied
+    in integers per label class (ms.label_classes, at most Bell(|V|) set
+    partitions whatever k is): coeff[j] collects the omega-products of the
+    labelings with j equal-label h edges, and the component average is
+    sum_j coeff[j] h_eq^j h_ne^(m-j) / k^|V|, one short exact sum.  A class
+    counts k times its labelings with first label 0, so it adds count // k
+    and the denominator is k^(|V|-1).
     """
     k = table.params.k
     total = table.one
@@ -94,16 +95,15 @@ def _label_product_expectation(table: "XiTable", h_edges: frozenset, omega_edges
                 f"label enumeration beyond {LABEL_VERTEX_BUDGET} vertices per component",
                 where="certificate.label_average", requested=len(comp), budget=LABEL_VERTEX_BUDGET)
         pos = {v: i for i, v in enumerate(sorted(comp))}
-        ch = [(pos[u], pos[v]) for u, v in h_edges if u in comp]
-        co = [(pos[u], pos[v]) for u, v in omega_edges if u in comp]
-        coeff = [0] * (len(ch) + 1)
-        for rest in itertools.product(range(k), repeat=len(comp) - 1):
-            labels = (0,) + rest
-            w = 1
-            for u, v in co:
-                w *= k - 1 if labels[u] == labels[v] else -1
-            coeff[sum(labels[u] == labels[v] for u, v in ch)] += w
-        acc = sum((c * term for c, term in zip(coeff, table.h_terms(len(ch))) if c), table.zero)
+        bit = ms.edge_bits(len(comp))
+        ch = sum(bit[pos[u], pos[v]] for u, v in h_edges if u in comp)
+        co = sum(bit[pos[u], pos[v]] for u, v in omega_edges if u in comp)
+        coeff = [0] * (ch.bit_count() + 1)
+        for intra, count in ms.label_classes(len(comp), k).items():
+            eq = (co & intra).bit_count()
+            w = (k - 1) ** eq * (-1) ** (co.bit_count() - eq)
+            coeff[(ch & intra).bit_count()] += count // k * w
+        acc = sum((c * term for c, term in zip(coeff, table.h_terms(ch.bit_count())) if c), table.zero)
         denom = k ** (len(comp) - 1)
         total = total * acc * (Fraction(1, denom) if table.exact else 1.0 / denom)
     return total

@@ -147,9 +147,7 @@ def cmd_sample(args) -> int:
     def one(trial: int):
         seed = args.seed + trial
         if args.model == "er":
-            rng = md.derived_rng(seed)
-            g = md._mask_to_graph(params.n, md._rand_sym_mask(rng, params.n, float(params.q)))
-            return {"graph": g}, {}
+            return {"graph": md.draw_er(md.derived_rng(seed), params.n, params.q)}, {}
         if args.model == "sbm":
             sigma, g = md.sample_sbm(params, seed)
             return {"graph": g}, {"sigma_star": list(sigma)}
@@ -328,8 +326,9 @@ def cmd_reduce(args) -> int:
         samp = md.sample_correlated_er(params, args.seed + t)
         pi_hat = estimator(samp.left, samp.right)
         overlaps.append(float(rd.overlap(pi_hat, samp.pi_star)))
-        h = fam.evaluate(samp.left, samp.right)
-        rows = [rd.mix_statistic([int(x) for x in row], lam_mix) for row in h]
+        # the same estimate gives the rows: one-hot rows of a full matching pass the truncation
+        rows = [rd.mix_statistic([int(x) for x in row], lam_mix)
+                for row in rd.indicator_rows(pi_hat, params.n)]
         g_alt.append(rd.aggregate_statistic(
             float(rows[i][samp.pi_star[i]]) for i in range(params.n)))
     p_sampler, q_sampler = rd.correlated_er_samplers(params)

@@ -18,6 +18,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable
 
 from .graph_core import EnumerationBudgetError, _norm_edge
@@ -215,6 +216,7 @@ def sbm_block_probs(n: int, k: int, lam, eps) -> tuple:
     return p_in, p_out
 
 
+@cache
 def label_classes(n: int, k: int) -> dict[int, int]:
     """Count the labelings sigma in [k]^n by their equal-label edge set.
 
@@ -222,7 +224,8 @@ def label_classes(n: int, k: int) -> dict[int, int]:
     sigma[u] == sigma[v].  Each set partition of [n] (a restricted growth
     string) into b blocks is one key and stands for k (k-1) ... (k-b+1)
     labelings, so the cost does not grow with k.  Only strings with at
-    most k blocks are grown: the others stand for no labeling.
+    most k blocks are grown: the others stand for no labeling.  The dict
+    is cached per (n, k) and shared, so callers must not mutate it.
     """
     bits = edge_bits(n)
     strings = [()]

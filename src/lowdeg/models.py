@@ -104,6 +104,19 @@ def _rand_sym_mask(rng: np.random.Generator, n: int, prob: float | np.ndarray) -
     return mask | mask.T
 
 
+def draw_er(rng: np.random.Generator, n: int, q) -> LabeledGraph:
+    """One G(n, q) graph drawn from rng."""
+    return _mask_to_graph(n, _rand_sym_mask(rng, n, float(q)))
+
+
+def adjacency_matrix(g: LabeledGraph) -> np.ndarray:
+    """The boolean n x n adjacency matrix of g."""
+    a = np.zeros((g.n_vertices, g.n_vertices), dtype=bool)
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = True
+    return a
+
+
 def _draw_correlated(rng: np.random.Generator, n: int, parent_adj: np.ndarray, s: float):
     """Subsample two children from a parent adjacency, relabel the second."""
     j = _rand_sym_mask(rng, n, s)
@@ -344,8 +357,7 @@ def event_E_rate(params: ModelParams, trials: int, rng_seed: int = 0, model: str
     hits = 0
     for t in range(trials):
         if model == "er":
-            rng = derived_rng(rng_seed, t)
-            g = _mask_to_graph(params.n, _rand_sym_mask(rng, params.n, float(params.q)))
+            g = draw_er(derived_rng(rng_seed, t), params.n, params.q)
         else:
             _, g = sample_sbm(params, rng_seed + t)
         hits += event_E_indicator(g, params, model)
@@ -371,11 +383,13 @@ def _listed_removal_targets(g: LabeledGraph, params: ModelParams) -> list[tuple[
     some connected vertex set of at most D^3 vertices, as a bitmask over
     g's sorted edges and visited once however many vertex sets hold it.
     "Good" is decided from its (support size, edge count) alone; only the
-    others become graphs for classify_self_bad.  Budgets: n, N and D
-    against MODIFIED_SBM_BUDGET here, the vertex-set count in
-    _connected_vertex_sets, and classify_self_bad's SUBGRAPH_EDGE_BUDGET,
-    which raises on the first vertex set inducing more edges than that
-    (the same error a subset of that size would raise).
+    others become graphs for classify_self_bad.  With a positive edge
+    factor (every n inside MODIFIED_SBM_BUDGET) nothing is self-bad, so the
+    search stops at the first candidate, where the factors are computed.
+    Budgets: n, N and D against MODIFIED_SBM_BUDGET here, the vertex-set
+    count in _connected_vertex_sets, and classify_self_bad's
+    SUBGRAPH_EDGE_BUDGET, which raises on the first vertex set inducing
+    more edges than that (the same error a subset of that size would raise).
     """
     if params.N is None or params.D is None or params.delta is None:
         raise ValueError("the pruned model needs N, D and delta")
@@ -401,6 +415,8 @@ def _listed_removal_targets(g: LabeledGraph, params: ModelParams) -> list[tuple[
         if cut is None:
             lv, le = _log_upsilon_factors(params)
             cut = _bad_threshold(params)
+            if le > 0:
+                break  # dropping an edge lowers any potential by le: nothing is self-bad
         if len(induced) > SUBGRAPH_EDGE_BUDGET:
             # the first oversized subset raises classify_self_bad's budget error
             oversized = [edges[i] for i in induced[:SUBGRAPH_EDGE_BUDGET + 1]]
@@ -475,10 +491,7 @@ def sample_modified_sbm(params: ModelParams, rng_seed: int, *, skip_broken: bool
         pick = int(rng.integers(len(target)))
         removed.add(target[pick])
     g_prime = gc.graph(n, g.edges - removed, vertices=range(n))
-    gp_adj = np.zeros((n, n), bool)
-    for u, v in g_prime.edges:
-        gp_adj[u, v] = gp_adj[v, u] = True
-    pi, a, b = _draw_correlated(rng, n, gp_adj, float(params.s))
+    pi, a, b = _draw_correlated(rng, n, adjacency_matrix(g_prime), float(params.s))
     return CorrelatedSample(
         tuple(int(x) for x in pi), tuple(int(x) for x in sigma),
         g, _mask_to_graph(n, a), _mask_to_graph(n, b),

@@ -32,13 +32,6 @@ def overlap(pi: tuple[int, ...], pi_prime: tuple[int, ...]) -> Fraction:
     return Fraction(hits, len(pi))
 
 
-def _adjacency(g: LabeledGraph) -> np.ndarray:
-    a = np.zeros((g.n_vertices, g.n_vertices), dtype=bool)
-    for u, v in g.edges:
-        a[u, v] = a[v, u] = True
-    return a
-
-
 # -- estimators -------------------------------------------------------------------
 
 
@@ -60,7 +53,7 @@ def random_estimator_factory(seed: int) -> Callable:
 def greedy_degree_estimator(a: LabeledGraph, b: LabeledGraph) -> tuple[int, ...]:
     """Match vertices by (degree, sorted neighbor degrees) profiles, greedily."""
     def profile(g: LabeledGraph):
-        adj = _adjacency(g)
+        adj = md.adjacency_matrix(g)
         deg = adj.sum(axis=1)
         return [
             (int(deg[v]), tuple(sorted((int(deg[u]) for u in np.nonzero(adj[v])[0]), reverse=True)))
@@ -101,17 +94,17 @@ class IndicatorFamily:
         return out
 
 
+def indicator_rows(pi: tuple[int, ...], n: int) -> np.ndarray:
+    """One-hot rows of a matching: h[i, j] = [pi(i) == j]."""
+    out = np.zeros((n, n))
+    for i, j in enumerate(pi):
+        out[i, j] = 1.0
+    return out
+
+
 def estimator_to_indicators(estimator: Callable, n: int) -> IndicatorFamily:
-    """One-hot rows of the estimated matching: h[i, j] = [estimate(i) == j]."""
-
-    def fn(a: LabeledGraph, b: LabeledGraph) -> np.ndarray:
-        pi = estimator(a, b)
-        out = np.zeros((n, n))
-        for i, j in enumerate(pi):
-            out[i, j] = 1.0
-        return out
-
-    return IndicatorFamily(n, fn)
+    """The indicator_rows of the estimated matching, per sample."""
+    return IndicatorFamily(n, lambda a, b: indicator_rows(estimator(a, b), n))
 
 
 def truncate_family(family: IndicatorFamily) -> IndicatorFamily:
@@ -243,8 +236,6 @@ def correlated_er_samplers(params: ModelParams):
 
     def q_sampler(seed, t):
         rng = derived_rng(seed, t)
-        a = md._mask_to_graph(params.n, md._rand_sym_mask(rng, params.n, float(params.q)))
-        b = md._mask_to_graph(params.n, md._rand_sym_mask(rng, params.n, float(params.q)))
-        return a, b
+        return md.draw_er(rng, params.n, params.q), md.draw_er(rng, params.n, params.q)
 
     return p_sampler, q_sampler

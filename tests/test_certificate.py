@@ -564,6 +564,38 @@ def test_label_averages_match_enumeration_on_small_rows():
         assert checked > len(bs.edge_subgraphs(5, 4))  # the cycles add rows beyond H = empty
 
 
+def test_label_averages_match_enumeration_when_k_covers_the_vertices():
+    # k = 6 >= |V|: every set partition of the vertices is a label class
+    pr = md.ModelParams(n=12, lam=F(1), k=6, eps=F(1, 10), delta=F(1, 100))
+    tri, c4 = [(0, 1), (0, 2), (1, 2)], [(0, 1), (1, 2), (2, 3), (0, 3)]
+    diamond = tri + [(1, 3), (2, 3)]
+    # each S with H empty, a triangle, or S itself
+    for name, edges, hs in (("C3", tri, ([], tri)), ("C4", c4, ([], c4)),
+                            ("diamond", diamond, ([], tri, diamond))):
+        s = gc.graph(12, edges)
+        for h_edges in hs:
+            got = ct.Q_of(s, gc.graph(12, h_edges), pr)
+            want = brute_label_average(len(s.vertices), 6, pr.eps, pr.lam, 12, h_edges,
+                                       s.edges - set(h_edges))
+            assert got == want, (name, h_edges)
+        assert ct.P_of(s, pr) == ct.Q_of(s, s, pr)
+
+
+def test_xi_cycle_closed_form_at_many_communities():
+    # 24 communities: the label classes of C6 stand for 24^5 labelings
+    k = 24
+    pr = md.ModelParams(n=40, lam=F(1), k=k, eps=F(1, 100), delta=F(1, 100))
+    a, b = bs.h_decomposition(k, pr.eps, pr.lam, pr.n)
+    t = ct.transfer_weight(pr, ct.FIRST_ORDER_KERNEL)
+    assert ct.xi(gc.cycle_graph(40, 6), pr) == -(k - 1) * t ** 6 / (a ** 6 + (k - 1) * b ** 6)
+
+
+def test_p_of_long_cycle_matches_path_form():
+    pr = md.ModelParams(n=40, lam=F(1), k=7, eps=F(1, 100), delta=F(1, 100))
+    c9 = gc.cycle_graph(40, 9)
+    assert ct.P_of(c9, pr) == ct.P_of_path_form(c9, pr)
+
+
 def test_linear_system_exactly_zero_k3():
     pr = md.ModelParams(n=5, lam=F(1), k=3, eps=F(1, 5), delta=F(1, 100))
     prf = md.ModelParams(n=5, lam=1.0, k=3, eps=0.2, delta=F(1, 100))

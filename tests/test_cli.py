@@ -192,6 +192,17 @@ def test_reduce_rates_are_the_shares_of_the_printed_statistics(capsys):
     assert payload["p_reject_rate"] == sum(x > 0.5 for x in alt) / 40
 
 
+@pytest.mark.parametrize("estimator", ["identity", "greedy", "random"])
+def test_reduce_planted_statistic_and_overlap_come_from_one_estimate(estimator, capsys):
+    # per draw the planted statistic is (1 - lam) + lam * n * overlap
+    code, out, _ = run_cli(["reduce", "--model", "corr-er", "--estimator", estimator,
+                            "--n", "10", "--q", "1/4", "--rho", "1/3", "--lambda-mix", "1/2",
+                            "--trials", "20", "--seed", "3", "--exact"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["planted_statistic_mean"] - (0.5 + 0.5 * 10 * payload["overlap_mean"])) <= 1e-12
+
+
 def test_unparsable_probability_is_a_structured_error(capsys):
     for q in ("1/0", "abc"):
         for exact in (["--exact"], []):
@@ -504,8 +515,11 @@ def readme_command(name, condition=False):
 
 
 # Commands probed besides the README's: the exact Gram-Schmidt route (its
-# superset-sum table and fraction-free LDL^T) and the float one.
-EXACT_COMMANDS = {"adv-gram-schmidt": ["adv", "--model", "corr-er", "--n", "3", "--q", "1/3",
+# superset-sum table and fraction-free LDL^T), the float one, and xi at 24
+# communities (label averages by label class).
+EXACT_COMMANDS = {"xi-k24": ["xi", "--n", "40", "--k", "24", "--eps", "1/100", "--lambda", "1",
+                             "--D", "6", "--exact"],
+                  "adv-gram-schmidt": ["adv", "--model", "corr-er", "--n", "3", "--q", "1/3",
                                        "--rho", "1/2", "--D", "3", "--exact",
                                        "--method", "gram-schmidt"],
                   "adv-gram-schmidt-float": ["adv", "--model", "corr-er", "--n", "3",
@@ -516,7 +530,7 @@ EXACT_COMMANDS = {"adv-gram-schmidt": ["adv", "--model", "corr-er", "--n", "3", 
 @pytest.mark.parametrize("name,condition", [
     ("adv", False), ("adv", True), ("hidden", False), ("xi", False), ("dual-check", False),
     ("otter", False), ("verify", False), ("adv-gram-schmidt", False),
-    ("adv-gram-schmidt-float", False), ("bounds-audit", False)])
+    ("adv-gram-schmidt-float", False), ("bounds-audit", False), ("xi-k24", False)])
 def test_exact_commands_do_not_import_numpy(name, condition, tmp_path):
     (tmp_path / "base.json").write_text(json.dumps(
         {"outcomes": [0, 1], "null": ["1/2", "1/2"], "alt": ["1/5", "4/5"]}), encoding="utf-8")

@@ -346,6 +346,12 @@ def _listing_oracle(g, params):
     return sorted(targets)
 
 
+def _short_cycles(g, N):
+    """g's cycles of length at most N as sorted edge tuples, in sorted order."""
+    return sorted({tuple(sorted(gc._norm_edge(c[i], c[(i + 1) % len(c)]) for i in range(len(c))))
+                   for c in gc.all_cycles(g, N)})
+
+
 def _pruned_params(lam, n=10, D=2, N=4):
     return md.ModelParams(n=n, lam=lam, k=2, eps=F(1, 10), s=F(1, 2), D=D, delta=F(1, 100), N=N)
 
@@ -401,18 +407,50 @@ def test_listed_removal_targets_self_bad_under_negative_edge_factors(monkeypatch
         assert md._listed_removal_targets(g, pr) == _listing_oracle(g, pr), seed
 
 
-def test_listed_removal_targets_budget_raise_matches_graph_loop():
+def test_listed_removal_targets_budget_raise_matches_graph_loop(monkeypatch):
     # a vertex set inducing 16 edges: K6 plus a pendant edge
     pr = _pruned_params(F(5), n=12)
     g = gc.graph(12, list(itertools.combinations(range(6), 2)) + [(0, 6)], vertices=range(12))
-    want = _budget_fields(lambda: _listing_oracle(g, pr))
-    assert want == ("self-bad check exceeds the edge budget", "models.classify_self_bad", 16, 15)
-    assert _budget_fields(lambda: md._listed_removal_targets(g, pr)) == want
+    # under the real factors the edge factor is positive, nothing is
+    # self-bad, and the host lists only its cycles of length at most N
+    assert md._listed_removal_targets(g, pr) == _short_cycles(g, pr.N)
+    # a negative edge factor keeps the search running; with lv = 1 it is
+    # too small to make any edge set bad, so the oracle stays fast
+    with monkeypatch.context() as patched:
+        patched.setattr(md, "_log_upsilon_factors", lambda params: (1.0, -0.1))
+        want = _budget_fields(lambda: _listing_oracle(g, pr))
+        assert want == ("self-bad check exceeds the edge budget", "models.classify_self_bad", 16, 15)
+        assert _budget_fields(lambda: md._listed_removal_targets(g, pr)) == want
     # missing block-model parameters fail as before: on the first candidate
     no_k = md.ModelParams(n=12, lam=F(5), D=2, delta=F(1, 100), N=4)
     with pytest.raises(ValueError, match="upsilon potential needs D, k and lam"):
         md._listed_removal_targets(g, no_k)
     assert md._listed_removal_targets(gc.empty_graph(12), no_k) == []
+
+
+def test_listed_removal_targets_inside_the_budget_raise_nowhere():
+    # with a positive edge factor only the short cycles are listed, and the
+    # dense parents the self-bad search used to refuse now sample
+    for lam in (F(1, 2), F(1), F(2), F(5)):
+        for n in (8, 10, 12):
+            pr = _pruned_params(lam, n=n)
+            for seed in range(6):
+                _, g = md.sample_sbm(pr, seed)
+                assert md._listed_removal_targets(g, pr) == _short_cycles(g, pr.N), (lam, n, seed)
+    pr = md.ModelParams(n=12, lam=F(3), k=3, eps=F(1, 2), s=F(1, 2), D=2, N=3, delta=F(1, 100))
+    sample = md.sample_modified_sbm(pr, 11)
+    assert sample.parent_pruned.edges < sample.parent.edges
+
+
+def test_draw_er_and_adjacency_matrix_keep_the_stream_and_the_edges():
+    for n, q in ((1, F(1, 2)), (9, F(2, 5)), (40, 0.05)):
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        g = md.draw_er(a, n, q)
+        assert g == md._mask_to_graph(n, md._rand_sym_mask(b, n, float(q)))
+        assert a.random() == b.random()
+        adj = md.adjacency_matrix(g)
+        assert adj.dtype == bool and np.array_equal(adj, adj.T)
+        assert md._mask_to_graph(n, adj) == g
 
 
 def test_mask_to_graph_matches_graph_builder():
