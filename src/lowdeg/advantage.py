@@ -59,13 +59,15 @@ def advantage_product_basis(p: DiscreteMeasure, q_params: ModelParams, D: int,
     unnormalized centered moment (bs.centered_moments), so exact inputs
     give Fractions and no square root is formed; bs.evaluate_basis is the
     pointwise oracle.  kind is "pair" for graph-pair atoms, else "single".
+    At q = 1 every nonempty index has null variance 0 and is skipped, as
+    Gram-Schmidt drops it, so the value is 1.
     """
     n = q_params.n
     if kind == "pair":
         indices, q = bs.pair_indices(n, D), bs.pair_edge_prob(q_params)
     else:
         indices, q = bs.single_indices(n, D), bs.null_edge_prob(q_params)
-    indices = [idx for idx in indices if idx.degree]
+    indices = [idx for idx in indices if idx.degree] if q * (1 - q) else []
     per_index = {}
     total = Fraction(1) if p.exact else 1.0
     for idx, raw in zip(indices, bs.centered_moments(p, indices, n, q)):

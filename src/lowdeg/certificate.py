@@ -337,6 +337,8 @@ def _labeled_count(n: int, class_rep: LabeledGraph) -> int:
 def build_dual(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL) -> DualVector:
     """Recursion values for every leafless class within the degree budget,
     weighted by labeled-copy counts in the ambient complete graph."""
+    if D is None:
+        raise ValueError("the dual certificate needs D")
     table = XiTable(params, kernel)
     dual = DualVector(params, D, kernel)
     empty = gc.empty_graph(params.n)
@@ -411,6 +413,8 @@ def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_
     stands for every row of the orbit; row_count is the total orbit size.
     At n=6, D=4 the 1,941 rows form 18 orbits.
     """
+    if D is None:
+        raise ValueError("the linear system needs D")
     bit = ms.edge_bits(params.n)
     n_rows = sum(math.comb(len(bit), j) for j in range(min(D, len(bit)) + 1))
     if n_rows > n_rows_cap:

@@ -74,9 +74,14 @@ def _emit(payload: dict, out: str | Path | None):
 
 
 def _json_object(path: str, option: str, required=(), allowed=None) -> dict:
-    """The JSON object in the file at path; a file holding anything else, or
-    lacking a required key or carrying a key outside allowed, is a ValueError."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON object in the file at path; a file that cannot be read, or
+    holds anything else, or lacks a required key or carries a key outside
+    allowed, is a ValueError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{option} file {path!r} cannot be read: {exc.strerror}") from None
+    raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError(f"{option} file must hold a JSON object, not {type(raw).__name__}")
     missing = [key for key in required if key not in raw]

@@ -209,6 +209,9 @@ def er_pair_measure(n: int, q) -> DiscreteMeasure:
 
 def sbm_block_probs(n: int, k: int, lam, eps) -> tuple:
     """(p_in, p_out): the edge probabilities within and across blocks."""
+    missing = [name for name, val in (("lam", lam), ("k", k), ("eps", eps)) if val is None]
+    if missing:
+        raise ValueError(f"the block model needs {', '.join(missing)}")
     p_in = (1 + (k - 1) * eps) * lam / n
     p_out = (1 - eps) * lam / n
     if not (0 <= p_in <= 1 and 0 <= p_out <= 1):
@@ -347,7 +350,7 @@ def correlated_sbm_joint_measure(n: int, k: int, lam, eps, s) -> DiscreteMeasure
         raise ValueError("the block-model matching joint needs s, a child's edge-keep probability")
     n_pairs = n * (n - 1) // 2
     _check_budget("matching-joint space", "correlated_sbm_joint_measure",
-                  math.factorial(n) * k ** n * 5 ** n_pairs)
+                  math.factorial(n) * 4 ** n_pairs)
     p_in, p_out = sbm_block_probs(n, k, lam, eps)
     one = _one_like([lam, eps, s])
     full = (1 << n_pairs) - 1

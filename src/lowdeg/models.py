@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import graph_core as gc
+from . import measures as ms
 from .graph_core import EnumerationBudgetError, LabeledGraph
 from .params import ModelParams, _check_prob  # noqa: F401  (re-exported)
 
@@ -106,6 +107,8 @@ def _rand_sym_mask(rng: np.random.Generator, n: int, prob: float | np.ndarray) -
 
 def draw_er(rng: np.random.Generator, n: int, q) -> LabeledGraph:
     """One G(n, q) graph drawn from rng."""
+    if q is None:
+        raise ValueError("the ER model needs q")
     return _mask_to_graph(n, _rand_sym_mask(rng, n, float(q)))
 
 
@@ -152,17 +155,25 @@ def sample_sbm(params: ModelParams, rng_seed: int) -> tuple[tuple[int, ...], Lab
 
 def _draw_sbm(rng: np.random.Generator, params: ModelParams):
     n = params.n
+    p_in, p_out = ms.sbm_block_probs(n, params.k, params.lam, params.eps)
     sigma = rng.integers(0, params.k, size=n)
     same = sigma[:, None] == sigma[None, :]
-    prob = np.where(same, float(params.sbm_p_intra), float(params.sbm_p_inter))
+    prob = np.where(same, float(p_in), float(p_out))
     return sigma, _rand_sym_mask(rng, n, prob)
+
+
+def _keep_prob(params: ModelParams) -> float:
+    """s, a child's edge-keep probability, for the block-model samplers."""
+    if params.s is None:
+        raise ValueError("the correlated block model needs s, a child's edge-keep probability")
+    return float(params.s)
 
 
 def sample_correlated_sbm(params: ModelParams, rng_seed: int) -> CorrelatedSample:
     rng = derived_rng(rng_seed)
     n = params.n
     sigma, g = _draw_sbm(rng, params)
-    pi, a, b = _draw_correlated(rng, n, g, float(params.s))
+    pi, a, b = _draw_correlated(rng, n, g, _keep_prob(params))
     return CorrelatedSample(
         tuple(int(x) for x in pi), tuple(int(x) for x in sigma),
         _mask_to_graph(n, g), _mask_to_graph(n, a), _mask_to_graph(n, b),
@@ -371,25 +382,20 @@ MODIFIED_SBM_BUDGET = dict(n=30, N=6, D=3)
 
 
 def _listed_removal_targets(g: LabeledGraph, params: ModelParams) -> list[tuple[tuple[int, int], ...]]:
-    """Edge sets of the listed structures present in g: short cycles and
-    self-bad edge-bearing subgraphs up to D^3 vertices, in lexicographic
-    order of their sorted edge lists.
+    """Edge sets of the listed structures present in g: its cycles of length
+    at most N, in lexicographic order of their sorted edge lists.
 
     Structures are listed against the parent graph g itself; the global
     list over the complete graph filtered to subgraphs of g gives the same
     sequence, so the removal stream is identical and reproducible.
 
-    Counted as self-bad candidates: every nonempty edge set induced inside
-    some connected vertex set of at most D^3 vertices, as a bitmask over
-    g's sorted edges and visited once however many vertex sets hold it.
-    "Good" is decided from its (support size, edge count) alone; only the
-    others become graphs for classify_self_bad.  With a positive edge
-    factor (every n inside MODIFIED_SBM_BUDGET) nothing is self-bad, so the
-    search stops at the first candidate, where the factors are computed.
-    Budgets: n, N and D against MODIFIED_SBM_BUDGET here, the vertex-set
-    count in _connected_vertex_sets, and classify_self_bad's
-    SUBGRAPH_EDGE_BUDGET, which raises on the first vertex set inducing
-    more edges than that (the same error a subset of that size would raise).
+    The paper also lists self-bad subgraphs (classify_self_bad) of at most
+    D^3 vertices.  Dropping an edge from one lowers its potential by the edge
+    factor le = log(1000 lam~^20 k^20 D^50 / n), so none exists while le > 0.
+    le <= 0 takes n >= 1000 * 2^20 at the least; inside MODIFIED_SBM_BUDGET
+    (n <= 30) le >= 17.4.  le is read when g holds an edge and D^3 >= 2 (a
+    candidate exists), and le <= 0 there raises ValueError rather than list
+    cycles alone.
     """
     if params.N is None or params.D is None or params.delta is None:
         raise ValueError("the pruned model needs N, D and delta")
@@ -398,45 +404,13 @@ def _listed_removal_targets(g: LabeledGraph, params: ModelParams) -> list[tuple[
             raise EnumerationBudgetError("modified-model enumeration budget exceeded",
                                          where=f"models._listed_removal_targets {name}",
                                          requested=getattr(params, name), budget=cap)
-    targets: set[tuple[tuple[int, int], ...]] = set()
-    for cyc in gc.all_cycles(g, params.N):
-        targets.add(tuple(sorted(gc._norm_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))))
-    # self-bad candidates: edge sets inside connected vertex sets within the budget
-    max_v = params.D ** 3
-    edges = sorted(g.edges)
-    ends = [(1 << u) | (1 << v) for u, v in edges]
-    seen: set[int] = set()
-    cut = None
-    for vs in _connected_vertex_sets(g, max_v):
-        vs_mask = sum(1 << v for v in vs)
-        induced = [i for i, e in enumerate(ends) if e & vs_mask == e]
-        if not induced:
-            continue
-        if cut is None:
-            lv, le = _log_upsilon_factors(params)
-            cut = _bad_threshold(params)
-            if le > 0:
-                break  # dropping an edge lowers any potential by le: nothing is self-bad
-        if len(induced) > SUBGRAPH_EDGE_BUDGET:
-            # the first oversized subset raises classify_self_bad's budget error
-            oversized = [edges[i] for i in induced[:SUBGRAPH_EDGE_BUDGET + 1]]
-            classify_self_bad(gc.graph(g.n_vertices, oversized), params)
-        full = sum(1 << i for i in induced)
-        sub = full
-        while sub:
-            if sub not in seen:
-                seen.add(sub)
-                picked = list(gc._bits(sub))
-                support = 0
-                for i in picked:
-                    support |= ends[i]
-                n_support = support.bit_count()
-                # the classify_self_bad "good" test on the graph of these edges
-                if n_support <= max_v and lv * n_support + le * len(picked) < cut:
-                    subset = [edges[i] for i in picked]
-                    if classify_self_bad(gc.graph(g.n_vertices, subset), params) == "self_bad":
-                        targets.add(tuple(subset))
-            sub = (sub - 1) & full
+    targets = {tuple(sorted(gc._norm_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))))
+               for cyc in gc.all_cycles(g, params.N)}
+    if g.edges and params.D ** 3 >= 2:
+        _, le = _log_upsilon_factors(params)
+        if le <= 0:
+            raise ValueError(f"the edge factor le = {le:.6g} is not positive, so self-bad subgraphs "
+                             "may exist, and the pruned model lists only short cycles")
     return sorted(targets)
 
 
@@ -465,13 +439,6 @@ def _grow_connected_sets(adj: dict[int, set[int]], roots: list[int], max_size: i
     return found
 
 
-def _connected_vertex_sets(g: LabeledGraph, max_size: int):
-    adj = gc._adjacency(g)
-    sets = _grow_connected_sets(adj, [v for v in sorted(g.vertices) if adj[v]], max_size, 100_000,
-                                "connected vertex-set budget exceeded", "models._connected_vertex_sets")
-    return sorted(sets, key=sorted)
-
-
 def sample_modified_sbm(params: ModelParams, rng_seed: int, *, skip_broken: bool = False) -> CorrelatedSample:
     """Block-model parent with listed structures broken by removing one
     uniform edge each, then the usual two-child subsampling.
@@ -491,7 +458,7 @@ def sample_modified_sbm(params: ModelParams, rng_seed: int, *, skip_broken: bool
         pick = int(rng.integers(len(target)))
         removed.add(target[pick])
     g_prime = gc.graph(n, g.edges - removed, vertices=range(n))
-    pi, a, b = _draw_correlated(rng, n, adjacency_matrix(g_prime), float(params.s))
+    pi, a, b = _draw_correlated(rng, n, adjacency_matrix(g_prime), _keep_prob(params))
     return CorrelatedSample(
         tuple(int(x) for x in pi), tuple(int(x) for x in sigma),
         g, _mask_to_graph(n, a), _mask_to_graph(n, b),

@@ -234,6 +234,23 @@ def test_reversed_advantage_against_float_oracle():
     assert abs(got.value - oracle) < 1e-9
 
 
+def test_reversed_advantage_equals_gram_schmidt_with_the_roles_swapped():
+    """The reversed advantage is the advantage of the null over the planted
+    graph law: Gram-Schmidt on the enumerated measures, with the null edge
+    monomials orthogonalized under the planted law.  Forests are independent
+    edges of marginal q0 under the planted law, so D < 3 gives 1."""
+    from lowdeg import advantage as adv
+
+    for k in (2, 3):
+        pr = md.ModelParams(n=4, lam=F(1), k=k, eps=F(2, 5), delta=F(1, 100))
+        null = ms.er_graph_measure(4, bs.null_edge_prob(pr))
+        planted = ms.sbm_graph_measure(4, k, pr.lam, pr.eps)
+        for D in (1, 2, 3):
+            want = adv.advantage_gram_schmidt(null, planted, D=D).value_squared
+            assert type(want) is F and (want > 1) == (D == 3), (k, D)
+            assert ct.reversed_advantage_exact(pr, D).value_squared == want, (k, D)
+
+
 def _brute_reversed_value_sq(pr, D):
     """(G^-1)_00 for the orthonormal null basis Gram matrix under the planted
     joint, by summing over its atoms and eliminating in Fractions."""

@@ -312,6 +312,87 @@ def test_adv_corr_sbm_without_s_is_a_structured_error(capsys):
         "schema_version": 1}
 
 
+_SBM = ["--n", "10", "--lambda", "3/2", "--k", "2", "--eps", "1/10", "--s", "1/2"]
+_PRUNED = ["--D", "2", "--N", "4", "--delta", "1/100"]
+
+
+def _without(argv, option):
+    at = argv.index(option)
+    return argv[:at] + argv[at + 2:]
+
+
+# (argv, the JSON error, or None for exit 0 with value_squared 1); a path
+# argument "{tmp}" is the test's temporary directory
+_MISSING_FIELD_ROWS = [
+    *[(["sample", "--model", model, *_without(_SBM, "--s"), *extra],
+       "the correlated block model needs s, a child's edge-keep probability")
+      for model, extra in (("corr-sbm", []), ("mod-sbm", _PRUNED))],
+    *[(["sample", "--model", model, *_without(_SBM, option), *extra], f"the block model needs {field}")
+      for model, extra in (("corr-sbm", []), ("mod-sbm", _PRUNED))
+      for option, field in (("--lambda", "lam"), ("--eps", "eps"), ("--k", "k"))],
+    (["sample", "--model", "er", "--n", "10"], "the ER model needs q"),
+    *[(["adv", "--model", "corr-sbm", *_without(["--n", "3", "--k", "2", "--lambda", "1", "--eps", "2/5",
+                                                 "--s", "1/2", "--D", "2", "--exact"], option)],
+       f"the block model needs {field}")
+      for option, field in (("--k", "k"), ("--lambda", "lam"), ("--eps", "eps"))],
+    (["xi", "--n", "4", "--lambda", "1", "--k", "2", "--eps", "2/5", "--exact"],
+     "the dual certificate needs D"),
+    (["dual-check", "--n", "4", "--lambda", "1", "--k", "2", "--eps", "2/5", "--exact"],
+     "the linear system needs D"),
+    *[(["adv", "--model", "corr-er", "--n", "3", "--q", "1", "--rho", "1/2", "--D", "2", "--exact",
+        "--method", method], None) for method in ("product-basis", "gram-schmidt")],
+    (["hidden", "--M", "2", "--base-spec", "{tmp}/absent.json"],
+     "--base-spec file '{tmp}/absent.json' cannot be read: No such file or directory"),
+    (["hidden", "--M", "2", "--base-spec", "{tmp}"], "--base-spec file '{tmp}' cannot be read: Is a directory"),
+    (["bounds-audit", "--suite", "P-sum", "--params", "{tmp}/absent.json"],
+     "--params file '{tmp}/absent.json' cannot be read: No such file or directory"),
+    (["bounds-audit", "--suite", "P-sum", "--params", "{tmp}"], "--params file '{tmp}' cannot be read: Is a directory"),
+]
+
+
+def test_missing_fields_and_unreadable_files_are_structured_errors(tmp_path, capsys):
+    """Each row used to end in a traceback (exit 1): a TypeError from a
+    missing model field, a ZeroDivisionError in the product basis at q = 1,
+    or an OSError reading the JSON file."""
+    for argv, error in _MISSING_FIELD_ROWS:
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        if argv[0] == "sample":
+            argv += ["--out", str(tmp_path / "out")]
+        code, out, err = run_cli(argv, capsys)
+        if error is None:  # q = 1: no direction has null variance, and both routes give 1
+            assert code == 0 and err == "", argv
+            got = json.loads(out)["value_squared"]
+            assert (got["numerator"], got["denominator"]) == (1, 1), argv
+        else:
+            assert code == 2 and out == "", argv
+            assert json.loads(err) == {"error": error.replace("{tmp}", str(tmp_path)),
+                                       "schema_version": 1}
+
+
+def test_sample_pruned_model_refuses_a_non_positive_edge_factor(tmp_path, capsys, monkeypatch):
+    from lowdeg import models as md
+
+    monkeypatch.setattr(md, "_log_upsilon_factors", lambda params: (1.0, -1.0))
+    code, out, err = run_cli(["sample", "--model", "mod-sbm", *_SBM, *_PRUNED,
+                              "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("the edge factor le = -1 is not positive")
+
+
+def test_adv_corr_sbm_at_four_vertices(capsys):
+    argv = ["adv", "--model", "corr-sbm", "--n", "4", "--k", "2", "--lambda", "1", "--eps", "2/5",
+            "--s", "1/2", "--exact", "--D"]
+    for D, want in (("2", Fraction(58, 49)), ("3", Fraction(6344518, 5359375))):
+        code, out, _ = run_cli(argv + [D], capsys)
+        assert code == 0
+        got = json.loads(out)["value_squared"]
+        assert Fraction(got["numerator"], got["denominator"]) == want, D
+    argv[argv.index("4")] = "5"
+    code, out, err = run_cli(argv + ["2"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "matching-joint space exceeds the enumeration budget"
+
+
 def test_bounds_audit_param_not_a_number_is_a_structured_error(tmp_path, capsys):
     code, out, err = run_cli(["bounds-audit", "--suite", "P-sum", "--params",
                               _raw_params_file(tmp_path, {"n": 10, "q": [1], "rho": "1/3"})], capsys)

@@ -302,13 +302,23 @@ def test_models_budget_errors_carry_fields():
     star18 = gc.graph(19, [(0, i) for i in range(1, 19)])
     assert _budget_fields(lambda: md.contains_bad_subgraph(star18, near, 19, "er")) == (
         "connected-subgraph search budget exceeded", "models._bad_connected_pieces", 200_001, 200_000)
+    # the pruned model lists short cycles only: a star has none, and its
+    # 2^17 connected vertex sets are not enumerated
     pruned = md.ModelParams(n=30, lam=F(1), k=2, eps=F(1, 10), D=3, delta=F(1, 100), N=3, s=F(1, 2))
     star17 = gc.graph(30, [(0, i) for i in range(1, 18)])
-    assert _budget_fields(lambda: md._listed_removal_targets(star17, pruned)) == (
-        "connected vertex-set budget exceeded", "models._connected_vertex_sets", 100_001, 100_000)
+    assert md._listed_removal_targets(star17, pruned) == []
     too_big = md.ModelParams(n=31, lam=F(1), k=2, eps=F(1, 10), D=3, delta=F(1, 100), N=3, s=F(1, 2))
     assert _budget_fields(lambda: md.sample_modified_sbm(too_big, 0)) == (
         "modified-model enumeration budget exceeded", "models._listed_removal_targets n", 31, 30)
+
+
+def _connected_vertex_sets(g, max_size):
+    """g's connected vertex sets of at most max_size vertices, isolated
+    vertices left out, in sorted order."""
+    adj = gc._adjacency(g)
+    sets = md._grow_connected_sets(adj, [v for v in sorted(g.vertices) if adj[v]], max_size, 100_000,
+                                   "connected vertex-set budget exceeded", "connected vertex sets")
+    return sorted(sets, key=sorted)
 
 
 def test_connected_vertex_sets_match_brute_force():
@@ -324,7 +334,7 @@ def test_connected_vertex_sets_match_brute_force():
                 sub = gc.graph(n, [e for e in edges if e[0] in vs and e[1] in vs], vertices=vs)
                 if len(gc.connected_components(sub)) == 1 and (size > 1 or g.degree(vs[0])):
                     want.append(frozenset(vs))
-        assert md._connected_vertex_sets(g, 5) == sorted(want, key=sorted)
+        assert _connected_vertex_sets(g, 5) == sorted(want, key=sorted)
 
 
 # -- oracles: the per-candidate LabeledGraph loops the listing and samplers replaced
@@ -334,7 +344,7 @@ def _listing_oracle(g, params):
     targets = set()
     for cyc in gc.all_cycles(g, params.N):
         targets.add(tuple(sorted(gc._norm_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))))
-    for vs in md._connected_vertex_sets(g, params.D ** 3):
+    for vs in _connected_vertex_sets(g, params.D ** 3):
         induced = sorted(e for e in g.edges if e[0] in vs and e[1] in vs)
         for k_edges in range(1, len(induced) + 1):
             for subset in itertools.combinations(induced, k_edges):
@@ -374,37 +384,40 @@ def test_listed_removal_targets_match_graph_loop():
         assert md._listed_removal_targets(g, pr) == _listing_oracle(g, pr), seed
 
 
+_NOT_POSITIVE = "the edge factor le = .* is not positive"
+
+
 def test_listed_removal_targets_self_bad_under_negative_edge_factors(monkeypatch):
     # inside MODIFIED_SBM_BUDGET the edge factor is positive, so nothing is
-    # self-bad; these factors make self-bad edge sets exist, and the listing
-    # must find them as the oracle does
+    # self-bad; these factors make self-bad edge sets exist, and the listing,
+    # which holds short cycles only, refuses them
     pr = _pruned_params(F(2))
     k4 = list(itertools.combinations(range(4), 2))
     k4_far = [(u + 5, v + 5) for u, v in k4]
-    # lv = 1, le = -1: a K4 is self-bad, and so are two disjoint K4s, which
-    # here span 8 vertices but no connected vertex set of at most 8 holds both
+    # lv = 1, le = -1: a K4 is self-bad, and so are two disjoint K4s
     monkeypatch.setattr(md, "_log_upsilon_factors", lambda params: (1.0, -1.0))
     assert md.classify_self_bad(gc.graph(10, k4), pr) == "self_bad"
     assert md.classify_self_bad(gc.graph(10, k4 + k4_far), pr) == "self_bad"
     hosts = [gc.graph(10, k4 + [(3, 4), (4, 5), (5, 6), (6, 4)], vertices=range(10)),
              gc.graph(10, k4 + [(3, 4), (4, 5)] + k4_far, vertices=range(10))]
-    found = 0
-    for g in hosts + [md.sample_sbm(pr, seed)[1] for seed in range(8)]:
-        got = md._listed_removal_targets(g, pr)
-        assert got == _listing_oracle(g, pr)
-        found += sum(1 for t in got if len(t) > pr.N)  # longer than any listed cycle
-    assert found
-    assert tuple(sorted(k4 + k4_far)) not in md._listed_removal_targets(hosts[1], pr)
+    for g in hosts:
+        assert any(len(t) > pr.N for t in _listing_oracle(g, pr))  # longer than any listed cycle
+        with pytest.raises(ValueError, match=_NOT_POSITIVE):
+            md._listed_removal_targets(g, pr)
     # lv = -0.3, le = -0.1: an edge is good, any two edges on three or more
     # vertices are bad and self-bad, so the support size decides
     monkeypatch.setattr(md, "_log_upsilon_factors", lambda params: (-0.3, -0.1))
     path = gc.graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)], vertices=range(10))
     want = _listing_oracle(path, pr)
     assert ((0, 1), (1, 2)) in want and ((0, 1),) not in want
-    assert md._listed_removal_targets(path, pr) == want
-    for seed in range(4):
-        _, g = md.sample_sbm(_pruned_params(F(1)), seed)
-        assert md._listed_removal_targets(g, pr) == _listing_oracle(g, pr), seed
+    with pytest.raises(ValueError, match=_NOT_POSITIVE):
+        md._listed_removal_targets(path, pr)
+    # no candidate, no factor: an edgeless parent, and D = 1 (D^3 = 1 vertex holds no edge)
+    assert md._listed_removal_targets(gc.empty_graph(10), pr) == []
+    assert md._listed_removal_targets(path, _pruned_params(F(2), D=1)) == []
+    # through the sampler
+    with pytest.raises(ValueError, match=_NOT_POSITIVE):
+        md.sample_modified_sbm(_pruned_params(F(2)), 0)
 
 
 def test_listed_removal_targets_budget_raise_matches_graph_loop(monkeypatch):
@@ -414,13 +427,14 @@ def test_listed_removal_targets_budget_raise_matches_graph_loop(monkeypatch):
     # under the real factors the edge factor is positive, nothing is
     # self-bad, and the host lists only its cycles of length at most N
     assert md._listed_removal_targets(g, pr) == _short_cycles(g, pr.N)
-    # a negative edge factor keeps the search running; with lv = 1 it is
-    # too small to make any edge set bad, so the oracle stays fast
+    # under a negative edge factor the graph loop meets classify_self_bad's
+    # edge budget; the listing refuses the factor instead
     with monkeypatch.context() as patched:
         patched.setattr(md, "_log_upsilon_factors", lambda params: (1.0, -0.1))
         want = _budget_fields(lambda: _listing_oracle(g, pr))
         assert want == ("self-bad check exceeds the edge budget", "models.classify_self_bad", 16, 15)
-        assert _budget_fields(lambda: md._listed_removal_targets(g, pr)) == want
+        with pytest.raises(ValueError, match=_NOT_POSITIVE):
+            md._listed_removal_targets(g, pr)
     # missing block-model parameters fail as before: on the first candidate
     no_k = md.ModelParams(n=12, lam=F(5), D=2, delta=F(1, 100), N=4)
     with pytest.raises(ValueError, match="upsilon potential needs D, k and lam"):
