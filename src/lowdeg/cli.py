@@ -9,7 +9,9 @@ carries a schema_version field, CSV uses stable documented columns with a
 numpy is loaded only by the commands that sample (sample, reduce), by the
 B1 and A4 suites of bounds-audit, and by the --method rayleigh route of
 adv: the modules behind them are imported inside those commands, so the
-exact commands and float --method gram-schmidt start without it.
+exact commands and float --method gram-schmidt start without it.  In the
+same way the dual certificate (certificate) is imported only by xi,
+dual-check and verify, so adv and hidden start without compiling it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from pathlib import Path
 from . import __version__
 from . import advantage as adv
 from . import basis as bs
-from . import certificate as ct
 from . import graph_core as gc
 from . import measures as ms
 from .exactnum import Rad
@@ -255,6 +256,8 @@ def cmd_hidden(args) -> int:
 
 
 def cmd_xi(args) -> int:
+    from . import certificate as ct
+
     params = _params_from_args(args, args.exact)
     kernel = ct.EXACT_KERNEL if args.kernel == "exact" else ct.FIRST_ORDER_KERNEL
     dual = ct.build_dual(params, args.D, kernel=kernel)
@@ -270,6 +273,8 @@ def cmd_xi(args) -> int:
 
 
 def cmd_dual_check(args) -> int:
+    from . import certificate as ct
+
     params = _params_from_args(args, args.exact)
     residual, rows = ct.verify_linear_system(params, args.D)
     payload = {
@@ -363,6 +368,8 @@ def cmd_otter(args) -> int:
 
 def cmd_verify(args) -> int:
     """Run a quick suite of the package's exact invariants."""
+    from . import certificate as ct
+
     checks: list[tuple[str, bool]] = []
 
     def check(name: str, ok: bool):

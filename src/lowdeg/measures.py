@@ -14,9 +14,9 @@ Atom conventions used throughout the package:
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable
@@ -170,17 +170,18 @@ def integer_weights(values: list) -> tuple[list[int], int]:
 def _checked_total(weights: list) -> tuple:
     """(sum, exact) of a weight list, rejecting a negative weight.  Exact
     weights (ints and Fractions) are immutable: each distinct object is
-    sign-tested and summed once, as integer_weights numerators times count."""
+    converted by integer_weights and sign-tested once, and the total is one
+    pass over the weights that sums their numerators looked up by id."""
     kinds = set(map(type, weights))
     if not all(issubclass(k, (Fraction, int)) for k in kinds):
         if any(w < 0 for w in weights):
             raise ValueError("negative weight")
         return sum(weights), False
-    counts = Counter(map(id, weights))  # first-occurrence order, as the dict below
-    nums, den = integer_weights(list(dict(zip(map(id, weights), weights)).values()))
+    distinct = dict(zip(map(id, weights), weights))
+    nums, den = integer_weights(list(distinct.values()))
     if any(num < 0 for num in nums):
         raise ValueError("negative weight")
-    total = sum(num * count for num, count in zip(nums, counts.values()))
+    total = sum(map(dict(zip(distinct, nums)).__getitem__, map(id, weights)))
     return (Fraction(total, den) if any(issubclass(k, Fraction) for k in kinds) else total), True
 
 
@@ -272,9 +273,18 @@ def _child_subsampling_joint(n: int, s, parents: list, keep_parent: bool) -> Dis
     depends only on the count of edges in each state within each class
     mask, so it is computed once per such key and every atom of a key
     shares one weight object.
+    With exact inputs every coefficient and factor is put over one common
+    denominator den (integer_weights).  A component's term has exactly
+    1 + C(n,2) factors, so a key's weight is the one Fraction
+    (sum_c num_c * prod num^count) / den^(1 + C(n,2)); float inputs keep
+    their float products.
     Without keep_parent the atoms are (pi, A, pi(B)), G is summed out, and
     the last two factors merge into 1 - p + p (1-s)^2.  With keep_parent the
     atoms are (pi, G, A, pi(B)) with A, B subsets of G.
+    The cyclic garbage collector is paused while the atoms are made and
+    checked: they are acyclic tuples, and the collector would otherwise
+    walk them again and again as they are made.  Its previous state is
+    restored on the way out, also when the check raises.
     """
     sets = edge_sets(n)
     full = len(sets) - 1
@@ -295,29 +305,44 @@ def _child_subsampling_joint(n: int, s, parents: list, keep_parent: bool) -> Dis
             at = 4 * masks.index(mask)
             factors.append((at, (p * s * s, p * s * (1 - s), p * (1 - s) * (1 - s), off)))
         components.append((coef / len(perms), factors))
-    cache: dict = {}
-    weights = []
-    for g, a, b in triples:
-        states = (a & b, a ^ b, g & ~(a | b), full & ~g)
-        key = tuple((st & mask).bit_count() for mask in masks for st in states)
-        w = cache.get(key)
-        if w is None:
-            w = 0
-            for term, factors in components:
-                for at, fs in factors:
-                    for f, c in zip(fs, key[at:at + 4]):
-                        term = term * f ** c
-                w = w + term
-            cache[key] = w
-        weights.append(w)
-    g_index, a_index, b_index = zip(*triples)
-    lead = [[sets[g] for g in g_index]] if keep_parent else []
-    lead.append([sets[a] for a in a_index])
-    outs = []
-    for pi in perms:
-        image = [frozenset(_norm_edge(pi[u], pi[v]) for u, v in es) for es in sets]
-        outs.extend(zip(itertools.repeat(pi), *lead, map(image.__getitem__, b_index)))
-    return DiscreteMeasure(outs, weights * len(perms))
+    values = [v for coef, factors in components
+              for v in (coef, *(f for _at, fs in factors for f in fs))]
+    scale = None
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        nums, den = integer_weights(values)
+        num = dict(zip(values, nums))
+        components = [(num[coef], [(at, tuple(map(num.__getitem__, fs))) for at, fs in factors])
+                      for coef, factors in components]
+        scale = den ** (1 + n * (n - 1) // 2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cache: dict = {}
+        weights = []
+        for g, a, b in triples:
+            states = (a & b, a ^ b, g & ~(a | b), full & ~g)
+            key = tuple([(st & mask).bit_count() for mask in masks for st in states])
+            w = cache.get(key)
+            if w is None:
+                w = 0
+                for term, factors in components:
+                    for at, fs in factors:
+                        for f, c in zip(fs, key[at:at + 4]):
+                            term = term * f ** c
+                    w = w + term
+                w = cache[key] = w if scale is None else Fraction(w, scale)
+            weights.append(w)
+        g_index, a_index, b_index = zip(*triples)
+        lead = [[sets[g] for g in g_index]] if keep_parent else []
+        lead.append([sets[a] for a in a_index])
+        outs = []
+        for pi in perms:
+            image = [frozenset(_norm_edge(pi[u], pi[v]) for u, v in es) for es in sets]
+            outs.extend(zip(itertools.repeat(pi), *lead, map(image.__getitem__, b_index)))
+        return DiscreteMeasure(outs, weights * len(perms))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def correlated_er_joint_measure(n: int, p, s, *, keep_parent: bool = False) -> DiscreteMeasure:

@@ -578,15 +578,17 @@ def test_hidden_command_array_outcomes(tmp_path, capsys):
 
 SRC = Path(cli.__file__).resolve().parents[1]
 # Runs one CLI command in a fresh interpreter and reports on stderr whether
-# numpy was imported by the time it returned.
-NUMPY_PROBE = ("import sys\nfrom lowdeg.cli import main\ncode = main(sys.argv[1:])\n"
-               "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
-               "raise SystemExit(code)")
+# numpy and the dual certificate were imported by the time it returned.
+IMPORT_PROBE = ("import sys\nfrom lowdeg.cli import main\ncode = main(sys.argv[1:])\n"
+                "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+                "print('certificate loaded:', 'lowdeg.certificate' in sys.modules,"
+                " file=sys.stderr)\n"
+                "raise SystemExit(code)")
 
 
 def run_in_subprocess(argv, cwd):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True)
 
 
@@ -618,6 +620,16 @@ def test_exact_commands_do_not_import_numpy(name, condition, tmp_path):
     proc = run_in_subprocess(EXACT_COMMANDS.get(name) or readme_command(name, condition), tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "numpy loaded: False" in proc.stderr
+
+
+@pytest.mark.parametrize("name,condition,loaded", [
+    ("adv", False, False), ("adv", True, False), ("hidden", False, False), ("xi", False, True)])
+def test_only_the_certificate_commands_import_it(name, condition, loaded, tmp_path):
+    (tmp_path / "base.json").write_text(json.dumps(
+        {"outcomes": [0, 1], "null": ["1/2", "1/2"], "alt": ["1/5", "4/5"]}), encoding="utf-8")
+    proc = run_in_subprocess(readme_command(name, condition), tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert f"certificate loaded: {loaded}" in proc.stderr  # xi: the probe can see it
 
 
 def test_dual_check_at_three_communities_does_not_import_numpy(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from fractions import Fraction as F
@@ -84,6 +85,51 @@ def test_correlated_sbm_joint_reduces_to_er_at_zero_eps():
     d_sbm = dict(zip(sbm.outcomes, sbm.weights))
     d_er = dict(zip(er.outcomes, er.weights))
     assert d_sbm == d_er
+    # n=4: eight label-class components, each over the common denominator
+    sbm = ms.correlated_sbm_joint_measure(4, 2, lam, F(0), s)
+    er = ms.correlated_er_joint_measure(4, lam / 4, s)
+    assert dict(zip(sbm.outcomes, sbm.weights)) == dict(zip(er.outcomes, er.weights))
+
+
+def test_float_matching_joints_match_the_exact_ones():
+    """Float inputs keep their float products; exact inputs build integer
+    numerators over a common denominator.  Both give the same law."""
+    def assert_close(approx, exact):
+        assert exact.exact and not approx.exact and approx.outcomes == exact.outcomes
+        assert all(type(w) is float and abs(w - x) <= 1e-12
+                   for w, x in zip(approx.weights, exact.weights))
+
+    p, s = F(2, 5), F(3, 4)
+    for keep in (False, True):
+        exact = ms.correlated_er_joint_measure(3, p, s, keep_parent=keep)
+        for fp, fs in ((float(p), float(s)), (p, float(s))):
+            assert_close(ms.correlated_er_joint_measure(3, fp, fs, keep_parent=keep), exact)
+    for k in (2, 3):
+        assert_close(ms.correlated_sbm_joint_measure(3, k, 1.0, 0.3, 0.5),
+                     ms.correlated_sbm_joint_measure(3, k, F(1), F(3, 10), F(1, 2)))
+
+
+def test_matching_joint_restores_the_garbage_collector_state(monkeypatch):
+    seen = []
+    checked_total = ms._checked_total
+
+    def recording(weights):
+        seen.append(gc.isenabled())
+        return checked_total(weights)
+
+    monkeypatch.setattr(ms, "_checked_total", recording)
+    was = gc.isenabled()
+    try:
+        for before in (True, False):
+            (gc.enable if before else gc.disable)()
+            assert len(ms.correlated_er_joint_measure(3, F(1, 2), F(1, 2))) == 384
+            assert gc.isenabled() is before
+            with pytest.raises(ValueError, match="negative weight"):  # s > 1
+                ms.correlated_er_joint_measure(3, F(1, 2), F(3, 2))
+            assert gc.isenabled() is before
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 4  # the atoms are checked with the collector paused
 
 
 def _subsets(items):
@@ -389,6 +435,17 @@ def test_checked_total_counts_repeated_weight_objects():
     with pytest.raises(ValueError, match="negative weight"):
         ms.DiscreteMeasure(range(6), [negative] * 2 + [F(7, 20)] * 4)  # sums to 1
     assert ms.DiscreteMeasure(range(4), [F(1, 4)] * 4).exact
+
+
+def test_checked_total_finds_one_negative_object_after_many_repeats():
+    weights = [F(1, 2), F(1, 3), 1] * 33_333 + [F(-1, 7)]
+    assert len(weights) == 10 ** 5
+    with pytest.raises(ValueError, match="negative weight"):
+        ms._checked_total(weights)
+    total, exact = ms._checked_total([1, F(1, 2), 3, F(1, 2), 1])
+    assert exact and total == 6 and type(total) is F
+    total, exact = ms._checked_total([F(2, 3)] * 3 + [5] * 2)
+    assert exact and total == 12 and type(total) is F
 
 
 def test_integer_weights_over_the_least_common_denominator():
