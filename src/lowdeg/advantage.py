@@ -12,6 +12,7 @@ its squared advantage is exactly 1 + (Adv^2(base) - 1)/M at every D >= 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -138,7 +139,13 @@ def advantage_gram_schmidt(p: DiscreteMeasure, q: DiscreteMeasure,
     if exact is None:
         exact = q.exact and p.exact
     gram_inputs = _null_gram(p, q, feats, exact, monomial_degree=D if features is None else None)
-    _lower, pivots, reduced = _ldl(*gram_inputs, exact)
+    return gram_schmidt_report(*gram_inputs, exact, degree)
+
+
+def gram_schmidt_report(gram: list[list], means: list, exact: bool, degree: int) -> AdvantageReport:
+    """Gram-Schmidt's report from the null Gram matrix and alternative means
+    of features whose first is the constant 1, by _ldl."""
+    _lower, pivots, reduced = _ldl(gram, means, exact)
     per_index = {i: r * r / d for i, (d, r) in enumerate(zip(pivots, reduced)) if i and d}
     total = (Fraction(1) if exact else 1.0) + sum(per_index.values())
     return AdvantageReport(degree, _to_float_sq(total), total, "gram_schmidt", per_index)
@@ -162,15 +169,12 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list, exact: bo
     is rejected.
 
     Every entry is an exact sum of integers over a common denominator; float
-    mode rounds each finished entry once.  When the features are
-    default_features(q, monomial_degree) on graph or graph-pair atoms, f_i
-    is the indicator that x holds the coordinate set S_i, so G_ij =
-    M_Q(S_i | S_j) and c_i = M_P(S_i) are read off one superset-sum table
-    per measure (_superset_sums), if its 2^N entries fit
-    ENUMERATION_BUDGET.  Otherwise each feature is evaluated once per null
-    atom, and Python-integer numerators over each measure's common
-    denominator (and the feature values') are summed once per pair j <= i
-    of the symmetric G."""
+    mode rounds each finished entry once.  The features
+    default_features(q, monomial_degree) on graph or graph-pair atoms are
+    read off one superset-sum table per measure (_monomial_gram) if its 2^N
+    entries fit ENUMERATION_BUDGET.  Otherwise each feature is evaluated
+    once per null atom, and integer numerators are summed once per pair
+    j <= i of the symmetric G."""
     at = {x: a for a, x in enumerate(q.outcomes)}
     pw = [0] * len(q)
     for x, w in p:
@@ -199,23 +203,33 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list, exact: bo
 
 
 def _monomial_gram(q: DiscreteMeasure, pw: list, coords: list, pair: bool, D: int):
-    """_null_gram of default_features(q, D) from superset-sum tables over
-    the atoms' bitmasks on coords; monomial i is the mask of its coordinate
-    set, in default_features' order."""
+    """_null_gram of default_features(q, D) by orbit_gram, one orbit per
+    monomial in default_features' order, on the atoms' masks over coords."""
     bit = {c: 1 << t for t, c in enumerate(coords)}
     if pair:
         masks = [sum(bit[0, e] for e in a) + sum(bit[1, e] for e in b) for a, b in q.outcomes]
     else:
         masks = [sum(map(bit.__getitem__, x)) for x in q.outcomes]
-    (wq, den_q), (wp, den_p) = integer_weights(q.weights), integer_weights(pw)
-    mq, mp = (_superset_sums(masks, w, len(coords)) for w in (wq, wp))
+    table_q, table_p = ((_superset_sums(masks, w, len(coords)), den)
+                        for w, den in (integer_weights(q.weights), integer_weights(pw)))
     mono = [sum(1 << t for t in c) for k in range(D + 1)
             for c in itertools.combinations(range(len(coords)), k)]
-    gram = [[None] * len(mono) for _ in mono]
-    for i, a in enumerate(mono):
-        for j in range(i + 1):
-            gram[i][j] = gram[j][i] = Fraction(mq[a | mono[j]], den_q)
-    return gram, [Fraction(mp[a], den_p) for a in mono]
+    return orbit_gram(table_q, table_p, {a: (a,) for a in mono})
+
+
+def orbit_gram(table_q: tuple, table_p: tuple, orbits: dict) -> tuple[list, list]:
+    """Null Gram matrix and alternative means of orbit-summed monomials.  A
+    table (nums, den) gives M(T) = nums[T] / den, the chance that the
+    coordinates in the mask T are all 1, and orbits maps each representative
+    mask to its orbit A.  For the orbits of a group that fixes Q and P,
+    G_AB = |A| sum_{t in B} M_Q(rep A | t) and c_A = |A| M_P(rep A)."""
+    (mq, den_q), (mp, den_p) = table_q, table_p
+    entry = functools.cache(lambda num: Fraction(num, den_q))  # one gcd and object per value
+    gram = [[None] * len(orbits) for _ in orbits]
+    for i, (a, orbit) in enumerate(orbits.items()):
+        for j, other in enumerate(itertools.islice(orbits.values(), i + 1)):
+            gram[i][j] = gram[j][i] = entry(len(orbit) * sum(mq[a | t] for t in other))
+    return gram, [Fraction(len(orbit) * mp[a], den_p) for a, orbit in orbits.items()]
 
 
 def _superset_sums(masks: list[int], weights: list[int], bits: int) -> list[int]:

@@ -13,8 +13,9 @@ are i.i.d. uniform and xi is keyed by class), so the system is checked
 once per S_n-orbit of rows: 18 orbits stand for the 1,941 rows at n=6,
 D=4.  The orbits come from closing each edge bitmask under two generators
 of S_n, independently of the canonical labeling that keys xi.  The exact
-reversed advantage is solved on the same orbits, and the leafless classes
-of the dual vector are the leafless orbits of K_m's edge subsets.
+reversed advantage is Gram-Schmidt with the roles swapped on orbit sums
+over the same orbits, and the leafless classes of the dual vector are the
+leafless orbits of K_m's edge subsets.
 
 The label averages P_of and Q_of behind the recursion and the linear
 system are counted in integers: the per-edge scale takes one value on
@@ -42,8 +43,8 @@ from fractions import Fraction
 from . import basis as bs
 from . import graph_core as gc
 from . import measures as ms
-from .advantage import AdvantageReport
-from .exactnum import Rad, solve_exact
+from .advantage import gram_schmidt_report, orbit_gram
+from .exactnum import Rad
 from .graph_core import EnumerationBudgetError, LabeledGraph
 from .params import ModelParams
 
@@ -438,40 +439,15 @@ REVERSED_ADVANTAGE_ENVELOPE = {"n": 4, "D": 3}
 
 def reversed_advantage_exact(params: ModelParams, D: int):
     """Exact reversed advantage sup E_null[f] / sqrt(E_planted[f^2]) over the
-    degree-D span, via the planted Gram matrix of the null basis.
+    degree-D span: Gram-Schmidt with the roles swapped, the null's edge
+    monomials orthogonalized under the planted graph law.
 
-    Given the labeling sigma the planted edges are independent, so the raw
-    Gram entry E[prod_{S_i} (x_e - q0) prod_{S_j} (x_e - q0)] is the label
-    average of a product over edges: E_sigma[(x_e - q0)^2] on S_i ∩ S_j and
-    p_e(sigma) - q0 on S_i △ S_j.  The labelings are grouped by their
-    equal-label edge set (ms.label_classes).  The orthonormal basis rescales
-    the Gram matrix by the diagonal sqrt(q0(1-q0))^(-deg), which leaves
-    (G^-1)_00 unchanged because the degree-0 scale is 1, so the raw rational
-    system is solved and the value is exact.
-
-    The system is solved on orbits.  Labels are i.i.d. uniform and each edge
-    probability depends only on label equality, so G commutes with every
-    vertex permutation, and so does G^-1; e_0 (the empty set) is invariant,
-    hence so is x = G^-1 e_0, which is then constant on each orbit of edge
-    subsets.  Writing x_j = y_B for j in orbit B, the rows of G x = e_0 at
-    one representative rep(A) per orbit read R y = e_0 with
-    R[A][B] = sum_{j in B} G[rep(A)][j], and (G^-1)_00 = y_0.  The orbits
-    are those of verify_linear_system (edge_orbits), found by generator
-    closure on edge bitmasks, not by canonical labeling.  At n=4, D=3 the
-    42 edge subsets fall into 7 orbits: a 7x7 system in place of 42x42.
-
-    The entries of R are summed in integers.  The second moments are
-    s_in/qs and s_out/qs over one denominator, the mean shifts p - q0 are
-    e_in/qd and e_out/qd over another.  With m = |S_i ∩ S_j| <= D and
-    o = |S_i △ S_j| <= 2D, a label class with i intra edges among the m and
-    j among the o contributes count * sq_terms[m][i] * d_terms[o][j], where
-    sq_terms[m][i] = s_in^i s_out^(m-i) qs^(D-m) and d_terms[o][j] =
-    e_in^j e_out^(o-j) qd^(2D-o) are tabulated once per call.  So every
-    entry of R is one integer over the common denominator k^n qs^D qd^(2D),
-    and one Fraction is formed per entry.
-
-    Budget: REVERSED_ADVANTAGE_ENVELOPE (n <= 4, D <= 3) is the supported
-    envelope.
+    Both laws are fixed by every vertex permutation, so the best test is
+    constant on the S_n-orbits of edge sets (edge_orbits), and the Gram
+    kernel of advantage_gram_schmidt (orbit_gram, then _ldl_fraction_free)
+    runs on the orbit sums of the monomials: 7 orbits for the 42 monomials
+    at n=4, D=3.  Its tables are closed forms (_edge_moment_table).  The
+    sizes are capped by REVERSED_ADVANTAGE_ENVELOPE (n <= 4, D <= 3).
     """
     for name, got in (("n", params.n), ("D", D)):
         cap = REVERSED_ADVANTAGE_ENVELOPE[name]
@@ -482,39 +458,24 @@ def reversed_advantage_exact(params: ModelParams, D: int):
                                          requested=got, budget=cap)
     if not bs._exact_inputs(params.lam, params.eps):
         raise ValueError("exact reversed advantage needs rational parameters")
-    n, k = params.n, params.k
-    p_in, p_out = ms.sbm_block_probs(n, k, params.lam, params.eps)
-    q0 = bs.null_edge_prob(params)
-    sq_in, sq_out = [p * (1 - q0) ** 2 + (1 - p) * q0 ** 2 for p in (p_in, p_out)]
-    d_in, d_out = p_in - q0, p_out - q0
-    (s_in, s_out), qs = ms.integer_weights([sq_in, sq_out])
-    (e_in, e_out), qd = ms.integer_weights([d_in, d_out])
-    sq_terms = _power_products(s_in, s_out, qs, D)
-    d_terms = _power_products(e_in, e_out, qd, 2 * D)
-    classes = list(ms.label_classes(n, k).items())
-    denom = k ** n * qs ** D * qd ** (2 * D)
-
-    def quotient_entry(a: int, orbit: set[int]) -> Fraction:
-        total = 0
-        for b in orbit:
-            both, once = a & b, a ^ b
-            sq_row, d_row = sq_terms[both.bit_count()], d_terms[once.bit_count()]
-            for intra, count in classes:
-                total += count * sq_row[(both & intra).bit_count()] * d_row[(once & intra).bit_count()]
-        return Fraction(total, denom)
-
-    orbits = edge_orbits(n, D)
-    quotient = [[quotient_entry(a, orbit) for orbit in orbits.values()] for a in orbits]
-    rhs = [Fraction(int(a == 0)) for a in orbits]
-    value_sq = solve_exact(quotient, rhs)[0]  # the empty set's orbit {0} comes first
-    return AdvantageReport(D, math.sqrt(max(float(value_sq), 0.0)), value_sq, "rayleigh")
+    n, k, q0 = params.n, params.k, bs.null_edge_prob(params)
+    planted = _edge_moment_table(n, ms.label_classes(n, k), *ms.sbm_block_probs(n, k, params.lam, params.eps))
+    null = _edge_moment_table(n, {0: 1}, q0, q0)
+    return gram_schmidt_report(*orbit_gram(planted, null, edge_orbits(n, D)), True, D)
 
 
-def _power_products(x: int, y: int, q: int, top: int) -> list[list[int]]:
-    """rows[m][i] = x^i y^(m-i) q^(top-m) for 0 <= i <= m <= top: the
-    product of m factors, i of them x/q and the rest y/q, over q^top."""
-    xs, ys = [x ** i for i in range(top + 1)], [y ** i for i in range(top + 1)]
-    return [[xs[i] * ys[m - i] * q ** (top - m) for i in range(m + 1)] for m in range(top + 1)]
+def _edge_moment_table(n: int, classes: dict[int, int], p_in, p_out) -> tuple[list[int], int]:
+    """(nums, den), nums[T] / den the chance that every edge of the mask T over
+    ms.edge_bits(n) is present when the count labelings of each equal-label
+    edge set intra in classes keep each edge with probability p_in on intra
+    and p_out off it, independently."""
+    m = n * (n - 1) // 2
+    (a_in, a_out), den = ms.integer_weights([p_in, p_out])
+    nums = [den ** (m - mask.bit_count())
+            * sum(count * a_in ** (mask & intra).bit_count() * a_out ** (mask & ~intra).bit_count()
+                  for intra, count in classes.items())
+            for mask in range(1 << m)]
+    return nums, sum(classes.values()) * den ** m
 
 
 def duality_gap(params: ModelParams, D: int) -> tuple:

@@ -17,6 +17,7 @@ dual-check and verify, so adv and hidden start without compiling it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -65,11 +66,21 @@ def _jsonable(x):
     return x
 
 
+@contextlib.contextmanager
+def _os_error_as(message: str):
+    """Turn an OSError inside into a ValueError: message, then its reason."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"{message}: {exc.strerror}") from None
+
+
 def _emit(payload: dict, out: str | Path | None):
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with _os_error_as(f"--out {str(out)!r} cannot be written"):
+            Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
 
@@ -78,10 +89,8 @@ def _json_object(path: str, option: str, required=(), allowed=None) -> dict:
     """The JSON object in the file at path; a file that cannot be read, or
     holds anything else, or lacks a required key or carries a key outside
     allowed, is a ValueError."""
-    try:
+    with _os_error_as(f"{option} file {path!r} cannot be read"):
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"{option} file {path!r} cannot be read: {exc.strerror}") from None
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError(f"{option} file must hold a JSON object, not {type(raw).__name__}")
@@ -147,8 +156,7 @@ def cmd_sample(args) -> int:
     if args.trials < 1:
         raise ValueError("need at least one trial")
     params = _params_from_args(args, args.exact)
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out or ".")
 
     def one(trial: int):
         seed = args.seed + trial
@@ -175,9 +183,10 @@ def cmd_sample(args) -> int:
 
     for trial in range(args.trials):
         graphs, side = one(trial)
-        for name, g in graphs.items():
-            path = out_dir / f"trial{trial:04d}_{name}.edges"
-            path.write_text(gc.write_edge_list(g), encoding="utf-8")
+        with _os_error_as(f"--out {str(out_dir)!r} cannot be written"):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, g in graphs.items():
+                (out_dir / f"trial{trial:04d}_{name}.edges").write_text(gc.write_edge_list(g), encoding="utf-8")
         _emit({"model": args.model, "seed": args.seed + trial, "trial": trial, **side},
               out_dir / f"trial{trial:04d}_meta.json")
     print(f"wrote {args.trials} trial(s) to {out_dir}")
@@ -239,10 +248,8 @@ def cmd_hidden(args) -> int:
         if not isinstance(payload[key], list):
             raise ValueError(f"--base-spec {key} {json.dumps(payload[key])} is not a JSON array")
     outcomes = [_json_outcome(o) for o in payload["outcomes"]]
-    null_w, alt_w = ([_json_number(w, f"--base-spec {f} weight") for w in payload[f]]
-                     for f in ("null", "alt"))
-    base_null = ms.DiscreteMeasure(outcomes, null_w)
-    base_alt = ms.DiscreteMeasure(outcomes, alt_w)
+    weights = {f: [_json_number(w, f"--base-spec {f} weight") for w in payload[f]] for f in ("null", "alt")}
+    base_null, base_alt = (ms.DiscreteMeasure(outcomes, weights[f]) for f in ("null", "alt"))
     problem = adv.build_hidden_sample(base_null, base_alt, args.M)
     base = adv.advantage_gram_schmidt(base_alt, base_null, D=1)
     rep = adv.hidden_sample_advantage(problem, args.D)
@@ -286,9 +293,7 @@ def cmd_dual_check(args) -> int:
     in_envelope = params.n <= envelope["n"] and args.D <= envelope["D"]
     if in_envelope and bs._exact_inputs(params.lam, params.eps):
         exact, dual_norm = ct.duality_gap(params, args.D)  # raises unless the sandwich holds
-        payload["reversed_advantage"] = exact
-        payload["dual_norm"] = dual_norm
-        payload["duality_holds"] = True
+        payload.update(reversed_advantage=exact, dual_norm=dual_norm, duality_holds=True)
     _emit(payload, args.out)
     return 0
 
@@ -307,10 +312,9 @@ def cmd_bounds_audit(args) -> int:
     audits = bd.run_suite(args.suite, params, slack=slack)
     rows = [a.row() for a in audits]
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["instance", "lhs", "rhs", "slack", "holds", "regime"])
-            writer.writerows(rows)
+        with (_os_error_as(f"--out {args.out!r} cannot be written"),
+              open(args.out, "w", newline="", encoding="utf-8") as fh):
+            csv.writer(fh).writerows([["instance", "lhs", "rhs", "slack", "holds", "regime"], *rows])
         print(f"wrote {len(rows)} audits to {args.out}")
     else:
         for row in rows:

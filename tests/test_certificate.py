@@ -251,6 +251,47 @@ def test_reversed_advantage_equals_gram_schmidt_with_the_roles_swapped():
             assert ct.reversed_advantage_exact(pr, D).value_squared == want, (k, D)
 
 
+def _reversed_tables(pr):
+    """The planted and null moment tables reversed_advantage_exact reads."""
+    n, k, q0 = pr.n, pr.k, bs.null_edge_prob(pr)
+    planted = ct._edge_moment_table(n, ms.label_classes(n, k), *ms.sbm_block_probs(n, k, pr.lam, pr.eps))
+    return planted, ct._edge_moment_table(n, {0: 1}, q0, q0)
+
+
+def test_edge_moment_tables_are_superset_sums_of_the_enumerated_laws():
+    """Each closed-form table against advantage._superset_sums over the
+    enumerated graph law, both integers over a denominator: nums[T] / den is
+    the chance that every edge of the mask T is present."""
+    from lowdeg import advantage as adv
+
+    for n, k, eps in itertools.product((2, 3, 4), (2, 3), (F(0), F(2, 5))):
+        pr = md.ModelParams(n=n, lam=F(1), k=k, eps=eps)
+        bit = ms.edge_bits(n)
+        laws = (ms.sbm_graph_measure(n, k, pr.lam, eps), ms.er_graph_measure(n, bs.null_edge_prob(pr)))
+        for law, (nums, den) in zip(laws, _reversed_tables(pr)):
+            weights, law_den = ms.integer_weights(law.weights)
+            sums = adv._superset_sums([sum(bit[e] for e in g) for g in law.outcomes], weights, len(bit))
+            assert len(nums) == len(sums) == 1 << len(bit)
+            assert all(x * law_den == y * den for x, y in zip(nums, sums)), (n, k, eps)
+
+
+def test_orbit_gram_sums_the_monomial_gram_over_orbit_blocks():
+    """On the reversed advantage's tables at n=4, D=3, the orbit kernel's
+    G_AB is the sum of M_planted(S | T) over S in A and T in B, and c_A the
+    sum of M_null(S) over S in A; the seven orbits have five sizes."""
+    from lowdeg import advantage as adv
+
+    orbits = ct.edge_orbits(4, 3)
+    assert sorted({len(o) for o in orbits.values()}) == [1, 3, 4, 6, 12]
+    for k, eps in ((2, F(2, 5)), (3, F(1, 5))):
+        (mq, den_q), (mp, den_p) = tables = _reversed_tables(
+            md.ModelParams(n=4, lam=F(1), k=k, eps=eps))
+        gram, means = adv.orbit_gram(*tables, orbits)
+        blocks = list(orbits.values())
+        assert gram == [[F(sum(mq[s | t] for s in a for t in b), den_q) for b in blocks] for a in blocks]
+        assert means == [F(sum(mp[s] for s in a), den_p) for a in blocks]
+
+
 def _brute_reversed_value_sq(pr, D):
     """(G^-1)_00 for the orthonormal null basis Gram matrix under the planted
     joint, by summing over its atoms and eliminating in Fractions."""

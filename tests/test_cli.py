@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -347,6 +348,11 @@ _MISSING_FIELD_ROWS = [
     (["bounds-audit", "--suite", "P-sum", "--params", "{tmp}/absent.json"],
      "--params file '{tmp}/absent.json' cannot be read: No such file or directory"),
     (["bounds-audit", "--suite", "P-sum", "--params", "{tmp}"], "--params file '{tmp}' cannot be read: Is a directory"),
+    (["bounds-audit", "--suite", "P-sum", "--out", "{tmp}"], "--out '{tmp}' cannot be written: Is a directory"),
+    (["adv", "--model", "corr-er", "--n", "3", "--q", "1/3", "--rho", "1/2", "--D", "2", "--exact",
+      "--out", "{tmp}"], "--out '{tmp}' cannot be written: Is a directory"),
+    (["otter", "--max-n", "8", "--out", "{tmp}/absent/otter.json"],
+     "--out '{tmp}/absent/otter.json' cannot be written: No such file or directory"),
 ]
 
 
@@ -367,6 +373,76 @@ def test_missing_fields_and_unreadable_files_are_structured_errors(tmp_path, cap
             assert code == 2 and out == "", argv
             assert json.loads(err) == {"error": error.replace("{tmp}", str(tmp_path)),
                                        "schema_version": 1}
+
+
+def test_sample_out_naming_a_file_is_a_structured_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    code, out, err = run_cli(["sample", "--model", "er", "--n", "4", "--q", "1/2", "--out", str(taken)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"--out '{taken}' cannot be written: File exists",
+                               "schema_version": 1}
+
+
+# README-like commands, small enough that every variant of the sweep runs
+# in about a millisecond
+SWEEP_COMMANDS = [
+    "sample --model corr-er --n 4 --q 1/4 --rho 1/3 --seed 7 --trials 1 --exact --out samples",
+    "sample --model corr-sbm --n 4 --lambda 3/2 --k 2 --eps 1/10 --s 1/2 --exact",
+    "sample --model mod-sbm --n 6 --lambda 3/2 --k 2 --eps 1/10 --s 1/2 --D 2 --N 4 --delta 1/100",
+    "adv --model corr-er --n 3 --q 1/3 --rho 1/2 --D 2 --exact --method gram-schmidt --out adv.json",
+    "adv --model corr-er --n 3 --q 1/3 --rho 1/2 --D 2 --exact --condition pi(1)=1",
+    "adv --model corr-sbm --n 3 --k 2 --lambda 1 --eps 2/5 --s 1/2 --D 2 --exact",
+    "xi --n 4 --k 2 --eps 3/10 --lambda 1 --D 3 --exact --kernel exact --out xi.json",
+    "dual-check --n 3 --k 2 --eps 1/5 --lambda 1 --delta 1/100 --D 2 --exact",
+    "hidden --M 2 --D 1 --base-spec base.json --out hidden.json",
+    "bounds-audit --suite P-sum --params params.json --slack 2 --out audits.csv",
+    "reduce --model corr-er --estimator greedy --n 4 --q 1/4 --rho 1/3 --lambda-mix 1/2 --trials 2"
+    " --seed 3 --threshold 0.5 --exact",
+    "otter --max-n 6 --out otter.json",
+]
+SWEEP_VALUES = ["0", "-1", "1/0", "abc", "3/2", "1", "2", "0.5"]
+
+
+def _sweep_variants(argv):
+    """argv with each option dropped, and with each option's value replaced
+    by each of SWEEP_VALUES."""
+    for i, token in enumerate(argv):
+        if token.startswith("--"):
+            has_value = i + 1 < len(argv) and not argv[i + 1].startswith("--")
+            yield argv[:i] + argv[i + 1 + has_value:]
+            if has_value:
+                yield from (argv[:i + 1] + [value] + argv[i + 2:] for value in SWEEP_VALUES)
+
+
+def test_every_swept_call_ends_in_exit_0_2_or_3(tmp_path, capsys, monkeypatch):
+    """Malformed calls end in a result (0), a structured or usage error (2)
+    or a failed audit (3), never in a traceback; no variant is excluded."""
+    monkeypatch.chdir(tmp_path)
+    # one parser for all calls: building it costs more than most variants
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    (tmp_path / "base.json").write_text(json.dumps(
+        {"outcomes": ["x", "y"], "null": ["1/2", "1/2"], "alt": ["1/5", "4/5"]}), encoding="utf-8")
+    (tmp_path / "params.json").write_text(json.dumps({"n": 10 ** 60, "D": 3, "delta": "1/100"}),
+                                          encoding="utf-8")
+    codes, bad = [], []
+    for command in SWEEP_COMMANDS:
+        argv = shlex.split(command)
+        assert cli.main(argv) == 0, command
+        for variant in _sweep_variants(argv):
+            try:
+                code = cli.main(variant)
+            except SystemExit as exc:  # argparse refuses a usage error this way
+                code = exc.code
+            except Exception as exc:
+                code = type(exc).__name__
+            capsys.readouterr()
+            codes.append(code)
+            if code not in (0, 2, 3):
+                bad.append((variant, code))
+    assert bad == []
+    assert len(codes) == 674 and {0, 2, 3} <= set(codes)
 
 
 def test_sample_pruned_model_refuses_a_non_positive_edge_factor(tmp_path, capsys, monkeypatch):
