@@ -422,21 +422,25 @@ def hidden_likelihood_ratio(problem: HiddenSampleProblem, outcome: tuple):
     return total / problem.M
 
 
-def hidden_sample_advantage(problem: HiddenSampleProblem, D: int) -> AdvantageReport:
-    """Advantage of the composite problem by its 1/M law.
+def hidden_sample_law(base: AdvantageReport, M: int, D: int) -> AdvantageReport:
+    """Advantage of the M-slot hidden-sample problem from its base report
+    (the base pair over its degree-one features), by the 1/M law.
 
     A composite direction is a product of null-orthonormal base directions
     over its slots.  Under the component with base_alt in slot kappa its
     mean factors by slot and every other slot has null mean 0, so only
     single-slot products carry mean (E_alt[e]/M): for every D >= 1 the
-    squared advantage is 1 + (Adv^2(base) - 1)/M, the base taken over its
-    degree-one features by the Gram kernel (exact when both measures are).
-    per_index is keyed like the base report's: contribution / M, summed
-    over the M slots.
+    squared advantage is 1 + (Adv^2(base) - 1)/M.  per_index is keyed like
+    the base report's: contribution / M, summed over the M slots.
     """
     if D < 1:
         raise ValueError("D must be at least 1")
-    base = advantage_gram_schmidt(problem.base_alt, problem.base_null, D=1)
-    per_index = {i: c / problem.M for i, c in base.per_index.items()}
-    vsq = 1 + (base.value_squared - 1) / problem.M
+    per_index = {i: c / M for i, c in base.per_index.items()}
+    vsq = 1 + (base.value_squared - 1) / M
     return AdvantageReport(D, _to_float_sq(vsq), vsq, "hidden_sample_law", per_index)
+
+
+def hidden_sample_advantage(problem: HiddenSampleProblem, D: int) -> AdvantageReport:
+    """hidden_sample_law of the base's degree-one Gram-kernel report."""
+    base = advantage_gram_schmidt(problem.base_alt, problem.base_null, D=1)
+    return hidden_sample_law(base, problem.M, D)

@@ -161,7 +161,9 @@ def audit_conditional_moment(s1: LabeledGraph, s2: LabeledGraph, params: ModelPa
     embedding sum, with the vertex-0 factor n when 0 lies in both graphs.
 
     The conditioning event is checked for vacuity (all graphs admissible at
-    these parameters) and the regime is recorded on the audit.
+    these parameters) and the regime is recorded on the audit.  An active
+    event conditions the parent law, and the children's joint is built from
+    it by children_joint (a passed joint, unconditioned, is not used).
     """
     from .models import event_E_indicator
 
@@ -172,11 +174,9 @@ def audit_conditional_moment(s1: LabeledGraph, s2: LabeledGraph, params: ModelPa
             joint = ms.correlated_er_joint_measure(params.n, params.p, params.s)
     else:
         regime = "event-active"
-        big = ms.correlated_er_joint_measure(params.n, params.p, params.s, keep_parent=True)
-        big = big.condition(
-            lambda x: event_E_indicator(gc.graph(params.n, x[1], range(params.n)), params, "er")
-        )
-        joint = big.map(lambda x: (x[0], x[2], x[3]))
+        parent = ms.er_graph_measure(params.n, params.p).condition(
+            lambda g: event_E_indicator(gc.graph(params.n, g, range(params.n)), params, "er"))
+        joint = ms.children_joint(params.n, params.s, parent)
     val = conditional_pair_moment(joint, s1, s2, params)
     lhs = abs(float(val))
     anchored = 0 in s1.vertices and 0 in s2.vertices
@@ -332,13 +332,15 @@ def default_pair_fixtures(n: int = 4) -> list[tuple[LabeledGraph, LabeledGraph]]
     The bound is asymptotic; pairs whose vertex sets fill the whole desk
     ambient (such as two spanning cycles at n = 4) sit outside the slack-2
     window and are deliberately not pinned here.  The CLI audits arbitrary
-    instances and reports failures rather than hiding them.
+    instances and reports failures rather than hiding them.  Pairs that
+    need more than n vertices are left out: n = 3 keeps the first three,
+    n = 2 keeps (edge, edge).
     """
-    tri = gc.graph(n, [(0, 1), (1, 2), (0, 2)])
-    edge = gc.graph(n, [(0, 1)])
-    path = gc.graph(n, [(0, 1), (1, 2)])
-    c4 = gc.graph(n, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    return [(edge, edge), (edge, tri), (tri, tri), (path, c4)]
+    edge, path = [(0, 1)], [(0, 1), (1, 2)]
+    tri, c4 = path + [(0, 2)], path + [(2, 3), (0, 3)]
+    return [(gc.graph(n, e1), gc.graph(n, e2))
+            for e1, e2 in ((edge, edge), (edge, tri), (tri, tri), (path, c4))
+            if max(v for e in e1 + e2 for v in e) < n]
 
 
 # Each suite and the parameters it reads besides n.

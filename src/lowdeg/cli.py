@@ -252,7 +252,7 @@ def cmd_hidden(args) -> int:
     base_null, base_alt = (ms.DiscreteMeasure(outcomes, weights[f]) for f in ("null", "alt"))
     problem = adv.build_hidden_sample(base_null, base_alt, args.M)
     base = adv.advantage_gram_schmidt(base_alt, base_null, D=1)
-    rep = adv.hidden_sample_advantage(problem, args.D)
+    rep = adv.hidden_sample_law(base, problem.M, args.D)
     _emit({
         "command": "hidden", "M": args.M, "degree": args.D,
         "base_value_squared": base.value_squared,

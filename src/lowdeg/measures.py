@@ -260,50 +260,40 @@ def sbm_graph_measure(n: int, k: int, lam, eps) -> DiscreteMeasure:
     return sbm_joint_measure(n, k, lam, eps).map(lambda x: x[1])
 
 
-def _child_subsampling_joint(n: int, s, parents: list, keep_parent: bool) -> DiscreteMeasure:
-    """Joint law of two children that keep each parent edge independently
-    with probability s, the second relabeled by a uniform permutation pi.
+def _child_subsampling_joint(n: int, s, parents: list, where: str) -> DiscreteMeasure:
+    """Joint (pi, A, pi(B)) law of two children that keep each parent edge
+    independently with probability s, the second relabeled by a uniform
+    permutation pi.
 
     The parent law is the mixture sum_c coef_c * (independent edges), each
     component given as (coef, classes) with classes a list of (edge mask,
     edge probability) partitioning edge_bits(n).  Given pi and the
     component every edge is independent, so an atom's weight is a product
-    of per-edge factors -- p s^2 on A∩B, p s (1-s) on A△B, p (1-s)^2 on the
-    rest of the parent G, and 1-p off it -- summed over the components.  It
-    depends only on the count of edges in each state within each class
-    mask, so it is computed once per such key and every atom of a key
-    shares one weight object.
+    of per-edge factors -- p s^2 on A∩B, p s (1-s) on A△B, and
+    1 - p + p (1-s)^2 off A∪B (the parent summed out) -- summed over the
+    components.  It depends only on the count of edges in each state
+    within each class mask, so it is computed once per such key and every
+    atom of a key shares one weight object.
     With exact inputs every coefficient and factor is put over one common
     denominator den (integer_weights).  A component's term has exactly
     1 + C(n,2) factors, so a key's weight is the one Fraction
     (sum_c num_c * prod num^count) / den^(1 + C(n,2)); float inputs keep
     their float products.
-    Without keep_parent the atoms are (pi, A, pi(B)), G is summed out, and
-    the last two factors merge into 1 - p + p (1-s)^2.  With keep_parent the
-    atoms are (pi, G, A, pi(B)) with A, B subsets of G.
     The cyclic garbage collector is paused while the atoms are made and
     checked: they are acyclic tuples, and the collector would otherwise
     walk them again and again as they are made.  Its previous state is
     restored on the way out, also when the check raises.
     """
+    n_pairs = n * (n - 1) // 2
+    _check_budget("matching-joint space", where, math.factorial(n) * 4 ** n_pairs)
     sets = edge_sets(n)
     full = len(sets) - 1
     perms = list(itertools.permutations(range(n)))
-    if keep_parent:
-        triples = []
-        for g in range(len(sets)):
-            subs = [a for a in range(len(sets)) if a & ~g == 0]
-            triples.extend((g, a, b) for a in subs for b in subs)
-    else:
-        triples = [(a | b, a, b) for a in range(len(sets)) for b in range(len(sets))]
     masks = list(dict.fromkeys(mask for _coef, classes in parents for mask, _p in classes))
     components = []
     for coef, classes in parents:
-        factors = []
-        for mask, p in classes:
-            off = 1 - p if keep_parent else 1 - p + p * (1 - s) * (1 - s)
-            at = 4 * masks.index(mask)
-            factors.append((at, (p * s * s, p * s * (1 - s), p * (1 - s) * (1 - s), off)))
+        factors = [(3 * masks.index(mask), (p * s * s, p * s * (1 - s), 1 - p + p * (1 - s) * (1 - s)))
+                   for mask, p in classes]
         components.append((coef / len(perms), factors))
     values = [v for coef, factors in components
               for v in (coef, *(f for _at, fs in factors for f in fs))]
@@ -313,54 +303,62 @@ def _child_subsampling_joint(n: int, s, parents: list, keep_parent: bool) -> Dis
         num = dict(zip(values, nums))
         components = [(num[coef], [(at, tuple(map(num.__getitem__, fs))) for at, fs in factors])
                       for coef, factors in components]
-        scale = den ** (1 + n * (n - 1) // 2)
+        scale = den ** (1 + n_pairs)
     enabled = gc.isenabled()
     gc.disable()
     try:
         cache: dict = {}
         weights = []
-        for g, a, b in triples:
-            states = (a & b, a ^ b, g & ~(a | b), full & ~g)
+        for a, b in itertools.product(range(len(sets)), repeat=2):
+            states = (a & b, a ^ b, full & ~(a | b))
             key = tuple([(st & mask).bit_count() for mask in masks for st in states])
             w = cache.get(key)
             if w is None:
                 w = 0
                 for term, factors in components:
                     for at, fs in factors:
-                        for f, c in zip(fs, key[at:at + 4]):
+                        for f, c in zip(fs, key[at:at + 3]):
                             term = term * f ** c
                     w = w + term
                 w = cache[key] = w if scale is None else Fraction(w, scale)
             weights.append(w)
-        g_index, a_index, b_index = zip(*triples)
-        lead = [[sets[g] for g in g_index]] if keep_parent else []
-        lead.append([sets[a] for a in a_index])
+        a_sets = [es for es in sets for _b in sets]
         outs = []
         for pi in perms:
             image = [frozenset(_norm_edge(pi[u], pi[v]) for u, v in es) for es in sets]
-            outs.extend(zip(itertools.repeat(pi), *lead, map(image.__getitem__, b_index)))
+            outs.extend(zip(itertools.repeat(pi), a_sets, image * len(sets)))
         return DiscreteMeasure(outs, weights * len(perms))
     finally:
         if enabled:
             gc.enable()
 
 
-def correlated_er_joint_measure(n: int, p, s, *, keep_parent: bool = False) -> DiscreteMeasure:
+def correlated_er_joint_measure(n: int, p, s) -> DiscreteMeasure:
     """Joint (pi, edges_a, edges_b) law of the correlated edge-subsampling model.
 
     The parent is edge-p; both children keep each parent edge independently
     with probability s, and the second child is relabeled by a uniform
-    permutation pi.  With keep_parent the atoms are (pi, edges_g, edges_a,
-    edges_b), which event-conditioning on the parent needs.  Built per edge
-    by _child_subsampling_joint: every (pi, A, B) appears once, no merging.
+    permutation pi.  Built per edge by _child_subsampling_joint: every
+    (pi, A, B) appears once, no merging.
     """
     if p is None or s is None:
         raise ValueError("the matching joint needs (p, s); derive them from (q, rho) first")
-    n_pairs = n * (n - 1) // 2
-    _check_budget("matching-joint space", "correlated_er_joint_measure",
-                  math.factorial(n) * 5 ** n_pairs)
-    parent = [(_one_like([p, s]), [((1 << n_pairs) - 1, p)])]
-    return _child_subsampling_joint(n, s, parent, keep_parent)
+    parent = [(_one_like([p, s]), [((1 << n * (n - 1) // 2) - 1, p)])]
+    return _child_subsampling_joint(n, s, parent, "correlated_er_joint_measure")
+
+
+def children_joint(n: int, s, parent: DiscreteMeasure) -> DiscreteMeasure:
+    """Joint (pi, edges_a, edges_b) law of the two children of any
+    enumerated graph law on [n], such as a conditioned one.
+
+    Each parent graph G is one point-mass component of
+    _child_subsampling_joint: edge probability 1 on G and 0 off it.
+    """
+    bits = edge_bits(n)
+    full = (1 << len(bits)) - 1
+    masks = (sum(bits[e] for e in g) for g in parent.outcomes)
+    components = [(w, [(m, 1), (full & ~m, 0)]) for m, w in zip(masks, parent.weights)]
+    return _child_subsampling_joint(n, s, components, "children_joint")
 
 
 def correlated_sbm_joint_measure(n: int, k: int, lam, eps, s) -> DiscreteMeasure:
@@ -373,12 +371,9 @@ def correlated_sbm_joint_measure(n: int, k: int, lam, eps, s) -> DiscreteMeasure
     """
     if s is None:
         raise ValueError("the block-model matching joint needs s, a child's edge-keep probability")
-    n_pairs = n * (n - 1) // 2
-    _check_budget("matching-joint space", "correlated_sbm_joint_measure",
-                  math.factorial(n) * 4 ** n_pairs)
     p_in, p_out = sbm_block_probs(n, k, lam, eps)
     one = _one_like([lam, eps, s])
-    full = (1 << n_pairs) - 1
+    full = (1 << n * (n - 1) // 2) - 1
     parents = [(one * count / k ** n, [(intra, p_in), (full & ~intra, p_out)])
                for intra, count in label_classes(n, k).items()]
-    return _child_subsampling_joint(n, s, parents, keep_parent=False)
+    return _child_subsampling_joint(n, s, parents, "correlated_sbm_joint_measure")

@@ -439,13 +439,12 @@ def _grow_connected_sets(adj: dict[int, set[int]], roots: list[int], max_size: i
     return found
 
 
-def sample_modified_sbm(params: ModelParams, rng_seed: int, *, skip_broken: bool = False) -> CorrelatedSample:
+def sample_modified_sbm(params: ModelParams, rng_seed: int) -> CorrelatedSample:
     """Block-model parent with listed structures broken by removing one
     uniform edge each, then the usual two-child subsampling.
 
     One RNG draw is consumed per listed structure present in the parent, in
-    listed order.  With skip_broken=True a structure that already lost an
-    edge to an earlier removal is skipped (consuming no draw).
+    listed order.
     """
     rng = derived_rng(rng_seed)
     n = params.n
@@ -453,8 +452,6 @@ def sample_modified_sbm(params: ModelParams, rng_seed: int, *, skip_broken: bool
     g = _mask_to_graph(n, g_adj)
     removed: set[tuple[int, int]] = set()
     for target in _listed_removal_targets(g, params):
-        if skip_broken and any(e in removed for e in target):
-            continue
         pick = int(rng.integers(len(target)))
         removed.add(target[pick])
     g_prime = gc.graph(n, g.edges - removed, vertices=range(n))

@@ -92,6 +92,18 @@ def test_conditional_moment_vanishes_when_independent():
     assert audit.lhs == 1.0 and audit.holds
 
 
+def test_pair_fixtures_keep_the_pairs_that_fit_on_n_vertices():
+    def edges(n):
+        return [(s1.edges, s2.edges) for s1, s2 in bd.default_pair_fixtures(n)]
+
+    tri = frozenset([(0, 1), (1, 2), (0, 2)])
+    c4 = frozenset([(0, 1), (1, 2), (2, 3), (0, 3)])
+    edge = frozenset([(0, 1)])
+    assert edges(4) == [(edge, edge), (edge, tri), (tri, tri), (frozenset([(0, 1), (1, 2)]), c4)]
+    assert edges(3) == edges(4)[:3] and edges(2) == edges(4)[:1]
+    assert all(s.n_vertices == 3 for pair in bd.default_pair_fixtures(3) for s in pair)
+
+
 def test_supergraph_count_bounds():
     s = gc.graph(6, [(0, 1), (1, 2)])
     trivial = bd.audit_supergraph_count(s, 0, 0)

@@ -82,6 +82,24 @@ def test_hidden_command(tmp_path, capsys):
     assert payload["composite_value_squared"]["numerator"] == 109
 
 
+def test_hidden_takes_the_base_advantage_once(tmp_path, capsys, monkeypatch):
+    from lowdeg import advantage as adv
+
+    calls = []
+    kernel = adv.advantage_gram_schmidt
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(adv, "advantage_gram_schmidt", counting)
+    base_file = tmp_path / "base.json"
+    base_file.write_text(json.dumps({"outcomes": ["x", "y"], "null": ["1/2", "1/2"],
+                                     "alt": ["1/5", "4/5"]}), encoding="utf-8")
+    assert run_cli(["hidden", "--M", "4", "--base-spec", str(base_file)], capsys)[0] == 0
+    assert len(calls) == 1
+
+
 def test_sample_outputs_and_determinism(tmp_path, capsys):
     args = ["sample", "--model", "corr-er", "--n", "6", "--q", "1/4", "--rho", "1/3",
             "--seed", "5", "--trials", "2", "--exact", "--out"]
@@ -114,6 +132,22 @@ def test_sample_modified_model(tmp_path, capsys):
                           "--exact", "--out", str(tmp_path)], capsys)
     assert code == 0
     assert (tmp_path / "trial0000_Gprime.edges").exists()
+
+
+def test_sample_block_model_writes_the_graph_and_its_labels(tmp_path, capsys):
+    from lowdeg import graph_core as gc
+    from lowdeg import models as md
+
+    code, _, _ = run_cli(["sample", "--model", "sbm", "--n", "8", "--lambda", "3/2", "--k", "3",
+                          "--eps", "1/10", "--seed", "4", "--exact", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    params = md.ModelParams(n=8, lam=Fraction(3, 2), k=3, eps=Fraction(1, 10))
+    sigma, graph = md.sample_sbm(params, 4)
+    written = gc.read_edge_list((tmp_path / "trial0000_graph.edges").read_text(encoding="utf-8"))
+    assert written.edges == graph.edges and written.n_vertices == 8
+    meta = json.loads((tmp_path / "trial0000_meta.json").read_text(encoding="utf-8"))
+    assert meta["sigma_star"] == list(sigma)
+    assert len(meta["sigma_star"]) == 8 and set(meta["sigma_star"]) <= set(range(3))
 
 
 def test_otter_command(capsys):
@@ -229,6 +263,17 @@ def _params_file(tmp_path, **strings):
     return str(path)
 
 
+@pytest.mark.parametrize("n,rows", [(2, 1), (3, 3)])
+def test_bounds_audit_b1_below_four_vertices_audits_the_fixtures_that_fit(n, rows, tmp_path, capsys):
+    path = tmp_path / "b1.json"
+    path.write_text(json.dumps({"n": n, "q": "1/4", "rho": "1/3", "D": 2}), encoding="utf-8")
+    code, out, _ = run_cli(["bounds-audit", "--suite", "B1", "--params", str(path)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == f"suite B1: {rows} audits, 0 failures" and len(lines) == rows + 1
+    assert all(line.endswith(",True,event-vacuous") for line in lines[:-1])
+
+
 def test_bounds_audit_param_with_zero_denominator_is_a_structured_error(tmp_path, capsys):
     code, out, err = run_cli(["bounds-audit", "--suite", "P-sum",
                               "--params", _params_file(tmp_path, q="1/0")], capsys)
@@ -301,6 +346,15 @@ def test_exact_rayleigh_is_a_usage_error(capsys):
     assert out.out == ""
     assert out.err.startswith("usage: lowdeg adv")
     assert "error: --method rayleigh is a float route; it cannot be --exact" in out.err
+
+
+def test_adv_rayleigh_matches_the_exact_product_basis_value(capsys):
+    code, out, _ = run_cli(["adv", "--model", "corr-er", "--n", "3", "--q", "1/3", "--rho", "1/2",
+                            "--D", "3", "--method", "rayleigh"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "rayleigh"
+    assert abs(payload["value_squared"] - 5 / 4) <= 1e-9
 
 
 def test_adv_corr_sbm_without_s_is_a_structured_error(capsys):

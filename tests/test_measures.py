@@ -70,12 +70,6 @@ def test_correlated_joint_consistency():
     # permutation marginal is uniform
     pis = joint.map(lambda x: x[0])
     assert all(w == F(1, 6) for w in pis.weights)
-    # with the parent kept, children pull back into it
-    big = ms.correlated_er_joint_measure(3, p, s, keep_parent=True)
-    for (pi, g, a, b), w in big:
-        assert a <= g
-        inv = {v: i for i, v in enumerate(pi)}
-        assert frozenset(tuple(sorted((inv[u], inv[v]))) for u, v in b) <= g
 
 
 def test_correlated_sbm_joint_reduces_to_er_at_zero_eps():
@@ -100,10 +94,9 @@ def test_float_matching_joints_match_the_exact_ones():
                    for w, x in zip(approx.weights, exact.weights))
 
     p, s = F(2, 5), F(3, 4)
-    for keep in (False, True):
-        exact = ms.correlated_er_joint_measure(3, p, s, keep_parent=keep)
-        for fp, fs in ((float(p), float(s)), (p, float(s))):
-            assert_close(ms.correlated_er_joint_measure(3, fp, fs, keep_parent=keep), exact)
+    exact = ms.correlated_er_joint_measure(3, p, s)
+    for fp, fs in ((float(p), float(s)), (p, float(s))):
+        assert_close(ms.correlated_er_joint_measure(3, fp, fs), exact)
     for k in (2, 3):
         assert_close(ms.correlated_sbm_joint_measure(3, k, 1.0, 0.3, 0.5),
                      ms.correlated_sbm_joint_measure(3, k, F(1), F(3, 10), F(1, 2)))
@@ -162,9 +155,8 @@ def test_correlated_joints_match_nested_enumeration():
     n, p, s = 3, F(2, 5), F(2, 3)
     pairs = list(itertools.combinations(range(n), 2))
     er = [(F(1), {e: p for e in pairs})]
-    for keep in (False, True):
-        joint = ms.correlated_er_joint_measure(n, p, s, keep_parent=keep)
-        assert dict(zip(joint.outcomes, joint.weights)) == _nested_joint(n, er, s, keep)
+    joint = ms.correlated_er_joint_measure(n, p, s)
+    assert dict(zip(joint.outcomes, joint.weights)) == _nested_joint(n, er, s)
     k, lam, eps = 2, F(3, 2), F(2, 5)
     p_in, p_out = (1 + (k - 1) * eps) * lam / n, (1 - eps) * lam / n
     sbm = [(F(1, k ** n), {(u, v): p_in if sigma[u] == sigma[v] else p_out for u, v in pairs})
@@ -173,12 +165,59 @@ def test_correlated_joints_match_nested_enumeration():
     assert dict(zip(joint.outcomes, joint.weights)) == _nested_joint(n, sbm, s)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_children_of_the_er_law_are_the_er_matching_joint(n):
+    p, s = F(2, 5), F(3, 4)
+    joint = ms.correlated_er_joint_measure(n, p, s)
+    children = ms.children_joint(n, s, ms.er_graph_measure(n, p))
+    assert children.exact and children.outcomes == joint.outcomes and children.weights == joint.weights
+    approx = ms.children_joint(n, float(s), ms.er_graph_measure(n, float(p)))
+    assert not approx.exact and approx.outcomes == joint.outcomes
+    assert all(abs(w - x) <= 1e-12 for w, x in zip(approx.weights, joint.weights))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_children_of_the_block_model_law_are_the_sbm_matching_joint(k):
+    lam, eps, s = F(3, 2), F(2, 5), F(2, 3)
+    joint = ms.correlated_sbm_joint_measure(3, k, lam, eps, s)
+    children = ms.children_joint(3, s, ms.sbm_graph_measure(3, k, lam, eps))
+    assert children.outcomes == joint.outcomes and children.weights == joint.weights
+
+
+def test_event_active_moment_audit_matches_nested_enumeration():
+    """At q = 1e-10 the event E drops the triangle parent; the audit's joint
+    is the children of the conditioned parent law, G summed out."""
+    from lowdeg import bounds as bd
+    from lowdeg import graph_core as gc
+    from lowdeg.models import ModelParams, event_E_indicator
+
+    n = 3
+    params = ModelParams(n=n, q=F(1, 10 ** 10), rho=F(1, 3), D=2, delta=F(1, 100))
+    pairs = list(itertools.combinations(range(n), 2))
+
+    def event(g):
+        return event_E_indicator(gc.graph(n, g, range(n)), params, "er")
+
+    assert [g for g in _subsets(pairs) if not event(g)] == [frozenset(pairs)]
+    kept = _nested_joint(n, [(F(1), {e: params.p for e in pairs})], params.s, keep_parent=True)
+    kept = {x: w for x, w in kept.items() if event(x[1])}
+    mass = sum(kept.values())
+    oracle = {}
+    for (pi, _g, a, b), w in kept.items():
+        oracle[pi, a, b] = oracle.get((pi, a, b), 0) + w / mass
+    joint = ms.DiscreteMeasure(list(oracle), list(oracle.values()))
+    for s1, s2 in bd.default_pair_fixtures(n):
+        audit = bd.audit_conditional_moment(s1, s2, params)
+        assert audit.regime == "event-active"
+        assert audit.lhs == abs(float(bd.conditional_pair_moment(joint, s1, s2, params)))
+
+
 def test_matching_joint_budget_error_is_structured():
     with pytest.raises(ms.EnumerationBudgetError) as info:
         ms.correlated_er_joint_measure(5, F(1, 2), F(1, 2))
     err = info.value
     assert err.where == "correlated_er_joint_measure"
-    assert err.requested == math.factorial(5) * 5 ** 10
+    assert err.requested == math.factorial(5) * 4 ** 10
     assert err.budget == ms.ENUMERATION_BUDGET < err.requested
 
 
@@ -398,10 +437,10 @@ def _per_triple_joint(n, s, parents, keep_parent):
 
 
 @pytest.mark.parametrize("n,p,s,keep_parent", [
-    (3, F(2, 3), F(1, 2), False), (4, F(5, 14), F(7, 10), False), (3, F(2, 5), F(3, 4), True),
+    (3, F(2, 3), F(1, 2), False), (4, F(5, 14), F(7, 10), False),
     (3, 0.4, 0.7, False)])
 def test_correlated_er_joint_matches_per_triple_loop(n, p, s, keep_parent):
-    joint = ms.correlated_er_joint_measure(n, p, s, keep_parent=keep_parent)
+    joint = ms.correlated_er_joint_measure(n, p, s)
     one = ms._one_like([p, s])
     outs, weights = _per_triple_joint(n, s, [(one, [((1 << n * (n - 1) // 2) - 1, p)])], keep_parent)
     assert joint.outcomes == outs

@@ -267,16 +267,6 @@ def test_modified_sbm_triangle_forced_removal():
     assert found
 
 
-def test_modified_sbm_skip_broken_flag():
-    pr = md.ModelParams(n=10, lam=F(3, 2), k=2, eps=F(1, 10), s=F(1, 2),
-                        D=2, delta=F(1, 100), N=4)
-    for seed in range(30):
-        default = md.sample_modified_sbm(pr, seed)
-        skipping = md.sample_modified_sbm(pr, seed, skip_broken=True)
-        assert skipping.parent.edges == default.parent.edges
-        assert not gc.has_cycle_at_most(skipping.parent_pruned, pr.N)
-
-
 def _budget_fields(call):
     with pytest.raises(gc.EnumerationBudgetError) as info:
         call()
@@ -310,6 +300,18 @@ def test_models_budget_errors_carry_fields():
     too_big = md.ModelParams(n=31, lam=F(1), k=2, eps=F(1, 10), D=3, delta=F(1, 100), N=3, s=F(1, 2))
     assert _budget_fields(lambda: md.sample_modified_sbm(too_big, 0)) == (
         "modified-model enumeration budget exceeded", "models._listed_removal_targets n", 31, 30)
+
+
+def test_disjoint_negative_pieces_are_bad_only_when_packed():
+    # each edge is a negative piece (-0.074) and no single one is bad (the
+    # threshold is -0.834): twelve of them packed into 24 vertices are
+    near = md.ModelParams(n=10, q=math.exp(-23.1), D=1)
+    for edges, max_vertices, bad in ((12, 24, True), (11, 24, False), (12, 22, False)):
+        matching = gc.graph(2 * edges, [(2 * i, 2 * i + 1) for i in range(edges)])
+        assert md.contains_bad_subgraph(matching, near, max_vertices, "er") is bad
+        brute = any(len(h.vertices) <= max_vertices and md.is_bad_er(h, near)
+                    for h in gc.edge_induced_subgraphs(matching))
+        assert brute is bad
 
 
 def _connected_vertex_sets(g, max_size):
