@@ -154,29 +154,39 @@ def conditional_pair_moment(joint: ms.DiscreteMeasure, s1: LabeledGraph, s2: Lab
     return raw * bs._sqrt((q * (1 - q)) ** -idx.degree, isinstance(raw, Fraction))
 
 
-def audit_conditional_moment(s1: LabeledGraph, s2: LabeledGraph, params: ModelParams,
-                             joint: ms.DiscreteMeasure | None = None,
-                             slack: float = DESK_SLACK) -> BoundAudit:
-    """Conditional pair-moment bound: |E[phi | pi(0)=0]| against the
-    embedding sum, with the vertex-0 factor n when 0 lies in both graphs.
+def _event_joint(params: ModelParams, joint: ms.DiscreteMeasure | None = None
+                ) -> tuple[str, ms.DiscreteMeasure]:
+    """The event regime and the matching joint the conditional-moment audits use.
 
     The conditioning event is checked for vacuity (all graphs admissible at
-    these parameters) and the regime is recorded on the audit.  An active
-    event conditions the parent law, and the children's joint is built from
-    it by children_joint (a passed joint, unconditioned, is not used).
+    these parameters).  A vacuous event keeps the unconditioned joint,
+    joint when given.  An active event conditions the parent law, and the
+    children's joint is built from it by children_joint (a passed joint,
+    unconditioned, is not used).
     """
     from .models import event_E_indicator
 
     if event_E_indicator(gc.complete_graph(params.n), params, "er"):
         # nothing is bad at these parameters: the event has full mass
-        regime = "event-vacuous"
         if joint is None:
             joint = ms.correlated_er_joint_measure(params.n, params.p, params.s)
-    else:
-        regime = "event-active"
-        parent = ms.er_graph_measure(params.n, params.p).condition(
-            lambda g: event_E_indicator(gc.graph(params.n, g, range(params.n)), params, "er"))
-        joint = ms.children_joint(params.n, params.s, parent)
+        return "event-vacuous", joint
+    parent = ms.er_graph_measure(params.n, params.p).condition(
+        lambda g: event_E_indicator(gc.graph(params.n, g, range(params.n)), params, "er"))
+    return "event-active", ms.children_joint(params.n, params.s, parent)
+
+
+def audit_conditional_moment(s1: LabeledGraph, s2: LabeledGraph, params: ModelParams,
+                             joint: ms.DiscreteMeasure | None = None,
+                             slack: float = DESK_SLACK) -> BoundAudit:
+    """Conditional pair-moment bound: |E[phi | pi(0)=0]| against the
+    embedding sum, with the vertex-0 factor n when 0 lies in both graphs.
+    The joint and the regime recorded on the audit are _event_joint's."""
+    return _conditional_moment_audit(s1, s2, params, *_event_joint(params, joint), slack)
+
+
+def _conditional_moment_audit(s1: LabeledGraph, s2: LabeledGraph, params: ModelParams, regime: str,
+                              joint: ms.DiscreteMeasure, slack: float) -> BoundAudit:
     val = conditional_pair_moment(joint, s1, s2, params)
     lhs = abs(float(val))
     anchored = 0 in s1.vertices and 0 in s2.vertices
@@ -402,9 +412,9 @@ def run_suite(name: str, params: ModelParams | None = None, slack: float = DESK_
         for host in (two_c4, c5):
             audits.extend(audit_anchored_subgraph_census(host, params))
     elif name == "B1":
-        joint = ms.correlated_er_joint_measure(params.n, params.p, params.s)
+        regime, joint = _event_joint(params)
         for s1, s2 in default_pair_fixtures(min(params.n, 4)):
-            audits.append(audit_conditional_moment(s1, s2, params, joint, slack))
+            audits.append(_conditional_moment_audit(s1, s2, params, regime, joint, slack))
     elif name == "B3":
         for s_edges, h_edges in (
             ([(0, 1), (1, 2), (0, 2)], []),

@@ -10,7 +10,6 @@ than silently truncating.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,42 +73,53 @@ class CorrelatedSample:
     parent_pruned: Optional[LabeledGraph] = None
 
     def __post_init__(self):
+        if sorted(self.pi_star) != list(range(self.parent.n_vertices)):
+            raise ValueError("pi_star is not a permutation")
         base = self.parent_pruned if self.parent_pruned is not None else self.parent
         if not self.left.edges <= base.edges:
             raise ValueError("left child has an edge outside the parent")
-        inv = {v: i for i, v in enumerate(self.pi_star)}
-        pulled = frozenset(gc._norm_edge(inv[u], inv[v]) for u, v in self.right.edges)
-        if not pulled <= base.edges:
+        inv = sorted(range(len(self.pi_star)), key=self.pi_star.__getitem__)  # inv[pi[i]] = i
+        if not all(((inv[u], inv[v]) if inv[u] < inv[v] else (inv[v], inv[u])) in base.edges
+                   for u, v in self.right.edges):
             raise ValueError("right child does not pull back into the parent")
-        if sorted(self.pi_star) != list(range(len(self.pi_star))):
-            raise ValueError("pi_star is not a permutation")
 
 
-def _mask_to_graph(n: int, adj: np.ndarray) -> LabeledGraph:
-    # np.triu's nonzero pairs are already normalized (u < v)
-    iu, ju = np.nonzero(np.triu(adj, 1))
-    return LabeledGraph(n, frozenset(zip(iu.tolist(), ju.tolist())), frozenset(range(n)))
+# Uniforms drawn at a time: whole rows of the n x n stream, at least one.
+_DRAW_BLOCK = 1 << 16
 
 
-@functools.lru_cache(maxsize=4)
-def _strict_upper(n: int) -> np.ndarray:
-    """Read-only mask of the pairs u < v of an n-vertex adjacency matrix."""
-    mask = np.triu(np.ones((n, n), bool), 1)
-    mask.setflags(write=False)
-    return mask
+def _upper_draw(rng: np.random.Generator, n: int, prob=None, labels=None, at=None) -> np.ndarray:
+    """Read the stream of rng.random((n, n)) in blocks of whole rows: return
+    the uniforms at the sorted flat indices at (u*n + v), or else the sorted
+    flat indices u*n + v, u < v, whose uniform is below prob -- a scalar, or
+    with labels a table whose row labels[u] holds the probabilities of row u."""
+    step = max(1, _DRAW_BLOCK // n) * n
+    buf = np.empty(step)
+    found = []
+    for lo in range(0, n * n, step):
+        block = rng.random(out=buf[:min(step, n * n - lo)])
+        hi = lo + len(block)
+        if at is not None:
+            found.append(block[at[np.searchsorted(at, lo):np.searchsorted(at, hi)] - lo])
+        else:
+            rows = np.arange(lo // n, hi // n)
+            hit = block.reshape(-1, n) < (prob if labels is None else prob[labels[rows]])
+            hit &= np.arange(n) > rows[:, None]
+            found.append(np.flatnonzero(hit) + lo)
+    return np.concatenate(found)
 
 
-def _rand_sym_mask(rng: np.random.Generator, n: int, prob: float | np.ndarray) -> np.ndarray:
-    u = rng.random((n, n))
-    mask = (u < prob) & _strict_upper(n)
-    return mask | mask.T
+def _graph(n: int, idx: np.ndarray) -> LabeledGraph:
+    """The graph on [n] whose edges are the flat indices u*n + v, u < v."""
+    u, v = np.divmod(idx, n)
+    return LabeledGraph(n, frozenset(zip(u.tolist(), v.tolist())), frozenset(range(n)))
 
 
 def draw_er(rng: np.random.Generator, n: int, q) -> LabeledGraph:
     """One G(n, q) graph drawn from rng."""
     if q is None:
         raise ValueError("the ER model needs q")
-    return _mask_to_graph(n, _rand_sym_mask(rng, n, float(q)))
+    return _graph(n, _upper_draw(rng, n, float(q)))
 
 
 def adjacency_matrix(g: LabeledGraph) -> np.ndarray:
@@ -120,16 +130,22 @@ def adjacency_matrix(g: LabeledGraph) -> np.ndarray:
     return a
 
 
-def _draw_correlated(rng: np.random.Generator, n: int, parent_adj: np.ndarray, s: float):
-    """Subsample two children from a parent adjacency, relabel the second."""
-    j = _rand_sym_mask(rng, n, s)
-    kk = _rand_sym_mask(rng, n, s)
-    pi = rng.permutation(n)
-    a = parent_adj & j
-    gk = parent_adj & kk
-    b = np.zeros_like(parent_adj)
-    b[np.ix_(pi, pi)] = gk
-    return pi, a, b
+def _draw_children(rng: np.random.Generator, n: int, parent: np.ndarray, s: float):
+    """(pi, in_a, in_kept): whether each child keeps each parent edge (sorted
+    flat indices), each with probability s; B = pi(kept)."""
+    in_a = _upper_draw(rng, n, at=parent) < s
+    in_kept = _upper_draw(rng, n, at=parent) < s
+    return rng.permutation(n), in_a, in_kept
+
+
+def _correlated_sample(n: int, sigma, parent: LabeledGraph, base: np.ndarray, children,
+                       pruned=None) -> CorrelatedSample:
+    """The sample whose children were drawn on the edges base of parent (or of pruned)."""
+    pi, in_a, in_kept = children
+    bu, bv = pi[np.array(np.divmod(base[in_kept], n))]
+    right = _graph(n, np.minimum(bu, bv) * n + np.maximum(bu, bv))
+    return CorrelatedSample(tuple(pi.tolist()), None if sigma is None else tuple(sigma.tolist()),
+                            parent, _graph(n, base[in_a]), right, parent_pruned=pruned)
 
 
 def sample_correlated_er(params: ModelParams, rng_seed: int, *stream: int) -> CorrelatedSample:
@@ -139,27 +155,21 @@ def sample_correlated_er(params: ModelParams, rng_seed: int, *stream: int) -> Co
         raise ValueError("correlated model needs (p, s) or (q, rho)")
     rng = derived_rng(rng_seed, *stream)
     n = params.n
-    g = _rand_sym_mask(rng, n, float(params.p))
-    pi, a, b = _draw_correlated(rng, n, g, float(params.s))
-    return CorrelatedSample(
-        tuple(int(x) for x in pi), None,
-        _mask_to_graph(n, g), _mask_to_graph(n, a), _mask_to_graph(n, b),
-    )
+    g = _upper_draw(rng, n, float(params.p))
+    return _correlated_sample(n, None, _graph(n, g), g, _draw_children(rng, n, g, float(params.s)))
 
 
 def sample_sbm(params: ModelParams, rng_seed: int) -> tuple[tuple[int, ...], LabeledGraph]:
-    rng = derived_rng(rng_seed)
-    sigma, g = _draw_sbm(rng, params)
-    return tuple(int(x) for x in sigma), _mask_to_graph(params.n, g)
+    sigma, g = _draw_sbm(derived_rng(rng_seed), params)
+    return tuple(sigma.tolist()), _graph(params.n, g)
 
 
 def _draw_sbm(rng: np.random.Generator, params: ModelParams):
     n = params.n
     p_in, p_out = ms.sbm_block_probs(n, params.k, params.lam, params.eps)
     sigma = rng.integers(0, params.k, size=n)
-    same = sigma[:, None] == sigma[None, :]
-    prob = np.where(same, float(p_in), float(p_out))
-    return sigma, _rand_sym_mask(rng, n, prob)
+    by_label = np.where(np.arange(params.k)[:, None] == sigma, float(p_in), float(p_out))
+    return sigma, _upper_draw(rng, n, by_label, labels=sigma)
 
 
 def _keep_prob(params: ModelParams) -> float:
@@ -173,11 +183,7 @@ def sample_correlated_sbm(params: ModelParams, rng_seed: int) -> CorrelatedSampl
     rng = derived_rng(rng_seed)
     n = params.n
     sigma, g = _draw_sbm(rng, params)
-    pi, a, b = _draw_correlated(rng, n, g, _keep_prob(params))
-    return CorrelatedSample(
-        tuple(int(x) for x in pi), tuple(int(x) for x in sigma),
-        _mask_to_graph(n, g), _mask_to_graph(n, a), _mask_to_graph(n, b),
-    )
+    return _correlated_sample(n, sigma, _graph(n, g), g, _draw_children(rng, n, g, _keep_prob(params)))
 
 
 # -- density potentials and admissibility --------------------------------------
@@ -365,12 +371,11 @@ def event_E_indicator(g: LabeledGraph, params: ModelParams, model: str = "er") -
 
 
 def event_E_rate(params: ModelParams, trials: int, rng_seed: int = 0, model: str = "er") -> float:
+    """Share of trials t in which E holds; trial t draws from derived_rng(rng_seed, t)."""
     hits = 0
     for t in range(trials):
-        if model == "er":
-            g = draw_er(derived_rng(rng_seed, t), params.n, params.q)
-        else:
-            _, g = sample_sbm(params, rng_seed + t)
+        rng = derived_rng(rng_seed, t)
+        g = draw_er(rng, params.n, params.q) if model == "er" else _graph(params.n, _draw_sbm(rng, params)[1])
         hits += event_E_indicator(g, params, model)
     return hits / trials
 
@@ -448,19 +453,16 @@ def sample_modified_sbm(params: ModelParams, rng_seed: int) -> CorrelatedSample:
     """
     rng = derived_rng(rng_seed)
     n = params.n
-    sigma, g_adj = _draw_sbm(rng, params)
-    g = _mask_to_graph(n, g_adj)
+    sigma, g_idx = _draw_sbm(rng, params)
+    g = _graph(n, g_idx)
     removed: set[tuple[int, int]] = set()
     for target in _listed_removal_targets(g, params):
         pick = int(rng.integers(len(target)))
         removed.add(target[pick])
     g_prime = gc.graph(n, g.edges - removed, vertices=range(n))
-    pi, a, b = _draw_correlated(rng, n, adjacency_matrix(g_prime), _keep_prob(params))
-    return CorrelatedSample(
-        tuple(int(x) for x in pi), tuple(int(x) for x in sigma),
-        g, _mask_to_graph(n, a), _mask_to_graph(n, b),
-        parent_pruned=g_prime,
-    )
+    pruned = np.array(sorted(u * n + v for u, v in g_prime.edges), dtype=np.intp)
+    children = _draw_children(rng, n, pruned, _keep_prob(params))
+    return _correlated_sample(n, sigma, g, pruned, children, g_prime)
 
 
 # -- vectorized statistics harnesses -------------------------------------------
@@ -470,21 +472,19 @@ def edge_statistics_correlated_er(params: ModelParams, trials: int, rng_seed: in
     """Empirical edge marginals and the joint indicator across aligned pairs.
 
     Shares the draw routine with sample_correlated_er; only scalar
-    statistics are accumulated, so large n is fine.
+    statistics are accumulated, so large n is fine.  B aligned by pi is the
+    second child's kept set, so the joint count is |A & kept|.
     """
     n = params.n
     total_pairs = n * (n - 1) // 2
     a_edges = b_edges = joint = 0
-    iu = np.triu_indices(n, 1)
     for t in range(trials):
         rng = derived_rng(rng_seed, t)
-        g = _rand_sym_mask(rng, n, float(params.p))
-        pi, a, b = _draw_correlated(rng, n, g, float(params.s))
-        a_u = a[iu]
-        b_aligned = b[np.ix_(pi, pi)][iu]
-        a_edges += int(a_u.sum())
-        b_edges += int(b[iu].sum())
-        joint += int((a_u & b_aligned).sum())
+        g = _upper_draw(rng, n, float(params.p))
+        _, in_a, in_kept = _draw_children(rng, n, g, float(params.s))
+        a_edges += int(np.count_nonzero(in_a))
+        b_edges += int(np.count_nonzero(in_kept))
+        joint += int(np.count_nonzero(in_a & in_kept))
     count = trials * total_pairs
     q = float(params.q)
     phat = a_edges / count
@@ -502,20 +502,20 @@ def edge_statistics_correlated_er(params: ModelParams, trials: int, rng_seed: in
 
 
 def edge_statistics_sbm(params: ModelParams, trials: int, rng_seed: int) -> dict:
+    total_pairs = params.n * (params.n - 1) // 2
     intra_e = intra_n = inter_e = inter_n = 0
     degree_total = 0
-    iu = np.triu_indices(params.n, 1)
     for t in range(trials):
         rng = derived_rng(rng_seed, t)
-        sigma, adj = _draw_sbm(rng, params)
-        same = sigma[:, None] == sigma[None, :]
-        same_u = same[iu]
-        adj_u = adj[iu]
-        intra_e += int(adj_u[same_u].sum())
-        intra_n += int(same_u.sum())
-        inter_e += int(adj_u[~same_u].sum())
-        inter_n += int((~same_u).sum())
-        degree_total += 2 * int(adj_u.sum())
+        sigma, g = _draw_sbm(rng, params)
+        u, v = np.divmod(g, params.n)
+        same_e = int(np.count_nonzero(sigma[u] == sigma[v]))
+        same_n = sum(c * (c - 1) // 2 for c in np.bincount(sigma).tolist())
+        intra_e += same_e
+        intra_n += same_n
+        inter_e += len(g) - same_e
+        inter_n += total_pairs - same_n
+        degree_total += 2 * len(g)
     return {
         "trials": trials,
         "intra_rate": intra_e / intra_n,

@@ -92,6 +92,25 @@ def test_conditional_moment_vanishes_when_independent():
     assert audit.lhs == 1.0 and audit.holds
 
 
+
+def test_b1_decides_the_regime_once_and_builds_its_joint_once(monkeypatch):
+    calls = []
+    for name in ("children_joint", "correlated_er_joint_measure"):
+        def counted(*args, _name=name, _real=getattr(ms, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(ms, name, counted)
+    active = md.ModelParams(n=3, q=F(1, 10 ** 10), rho=F(1, 3), D=2, delta=F(1, 100))
+    audits = bd.run_suite("B1", active)
+    assert calls == ["children_joint"]
+    assert [a.row() for a in audits] == [bd.audit_conditional_moment(s1, s2, active).row()
+                                         for s1, s2 in bd.default_pair_fixtures(3)]
+    assert {a.regime for a in audits} == {"event-active"}
+    calls.clear()
+    audits = bd.run_suite("B1", bd.suite_default_params("B1"))
+    assert calls == ["correlated_er_joint_measure"]
+    assert {a.regime for a in audits} == {"event-vacuous"}
+
 def test_pair_fixtures_keep_the_pairs_that_fit_on_n_vertices():
     def edges(n):
         return [(s1.edges, s2.edges) for s1, s2 in bd.default_pair_fixtures(n)]

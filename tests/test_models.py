@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 import math
 from fractions import Fraction as F
@@ -7,7 +9,10 @@ import pytest
 import scipy.stats
 
 from lowdeg import graph_core as gc
+from lowdeg import measures as ms
 from lowdeg import models as md
+
+import dense_oracle as dense
 
 
 def se3(p: float, count: int) -> float:
@@ -116,15 +121,16 @@ def test_correlated_sbm_marginal_and_independence():
     assert abs(dens - want) <= se3(want, trials * pairs)
     # conditional independence of the children given the parent and matching
     rng = np.random.default_rng(5)
-    parent = md._rand_sym_mask(rng, 30, 0.5)
+    parent = md._upper_draw(rng, 30, 0.5)
     table = np.zeros((2, 2), dtype=int)
     u, v = 0, 1
-    parent[u, v] = parent[v, u] = True
+    parent = np.union1d(parent, [u * 30 + v])
+    at = np.searchsorted(parent, u * 30 + v)
     for t in range(800):
         rng_t = md.derived_rng(99, t)
-        pi, a, b = md._draw_correlated(rng_t, 30, parent, 0.5)
-        b_aligned = b[np.ix_(pi, pi)]
-        table[int(a[u, v]), int(b_aligned[u, v])] += 1
+        pi, in_a, in_kept = md._draw_children(rng_t, 30, parent, 0.5)
+        # B aligned by pi is the kept set
+        table[int(in_a[at]), int(in_kept[at])] += 1
     _, pval, _, _ = scipy.stats.chi2_contingency(table)
     assert pval > 0.01
 
@@ -137,6 +143,153 @@ def test_correlated_sbm_eps_zero_matches_er_ks():
     counts_er = [len(md.sample_correlated_er(pr_er, 20_000 + t).left.edges) for t in range(600)]
     stat = scipy.stats.ks_2samp(counts_sbm, counts_er)
     assert stat.pvalue > 0.01
+
+
+def _block_sizes() -> tuple[int, ...]:
+    # n = b draws the n x n stream in one block, n = b + 1 in more than one
+    b = math.isqrt(md._DRAW_BLOCK)
+    assert md._DRAW_BLOCK // b >= b and md._DRAW_BLOCK // (b + 1) < b + 1
+    return (1, 2, b - 1, b, b + 1, 1000)
+
+
+def test_draw_core_reads_the_dense_stream():
+    for n in _block_sizes():
+        labels = np.arange(n) % 3
+        # row c of the table: the probabilities of a vertex labeled c
+        table = np.random.default_rng(n).random((3, n))
+        for prob, lab in ((0.3, None), (table, labels)):
+            a, b = np.random.default_rng(n + 1), np.random.default_rng(n + 1)
+            got = md._upper_draw(a, n, prob, labels=lab)
+            want = np.flatnonzero(np.triu(dense.rand_sym_mask(b, n, prob if lab is None else prob[lab]), 1))
+            assert np.array_equal(got, want), n
+            assert a.random() == b.random()
+            at = want[::2]
+            assert np.array_equal(md._upper_draw(a, n, at=at), b.random((n, n)).ravel()[at])
+            assert a.random() == b.random()
+
+
+def test_samplers_match_the_dense_oracle():
+    for n in _block_sizes()[1:]:  # the models need n >= 2
+        er = md.ModelParams(n=n, q=F(1, 20), rho=F(1, 2))
+        sbm = md.ModelParams(n=n, lam=F(min(n, 8), 4), k=3, eps=F(1, 2), s=F(1, 2))
+        a, b = md.derived_rng(n), md.derived_rng(n)
+        assert md.draw_er(a, n, er.q) == dense.mask_to_graph(n, dense.rand_sym_mask(b, n, float(er.q)))
+        assert a.random() == b.random()
+        sigma, g = md._draw_sbm(a, sbm)
+        sigma_d, g_d = dense.draw_sbm(b, sbm)
+        assert np.array_equal(sigma, sigma_d) and np.array_equal(g, np.flatnonzero(np.triu(g_d, 1)))
+        assert a.random() == b.random()
+        pi, in_a, in_kept = md._draw_children(a, n, g, 0.5)
+        pi_d, left_d, right_d = dense.draw_correlated(b, n, g_d, 0.5)
+        assert np.array_equal(pi, pi_d) and np.array_equal(g[in_a], np.flatnonzero(np.triu(left_d, 1)))
+        assert np.array_equal(g[in_kept], np.flatnonzero(np.triu(right_d[np.ix_(pi, pi)], 1)))
+        assert a.random() == b.random()
+        for seed in (0, 1):
+            assert md.sample_correlated_er(er, seed, 2) == dense.sample_correlated_er(er, seed, 2)
+            assert md.sample_sbm(sbm, seed) == dense.sample_sbm(sbm, seed)
+            assert md.sample_correlated_sbm(sbm, seed) == dense.sample_correlated_sbm(sbm, seed)
+    mod = md.ModelParams(n=10, lam=F(3, 2), k=2, eps=F(1, 10), s=F(1, 2), D=2, delta=F(1, 100), N=4)
+    for seed in range(8):
+        assert md.sample_modified_sbm(mod, seed) == dense.sample_modified_sbm(mod, seed)
+    er = md.ModelParams(n=300, q=F(3, 10), rho=F(1, 2))
+    stats = md.edge_statistics_correlated_er(er, 3, 17)
+    a_edges, b_edges, joint = dense.edge_statistics_correlated_er(er, 3, 17)
+    count = stats["pair_count"]
+    assert (stats["a_density"], stats["b_density"], stats["joint_density"]) == (
+        a_edges / count, b_edges / count, joint / count)
+    sbm = md.ModelParams(n=300, lam=F(2), k=3, eps=F(1, 2))
+    stats = md.edge_statistics_sbm(sbm, 3, 23)
+    intra_e, intra_n, inter_e, inter_n, degree_total = dense.edge_statistics_sbm(sbm, 3, 23)
+    assert (stats["intra_rate"], stats["inter_rate"], stats["intra_count"], stats["inter_count"]) == (
+        intra_e / intra_n, inter_e / inter_n, intra_n, inter_n)
+    assert stats["mean_degree"] == degree_total / (3 * 300)
+
+
+def _draw_record(x) -> str:
+    if isinstance(x, md.CorrelatedSample):
+        return repr([_draw_record(p) for p in (x.pi_star, x.sigma_star, x.parent, x.left, x.right,
+                                                x.parent_pruned)])
+    if isinstance(x, gc.LabeledGraph):
+        return repr((x.n_vertices, sorted(x.edges), sorted(x.vertices)))
+    if isinstance(x, tuple):
+        return repr(tuple(_draw_record(p) for p in x))
+    return repr(x)
+
+
+def _digest_grid():
+    for n in (1, 2, 12, 255, 256, 257, 300):
+        for seed in range(3):
+            yield "draw_er", n, seed, md.draw_er(md.derived_rng(seed), n, F(1, 5))
+    for n in (2, 12, 16, 255, 256, 257, 1000):
+        pr = md.ModelParams(n=n, q=F(1, 4) if n < 100 else F(1, 50), rho=F(1, 2))
+        for seed in range(3):
+            yield "corr_er", n, seed, md.sample_correlated_er(pr, seed, 5)
+    for n in (7, 30, 257, 500):
+        pr = md.ModelParams(n=n, lam=F(3), k=2 if n != 30 else 3, eps=F(1, 2), s=F(1, 2))
+        for seed in range(3):
+            yield "sbm", n, seed, md.sample_sbm(pr, seed)
+            yield "corr_sbm", n, seed, md.sample_correlated_sbm(pr, seed)
+    for n in (10, 12):
+        pr = md.ModelParams(n=n, lam=F(3, 2), k=2, eps=F(1, 10), s=F(1, 2), D=2, delta=F(1, 100), N=4)
+        for seed in range(3):
+            yield "mod_sbm", n, seed, md.sample_modified_sbm(pr, seed)
+    yield "stats_er", 200, 17, md.edge_statistics_correlated_er(
+        md.ModelParams(n=200, q=F(3, 10), rho=F(1, 2)), 5, 17)
+    yield "stats_sbm", 300, 23, md.edge_statistics_sbm(
+        md.ModelParams(n=300, lam=F(2), k=2, eps=F(1, 2)), 5, 23)
+
+
+def test_draws_match_the_digest_of_the_dense_samplers():
+    # pinned from the dense n x n samplers, before the row-block draws
+    h = hashlib.sha256()
+    for name, n, seed, x in _digest_grid():
+        h.update(f"{name} {n} {seed} {_draw_record(x)}\n".encode())
+    assert h.hexdigest() == "4b725a67d7fe86c31b3176fc978d6c118319423bc2deb4c28d36136df1927ffb"
+
+
+def test_correlated_sample_errors():
+    k3, empty = gc.complete_graph(3), gc.empty_graph(3)
+    right = gc.graph(3, [(1, 2)], vertices=range(3))
+    for pi in ((0, 0, 1), (1, 0), (0, 1, 3), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match="pi_star is not a permutation"):
+            md.CorrelatedSample(pi, None, k3, empty, right)
+    path = gc.graph(3, [(0, 1)], vertices=range(3))
+    # pi = (1, 2, 0) pulls (1, 2) back to (0, 1) and (0, 2) back to (1, 2)
+    assert md.CorrelatedSample((1, 2, 0), None, path, empty, right).right == right
+    off = gc.graph(3, [(0, 2)], vertices=range(3))
+    with pytest.raises(ValueError, match="right child does not pull back into the parent"):
+        md.CorrelatedSample((1, 2, 0), None, path, empty, off)
+    # the pruned parent, not the parent, is what the children pull back into
+    md.CorrelatedSample((1, 2, 0), None, k3, empty, off)
+    with pytest.raises(ValueError, match="right child does not pull back into the parent"):
+        md.CorrelatedSample((1, 2, 0), None, k3, empty, off, parent_pruned=path)
+
+
+def _chi_square(joint, draws) -> float:
+    law = dict(zip(joint.outcomes, map(float, joint.weights)))
+    counts = collections.Counter(draws)
+    assert set(counts) <= set(law)
+    m = len(draws)
+    return sum((counts[x] - m * w) ** 2 / (m * w) for x, w in law.items())
+
+
+def test_correlated_samplers_match_their_enumerated_joints():
+    # 4,000 draws of each sampler at n = 3 against its 384-atom (pi, A, B) law
+    er = md.ModelParams(n=3, p=F(1, 2), s=F(1, 2))
+    sbm = md.ModelParams(n=3, lam=F(3, 2), k=2, eps=F(1, 3), s=F(1, 2))
+    cases = (
+        (ms.correlated_er_joint_measure(3, er.p, er.s),
+         [md.sample_correlated_er(er, 41, t) for t in range(4000)]),
+        (ms.correlated_sbm_joint_measure(3, 2, sbm.lam, sbm.eps, sbm.s),
+         [md.sample_correlated_sbm(sbm, 50_000 + t) for t in range(4000)]),
+    )
+    for joint, samples in cases:
+        bound = scipy.stats.chi2.isf(1e-6, len(joint) - 1)
+        assert _chi_square(joint, [(x.pi_star, x.left.edges, x.right.edges) for x in samples]) < bound
+        # pi* read as its inverse: the 3-cycles swap, and the law no longer fits
+        flipped = [(tuple(sorted(range(3), key=x.pi_star.__getitem__)), x.left.edges, x.right.edges)
+                   for x in samples]
+        assert _chi_square(joint, flipped) > bound
 
 
 # -- potentials and admissibility ------------------------------------------------
@@ -207,6 +360,18 @@ def test_event_indicator_and_rate():
     tri = gc.graph(30, [(0, 1), (1, 2), (0, 2)])
     assert not md.event_E_indicator(tri, pr_sbm, "sbm")
     assert md.event_E_indicator(gc.empty_graph(30), pr_sbm, "sbm")
+
+
+def test_event_rate_draws_trial_t_from_the_derived_stream():
+    er = md.ModelParams(n=30, q=F(1, 10), D=2)
+    sbm = md.ModelParams(n=30, lam=F(3, 2), k=2, eps=F(1, 2), D=2, delta=F(1, 100), N=4)
+    draws = {"er": lambda t: dense.rand_sym_mask(md.derived_rng(3, t), 30, 0.1),
+             "sbm": lambda t: dense.draw_sbm(md.derived_rng(3, t), sbm)[1]}
+    for model, pr in (("er", er), ("sbm", sbm)):
+        hits = sum(md.event_E_indicator(dense.mask_to_graph(30, draws[model](t)), pr, model)
+                   for t in range(40))
+        assert md.event_E_rate(pr, 40, 3, model) == hits / 40
+    assert 0 < hits < 40  # the block-model event is neither sure nor impossible here
 
 
 def test_edge_support_subgraphs_match_per_subset_loop():
@@ -462,11 +627,11 @@ def test_draw_er_and_adjacency_matrix_keep_the_stream_and_the_edges():
     for n, q in ((1, F(1, 2)), (9, F(2, 5)), (40, 0.05)):
         a, b = np.random.default_rng(n), np.random.default_rng(n)
         g = md.draw_er(a, n, q)
-        assert g == md._mask_to_graph(n, md._rand_sym_mask(b, n, float(q)))
+        assert g == dense.mask_to_graph(n, dense.rand_sym_mask(b, n, float(q)))
         assert a.random() == b.random()
         adj = md.adjacency_matrix(g)
         assert adj.dtype == bool and np.array_equal(adj, adj.T)
-        assert md._mask_to_graph(n, adj) == g
+        assert dense.mask_to_graph(n, adj) == g
 
 
 def test_mask_to_graph_matches_graph_builder():
@@ -478,22 +643,25 @@ def test_mask_to_graph_matches_graph_builder():
     for adj in masks:
         n = len(adj)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u, v]]
-        got = md._mask_to_graph(n, adj)
-        assert got == gc.graph(n, pairs, vertices=range(n))
-        assert all(type(x) is int for e in got.edges for x in e)
-        assert all(type(v) is int for v in got.vertices)
+        # the dense oracle reads the mask, lowdeg the flat indices u*n + v
+        for got in (dense.mask_to_graph(n, adj), md._graph(n, np.flatnonzero(np.triu(adj, 1)))):
+            assert got == gc.graph(n, pairs, vertices=range(n))
+            assert all(type(x) is int for e in got.edges for x in e)
+            assert all(type(v) is int for v in got.vertices)
 
 
 def test_rand_sym_mask_keeps_the_random_stream():
     for n, prob in ((1, 0.5), (9, 0.4), (40, 0.05)):
-        a, b = np.random.default_rng(n), np.random.default_rng(n)
-        got = md._rand_sym_mask(a, n, prob)
+        a, b, c = (np.random.default_rng(n) for _ in range(3))
+        got = dense.rand_sym_mask(a, n, prob)
         upper = (b.random((n, n)) < prob) & np.triu(np.ones((n, n), bool), 1)
         assert np.array_equal(got, upper | upper.T)
         assert got.flags.writeable
-        assert a.random() == b.random()
+        # the row-block draw keeps the same pairs and the same stream
+        assert np.array_equal(md._upper_draw(c, n, prob), np.flatnonzero(upper))
+        assert a.random() == b.random() == c.random()
     with pytest.raises(ValueError):
-        md._strict_upper(5)[0, 1] = False
+        dense.strict_upper(5)[0, 1] = False
 
 
 def test_bad_pieces_empty_when_no_piece_can_be_negative():

@@ -9,6 +9,8 @@ from lowdeg import graph_core as gc
 from lowdeg import models as md
 from lowdeg import reduction as rd
 
+import dense_oracle as dense
+
 
 def test_overlap_basics():
     assert rd.overlap((0, 1, 2, 3), (0, 1, 2, 3)) == 1
@@ -172,9 +174,9 @@ def test_correlated_er_samplers_share_the_derived_seeding():
         old = md.sample_correlated_er(pr, hash((seed, t)) % (1 << 32))
         assert draw != (old.left, old.right)
         rng = md.derived_rng(seed, t)
-        first = md._rand_sym_mask(rng, pr.n, float(pr.q))
-        second = md._rand_sym_mask(rng, pr.n, float(pr.q))
-        assert q_s(seed, t) == (md._mask_to_graph(pr.n, first), md._mask_to_graph(pr.n, second))
+        first = dense.rand_sym_mask(rng, pr.n, float(pr.q))
+        second = dense.rand_sym_mask(rng, pr.n, float(pr.q))
+        assert q_s(seed, t) == (dense.mask_to_graph(pr.n, first), dense.mask_to_graph(pr.n, second))
 
 
 def test_one_sided_test_constant_statistic():
