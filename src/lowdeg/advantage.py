@@ -5,9 +5,11 @@ basis route (exact, for independent-edge nulls), generic Gram-Schmidt
 orthogonalization over an explicit feature map (exact when both measures
 are, float otherwise), and a generalized Rayleigh-quotient route through the
 feature Gram matrix.  On top of these sit the conditional advantage for
-matching-joint measures and the hidden-informative-sample construction,
-which dilutes a base testing problem across M independent coordinates:
-its squared advantage is exactly 1 + (Adv^2(base) - 1)/M at every D >= 1.
+matching-joint measures and the hidden-informative-sample advantage, which
+dilutes a base testing problem across M independent coordinates: its
+squared advantage is exactly 1 + (Adv^2(base) - 1)/M at every D >= 1.  It
+is computed from the base pair alone; the tests build the M-fold composite
+laws (tests/exact_oracles.py) and check the law against them.
 """
 
 from __future__ import annotations
@@ -352,23 +354,6 @@ def conditional_advantage(joint: DiscreteMeasure, q_params: ModelParams, D: int,
     return advantage_product_basis(cond, q_params, D, kind="pair")
 
 
-def grouped_conditional_expectation(joint: DiscreteMeasure, idx: bs.BasisIndex,
-                                    q_params: ModelParams, i: int, j: int):
-    """The conditional basis expectation computed by grouping atoms per
-    permutation; must equal the direct conditional expectation."""
-    groups: dict[tuple, list] = {}
-    for (pi, a, b), w in joint:
-        if pi[i] == j:
-            groups.setdefault(pi, []).append(((a, b), w))
-    total = 0
-    mass = 0
-    for pi, rows in groups.items():
-        for (ab, w) in rows:
-            total = total + w * bs.evaluate_basis(idx, ab, q_params)
-            mass = mass + w
-    return total / mass
-
-
 # -- hidden informative sample ------------------------------------------------------
 
 
@@ -381,7 +366,8 @@ def hidden_sample_size(error_rate: float, n: int) -> int:
 
 @dataclass(frozen=True)
 class HiddenSampleProblem:
-    """M-fold product null against a uniformly hidden single planted slot."""
+    """M-fold product null against a uniformly hidden single planted slot,
+    held as its base pair: the composite laws are never built here."""
 
     base_null: DiscreteMeasure
     base_alt: DiscreteMeasure
@@ -393,33 +379,9 @@ class HiddenSampleProblem:
         # fail fast if the likelihood ratio is undefined
         self.base_alt.likelihood_ratio_table(self.base_null)
 
-    def composite_null(self) -> DiscreteMeasure:
-        return self.base_null.power(self.M)
-
-    def composite_alt(self) -> DiscreteMeasure:
-        """Mixture over the hidden slot kappa of the products with base_alt
-        in slot kappa and base_null elsewhere."""
-        coeff = Fraction(1, self.M) if self.base_null.exact and self.base_alt.exact else 1.0 / self.M
-        comps = [DiscreteMeasure.product(*(self.base_alt if i == kappa else self.base_null
-                                           for i in range(self.M)))
-                 for kappa in range(self.M)]
-        return DiscreteMeasure.mixture(comps, [coeff] * self.M)
-
 
 def build_hidden_sample(base_null: DiscreteMeasure, base_alt: DiscreteMeasure, M: int) -> HiddenSampleProblem:
     return HiddenSampleProblem(base_null, base_alt, M)
-
-
-def hidden_likelihood_ratio(problem: HiddenSampleProblem, outcome: tuple):
-    """Likelihood ratio of the composite pair at an M-tuple: the average of
-    the base ratios over the coordinates."""
-    table = problem.base_alt.likelihood_ratio_table(problem.base_null)
-    total = 0
-    for y in outcome:
-        if y not in table:
-            raise ValueError(f"outcome {y!r} outside the base null support")
-        total = total + table[y]
-    return total / problem.M
 
 
 def hidden_sample_law(base: AdvantageReport, M: int, D: int) -> AdvantageReport:

@@ -9,8 +9,8 @@ one square root of a normalization that depends on the index alone, exact
 (radical field over rationals) whenever the model parameters are
 Fractions, float otherwise.
 
-Moment tables are append-only caches keyed by canonical class; evaluation
-itself is pure.
+Every function here is pure and keeps no cache: a moment is recomputed
+on each call, and a caller that needs one per class holds it itself.
 """
 
 from __future__ import annotations
@@ -266,34 +266,6 @@ def cross_moment_planted(params: ModelParams, s: LabeledGraph, sigma: tuple[int,
     for u, v in sorted(h.edges):
         sq *= _h_squared(k, eps, lam, n, sigma[u], sigma[v])
     return math.prod(omega(k, sigma[u], sigma[v]) for u, v in cross) * _sqrt(sq, exact)
-
-
-def moment_table(measure: DiscreteMeasure, indices: list[BasisIndex], params: ModelParams) -> list[dict]:
-    """Expectations grouped by canonical class, as JSON-ready records.
-
-    Under an exchangeable measure every index in a class has the same
-    moment, so one representative per class is computed and recorded:
-    {canonical_form, kind, expectation_numerator, expectation_denominator}
-    in rational mode, {canonical_form, kind, value} otherwise.
-    """
-    out: dict[tuple, dict] = {}
-    for idx in indices:
-        forms = [gc.canonicalize(idx.s1).hex_form]
-        if idx.s2 is not None:
-            forms.append(gc.canonicalize(idx.s2).hex_form)
-        key = (idx.kind, tuple(forms))
-        if key in out:
-            continue
-        value = exact_expectation(measure, idx, params)
-        record = {"canonical_form": forms[0] if len(forms) == 1 else forms, "kind": idx.kind}
-        if isinstance(value, Rad) and value.is_rational():
-            frac = value.as_fraction()
-            record["expectation_numerator"] = frac.numerator
-            record["expectation_denominator"] = frac.denominator
-        else:
-            record["value"] = float(value)
-        out[key] = record
-    return list(out.values())
 
 
 def path_expectation(k: int, a, b, length: int, lab0: int, lab1: int):

@@ -49,6 +49,7 @@ from .graph_core import EnumerationBudgetError, LabeledGraph
 from .params import ModelParams
 
 XI_EDGE_BUDGET = 6
+LINEAR_SYSTEM_ROW_BUDGET = 100_000  # rows (edge subsets of K_n) verify_linear_system accepts
 FIRST_ORDER_KERNEL = "first_order"
 EXACT_KERNEL = "exact"
 
@@ -403,8 +404,7 @@ def edge_orbits(n: int, max_edges: int) -> dict[int, set[int]]:
     return orbits
 
 
-def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL,
-                         n_rows_cap: int = 100_000):
+def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL):
     """Residual of every row S (edge subsets of K_n with at most D edges);
     returns (max_abs_residual, row_count).  Exactly zero in rational mode.
 
@@ -418,10 +418,10 @@ def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_
         raise ValueError("the linear system needs D")
     bit = ms.edge_bits(params.n)
     n_rows = sum(math.comb(len(bit), j) for j in range(min(D, len(bit)) + 1))
-    if n_rows > n_rows_cap:
+    if n_rows > LINEAR_SYSTEM_ROW_BUDGET:
         raise EnumerationBudgetError("row enumeration exceeds the cap",
                                      where="certificate.verify_linear_system",
-                                     requested=n_rows, budget=n_rows_cap)
+                                     requested=n_rows, budget=LINEAR_SYSTEM_ROW_BUDGET)
     table = XiTable(params, kernel)
     worst, exact_zero, rows = 0.0, table.exact, 0
     for rep, orbit in edge_orbits(params.n, D).items():

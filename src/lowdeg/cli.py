@@ -309,6 +309,8 @@ def cmd_bounds_audit(args) -> int:
         raw = {k: _json_number(v, f"--params {k}") for k, v in raw.items()}
         params = ModelParams(**raw)
     slack = bd.DESK_SLACK if args.slack is None else args.slack
+    if not (math.isfinite(slack) and slack > 0):
+        raise ValueError(f"--slack must be a positive finite number, not {slack}")
     audits = bd.run_suite(args.suite, params, slack=slack)
     rows = [a.row() for a in audits]
     if args.out:
@@ -329,6 +331,8 @@ def cmd_reduce(args) -> int:
     from . import reduction as rd
 
     _check_choice(args, "--estimator", args.estimator, rd.ESTIMATORS)
+    if math.isnan(args.threshold):
+        raise ValueError("--threshold must be a number, not nan")
     params = _params_from_args(args, args.exact)
     estimator = rd.ESTIMATORS[args.estimator](args.seed)
     fam = rd.truncate_family(rd.estimator_to_indicators(estimator, params.n))

@@ -8,6 +8,9 @@ is decided exactly by bracketing the square roots in integers.  Every
 closed-form quantity in this package (basis normalizations, label
 averages, the dual-vector recursion) lives in such an extension, which
 is what makes the "exactly zero" assertions in the test suite honest.
+The module holds the field alone: the tests solve linear systems over it
+with their own eliminator (tests/exact_oracles.py), which shares no code
+with the library's LDL^T kernels.
 
 All operations are pure; instances are immutable after construction and
 safe to share across threads.
@@ -217,26 +220,3 @@ class Rad:
             return "Rad(0)"
         bits = [f"{c}*sqrt({d})" if d != 1 else f"{c}" for d, c in sorted(self.terms.items())]
         return "Rad(" + " + ".join(bits) + ")"
-
-
-def solve_exact(matrix: list[list], rhs: list) -> list:
-    """Solve a nonsingular linear system by Gaussian elimination, exactly.
-
-    Entries come from one exact field whose zero is falsy and whose inverse
-    is 1 / x: Fractions or Rad values.  Pivots are chosen by float
-    magnitude but all arithmetic stays in the field.
-    """
-    m = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(m):
-        pivot = max(range(col, m), key=lambda r: abs(float(a[r][col])))
-        if not a[pivot][col]:
-            raise ValueError("singular system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][m] for i in range(m)]

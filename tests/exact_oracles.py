@@ -1,0 +1,88 @@
+"""Oracles that lowdeg's routes are checked against, kept out of the library.
+
+Each one computes a quantity the library also computes, by a different
+path: a direct linear solve, a per-permutation grouping of a joint's atoms,
+and the hidden-sample composite laws built atom by atom.  None is called by
+lowdeg itself.
+"""
+
+from fractions import Fraction
+
+from lowdeg import basis as bs
+from lowdeg.measures import DiscreteMeasure
+
+
+def solve_exact(matrix: list[list], rhs: list) -> list:
+    """Solve a nonsingular linear system exactly: forward elimination, then
+    back substitution.
+
+    Entries come from one exact field whose zero is falsy and whose inverse
+    is 1 / x: Fractions or Rad values.  Pivots are chosen by float
+    magnitude but all arithmetic stays in the field.  Nothing here comes
+    from the library's LDL^T kernels, which the tests check against it.
+    """
+    m = len(matrix)
+    a = [[*row, rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(m):
+        pivot = max(range(col, m), key=lambda r: abs(float(a[r][col])))
+        if not a[pivot][col]:
+            raise ValueError("singular system")
+        a[col], a[pivot] = a[pivot], a[col]
+        top = a[col]
+        inv = 1 / top[col]
+        for row in a[col + 1:]:
+            if row[col]:
+                f = row[col] * inv
+                row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], top[col + 1:])]
+    sol = [None] * m
+    for i in reversed(range(m)):
+        row = a[i]
+        total = row[m]
+        for j in range(i + 1, m):
+            total = total - row[j] * sol[j]
+        sol[i] = total / row[i]
+    return sol
+
+
+def grouped_conditional_expectation(joint: DiscreteMeasure, idx: bs.BasisIndex,
+                                    q_params, i: int, j: int):
+    """The conditional basis expectation computed by grouping atoms per
+    permutation; must equal the direct conditional expectation."""
+    groups: dict[tuple, list] = {}
+    for (pi, a, b), w in joint:
+        if pi[i] == j:
+            groups.setdefault(pi, []).append(((a, b), w))
+    total = 0
+    mass = 0
+    for pi, rows in groups.items():
+        for (ab, w) in rows:
+            total = total + w * bs.evaluate_basis(idx, ab, q_params)
+            mass = mass + w
+    return total / mass
+
+
+def composite_null(problem) -> DiscreteMeasure:
+    """The M-fold product of a hidden-sample problem's base null."""
+    return problem.base_null.power(problem.M)
+
+
+def composite_alt(problem) -> DiscreteMeasure:
+    """Mixture over the hidden slot kappa of the products with base_alt in
+    slot kappa and base_null elsewhere."""
+    null, alt, M = problem.base_null, problem.base_alt, problem.M
+    coeff = Fraction(1, M) if null.exact and alt.exact else 1.0 / M
+    comps = [DiscreteMeasure.product(*(alt if i == kappa else null for i in range(M)))
+             for kappa in range(M)]
+    return DiscreteMeasure.mixture(comps, [coeff] * M)
+
+
+def hidden_likelihood_ratio(problem, outcome: tuple):
+    """Likelihood ratio of the composite pair at an M-tuple: the average of
+    the base ratios over the coordinates."""
+    table = problem.base_alt.likelihood_ratio_table(problem.base_null)
+    total = 0
+    for y in outcome:
+        if y not in table:
+            raise ValueError(f"outcome {y!r} outside the base null support")
+        total = total + table[y]
+    return total / problem.M

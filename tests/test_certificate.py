@@ -11,6 +11,8 @@ from lowdeg import measures as ms
 from lowdeg import models as md
 from lowdeg.exactnum import Rad
 
+from exact_oracles import solve_exact
+
 
 def params6(eps=F(3, 10), lam=F(1)):
     return md.ModelParams(n=6, lam=lam, k=2, eps=eps, delta=F(1, 100))
@@ -339,7 +341,6 @@ def _full_gram_value_sq(params, D):
     most D edges: the body reversed_advantage_exact had before it solved
     the orbit quotient."""
     from lowdeg import measures as ms
-    from lowdeg.exactnum import solve_exact
 
     n, k = params.n, params.k
     p_in, p_out = ms.sbm_block_probs(n, k, params.lam, params.eps)
@@ -421,8 +422,6 @@ def _per_class_value_sq(params, D):
     """(G^-1)_00 on the orbit quotient with each raw Gram entry a sum of
     Fraction powers over the label classes: the body reversed_advantage_exact
     had before it summed in integers, on the bit-loop orbits."""
-    from lowdeg.exactnum import solve_exact
-
     n, k = params.n, params.k
     p_in, p_out = ms.sbm_block_probs(n, k, params.lam, params.eps)
     q0 = bs.null_edge_prob(params)
@@ -665,7 +664,7 @@ def test_linear_system_exactly_zero_k3():
         assert rows_f == 176 and worst <= 1e-12
 
 
-def test_certificate_budget_errors_are_structured():
+def test_certificate_budget_errors_are_structured(monkeypatch):
     pr12 = md.ModelParams(n=12, lam=F(1), k=2, eps=F(3, 10), delta=F(1, 100))
     pr4 = md.ModelParams(n=4, lam=F(1), k=2, eps=F(3, 10), delta=F(1, 100))
     cases = [
@@ -677,9 +676,10 @@ def test_certificate_budget_errors_are_structured():
          "class enumeration budget is 6 edges"),
         (lambda: ct.build_dual(params6(), 7), "certificate.leafless_classes", 7, 6,
          "class enumeration budget is 6 edges"),
-        (lambda: ct.verify_linear_system(pr4, 2, n_rows_cap=10),
+        (lambda: ct.verify_linear_system(pr4, 2),
          "certificate.verify_linear_system", 22, 10, "row enumeration exceeds the cap"),
     ]
+    monkeypatch.setattr(ct, "LINEAR_SYSTEM_ROW_BUDGET", 10)  # read by verify_linear_system alone
     for call, where, requested, budget, message in cases:
         with pytest.raises(gc.EnumerationBudgetError) as info:
             call()

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import random
@@ -531,6 +532,24 @@ def test_bounds_audit_param_not_a_number_is_a_structured_error(tmp_path, capsys)
                                "schema_version": 1}
 
 
+def test_reduce_nan_threshold_is_a_structured_error(capsys):
+    """A NaN threshold accepts and rejects nothing; it is refused, not reported as powerless."""
+    code, out, err = run_cli(["reduce", "--n", "4", "--q", "1/4", "--rho", "1/3", "--trials", "2",
+                              "--threshold", "nan"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "--threshold must be a number, not nan", "schema_version": 1}
+
+
+@pytest.mark.parametrize("slack,shown", [("nan", "nan"), ("-1", "-1.0"), ("0", "0.0"),
+                                         ("inf", "inf")])
+def test_bounds_audit_slack_must_be_positive_and_finite(slack, shown, capsys):
+    """A malformed slack is a structured error (exit 2), not a suite of failed bounds (exit 3)."""
+    code, out, err = run_cli(["bounds-audit", "--suite", "P-sum", "--slack", slack], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"--slack must be a positive finite number, not {shown}",
+                               "schema_version": 1}
+
+
 def test_hidden_base_spec_without_alt_is_a_structured_error(tmp_path, capsys):
     base_file = tmp_path / "base.json"
     base_file.write_text(json.dumps({"outcomes": [0, 1], "null": ["1/2", "1/2"]}), encoding="utf-8")
@@ -674,6 +693,43 @@ def readme_cli_commands():
     return commands
 
 
+def output_digest(stdout: str, root: Path, inputs=()) -> str:
+    """sha256 of stdout, then of each file under root (not the inputs) by
+    relative path, in sorted order: name, length and bytes."""
+    digest = hashlib.sha256(stdout.encode("utf-8"))
+    for path in sorted(p for p in root.rglob("*") if p.is_file() and p.name not in inputs):
+        data = path.read_bytes()
+        digest.update(f"\0{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+# output_digest of each README command's stdout and written files.  A change
+# that moves any printed digit or written byte must update its pin here.
+README_OUTPUT_PINS = {
+    "lowdeg sample --model corr-er --n 12 --q 1/4 --rho 1/3 --seed 7 --trials 2 --exact --out samples":
+        "488bc1d2cd24818c92bbd7822d4783c852d0c9ee5f8f87253581bc2ade119100",
+    "lowdeg adv --model corr-er --n 3 --q 1/3 --rho 1/2 --D 3 --exact":
+        "777c57a27eb7c1ab3fd0110ddd78b613be8eacdcf0b11f1e2cc9c5298f581cea",
+    "lowdeg adv --model corr-er --n 3 --q 1/3 --rho 1/2 --D 2 --exact --condition pi(1)=1":
+        "b4b7a79eec2bb8e267b027135d3cc32b2fb185a44ba013416e1ff8f1b3f07c71",
+    "lowdeg xi --n 6 --k 2 --eps 3/10 --lambda 1 --D 3 --exact":
+        "5517929186a7776bb46ff0e562ba629fb4d2775be88f6d84ca3d02aa3d2f4070",
+    "lowdeg dual-check --n 4 --k 2 --eps 1/5 --lambda 1 --delta 1/100 --D 3 --exact":
+        "bab7a857b3f38a5cee3b67f92b44d56a26d8a9f815c3d153f1b4d05acd121995",
+    "lowdeg hidden --M 4 --base-spec base.json":
+        "10178fde8645f5d97e938a75e144eb356e3ee130202037bfacf35bfd0a5f9a61",
+    "lowdeg bounds-audit --suite P-sum --out audits.csv":
+        "f1f1d53ed20b7e8e62e34ba02f66077cabd76d3adba3f4b114e1e168888d7ef3",
+    "lowdeg reduce --model corr-er --estimator greedy --n 10 --q 1/4 --rho 1/3 --lambda-mix 1/2 --trials 20 --seed 3 --exact":
+        "da97b9fcbcfd3525c26f2772e977c12a5273b6c5858a4e4752b7b919621ac6a6",
+    "lowdeg otter --max-n 50":
+        "db006ab36eea95e730246768e81ef570fe76426693908e558da7d873a4dde9b9",
+    "lowdeg verify":
+        "6f9736b43a2ae172aa61be672767039eba7db06df7c64fefda7ac529972ce52e",
+}
+
+
 @pytest.mark.parametrize("command", readme_cli_commands() or [None])
 def test_readme_fixtures_run_verbatim(command, tmp_path, capsys, monkeypatch):
     if command is None:
@@ -685,6 +741,8 @@ def test_readme_fixtures_run_verbatim(command, tmp_path, capsys, monkeypatch):
             encoding="utf-8")
     argv = shlex.split(command)[1:]
     assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert output_digest(stdout, tmp_path, inputs={"base.json"}) == README_OUTPUT_PINS[command]
 
 
 def test_hidden_command_array_outcomes(tmp_path, capsys):

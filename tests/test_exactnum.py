@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from lowdeg.exactnum import Rad, solve_exact, squarefree_decompose
+from lowdeg.exactnum import Rad, squarefree_decompose
+
+from exact_oracles import solve_exact
 
 
 def test_squarefree_decompose():
