@@ -17,6 +17,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable
 
 from . import advantage as adv
@@ -197,11 +198,27 @@ def _conditional_moment_audit(s1: LabeledGraph, s2: LabeledGraph, params: ModelP
 # -- counting bound audits ------------------------------------------------------------
 
 
-def _vertex_mask(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
+@cache
+def _supergraph_counts(n: int, b: int, e: int, d: int, l_extra: int) -> dict[int, int]:
+    """Counts by k of the l-sets of non-edges of a host (b support vertices,
+    e edges, d declared isolated vertices, in K_n) that cover its declared
+    vertices and add k vertices.  A non-edge adds none (C(b,2) - e of them),
+    one outside vertex (b for each) or two (one for each pair); the outside
+    vertices are 0..n-b-1, the declared ones first.  Each multiset of these
+    groups stands for a product of binomials.  Cached per key and shared,
+    so callers must not mutate the dict."""
+    groups = [(0, math.comb(b, 2) - e)] + [(1 << x | 1 << y, b if x == y else 1) for x, y
+                                           in itertools.combinations_with_replacement(range(n - b), 2)]
+    declared = (1 << d) - 1
+    counts: dict[int, int] = {}
+    for multiset in itertools.combinations_with_replacement(groups, l_extra):
+        mask, ways = 0, 1
+        for (ends, size), run in itertools.groupby(multiset):  # equal groups are adjacent
+            mask |= ends
+            ways *= math.comb(size, len(list(run)))
+        if ways and mask & declared == declared:
+            counts[mask.bit_count() - d] = counts.get(mask.bit_count() - d, 0) + ways
+    return counts
 
 
 def audit_supergraph_count(s: LabeledGraph, k_extra: int, l_extra: int) -> BoundAudit:
@@ -211,34 +228,26 @@ def audit_supergraph_count(s: LabeledGraph, k_extra: int, l_extra: int) -> Bound
     Counted: the sets of l non-edges of S whose union T with E(S), taken
     with its edge endpoints as vertices (so T has no isolated vertex),
     covers the declared vertices of S and has exactly k vertices more.
-    Vertex sets are bitmasks: each l-subset of candidate edges is OR-ed
-    into the support of S.  No enumeration budget applies; the
-    C(#non-edges, l) subsets are all visited.
+    It depends on S only through (n, |support|, |E(S)|, #declared isolated
+    vertices): _supergraph_counts counts once per key.
     """
-    n = s.n_vertices
-    declared = _vertex_mask(s.vertices)
-    base = _vertex_mask(v for e in s.edges for v in e)
-    want = len(s.vertices) + k_extra
-    candidates = [(1 << u) | (1 << v) for u, v in itertools.combinations(range(n), 2)
-                  if (u, v) not in s.edges]
-    count = 0
-    for subset in itertools.combinations(candidates, l_extra):
-        mask = base
-        for ends in subset:
-            mask |= ends
-        if mask & declared == declared and mask.bit_count() == want:
-            count += 1
+    n, b = s.n_vertices, len(gc.support(s))
+    counts = _supergraph_counts(n, b, len(s.edges), len(s.vertices) - b, l_extra)
     rhs = n ** k_extra * (len(s.vertices) + k_extra) ** (2 * l_extra)
-    return BoundAudit(f"supergraphs k={k_extra} l={l_extra}", count, rhs)
+    return BoundAudit(f"supergraphs k={k_extra} l={l_extra}", counts.get(k_extra, 0), rhs)
+
+
+def _check_anchored_budget(s: LabeledGraph) -> None:
+    if len(s.edges) > 10 or len(s.vertices) > 10:
+        raise EnumerationBudgetError("anchored subgraph enumeration budget",
+                                     where="bounds._anchored_subgraphs_of",
+                                     requested=max(len(s.edges), len(s.vertices)), budget=10)
 
 
 def _anchored_subgraphs_of(s: LabeledGraph) -> Iterable[LabeledGraph]:
     """All H with H a subgraph of s and every isolated vertex of s isolated
     in H (declared vertices range over supersets of the edge endpoints)."""
-    if len(s.edges) > 10 or len(s.vertices) > 10:
-        raise EnumerationBudgetError("anchored subgraph enumeration budget",
-                                     where="bounds._anchored_subgraphs_of",
-                                     requested=max(len(s.edges), len(s.vertices)), budget=10)
+    _check_anchored_budget(s)
     iso_s = gc.isolated_vertices(s)
     for sub in gc.edge_induced_subgraphs(s):
         spare = sorted(s.vertices - sub.vertices - iso_s)
@@ -266,22 +275,18 @@ def audit_admissible_supergraph_count(h: LabeledGraph, params: ModelParams,
         raise ValueError("needs D and N")
     from .models import contains_bad_subgraph
 
-    all_pairs = set(itertools.combinations(range(n), 2))
-    candidates = sorted(all_pairs - h.edges)
+    candidates = sorted(set(itertools.combinations(range(n), 2)) - h.edges)
     count = 0
-    regime = "admissibility-vacuous" if not require_admissible else "admissibility-filtered"
     for subset in itertools.combinations(candidates, p_extra):
+        # V(S) is V(h) plus the new endpoints, so every isolated vertex of S
+        # is one of h: S is anchored on h by construction
+        if len(h.vertices.union(*subset)) - len(h.vertices) != q_extra:
+            continue
         s = gc.graph(n, h.edges | frozenset(subset), h.vertices)
-        if len(s.edges) > D:
+        if len(s.edges) > D or 2 * _shape_exponent(s, h) != m:
             continue
-        if not gc.isolated_vertices(s) <= gc.isolated_vertices(h):
-            continue
-        if len(s.vertices) - len(h.vertices) != q_extra:
-            continue
-        if 2 * _shape_exponent(s, h) != m:
-            continue
-        census = gc.independent_cycle_census(s, h)
-        if any(length > N for length in census):
+        # an independent cycle longer than N needs more than N edges
+        if len(s.edges) > N and any(length > N for length in gc.independent_cycle_census(s, h)):
             continue
         if require_admissible:
             if gc.has_cycle_at_most(s, N):
@@ -289,21 +294,21 @@ def audit_admissible_supergraph_count(h: LabeledGraph, params: ModelParams,
             if contains_bad_subgraph(s, params, min(len(s.vertices), D ** 3), "sbm"):
                 continue
         count += 1
-    if not require_admissible:
-        regime = "admissibility-skipped(stronger-lhs)"
-    profile_sum = 0.0
-    span = range(N + 1, D + 1)
-    for profile in itertools.product(range(p_extra + 1), repeat=max(len(span), 0)):
+    regime = "admissibility-filtered" if require_admissible else "admissibility-skipped(stronger-lhs)"
+    profile_sum = 0.0  # ends at 1.0 when D <= N: one empty profile
+    for profile in itertools.product(range(p_extra + 1), repeat=len(range(N + 1, D + 1))):
         if sum(profile) <= p_extra:
             profile_sum += math.prod(1.0 / math.factorial(pj) for pj in profile)
-    rhs = (2 * D) ** (3 * m) * n ** q_extra * (profile_sum if len(span) else 1.0)
+    rhs = (2 * D) ** (3 * m) * n ** q_extra * profile_sum
     return BoundAudit(f"admissible-supergraphs m={m} p={p_extra} q={q_extra}", count, rhs, regime)
 
 
 def audit_anchored_subgraph_census(s: LabeledGraph, params: ModelParams) -> list[BoundAudit]:
     """Bucket every anchored subgraph H of s by (shape exponent, profile of
     independent-cycle counts over lengths N+1..D) and audit each bucket
-    count against D^(15m) * binomial weights.
+    count against D^(15m) * binomial weights.  H is walked on vertex
+    bitmasks: edge subsets of s by endpoint mask, then the declared extra
+    vertices as the submasks of the spare ones; no H is built.
 
     The bound's domain is hosts without cycles of length at most N (the
     admissible graphs it is applied to); short-girth hosts can overfill the
@@ -314,21 +319,34 @@ def audit_anchored_subgraph_census(s: LabeledGraph, params: ModelParams) -> list
         raise ValueError("needs D and N")
     if gc.has_cycle_at_most(s, N):
         raise ValueError("host has a cycle within the girth cut; bound out of domain")
-    cycles = [(c.vertices, len(c.edges)) for c in gc.cycle_components(s)]
+    _check_anchored_budget(s)
+    cycles = [(sum(1 << v for v in c.vertices), len(c.edges)) for c in gc.cycle_components(s)]
+    by_length = [[vs for vs, m_len in cycles if m_len == j] for j in range(N + 1, D + 1)]
+    leaves, iso, declared = (sum(1 << v for v in vs)  # vertex sets as bitmasks
+                             for vs in (gc.leaves(s), gc.isolated_vertices(s), s.vertices))
+    # (excess(s) - |E(H)|, endpoint mask of E(H)) -> number of edge subsets of s
+    subsets = {(gc.excess(s), 0): 1}
+    for u, v in s.edges:
+        for (x, ends), c in list(subsets.items()):
+            key = (x - 1, ends | 1 << u | 1 << v)
+            subsets[key] = subsets.get(key, 0) + c
     buckets: dict[tuple, int] = {}
-    for h in _anchored_subgraphs_of(s):
-        m2 = 2 * _shape_exponent(s, h)
-        # independent cycles of s avoiding h, by length (independent_cycle_census)
-        profile = tuple(sum(1 for vs, m_len in cycles if m_len == j and vs.isdisjoint(h.vertices))
-                        for j in range(N + 1, D + 1))
-        buckets[(int(m2), profile)] = buckets.get((int(m2), profile), 0) + 1
-    own_census = {m_len: sum(1 for _, c_len in cycles if c_len == m_len)
-                  for m_len in range(3, len(s.edges) + 1)}
+    for (x, ends), c in subsets.items():
+        spare = extra = declared & ~ends & ~iso
+        while True:  # every submask of spare: the declared vertices of H beyond E(H)'s ends
+            vh = ends | iso | extra
+            # 2 * shape exponent, and the independent cycles of s avoiding V(H) by length
+            key = ((leaves & ~vh).bit_count() + x + vh.bit_count(),
+                   tuple(sum(1 for vs in group if not vs & vh) for group in by_length))
+            buckets[key] = buckets.get(key, 0) + c
+            if not extra:
+                break
+            extra = (extra - 1) & spare
     audits = []
     for (m, profile), count in sorted(buckets.items()):
         rhs = float(D) ** (15 * m)
-        for j, mj in zip(range(N + 1, D + 1), profile):
-            rhs *= math.comb(own_census.get(j, 0), mj)
+        for group, mj in zip(by_length, profile):
+            rhs *= math.comb(len(group), mj)
         audits.append(BoundAudit(f"anchored-subgraphs m={m} profile={profile}", count, rhs))
     return audits
 
@@ -392,12 +410,12 @@ def run_suite(name: str, params: ModelParams | None = None, slack: float = DESK_
                          f"the parameters lack {', '.join(missing)}")
     audits: list[BoundAudit] = []
     if name == "A1":
-        for s in bs.edge_subgraphs(min(params.n, 5), 4):
+        k5 = gc.graph(params.n, itertools.combinations(range(min(params.n, 5)), 2))
+        for s in gc.edge_induced_subgraphs(k5, 4):
             if not s.edges:
                 continue
             for k_extra, l_extra in ((0, 1), (1, 1), (1, 2), (2, 2)):
-                audits.append(audit_supergraph_count(
-                    gc.graph(params.n, s.edges), k_extra, l_extra))
+                audits.append(audit_supergraph_count(s, k_extra, l_extra))
     elif name == "A4":
         h = gc.empty_graph(min(params.n, 7))
         for m, p_extra, q_extra in ((1, 1, 2), (1, 2, 3), (2, 2, 4), (1, 3, 4)):

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import math
 from fractions import Fraction as F
@@ -167,6 +169,24 @@ def test_suites_all_hold():
         assert all(a.holds for a in audits), (name, [a.row() for a in audits if not a.holds])
 
 
+# sha256 of the rows of each default suite, one repr per line; computed
+# before the counts moved to size keys and vertex bitmasks
+SUITE_ROW_PINS = {
+    "A1": "ccfaeedc2342f2a5405f6ec9739f01b5b55b226515561dd6d4ef9773eaa812dc",
+    "A4": "fe3687282f8c5b981935b5df809c8ed3f77e8f673e034f15d453c5bcc4410ab4",
+    "A5": "6090446f08886909d17b607e32c40da47f1b8daa7a89b9f149b59d081c5fa738",
+    "B1": "89060ddb655a4ed3e650017d1a5f9bb9d99d5e9ec94819e7499792cf6417e2e0",
+    "B3": "af186180f21dca3184914912c70b3fc2d524b8b93ff3361bd3a9fce2dd4420b3",
+    "P-sum": "ff4ec3a8f98a60a4910f9f17ef0ac09a11b7c6afd6f4a2700d1f4d9f49e3376f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_ROW_PINS))
+def test_suite_rows_are_pinned(name):
+    rows = [repr(a.row()) for a in bd.run_suite(name)]
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == SUITE_ROW_PINS[name]
+
+
 def test_bounds_budget_errors_carry_fields():
     pr = md.ModelParams(n=20, q=F(1, 4), rho=F(1, 3), D=2, N=3, delta=F(1, 100))
     star = gc.graph(20, [(0, i) for i in range(1, 18)])
@@ -226,6 +246,56 @@ def test_supergraph_count_covers_declared_isolated_vertices():
         for k_extra, l_extra in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2), (1, 3), (3, 3)):
             want = _supergraph_count_oracle(host, k_extra, l_extra)
             assert bd.audit_supergraph_count(host, k_extra, l_extra).lhs == want, (host, k_extra, l_extra)
+
+
+def _admissible_count_oracle(h, params, m, p_extra, q_extra, require_admissible):
+    """The admissible-supergraph count as one LabeledGraph per candidate edge set."""
+    n, D, N = h.n_vertices, params.D, params.N
+    candidates = sorted(set(itertools.combinations(range(n), 2)) - h.edges)
+    count = 0
+    for subset in itertools.combinations(candidates, p_extra):
+        s = gc.graph(n, h.edges | frozenset(subset), h.vertices)
+        if len(s.edges) > D:
+            continue
+        if not gc.isolated_vertices(s) <= gc.isolated_vertices(h):
+            continue
+        if len(s.vertices) - len(h.vertices) != q_extra:
+            continue
+        if 2 * bd._shape_exponent(s, h) != m:
+            continue
+        census = gc.independent_cycle_census(s, h)
+        if any(length > N for length in census):
+            continue
+        if require_admissible:
+            if gc.has_cycle_at_most(s, N):
+                continue
+            if md.contains_bad_subgraph(s, params, min(len(s.vertices), D ** 3), "sbm"):
+                continue
+        count += 1
+    return count
+
+
+def test_admissible_supergraph_count_matches_per_candidate_loop():
+    pr = bd.suite_default_params("A4")
+    suite = bd.run_suite("A4", pr)
+    h = gc.empty_graph(6)
+    shapes = [(m, p, q) for m, p, q in ((1, 1, 2), (1, 2, 3), (2, 2, 4), (1, 3, 4)) for _ in range(2)]
+    for audit, (m, p, q), req in zip(suite, shapes, itertools.cycle((True, False))):
+        assert audit.lhs == _admissible_count_oracle(h, pr, m, p, q, req), audit.instance
+    # hosts with edges and declared isolated vertices; at n = 10^30 the
+    # block-model potential passes small graphs, so the filtered count is
+    # not vacuous and differs from the unfiltered one where a triangle forms
+    big = dataclasses.replace(pr, n=10 ** 30)
+    filtered_differs = False
+    for h in (gc.graph(6, [(0, 1)], vertices=[0, 1, 5]),
+              gc.graph(7, [(0, 1), (1, 2)], vertices=[0, 1, 2, 4, 6])):
+        for params, m, p, q in itertools.product((pr, big), range(3), range(3), range(4)):
+            counts = [bd.audit_admissible_supergraph_count(h, params, m, p, q, req).lhs
+                      for req in (True, False)]
+            assert counts == [_admissible_count_oracle(h, params, m, p, q, req)
+                              for req in (True, False)], (sorted(h.edges), params.n, m, p, q)
+            filtered_differs |= 0 < counts[0] < counts[1]
+    assert filtered_differs
 
 
 def test_anchored_census_buckets_match_per_h_census():

@@ -352,13 +352,17 @@ def _full_gram_value_sq(params, D):
     indices = bs.single_indices(n, D)
     masks = [sum(bit[e] for e in idx.s1.edges) for idx in indices]
 
+    # powers 0..C(n,2) of each factor, indexed by bit count
+    pw_sq_in, pw_sq_out, pw_d_in, pw_d_out = (
+        [x ** i for i in range(len(bit) + 1)] for x in (sq_in, sq_out, d_in, d_out))
+
     def raw_entry(both: int, once: int) -> F:
         total = F(0)
         for intra, count in classes.items():
-            total += (count * sq_in ** (both & intra).bit_count()
-                      * sq_out ** (both & ~intra).bit_count()
-                      * d_in ** (once & intra).bit_count()
-                      * d_out ** (once & ~intra).bit_count())
+            total += (count * pw_sq_in[(both & intra).bit_count()]
+                      * pw_sq_out[(both & ~intra).bit_count()]
+                      * pw_d_in[(once & intra).bit_count()]
+                      * pw_d_out[(once & ~intra).bit_count()])
         return total / k ** n
 
     dim = len(indices)

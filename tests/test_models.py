@@ -292,6 +292,21 @@ def test_correlated_samplers_match_their_enumerated_joints():
         assert _chi_square(joint, flipped) > bound
 
 
+def test_block_model_sampler_matches_its_enumerated_joint():
+    # 4,000 draws of sample_sbm at n = 3, k = 3 against the 216-atom
+    # (sigma, G) law; k = 3 so that the label convention shows (at k = 2,
+    # swapping the labels is a symmetry of the law)
+    pr = md.ModelParams(n=3, lam=F(1), k=3, eps=F(1, 2))  # p_in = 2/3, p_out = 1/6
+    joint = ms.sbm_joint_measure(3, pr.k, pr.lam, pr.eps)
+    draws = [md.sample_sbm(pr, 60_000 + t) for t in range(4000)]
+    bound = scipy.stats.chi2.isf(1e-6, len(joint) - 1)
+    assert _chi_square(joint, [(sigma, g.edges) for sigma, g in draws]) < bound
+    # each graph paired with the previous draw's labels: the same marginals,
+    # but the edges no longer follow the labels, and the law no longer fits
+    shifted = [(draws[t - 1][0], g.edges) for t, (_, g) in enumerate(draws)]
+    assert _chi_square(joint, shifted) > bound
+
+
 # -- potentials and admissibility ------------------------------------------------
 
 
