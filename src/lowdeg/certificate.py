@@ -37,8 +37,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import basis as bs
 from . import graph_core as gc
@@ -363,7 +364,8 @@ def row_residual(s: LabeledGraph, params: ModelParams, table: XiTable):
     return _row_sum(s, params, table, proper=False) - (0 if s.edges else 1)
 
 
-def edge_orbits(n: int, max_edges: int) -> dict[int, set[int]]:
+@cache
+def edge_orbits(n: int, max_edges: int) -> MappingProxyType:
     """The S_n-orbits of the edge bitmasks over ms.edge_bits(n) with at most
     max_edges edges: representative mask -> its orbit.  Representatives come
     by size, then in combinations order, so the empty set's orbit {0} is
@@ -371,7 +373,9 @@ def edge_orbits(n: int, max_edges: int) -> dict[int, set[int]]:
     generators of S_n, the transposition (0 1) and the cycle (0 1 ... n-1).
     A generator maps a mask one byte at a time: the table of each byte, with
     one entry per subset of the edge bits that byte holds, gives the OR of
-    their images.  Canonical labeling is not used."""
+    their images.  Canonical labeling is not used.
+    Built once per (n, max_edges) and process: every caller shares the
+    result, so it is a read-only mapping of frozensets."""
     bit = ms.edge_bits(n)
     gens = []
     for p in ([1, 0, *range(2, n)], [*range(1, n), 0]):
@@ -383,7 +387,7 @@ def edge_orbits(n: int, max_edges: int) -> dict[int, set[int]]:
                 table += [x | img for x in table]
             tables.append((start, table))
         gens.append(tables)
-    orbits: dict[int, set[int]] = {}
+    orbits: dict[int, frozenset[int]] = {}
     placed: set[int] = set()
     for size in range(max_edges + 1):
         for mask in map(sum, itertools.combinations(bit.values(), size)):
@@ -399,9 +403,9 @@ def edge_orbits(n: int, max_edges: int) -> dict[int, set[int]]:
                     if img not in orbit:
                         orbit.add(img)
                         frontier.append(img)
-            orbits[mask] = orbit
+            orbits[mask] = frozenset(orbit)
             placed |= orbit
-    return orbits
+    return MappingProxyType(orbits)
 
 
 def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL):

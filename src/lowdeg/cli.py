@@ -388,12 +388,10 @@ def cmd_verify(args) -> int:
     pr3 = ModelParams(n=3, lam=F(1), k=2, eps=F(2, 5))
     q0 = bs.null_edge_prob(pr3)
     m3 = ms.er_graph_measure(3, q0)
-    idxs = bs.single_indices(3, 3)
-    ok = all(
-        (m3.expectation(lambda x: bs.evaluate_basis(a, x, pr3) * bs.evaluate_basis(b, x, pr3))
-         == Rad.of(1 if a == b else 0))
-        for a in idxs for b in idxs
-    )
+    basis = bs.single_indices(3, 3)
+    rows = [(w, [bs.evaluate_basis(a, x, pr3) for a in basis]) for x, w in m3]  # once per atom
+    ok = all(sum((w * v[i] * v[j] for w, v in rows), Rad()) == Rad.of(int(i == j))
+             for i in range(len(basis)) for j in range(len(basis)))
     check("single-basis orthonormality (n=3, exact)", ok)
 
     tri = gc.graph(6, [(0, 1), (1, 2), (0, 2)])

@@ -13,7 +13,9 @@ with their own eliminator (tests/exact_oracles.py), which shares no code
 with the library's LDL^T kernels.
 
 All operations are pure; instances are immutable after construction and
-safe to share across threads.
+safe to share across threads.  The public constructor checks its terms;
+the operators build their results through the trusted ``_rad``, which
+skips that check and the zero filter because their terms already hold.
 """
 
 from __future__ import annotations
@@ -64,14 +66,28 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
+def _rad(terms: dict[int, Fraction]) -> "Rad":
+    """A Rad on terms already in canonical form: squarefree radicands and
+    nonzero Fraction coefficients."""
+    out = object.__new__(Rad)
+    out.terms = terms
+    return out
+
+
 class Rad:
     """An element of the field of rationals extended by square roots."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[int, Fraction] | None = None):
+    def __init__(self, terms: dict | None = None):
         # terms maps squarefree radicand -> nonzero rational coefficient
-        self.terms = {d: c for d, c in (terms or {}).items() if c != 0}
+        self.terms = {}
+        for d, c in (terms or {}).items():
+            c = _as_fraction(c)
+            if not isinstance(d, int) or d < 1 or squarefree_decompose(d)[1] != d:
+                raise ValueError(f"radicand {d!r} is not a positive squarefree integer")
+            if c:
+                self.terms[d] = c
 
     # -- constructors ------------------------------------------------------
 
@@ -79,7 +95,8 @@ class Rad:
     def of(cls, x) -> "Rad":
         if isinstance(x, Rad):
             return x
-        return cls({1: _as_fraction(x)})
+        c = _as_fraction(x)
+        return _rad({1: c} if c else {})
 
     @classmethod
     def sqrt(cls, x) -> "Rad":
@@ -90,9 +107,9 @@ class Rad:
         if x < 0:
             raise ValueError("square root of a negative rational")
         if x == 0:
-            return cls()
+            return _rad({})
         s, d = squarefree_decompose(x.numerator * x.denominator)
-        return cls({d: Fraction(s, x.denominator)})
+        return _rad({d: Fraction(s, x.denominator)})
 
     # -- predicates and conversions ---------------------------------------
 
@@ -138,33 +155,62 @@ class Rad:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other) -> "Rad":
-        other = Rad.of(other)
+    def _merge(self, other, sign: int) -> "Rad":
+        """self + sign * other, in place on a copy of self's terms; a
+        coefficient that cancels is dropped."""
+        if not isinstance(other, Rad):
+            c = _as_fraction(other)
+            if not c:
+                return self
+            other = {1: c}
+        else:
+            other = other.terms
         out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return Rad(out)
+        for d, c in other.items():
+            if d in out:
+                c = out[d] + c if sign > 0 else out[d] - c
+                if c:
+                    out[d] = c
+                else:
+                    del out[d]
+            else:
+                out[d] = c if sign > 0 else -c
+        return _rad(out)
+
+    def __add__(self, other) -> "Rad":
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Rad":
-        return Rad({d: -c for d, c in self.terms.items()})
+        return _rad({d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other) -> "Rad":
-        return self + (-Rad.of(other))
+        return self._merge(other, -1)
 
     def __rsub__(self, other) -> "Rad":
-        return Rad.of(other) + (-self)
+        return Rad.of(other)._merge(self, -1)
 
     def __mul__(self, other) -> "Rad":
-        other = Rad.of(other)
+        if not isinstance(other, Rad):
+            c = _as_fraction(other)
+            return _rad({d: a * c for d, a in self.terms.items()} if c else {})
+        left, right = self.terms, other.terms
+        if len(left) == 1 == len(right):
+            (d1, c1), = left.items()
+            (d2, c2), = right.items()
+            g = math.gcd(d1, d2)
+            if g == 1:
+                return _rad({d1 * d2: c1 * c2})
+            return _rad({(d1 // g) * (d2 // g): c1 * c2 * g})
         out: dict[int, Fraction] = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
+        for d1, c1 in left.items():
+            for d2, c2 in right.items():
                 g = math.gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)  # squarefree: the cofactors are coprime
-                out[d] = out.get(d, Fraction(0)) + c1 * c2 * g
-        return Rad(out)
+                c = c1 * c2 * g if g != 1 else c1 * c2
+                out[d] = out[d] + c if d in out else c
+        return _rad({d: c for d, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -175,12 +221,12 @@ class Rad:
         den = self
         while not den.is_rational():
             p = min(_smallest_prime_factor(d) for d in den.terms if d > 1)
-            plain = Rad({d: c for d, c in den.terms.items() if d % p})
-            pulled = Rad({d // p: c for d, c in den.terms.items() if d % p == 0})
-            conj = plain - Rad({p: Fraction(1)}) * pulled
+            plain = _rad({d: c for d, c in den.terms.items() if d % p})
+            pulled = _rad({d // p: c for d, c in den.terms.items() if d % p == 0})
+            conj = plain - _rad({p: Fraction(1)}) * pulled
             num = num * conj
             den = plain * plain - p * pulled * pulled
-        return num * Rad.of(1 / den.as_fraction())
+        return num * (1 / den.as_fraction())
 
     def __truediv__(self, other) -> "Rad":
         return self * Rad.of(other).inverse()

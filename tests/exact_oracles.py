@@ -1,14 +1,16 @@
 """Oracles that lowdeg's routes are checked against, kept out of the library.
 
 Each one computes a quantity the library also computes, by a different
-path: a direct linear solve, a per-permutation grouping of a joint's atoms,
-and the hidden-sample composite laws built atom by atom.  None is called by
-lowdeg itself.
+path: a direct linear solve, Rad products and sums by the plain loops over
+terms, a per-permutation grouping of a joint's atoms, and the hidden-sample
+composite laws built atom by atom.  None is called by lowdeg itself.
 """
 
+import math
 from fractions import Fraction
 
 from lowdeg import basis as bs
+from lowdeg.exactnum import Rad
 from lowdeg.measures import DiscreteMeasure
 
 
@@ -42,6 +44,26 @@ def solve_exact(matrix: list[list], rhs: list) -> list:
             total = total - row[j] * sol[j]
         sol[i] = total / row[i]
     return sol
+
+
+def rad_mul(x: Rad, y: Rad) -> Rad:
+    """x * y by the double loop over both operands' terms, with no fast path;
+    the terms come out in the order the loop first meets their radicands."""
+    out = {}
+    for d1, c1 in x.terms.items():
+        for d2, c2 in y.terms.items():
+            g = math.gcd(d1, d2)
+            d = (d1 // g) * (d2 // g)
+            out[d] = out.get(d, Fraction(0)) + c1 * c2 * g
+    return Rad(out)
+
+
+def rad_add(x: Rad, y: Rad) -> Rad:
+    """x + y by one pass over y's terms into a copy of x's."""
+    out = dict(x.terms)
+    for d, c in y.terms.items():
+        out[d] = out.get(d, Fraction(0)) + c
+    return Rad(out)
 
 
 def grouped_conditional_expectation(joint: DiscreteMeasure, idx: bs.BasisIndex,

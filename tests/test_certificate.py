@@ -422,6 +422,22 @@ def test_edge_orbits_match_the_bit_loop_closure():
         assert list(ct.edge_orbits(n, m).items()) == list(_bit_loop_edge_orbits(n, m).items()), (n, m)
 
 
+def test_edge_orbits_are_one_shared_read_only_value():
+    orbits = ct.edge_orbits(4, 3)
+    assert ct.edge_orbits(4, 3) is orbits
+    with pytest.raises(TypeError):
+        orbits[0] = frozenset()
+    assert all(type(orbit) is frozenset for orbit in orbits.values())
+    pr = md.ModelParams(n=4, lam=F(1), k=2, eps=F(1, 5), delta=F(1, 100))
+    ct.build_dual(pr, 3)  # reads edge_orbits(3, 3) through leafless_classes(3)
+    ct.verify_linear_system(pr, 3)
+    ct.reversed_advantage_exact(pr, 3)
+    for n, m in ((4, 3), (3, 3)):
+        assert list(ct.edge_orbits(n, m).items()) == list(_bit_loop_edge_orbits(n, m).items())
+    assert ct.leafless_classes(2) == []
+    assert ct.leafless_classes(3) is not ct.leafless_classes(3)
+
+
 def _per_class_value_sq(params, D):
     """(G^-1)_00 on the orbit quotient with each raw Gram entry a sum of
     Fraction powers over the label classes: the body reversed_advantage_exact

@@ -655,6 +655,12 @@ def test_dual_check_accepts_float_delta_at_its_cap(capsys):
 
 DUAL_CHECK_K3 = ["dual-check", "--n", "4", "--k", "3", "--eps", "2/5", "--lambda", "1",
                  "--delta", "1/100", "--D", "3", "--exact"]
+# sha256 of DUAL_CHECK_K3's stdout; a change that moves a printed digit must update it
+DUAL_CHECK_K3_PIN = "d4d7e4fa3a43754d88f7e6fabe3919ef84725ee9ff742ccf67bfef232650028c"
+
+
+def stdout_digest(stdout: str) -> str:
+    return hashlib.sha256(stdout.encode("utf-8")).hexdigest()
 
 
 def test_dual_check_reports_the_sandwich_at_three_communities(capsys):
@@ -664,7 +670,7 @@ def test_dual_check_reports_the_sandwich_at_three_communities(capsys):
     from lowdeg.params import ModelParams
 
     code, out, _ = run_cli(DUAL_CHECK_K3, capsys)
-    assert code == 0
+    assert code == 0 and stdout_digest(out) == DUAL_CHECK_K3_PIN
     payload = json.loads(out)
     pr = ModelParams(n=4, lam=Fraction(1), k=3, eps=Fraction(2, 5), delta=Fraction(1, 100))
     exact, dual_norm = ct.duality_gap(pr, 3)
@@ -796,6 +802,12 @@ EXACT_COMMANDS = {"xi-k24": ["xi", "--n", "40", "--k", "24", "--eps", "1/100", "
                   "adv-gram-schmidt-float": ["adv", "--model", "corr-er", "--n", "3",
                                              "--q", "0.25", "--rho", "0.5", "--D", "3",
                                              "--method", "gram-schmidt"]}
+# stdout_digest of each EXACT_COMMANDS entry, pinned like README_OUTPUT_PINS
+EXACT_OUTPUT_PINS = {
+    "xi-k24": "f888d617e5e200af8ba51ddd5457224066c81530268bb9c44252c4677267a234",
+    "adv-gram-schmidt": "62f6d4ca6734f25774f3843b0378c9aa3ef9dd8a2258f1a406dcfac6566e4bc4",
+    "adv-gram-schmidt-float": "6060d2088dc377e35006df84084c54ab9563d8dd0e8224d2db9471747a4eaeab",
+}
 
 
 @pytest.mark.parametrize("name,condition", [
@@ -808,6 +820,8 @@ def test_exact_commands_do_not_import_numpy(name, condition, tmp_path):
     proc = run_in_subprocess(EXACT_COMMANDS.get(name) or readme_command(name, condition), tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "numpy loaded: False" in proc.stderr
+    if name in EXACT_COMMANDS:
+        assert stdout_digest(proc.stdout) == EXACT_OUTPUT_PINS[name]
 
 
 @pytest.mark.parametrize("name,condition,loaded", [
@@ -824,6 +838,7 @@ def test_dual_check_at_three_communities_does_not_import_numpy(tmp_path):
     proc = run_in_subprocess(DUAL_CHECK_K3, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "numpy loaded: False" in proc.stderr
+    assert stdout_digest(proc.stdout) == DUAL_CHECK_K3_PIN
     assert json.loads(proc.stdout)["duality_holds"] is True
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -6,7 +7,7 @@ import pytest
 
 from lowdeg.exactnum import Rad, squarefree_decompose
 
-from exact_oracles import solve_exact
+from exact_oracles import rad_add, rad_mul, solve_exact
 
 
 def test_squarefree_decompose():
@@ -125,3 +126,71 @@ def test_sign_is_exact():
         x = Rad({d: F(rng.randint(-50, 50), rng.randint(1, 9)) for d in (1, 2, 3, 5, 91)})
         want = 0 if x.is_zero() else (1 if float(x) > 0 else -1)
         assert x.sign() == want, x
+
+
+def _same_terms(got: Rad, want: Rad):
+    """Equal terms in the same order (float() sums them in that order), each
+    a nonzero Fraction."""
+    assert list(got.terms.items()) == list(want.terms.items()), (got, want)
+    assert all(type(c) is F and c for c in got.terms.values()), got
+
+
+def test_fast_paths_match_the_double_loop_oracle():
+    rng = random.Random(28)
+    radicands = [1, 2, 3, 5, 6, 10, 15, 91]
+
+    def rand_rad():
+        return Rad({d: F(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 9))
+                    for d in rng.sample(radicands, rng.randint(0, 4))})
+
+    def neg(x):
+        return Rad({d: -c for d, c in x.terms.items()})
+
+    for _ in range(500):
+        x, y = rand_rad(), rand_rad()
+        c = rng.choice([0, 1, -2, F(3, 7), F(-5, 2)])
+        _same_terms(Rad.of(c), Rad({1: c}))
+        _same_terms(x * y, rad_mul(x, y))
+        _same_terms(x + y, rad_add(x, y))
+        _same_terms(x - y, rad_add(x, neg(y)))
+        _same_terms(-x, neg(x))
+        for scaled in (x * c, c * x):
+            _same_terms(scaled, rad_mul(x, Rad.of(c)))
+        for shifted in (x + c, c + x):
+            _same_terms(shifted, rad_add(x, Rad.of(c)))
+        _same_terms(x - c, rad_add(x, Rad.of(-c)))
+        _same_terms(c - x, rad_add(Rad.of(c), neg(x)))
+        _same_terms(x - x, Rad())
+        _same_terms(x + neg(x), Rad())
+    # one term times one term, with and without a common factor
+    for d1, d2 in itertools.product(radicands, repeat=2):
+        x, y = Rad({d1: F(-2, 3)}), Rad({d2: F(5, 4)})
+        _same_terms(x * y, rad_mul(x, y))
+    _same_terms(Rad.sqrt(6) * Rad.sqrt(10), Rad({15: F(2)}))
+    # sums and products that cancel
+    root = Rad.of(1) + Rad.sqrt(2)
+    _same_terms(root * (Rad.of(1) - Rad.sqrt(2)), Rad.of(-1))
+    _same_terms((Rad.sqrt(2) + Rad.sqrt(3)) + (-Rad.sqrt(2) - Rad.sqrt(3)), Rad())
+    _same_terms(root - 1, Rad.sqrt(2))
+    _same_terms(1 - root, -Rad.sqrt(2))
+    _same_terms(root * 0, Rad())
+
+
+def test_operators_refuse_floats():
+    x = Rad.sqrt(2) + 1
+    for op in (lambda: x + 0.0, lambda: 0.0 + x, lambda: x - 0.0, lambda: 0.0 - x,
+               lambda: x * 0.5, lambda: 0.5 * x, lambda: x * 0.0, lambda: Rad.of(0.5)):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_public_constructor_enforces_the_invariant():
+    x = Rad({2: 3, 3: 0, 91: F(1, 10)})
+    _same_terms(x, Rad.sqrt(18) + Rad.sqrt(F(1, 100) * 91))
+    with pytest.raises(TypeError):
+        Rad({1: 0.5})
+    for radicand in (4, 12, 0, -3, 2.0, "2"):
+        with pytest.raises(ValueError):
+            Rad({radicand: F(1)})
+    # sqrt(4) would be a second spelling of 2, unequal to it and hashed apart
+    assert Rad.sqrt(4) == Rad.of(2) and hash(Rad.sqrt(4)) == hash(2)
