@@ -237,17 +237,16 @@ def audit_supergraph_count(s: LabeledGraph, k_extra: int, l_extra: int) -> Bound
     return BoundAudit(f"supergraphs k={k_extra} l={l_extra}", counts.get(k_extra, 0), rhs)
 
 
-def _check_anchored_budget(s: LabeledGraph) -> None:
+def _check_anchored_budget(s: LabeledGraph, where: str) -> None:
     if len(s.edges) > 10 or len(s.vertices) > 10:
-        raise EnumerationBudgetError("anchored subgraph enumeration budget",
-                                     where="bounds._anchored_subgraphs_of",
+        raise EnumerationBudgetError("anchored subgraph enumeration budget", where=where,
                                      requested=max(len(s.edges), len(s.vertices)), budget=10)
 
 
 def _anchored_subgraphs_of(s: LabeledGraph) -> Iterable[LabeledGraph]:
     """All H with H a subgraph of s and every isolated vertex of s isolated
     in H (declared vertices range over supersets of the edge endpoints)."""
-    _check_anchored_budget(s)
+    _check_anchored_budget(s, "bounds._anchored_subgraphs_of")
     iso_s = gc.isolated_vertices(s)
     for sub in gc.edge_induced_subgraphs(s):
         spare = sorted(s.vertices - sub.vertices - iso_s)
@@ -256,27 +255,26 @@ def _anchored_subgraphs_of(s: LabeledGraph) -> Iterable[LabeledGraph]:
                 yield gc.graph(s.n_vertices, sub.edges, sub.vertices | set(extra) | iso_s)
 
 
-def audit_admissible_supergraph_count(h: LabeledGraph, params: ModelParams,
-                                      m: int, p_extra: int, q_extra: int,
-                                      require_admissible: bool = True) -> BoundAudit:
+def audit_admissible_supergraph_count(h: LabeledGraph, params: ModelParams, m: int, p_extra: int,
+                                      q_extra: int) -> tuple[BoundAudit, BoundAudit]:
     """Count of admissible anchored supergraphs S of h with the given shape
     parameters (p extra edges, q extra vertices, shape exponent m, no
     independent long cycles) against (2D)^(3m) n^q * sum over cycle-count
     profiles of the factorial weights.
 
-    At desk scale, the block-model potential classifies most small graphs
-    bad, so the admissible count can be vacuously zero; passing
-    require_admissible=False audits the strictly larger unfiltered count
-    instead (a stronger check of the counting content) and records that in
-    the regime field.
+    S is admissible when models.event_E_indicator(s, params, "sbm") holds.
+    At desk scale the block-model potential classifies most small graphs
+    bad, so the admissible count can be vacuously zero.  One walk returns
+    its audit and that of the strictly larger unfiltered count (a stronger
+    check of the counting content), each regime recorded on its audit.
     """
     n, D, N = h.n_vertices, params.D, params.N
     if None in (D, N):
         raise ValueError("needs D and N")
-    from .models import contains_bad_subgraph
+    from .models import event_E_indicator
 
     candidates = sorted(set(itertools.combinations(range(n), 2)) - h.edges)
-    count = 0
+    admissible = count = 0
     for subset in itertools.combinations(candidates, p_extra):
         # V(S) is V(h) plus the new endpoints, so every isolated vertex of S
         # is one of h: S is anchored on h by construction
@@ -288,19 +286,16 @@ def audit_admissible_supergraph_count(h: LabeledGraph, params: ModelParams,
         # an independent cycle longer than N needs more than N edges
         if len(s.edges) > N and any(length > N for length in gc.independent_cycle_census(s, h)):
             continue
-        if require_admissible:
-            if gc.has_cycle_at_most(s, N):
-                continue  # admissible graphs carry no short cycles
-            if contains_bad_subgraph(s, params, min(len(s.vertices), D ** 3), "sbm"):
-                continue
         count += 1
-    regime = "admissibility-filtered" if require_admissible else "admissibility-skipped(stronger-lhs)"
+        admissible += event_E_indicator(s, params, "sbm")
     profile_sum = 0.0  # ends at 1.0 when D <= N: one empty profile
     for profile in itertools.product(range(p_extra + 1), repeat=len(range(N + 1, D + 1))):
         if sum(profile) <= p_extra:
             profile_sum += math.prod(1.0 / math.factorial(pj) for pj in profile)
     rhs = (2 * D) ** (3 * m) * n ** q_extra * profile_sum
-    return BoundAudit(f"admissible-supergraphs m={m} p={p_extra} q={q_extra}", count, rhs, regime)
+    instance = f"admissible-supergraphs m={m} p={p_extra} q={q_extra}"
+    return (BoundAudit(instance, admissible, rhs, "admissibility-filtered"),
+            BoundAudit(instance, count, rhs, "admissibility-skipped(stronger-lhs)"))
 
 
 def audit_anchored_subgraph_census(s: LabeledGraph, params: ModelParams) -> list[BoundAudit]:
@@ -319,7 +314,7 @@ def audit_anchored_subgraph_census(s: LabeledGraph, params: ModelParams) -> list
         raise ValueError("needs D and N")
     if gc.has_cycle_at_most(s, N):
         raise ValueError("host has a cycle within the girth cut; bound out of domain")
-    _check_anchored_budget(s)
+    _check_anchored_budget(s, "bounds.audit_anchored_subgraph_census")
     cycles = [(sum(1 << v for v in c.vertices), len(c.edges)) for c in gc.cycle_components(s)]
     by_length = [[vs for vs, m_len in cycles if m_len == j] for j in range(N + 1, D + 1)]
     leaves, iso, declared = (sum(1 << v for v in vs)  # vertex sets as bitmasks
@@ -419,10 +414,7 @@ def run_suite(name: str, params: ModelParams | None = None, slack: float = DESK_
     elif name == "A4":
         h = gc.empty_graph(min(params.n, 7))
         for m, p_extra, q_extra in ((1, 1, 2), (1, 2, 3), (2, 2, 4), (1, 3, 4)):
-            audits.append(audit_admissible_supergraph_count(h, params, m, p_extra, q_extra,
-                                                            require_admissible=True))
-            audits.append(audit_admissible_supergraph_count(h, params, m, p_extra, q_extra,
-                                                            require_admissible=False))
+            audits.extend(audit_admissible_supergraph_count(h, params, m, p_extra, q_extra))
     elif name == "A5":
         two_c4 = gc.graph(params.n, [(0, 1), (1, 2), (2, 3), (0, 3),
                                      (4, 5), (5, 6), (6, 7), (4, 7)])

@@ -341,7 +341,7 @@ def cmd_reduce(args) -> int:
     overlaps = []
     g_alt = []
     for t in range(args.trials):
-        samp = md.sample_correlated_er(params, args.seed + t)
+        samp = md.sample_correlated_er(params, 2 * args.seed, t)  # one_sided_test's planted draw t
         pi_hat = estimator(samp.left, samp.right)
         overlaps.append(float(rd.overlap(pi_hat, samp.pi_star)))
         # the same estimate gives the rows: one-hot rows of a full matching pass the truncation

@@ -205,33 +205,38 @@ def connected_components(g: LabeledGraph) -> list[frozenset[int]]:
 # -- cycles -------------------------------------------------------------------
 
 
+def _cycles(g: LabeledGraph, max_len: int | None):
+    """The one cycle walk: depth first from each start vertex in increasing
+    order, through larger vertices in increasing order, yielding each cycle
+    of length at most max_len (any length when None) as it closes."""
+    adj = {v: sorted(nbrs) for v, nbrs in _adjacency(g).items()}
+    cap = max_len if max_len is not None else len(g.vertices)
+    for start in sorted(adj):
+        path, on_path, stack = [start], {start}, [iter(adj[start])]
+        while stack:
+            for w in stack[-1]:
+                if w == start:
+                    if len(path) >= 3 and path[1] < path[-1]:  # orientation dedupe
+                        yield tuple(path)
+                elif w > start and w not in on_path and len(path) < cap:
+                    path.append(w)
+                    on_path.add(w)
+                    stack.append(iter(adj[w]))
+                    break
+            else:  # every neighbor of the path's end is walked: step back
+                stack.pop()
+                on_path.discard(path.pop())
+
+
 def all_cycles(g: LabeledGraph, max_len: int | None = None) -> list[tuple[int, ...]]:
     """All simple cycles, each reported once as a vertex tuple starting at
     its smallest vertex with the smaller neighbor second."""
-    adj = {v: sorted(nbrs) for v, nbrs in _adjacency(g).items()}
-    cap = max_len if max_len is not None else len(g.vertices)
-    out: list[tuple[int, ...]] = []
-
-    def extend(start: int, path: list[int], on_path: set[int]):
-        last = path[-1]
-        for w in adj[last]:
-            if w == start and len(path) >= 3:
-                if path[1] < path[-1]:  # orientation dedupe
-                    out.append(tuple(path))
-            elif w > start and w not in on_path and len(path) < cap:
-                path.append(w)
-                on_path.add(w)
-                extend(start, path, on_path)
-                on_path.remove(w)
-                path.pop()
-
-    for v in sorted(adj):
-        extend(v, [v], {v})
-    return out
+    return list(_cycles(g, max_len))
 
 
 def has_cycle_at_most(g: LabeledGraph, max_len: int) -> bool:
-    return bool(all_cycles(g, max_len))
+    """Does g have a cycle of length at most max_len?  Stops at the first."""
+    return next(_cycles(g, max_len), None) is not None
 
 
 def cycle_components(g: LabeledGraph) -> list[LabeledGraph]:

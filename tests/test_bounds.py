@@ -154,8 +154,7 @@ def test_anchored_subgraph_census_in_domain():
 def test_admissible_supergraph_audit_regimes():
     pr = bd.suite_default_params("A4")
     h = gc.empty_graph(6)
-    filtered = bd.audit_admissible_supergraph_count(h, pr, 1, 2, 3, require_admissible=True)
-    stronger = bd.audit_admissible_supergraph_count(h, pr, 1, 2, 3, require_admissible=False)
+    filtered, stronger = bd.audit_admissible_supergraph_count(h, pr, 1, 2, 3)
     assert filtered.holds and stronger.holds
     assert filtered.lhs <= stronger.lhs
     # the unfiltered count really counts the two-edge paths in the ambient
@@ -200,7 +199,7 @@ def test_bounds_budget_errors_carry_fields():
         bd.audit_anchored_subgraph_census(small_star, pr)
     err = info.value
     assert (str(err), err.where, err.requested, err.budget) == (
-        "anchored subgraph enumeration budget", "bounds._anchored_subgraphs_of", 12, 10)
+        "anchored subgraph enumeration budget", "bounds.audit_anchored_subgraph_census", 12, 10)
 
 
 # -- oracles: the per-candidate LabeledGraph loops the counts replaced ------------
@@ -290,12 +289,25 @@ def test_admissible_supergraph_count_matches_per_candidate_loop():
     for h in (gc.graph(6, [(0, 1)], vertices=[0, 1, 5]),
               gc.graph(7, [(0, 1), (1, 2)], vertices=[0, 1, 2, 4, 6])):
         for params, m, p, q in itertools.product((pr, big), range(3), range(3), range(4)):
-            counts = [bd.audit_admissible_supergraph_count(h, params, m, p, q, req).lhs
-                      for req in (True, False)]
+            counts = [a.lhs for a in bd.audit_admissible_supergraph_count(h, params, m, p, q)]
             assert counts == [_admissible_count_oracle(h, params, m, p, q, req)
                               for req in (True, False)], (sorted(h.edges), params.n, m, p, q)
             filtered_differs |= 0 < counts[0] < counts[1]
     assert filtered_differs
+
+
+def test_admissible_supergraph_audit_reads_event_E_once_per_candidate(monkeypatch):
+    real, calls = md.event_E_indicator, []
+
+    def spy(g, params, model="er"):
+        calls.append(model)
+        return real(g, params, model)
+
+    monkeypatch.setattr(md, "event_E_indicator", spy)
+    suite = bd.run_suite("A4")
+    stronger = [a.lhs for a in suite if a.regime == "admissibility-skipped(stronger-lhs)"]
+    assert len(stronger) == 4 and sum(stronger) > 0
+    assert calls == ["sbm"] * sum(stronger)
 
 
 def test_anchored_census_buckets_match_per_h_census():

@@ -239,6 +239,24 @@ def test_reduce_planted_statistic_and_overlap_come_from_one_estimate(estimator, 
     assert abs(payload["planted_statistic_mean"] - (0.5 + 0.5 * 10 * payload["overlap_mean"])) <= 1e-12
 
 
+def test_reduce_overlaps_describe_the_planted_draws_the_test_judges(capsys):
+    from lowdeg import models as md
+    from lowdeg import reduction as rd
+
+    code, out, _ = run_cli(["reduce", "--model", "corr-er", "--estimator", "greedy", "--n", "8",
+                            "--q", "1/4", "--rho", "1/3", "--trials", "6", "--seed", "5",
+                            "--exact"], capsys)
+    assert code == 0
+    overlaps = json.loads(out)["overlaps"]
+    params = md.ModelParams(n=8, q=Fraction(1, 4), rho=Fraction(1, 3))
+    p_sampler, _ = rd.correlated_er_samplers(params)
+    estimator = rd.ESTIMATORS["greedy"](5)
+    for t, got in enumerate(overlaps):
+        samp = md.sample_correlated_er(params, 2 * 5, t)
+        assert p_sampler(2 * 5, t) == (samp.left, samp.right)
+        assert got == float(rd.overlap(estimator(samp.left, samp.right), samp.pi_star)), t
+
+
 def test_unparsable_probability_is_a_structured_error(capsys):
     for q in ("1/0", "abc"):
         for exact in (["--exact"], []):
@@ -728,7 +746,7 @@ README_OUTPUT_PINS = {
     "lowdeg bounds-audit --suite P-sum --out audits.csv":
         "f1f1d53ed20b7e8e62e34ba02f66077cabd76d3adba3f4b114e1e168888d7ef3",
     "lowdeg reduce --model corr-er --estimator greedy --n 10 --q 1/4 --rho 1/3 --lambda-mix 1/2 --trials 20 --seed 3 --exact":
-        "da97b9fcbcfd3525c26f2772e977c12a5273b6c5858a4e4752b7b919621ac6a6",
+        "9a944fd0d0455bf3b566fb87fc80764454c0294927dabe5d033bd9dc33b4000a",
     "lowdeg otter --max-n 50":
         "db006ab36eea95e730246768e81ef570fe76426693908e558da7d873a4dde9b9",
     "lowdeg verify":

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -360,6 +361,49 @@ def test_all_cycles_triangle_square():
     assert sorted(len(c) for c in cycles) == [3, 4]
     assert gc.has_cycle_at_most(g, 3)
     assert not gc.has_cycle_at_most(gc.graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 3)
+
+
+def _random_graphs(seed, count, max_n):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        p = rng.choice((0.2, 0.4, 0.6, 0.9))
+        yield gc.graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p],
+                       range(n))
+
+
+# sha256 of repr(all_cycles(g, cap)) over _random_graphs(30, 200, 8) and the
+# caps None, 3, 4, 6, computed when each cycle walk was its own recursion
+ALL_CYCLES_PIN = "12dc8a6541779c3189ef7802c72304af43ec3958bbde5697ff47d644eabd068d"
+
+
+def test_cycle_walk_keeps_its_order_and_decides_short_cycles():
+    digest = hashlib.sha256()
+    for g in _random_graphs(30, 200, 8):
+        for cap in (None, 3, 4, 6):
+            cycles = gc.all_cycles(g, cap)
+            digest.update(repr(cycles).encode())
+            if cap is not None:
+                assert gc.has_cycle_at_most(g, cap) == bool(cycles), (sorted(g.edges), cap)
+    assert digest.hexdigest() == ALL_CYCLES_PIN
+
+
+def test_has_cycle_at_most_stops_at_the_first_cycle(monkeypatch):
+    walk, produced = gc._cycles, []
+
+    def counted(g, max_len):
+        for cyc in walk(g, max_len):
+            produced.append(cyc)
+            yield cyc
+
+    monkeypatch.setattr(gc, "_cycles", counted)
+    dense = gc.complete_graph(12)  # 59,740,609 cycles
+    assert gc.has_cycle_at_most(dense, 12)
+    assert produced == [(0, 1, 2)]
+    assert not gc.has_cycle_at_most(gc.graph(12, [(i, i + 1) for i in range(11)]), 12)
+    assert len(produced) == 1
+    # all_cycles drains the same walk
+    assert gc.all_cycles(gc.complete_graph(5), 4) == produced[1:]
 
 
 def test_k4_cycle_census():
