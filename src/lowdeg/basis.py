@@ -24,11 +24,12 @@ from typing import Optional
 from . import graph_core as gc
 from . import measures as ms
 from .exactnum import Rad
-from .graph_core import EnumerationBudgetError, LabeledGraph
+from .graph_core import LabeledGraph, check_budget
 from .measures import DiscreteMeasure, edge_bits
 from .params import ModelParams
 
 PLANTED_FLOAT_N_CAP = 20
+LEAF_CANCELLATION_VERTEX_BUDGET = 8
 
 
 def _exact_inputs(*vals) -> bool:
@@ -160,10 +161,8 @@ def _index_factors(idx: BasisIndex, params: ModelParams):
         k, lam, eps, n = params.k, params.lam, params.eps, params.n
         exact, scale = _exact_inputs(lam, eps), k ** n
         if not exact and n > PLANTED_FLOAT_N_CAP:
-            raise EnumerationBudgetError(
-                f"planted basis in float mode is limited to n <= {PLANTED_FLOAT_N_CAP}; use Fractions",
-                where="basis.evaluate_basis", requested=n, budget=PLANTED_FLOAT_N_CAP,
-            )
+            check_budget("basis._index_factors", "planted basis vertices in float mode", n,
+                         PLANTED_FLOAT_N_CAP)
         factors = [(0, (u, v), (1 + eps * omega(k, idx.sigma[u], idx.sigma[v])) * lam / n)
                    for u, v in sorted(idx.s1.edges)]
     else:
@@ -235,7 +234,7 @@ def exact_expectation(measure: DiscreteMeasure, idx: BasisIndex, params: ModelPa
     """Expectation of the indexed polynomial; exact in rational mode.  The
     centered products are summed over the atoms and the square root of the
     normalization is taken once."""
-    ms._check_budget("measure support", "basis.exact_expectation", len(measure))
+    check_budget("basis.exact_expectation", "measure atoms", len(measure), ms.ENUMERATION_BUDGET)
     exact, factors, norm_sq = _index_factors(idx, params)
     total = sum(w * _centered_product(idx, factors, x) for x, w in measure)
     return total * _sqrt(norm_sq, exact)
@@ -256,9 +255,8 @@ def cross_moment_planted(params: ModelParams, s: LabeledGraph, sigma: tuple[int,
     """
     k, lam, eps, n = params.k, params.lam, params.eps, params.n
     exact = _exact_inputs(lam, eps)
-    if len(s.edges) > (params.D or len(s.edges)) or len(h.edges) > (params.D or len(h.edges)):
-        raise EnumerationBudgetError("index degree exceeds D", where="basis.cross_moment_planted",
-                                     requested=max(len(s.edges), len(h.edges)), budget=params.D)
+    if params.D is not None:
+        check_budget("basis.cross_moment_planted", "index degree", max(len(s.edges), len(h.edges)), params.D)
     if not h.edges <= s.edges:
         return Rad.of(0) if exact else 0.0
     cross = s.edges - h.edges
@@ -289,10 +287,8 @@ def leaf_cancellation_check(s: LabeledGraph, h: LabeledGraph, k: int):
     exposed = gc.leaves(s) - h.vertices
     if not exposed:
         raise ValueError("no exposed leaf: the cancellation identity does not apply")
-    if len(s.vertices) > 8:
-        raise EnumerationBudgetError("cancellation check is limited to 8 vertices",
-                                     where="basis.leaf_cancellation_check",
-                                     requested=len(s.vertices), budget=8)
+    check_budget("basis.leaf_cancellation_check", "cancellation check vertices", len(s.vertices),
+                 LEAF_CANCELLATION_VERTEX_BUDGET)
     free = sorted(s.vertices - h.vertices)
     fixed = sorted(h.vertices)
     cross = sorted(s.edges - h.edges)

@@ -24,10 +24,12 @@ from . import advantage as adv
 from . import basis as bs
 from . import graph_core as gc
 from . import measures as ms
-from .graph_core import EnumerationBudgetError, LabeledGraph
+from .graph_core import LabeledGraph
 from .params import ModelParams
 
 DESK_SLACK = 2.0
+ANCHORED_EXTRA_EDGE_BUDGET = 16
+ANCHORED_CENSUS_BUDGET = 10
 
 
 @dataclass
@@ -111,10 +113,8 @@ def _anchored_between(h: LabeledGraph, s: LabeledGraph) -> Iterable[LabeledGraph
     ranges over supersets of E(h) inside E(s); declared vertices are then
     forced to the endpoints plus the isolated vertices of h."""
     extra = gc.graph(s.n_vertices, s.edges - h.edges)
-    if extra.n_edges > 16:
-        raise EnumerationBudgetError("anchored enumeration beyond 16 extra edges",
-                                     where="bounds._anchored_between",
-                                     requested=extra.n_edges, budget=16)
+    gc.check_budget("bounds._anchored_between", "anchored extra edges", extra.n_edges,
+                    ANCHORED_EXTRA_EDGE_BUDGET)
     for sub in gc.edge_induced_subgraphs(extra):
         yield gc.graph_union(h, sub)
 
@@ -237,24 +237,6 @@ def audit_supergraph_count(s: LabeledGraph, k_extra: int, l_extra: int) -> Bound
     return BoundAudit(f"supergraphs k={k_extra} l={l_extra}", counts.get(k_extra, 0), rhs)
 
 
-def _check_anchored_budget(s: LabeledGraph, where: str) -> None:
-    if len(s.edges) > 10 or len(s.vertices) > 10:
-        raise EnumerationBudgetError("anchored subgraph enumeration budget", where=where,
-                                     requested=max(len(s.edges), len(s.vertices)), budget=10)
-
-
-def _anchored_subgraphs_of(s: LabeledGraph) -> Iterable[LabeledGraph]:
-    """All H with H a subgraph of s and every isolated vertex of s isolated
-    in H (declared vertices range over supersets of the edge endpoints)."""
-    _check_anchored_budget(s, "bounds._anchored_subgraphs_of")
-    iso_s = gc.isolated_vertices(s)
-    for sub in gc.edge_induced_subgraphs(s):
-        spare = sorted(s.vertices - sub.vertices - iso_s)
-        for r in range(len(spare) + 1):
-            for extra in itertools.combinations(spare, r):
-                yield gc.graph(s.n_vertices, sub.edges, sub.vertices | set(extra) | iso_s)
-
-
 def audit_admissible_supergraph_count(h: LabeledGraph, params: ModelParams, m: int, p_extra: int,
                                       q_extra: int) -> tuple[BoundAudit, BoundAudit]:
     """Count of admissible anchored supergraphs S of h with the given shape
@@ -314,7 +296,8 @@ def audit_anchored_subgraph_census(s: LabeledGraph, params: ModelParams) -> list
         raise ValueError("needs D and N")
     if gc.has_cycle_at_most(s, N):
         raise ValueError("host has a cycle within the girth cut; bound out of domain")
-    _check_anchored_budget(s, "bounds.audit_anchored_subgraph_census")
+    gc.check_budget("bounds.audit_anchored_subgraph_census", "host edges or vertices",
+                    max(len(s.edges), len(s.vertices)), ANCHORED_CENSUS_BUDGET)
     cycles = [(sum(1 << v for v in c.vertices), len(c.edges)) for c in gc.cycle_components(s)]
     by_length = [[vs for vs, m_len in cycles if m_len == j] for j in range(N + 1, D + 1)]
     leaves, iso, declared = (sum(1 << v for v in vs)  # vertex sets as bitmasks

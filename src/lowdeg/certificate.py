@@ -46,7 +46,7 @@ from . import graph_core as gc
 from . import measures as ms
 from .advantage import gram_schmidt_report, orbit_gram
 from .exactnum import Rad
-from .graph_core import EnumerationBudgetError, LabeledGraph
+from .graph_core import LabeledGraph
 from .params import ModelParams
 
 XI_EDGE_BUDGET = 6
@@ -94,9 +94,8 @@ def _label_product_expectation(table: "XiTable", h_edges: frozenset, omega_edges
         return total
     for comp in gc.connected_components(gc.graph(1 + max(v for _, v in all_edges), all_edges)):
         if len(comp) > LABEL_VERTEX_BUDGET:
-            raise EnumerationBudgetError(
-                f"label enumeration beyond {LABEL_VERTEX_BUDGET} vertices per component",
-                where="certificate.label_average", requested=len(comp), budget=LABEL_VERTEX_BUDGET)
+            gc.check_budget("certificate._label_product_expectation", "label component vertices",
+                            len(comp), LABEL_VERTEX_BUDGET)
         pos = {v: i for i, v in enumerate(sorted(comp))}
         bit = ms.edge_bits(len(comp))
         ch = sum(bit[pos[u], pos[v]] for u, v in h_edges if u in comp)
@@ -236,10 +235,7 @@ def _row_sum(s: LabeledGraph, params: ModelParams, table: XiTable, proper: bool)
     minus the proper sum over P(S); row S of the linear system is the
     full sum, with target [S = empty]."""
     edges = sorted(s.edges)
-    if len(edges) > XI_EDGE_BUDGET:
-        raise EnumerationBudgetError(f"recursion edge budget is {XI_EDGE_BUDGET}",
-                                     where="certificate.xi", requested=len(edges),
-                                     budget=XI_EDGE_BUDGET)
+    gc.check_budget("certificate._row_sum", "recursion edges", len(edges), XI_EDGE_BUDGET)
     top = len(edges) - 1 if proper else len(edges)
     total = table.zero
     for mask in _leafless_masks(edges, range(top + 1)):
@@ -282,10 +278,7 @@ def leafless_classes(max_edges: int) -> list[LabeledGraph]:
     """One labeled representative per isomorphism class of nonempty leafless
     graphs with at most max_edges edges (vertex count is then at most the
     edge count): the leafless orbits of edge_orbits(max_edges, max_edges)."""
-    if max_edges > XI_EDGE_BUDGET:
-        raise EnumerationBudgetError(f"class enumeration budget is {XI_EDGE_BUDGET} edges",
-                                     where="certificate.leafless_classes", requested=max_edges,
-                                     budget=XI_EDGE_BUDGET)
+    gc.check_budget("certificate.leafless_classes", "leafless class edges", max_edges, XI_EDGE_BUDGET)
     bit = ms.edge_bits(max_edges)
     reps = (gc.graph(max_edges, [e for e, b in bit.items() if rep & b])
             for rep in edge_orbits(max_edges, max_edges) if rep)
@@ -422,10 +415,8 @@ def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_
         raise ValueError("the linear system needs D")
     bit = ms.edge_bits(params.n)
     n_rows = sum(math.comb(len(bit), j) for j in range(min(D, len(bit)) + 1))
-    if n_rows > LINEAR_SYSTEM_ROW_BUDGET:
-        raise EnumerationBudgetError("row enumeration exceeds the cap",
-                                     where="certificate.verify_linear_system",
-                                     requested=n_rows, budget=LINEAR_SYSTEM_ROW_BUDGET)
+    gc.check_budget("certificate.verify_linear_system", "linear-system rows", n_rows,
+                    LINEAR_SYSTEM_ROW_BUDGET)
     table = XiTable(params, kernel)
     worst, exact_zero, rows = 0.0, table.exact, 0
     for rep, orbit in edge_orbits(params.n, D).items():
@@ -454,12 +445,8 @@ def reversed_advantage_exact(params: ModelParams, D: int):
     sizes are capped by REVERSED_ADVANTAGE_ENVELOPE (n <= 4, D <= 3).
     """
     for name, got in (("n", params.n), ("D", D)):
-        cap = REVERSED_ADVANTAGE_ENVELOPE[name]
-        if got > cap:
-            limits = ", ".join(f"{key} <= {val}" for key, val in REVERSED_ADVANTAGE_ENVELOPE.items())
-            raise EnumerationBudgetError(f"exact reversed advantage is limited to {limits}",
-                                         where=f"reversed_advantage_exact {name}",
-                                         requested=got, budget=cap)
+        gc.check_budget("certificate.reversed_advantage_exact", f"exact reversed advantage {name}", got,
+                        REVERSED_ADVANTAGE_ENVELOPE[name])
     if not bs._exact_inputs(params.lam, params.eps):
         raise ValueError("exact reversed advantage needs rational parameters")
     n, k, q0 = params.n, params.k, bs.null_edge_prob(params)

@@ -503,8 +503,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, gc.EnumerationBudgetError) as exc:
-        print(json.dumps({"error": str(exc), "schema_version": SCHEMA_VERSION}), file=sys.stderr)
+    except ValueError as exc:
+        payload = {"error": str(exc), "schema_version": SCHEMA_VERSION}
+        if isinstance(exc, gc.EnumerationBudgetError):
+            payload.update(where=exc.where, requested=exc.requested, budget=exc.budget)
+        print(json.dumps(payload), file=sys.stderr)
         return 2
 
 

@@ -22,6 +22,7 @@ from typing import Iterable
 
 CANONICAL_VERTEX_BUDGET = 16
 _SEARCH_NODE_BUDGET = 2_000_000
+ROOTED_TREE_BUDGET = 60
 
 
 class EnumerationBudgetError(ValueError):
@@ -38,6 +39,19 @@ class EnumerationBudgetError(ValueError):
         self.where = where
         self.requested = requested
         self.budget = budget
+
+
+def check_budget(where: str, what: str, requested: int, budget: int) -> None:
+    """Raise EnumerationBudgetError when requested exceeds budget.
+
+    ``where`` names the guarded function as module.function and ``what``
+    the quantity counted; the message reads "what: requested r, budget b".
+    A guard on a hot path compares inline and calls this only past its
+    limit, so the path gains no call.
+    """
+    if requested > budget:
+        raise EnumerationBudgetError(f"{what}: requested {requested}, budget {budget}",
+                                     where=where, requested=requested, budget=budget)
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -398,10 +412,7 @@ def _canonical_core(nbr: list[int], m: int) -> tuple[tuple[int, ...], int]:
         nonlocal nodes, aut
         nodes += 1
         if nodes > _SEARCH_NODE_BUDGET:
-            raise EnumerationBudgetError(
-                "canonical labeling search budget exceeded",
-                where="graph_core.canonicalize", requested=nodes, budget=_SEARCH_NODE_BUDGET,
-            )
+            check_budget("graph_core.canonicalize", "canonical search nodes", nodes, _SEARCH_NODE_BUDGET)
         on_first = first is None
         cells = _refine(cells, nbr)
         t = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
@@ -432,10 +443,7 @@ def canonicalize(g: LabeledGraph) -> CanonicalGraph:
     """Canonical form of the isomorphism class of g (declared vertices count)."""
     core = sorted(support(g))
     if len(core) > CANONICAL_VERTEX_BUDGET:
-        raise EnumerationBudgetError(
-            f"{len(core)} non-isolated vertices exceeds the canonical budget {CANONICAL_VERTEX_BUDGET}",
-            where="graph_core.canonicalize", requested=len(core), budget=CANONICAL_VERTEX_BUDGET,
-        )
+        check_budget("graph_core.canonicalize", "non-isolated vertices", len(core), CANONICAL_VERTEX_BUDGET)
     iso = len(g.vertices) - len(core)
     index = {v: i for i, v in enumerate(core)}
     m = len(core)
@@ -478,11 +486,7 @@ def count_embeddings(h: LabeledGraph | CanonicalGraph, s: LabeledGraph) -> int:
         h_canon = h
     if h_canon.n_vertices > len(s.vertices):
         return 0
-    if len(s.vertices) > CANONICAL_VERTEX_BUDGET:
-        raise EnumerationBudgetError(
-            "host graph exceeds the embedding budget", where="graph_core.count_embeddings",
-            requested=len(s.vertices), budget=CANONICAL_VERTEX_BUDGET,
-        )
+    check_budget("graph_core.count_embeddings", "host vertices", len(s.vertices), CANONICAL_VERTEX_BUDGET)
     # Split the pattern into its edge-bearing core and isolated padding.
     core_edges = h_canon.n_edges
     total = 0
@@ -647,11 +651,7 @@ def rooted_tree_counts(max_n: int) -> list[int]:
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    if max_n > 60:
-        raise EnumerationBudgetError(
-            "rooted tree budget is 60 vertices", where="graph_core.rooted_tree_counts",
-            requested=max_n, budget=60,
-        )
+    check_budget("graph_core.rooted_tree_counts", "tree vertices", max_n, ROOTED_TREE_BUDGET)
     r = [0, 1]
     for n in range(1, max_n):
         total = 0

@@ -21,15 +21,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable
 
-from .graph_core import EnumerationBudgetError, _norm_edge
+from .graph_core import _norm_edge, check_budget
 
 ENUMERATION_BUDGET = 1 << 22
-
-
-def _check_budget(what: str, where: str, size: int) -> None:
-    if size > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(f"{what} exceeds the enumeration budget", where=where,
-                                     requested=size, budget=ENUMERATION_BUDGET)
 
 
 def edge_bits(n: int) -> dict[tuple[int, int], int]:
@@ -105,8 +99,8 @@ class DiscreteMeasure:
 
     def product(self, *others: "DiscreteMeasure") -> "DiscreteMeasure":
         """Product measure with flat tuple atoms (x, y, ...), one slot per factor."""
-        _check_budget("product support", "DiscreteMeasure.product",
-                      math.prod(map(len, others), start=len(self)))
+        check_budget("measures.DiscreteMeasure.product", "product atoms",
+                     math.prod(map(len, others), start=len(self)), ENUMERATION_BUDGET)
         outs, ws = [(x,) for x in self.outcomes], self.weights
         for other in others:
             outs = [o + (y,) for o in outs for y in other.outcomes]
@@ -117,7 +111,7 @@ class DiscreteMeasure:
         """m-fold product with tuple outcomes."""
         if m < 1:
             raise ValueError("power needs m >= 1")
-        _check_budget("power support", "DiscreteMeasure.power", len(self) ** m)
+        check_budget("measures.DiscreteMeasure.power", "power atoms", len(self) ** m, ENUMERATION_BUDGET)
         return self.product(*[self] * (m - 1))
 
     @staticmethod
@@ -195,7 +189,7 @@ def _one_like(weights) -> Fraction | float:
 def er_graph_measure(n: int, q) -> DiscreteMeasure:
     """All graphs on [n]; independent edges with probability q."""
     m = n * (n - 1) // 2
-    _check_budget("graph space", "er_graph_measure", 2 ** m)
+    check_budget("measures.er_graph_measure", "graph atoms", 2 ** m, ENUMERATION_BUDGET)
     one = _one_like([q])
     return DiscreteMeasure(edge_sets(n), [
         math.prod((q if mask >> i & 1 else 1 - q for i in range(m)), start=one)
@@ -242,7 +236,7 @@ def label_classes(n: int, k: int) -> dict[int, int]:
 def sbm_joint_measure(n: int, k: int, lam, eps) -> DiscreteMeasure:
     """Joint (sigma, graph) law: uniform labels, block edge probabilities."""
     m = n * (n - 1) // 2
-    _check_budget("planted space", "sbm_joint_measure", k ** n * 2 ** m)
+    check_budget("measures.sbm_joint_measure", "planted atoms", k ** n * 2 ** m, ENUMERATION_BUDGET)
     p_in, p_out = sbm_block_probs(n, k, lam, eps)
     label_w = Fraction(1, k ** n) if isinstance(p_in, Fraction) else 1.0 / k ** n
     pairs, sets = edge_bits(n), edge_sets(n)
@@ -260,7 +254,7 @@ def sbm_graph_measure(n: int, k: int, lam, eps) -> DiscreteMeasure:
     return sbm_joint_measure(n, k, lam, eps).map(lambda x: x[1])
 
 
-def _child_subsampling_joint(n: int, s, parents: list, where: str) -> DiscreteMeasure:
+def _child_subsampling_joint(n: int, s, parents: list) -> DiscreteMeasure:
     """Joint (pi, A, pi(B)) law of two children that keep each parent edge
     independently with probability s, the second relabeled by a uniform
     permutation pi.
@@ -285,7 +279,8 @@ def _child_subsampling_joint(n: int, s, parents: list, where: str) -> DiscreteMe
     restored on the way out, also when the check raises.
     """
     n_pairs = n * (n - 1) // 2
-    _check_budget("matching-joint space", where, math.factorial(n) * 4 ** n_pairs)
+    check_budget("measures._child_subsampling_joint", "matching-joint atoms",
+                 math.factorial(n) * 4 ** n_pairs, ENUMERATION_BUDGET)
     sets = edge_sets(n)
     full = len(sets) - 1
     perms = list(itertools.permutations(range(n)))
@@ -344,7 +339,7 @@ def correlated_er_joint_measure(n: int, p, s) -> DiscreteMeasure:
     if p is None or s is None:
         raise ValueError("the matching joint needs (p, s); derive them from (q, rho) first")
     parent = [(_one_like([p, s]), [((1 << n * (n - 1) // 2) - 1, p)])]
-    return _child_subsampling_joint(n, s, parent, "correlated_er_joint_measure")
+    return _child_subsampling_joint(n, s, parent)
 
 
 def children_joint(n: int, s, parent: DiscreteMeasure) -> DiscreteMeasure:
@@ -358,7 +353,7 @@ def children_joint(n: int, s, parent: DiscreteMeasure) -> DiscreteMeasure:
     full = (1 << len(bits)) - 1
     masks = (sum(bits[e] for e in g) for g in parent.outcomes)
     components = [(w, [(m, 1), (full & ~m, 0)]) for m, w in zip(masks, parent.weights)]
-    return _child_subsampling_joint(n, s, components, "children_joint")
+    return _child_subsampling_joint(n, s, components)
 
 
 def correlated_sbm_joint_measure(n: int, k: int, lam, eps, s) -> DiscreteMeasure:
@@ -376,4 +371,4 @@ def correlated_sbm_joint_measure(n: int, k: int, lam, eps, s) -> DiscreteMeasure
     full = (1 << n * (n - 1) // 2) - 1
     parents = [(one * count / k ** n, [(intra, p_in), (full & ~intra, p_out)])
                for intra, count in label_classes(n, k).items()]
-    return _child_subsampling_joint(n, s, parents, "correlated_sbm_joint_measure")
+    return _child_subsampling_joint(n, s, parents)

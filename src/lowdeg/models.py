@@ -4,8 +4,8 @@ events built from them.
 
 Samplers are pure functions of (params, seed); independent trials use
 derived seeds (seed, trial_index) so they parallelize without shared
-state.  Desk-scale enumeration guards raise EnumerationBudgetError rather
-than silently truncating.
+state.  Desk-scale enumeration guards refuse an input past their budget
+through graph_core.check_budget rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import graph_core as gc
 from . import measures as ms
-from .graph_core import EnumerationBudgetError, LabeledGraph
+from .graph_core import LabeledGraph
 from .params import ModelParams, _check_prob  # noqa: F401  (re-exported)
 
 # Reciprocal growth rate of unlabeled trees, for the N-selection inequalities.
@@ -242,14 +242,12 @@ def is_bad_er(h: LabeledGraph, params: ModelParams) -> bool:
 
 
 SUBGRAPH_EDGE_BUDGET = 15
+CONNECTED_SET_BUDGET = 200_000
+PACKED_PIECE_BUDGET = 22
 
 
 def _edge_support_subgraphs(h: LabeledGraph) -> Iterable[LabeledGraph]:
-    if len(h.edges) > SUBGRAPH_EDGE_BUDGET:
-        raise EnumerationBudgetError(
-            f"{len(h.edges)} edges exceeds the subgraph budget {SUBGRAPH_EDGE_BUDGET}",
-            where="models._edge_support_subgraphs", requested=len(h.edges), budget=SUBGRAPH_EDGE_BUDGET,
-        )
+    gc.check_budget("models._edge_support_subgraphs", "subgraph edges", len(h.edges), SUBGRAPH_EDGE_BUDGET)
     yield from gc.edge_induced_subgraphs(h)
 
 
@@ -272,10 +270,7 @@ def classify_self_bad(h: LabeledGraph, params: ModelParams) -> str:
     Vertex choices enter the potential only through their count, so for
     each proper edge subset the extremal vertex count is checked directly.
     """
-    if len(h.edges) > SUBGRAPH_EDGE_BUDGET:
-        raise EnumerationBudgetError("self-bad check exceeds the edge budget",
-                                     where="models.classify_self_bad", requested=len(h.edges),
-                                     budget=SUBGRAPH_EDGE_BUDGET)
+    gc.check_budget("models.classify_self_bad", "self-bad check edges", len(h.edges), SUBGRAPH_EDGE_BUDGET)
     log_h = log_upsilon_potential(h, params)
     if log_h >= _bad_threshold(params):
         return "good"
@@ -305,9 +300,8 @@ def _bad_connected_pieces(g: LabeledGraph, params: ModelParams, max_vertices: in
         return {}  # every piece pays a positive potential: nothing to enumerate
     adj = gc._adjacency(g)
     pieces: dict[frozenset[int], float] = {}
-    for current in _grow_connected_sets(adj, sorted(g.vertices), max_vertices, 200_000,
-                                        "connected-subgraph search budget exceeded",
-                                        "models._bad_connected_pieces"):
+    for current in _grow_connected_sets(adj, sorted(g.vertices), max_vertices, CONNECTED_SET_BUDGET,
+                                        "connected vertex sets", "models._bad_connected_pieces"):
         # bad-subgraph candidates are edge-induced: a connected piece needs
         # at least two vertices and a spanning set of edges
         if len(current) < 2:
@@ -338,9 +332,7 @@ def contains_bad_subgraph(g: LabeledGraph, params: ModelParams, max_vertices: in
     neg = sorted(pieces.items(), key=lambda kv: kv[1])
     if not neg:
         return False
-    if len(neg) > 22:
-        raise EnumerationBudgetError("too many near-bad pieces to pack exactly",
-                                     where="models.contains_bad_subgraph", requested=len(neg), budget=22)
+    gc.check_budget("models.contains_bad_subgraph", "near-bad pieces to pack", len(neg), PACKED_PIECE_BUDGET)
     best = [0.0]
 
     def pack(idx: int, used: frozenset[int], total: float):
@@ -405,10 +397,8 @@ def _listed_removal_targets(g: LabeledGraph, params: ModelParams) -> list[tuple[
     if params.N is None or params.D is None or params.delta is None:
         raise ValueError("the pruned model needs N, D and delta")
     for name, cap in MODIFIED_SBM_BUDGET.items():
-        if getattr(params, name) > cap:
-            raise EnumerationBudgetError("modified-model enumeration budget exceeded",
-                                         where=f"models._listed_removal_targets {name}",
-                                         requested=getattr(params, name), budget=cap)
+        gc.check_budget("models._listed_removal_targets", f"modified-model {name}", getattr(params, name),
+                        cap)
     targets = {tuple(sorted(gc._norm_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))))
                for cyc in gc.all_cycles(g, params.N)}
     if g.edges and params.D ** 3 >= 2:
@@ -420,18 +410,18 @@ def _listed_removal_targets(g: LabeledGraph, params: ModelParams) -> list[tuple[
 
 
 def _grow_connected_sets(adj: dict[int, set[int]], roots: list[int], max_size: int,
-                         budget: int, message: str, where: str) -> list[frozenset[int]]:
+                         budget: int, what: str, where: str) -> list[frozenset[int]]:
     """Every connected vertex set of at most max_size vertices whose least
     vertex is a root, each found once: a set grows only by vertices above
     its root, and a vertex joins the extension set only when it first
-    becomes adjacent (Wernicke's ESU).  Raises EnumerationBudgetError(message)
-    once more than budget sets are found."""
+    becomes adjacent (Wernicke's ESU).  Once more than budget sets are
+    found, graph_core.check_budget(where, what, ...) raises."""
     found: list[frozenset[int]] = []
 
     def grow(current: frozenset[int], extension: set[int], reached: set[int], root: int):
         found.append(current)
         if len(found) > budget:
-            raise EnumerationBudgetError(message, where=where, requested=len(found), budget=budget)
+            gc.check_budget(where, what, len(found), budget)
         if len(current) >= max_size:
             return
         while extension:

@@ -343,18 +343,18 @@ def test_basis_budget_errors_carry_fields():
     pr = md.ModelParams(n=25, lam=1.0, k=2, eps=0.1)
     idx = bs.planted_index(tuple([0] * 25), gc.empty_graph(25))
     assert _budget_fields(lambda: bs.evaluate_basis(idx, (tuple([0] * 25), frozenset()), pr)) == (
-        "planted basis in float mode is limited to n <= 20; use Fractions", "basis.evaluate_basis", 25, 20)
+        "planted basis vertices in float mode: requested 25, budget 20", "basis._index_factors", 25, 20)
 
     class HugeSupport:  # only its size is read before the guard
         def __len__(self):
             return (1 << 22) + 1
 
     assert _budget_fields(lambda: bs.exact_expectation(HugeSupport(), idx, pr)) == (
-        "measure support exceeds the enumeration budget", "basis.exact_expectation", (1 << 22) + 1, 1 << 22)
+        "measure atoms: requested 4194305, budget 4194304", "basis.exact_expectation", (1 << 22) + 1, 1 << 22)
     planted = md.ModelParams(n=4, lam=F(1), k=2, eps=F(1, 5), D=1)
     path = gc.graph(4, [(0, 1), (1, 2)])
     assert _budget_fields(lambda: bs.cross_moment_planted(planted, path, (0, 0, 1, 1), gc.empty_graph(4))) == (
-        "index degree exceeds D", "basis.cross_moment_planted", 2, 1)
+        "index degree: requested 2, budget 1", "basis.cross_moment_planted", 2, 1)
     long_path = gc.path_graph(9, 8)
     assert _budget_fields(lambda: bs.leaf_cancellation_check(long_path, gc.graph(9, [(0, 1)]), 2)) == (
-        "cancellation check is limited to 8 vertices", "basis.leaf_cancellation_check", 9, 8)
+        "cancellation check vertices: requested 9, budget 8", "basis.leaf_cancellation_check", 9, 8)

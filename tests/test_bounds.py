@@ -193,13 +193,13 @@ def test_bounds_budget_errors_carry_fields():
         bd.P_sum(star, gc.empty_graph(20), pr)
     err = info.value
     assert (str(err), err.where, err.requested, err.budget) == (
-        "anchored enumeration beyond 16 extra edges", "bounds._anchored_between", 17, 16)
+        "anchored extra edges: requested 17, budget 16", "bounds._anchored_between", 17, 16)
     small_star = gc.graph(20, [(0, i) for i in range(1, 12)])
     with pytest.raises(gc.EnumerationBudgetError) as info:
         bd.audit_anchored_subgraph_census(small_star, pr)
     err = info.value
     assert (str(err), err.where, err.requested, err.budget) == (
-        "anchored subgraph enumeration budget", "bounds.audit_anchored_subgraph_census", 12, 10)
+        "host edges or vertices: requested 12, budget 10", "bounds.audit_anchored_subgraph_census", 12, 10)
 
 
 # -- oracles: the per-candidate LabeledGraph loops the counts replaced ------------
@@ -323,7 +323,7 @@ def test_anchored_census_buckets_match_per_h_census():
     ]
     for host in hosts:
         buckets = {}
-        for h in bd._anchored_subgraphs_of(host):
+        for h in _anchored_subgraphs_per_subset(host):
             census = gc.independent_cycle_census(host, h)
             key = (int(2 * bd._shape_exponent(host, h)),
                    tuple(census.get(j, 0) for j in range(N + 1, D + 1)))
@@ -363,13 +363,7 @@ def _anchored_subgraphs_per_subset(s):
 
 
 def test_anchored_enumerations_match_per_subset_loops():
-    path_tri = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]
-    hosts = [gc.graph(8, path_tri, vertices=range(7)), gc.graph(8, path_tri),
-             gc.graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), gc.empty_graph(4),
-             gc.graph(5, [(0, 1)], vertices=range(5))]
-    for s in hosts:
-        assert list(bd._anchored_subgraphs_of(s)) == list(_anchored_subgraphs_per_subset(s))
-    s = hosts[0]
+    s = gc.graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], vertices=range(7))
     # h may declare isolated vertices, inside and outside the edge support of s
     for h in (gc.empty_graph(8), gc.graph(8, [(0, 1)]), gc.graph(8, [(0, 1)], vertices=[0, 1, 3, 5]),
               gc.graph(8, [(0, 1), (1, 2), (0, 2)], vertices=[0, 1, 2, 6]), s):

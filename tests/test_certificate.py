@@ -490,8 +490,9 @@ def test_reversed_advantage_budget_error_is_structured():
     pr = md.ModelParams(n=5, lam=F(1), k=2, eps=F(2, 5), delta=F(1, 100))
     with pytest.raises(gc.EnumerationBudgetError) as info:
         ct.reversed_advantage_exact(pr, 2)
-    assert (info.value.requested, info.value.budget) == (5, 4)
-    assert info.value.where.startswith("reversed_advantage_exact")
+    err = info.value
+    assert (err.where, err.requested, err.budget, str(err)) == (
+        "certificate.reversed_advantage_exact", 5, 4, "exact reversed advantage n: requested 5, budget 4")
 
 
 def test_duality_gap_fixture_grid():
@@ -688,16 +689,16 @@ def test_certificate_budget_errors_are_structured(monkeypatch):
     pr12 = md.ModelParams(n=12, lam=F(1), k=2, eps=F(3, 10), delta=F(1, 100))
     pr4 = md.ModelParams(n=4, lam=F(1), k=2, eps=F(3, 10), delta=F(1, 100))
     cases = [
-        (lambda: ct.P_of(gc.cycle_graph(12, 11), pr12), "certificate.label_average", 11, 10,
-         "label enumeration beyond 10 vertices per component"),
-        (lambda: ct.xi(gc.cycle_graph(12, 7), pr12), "certificate.xi", 7, 6,
-         "recursion edge budget is 6"),
+        (lambda: ct.P_of(gc.cycle_graph(12, 11), pr12), "certificate._label_product_expectation", 11, 10,
+         "label component vertices: requested 11, budget 10"),
+        (lambda: ct.xi(gc.cycle_graph(12, 7), pr12), "certificate._row_sum", 7, 6,
+         "recursion edges: requested 7, budget 6"),
         (lambda: ct.leafless_classes(7), "certificate.leafless_classes", 7, 6,
-         "class enumeration budget is 6 edges"),
+         "leafless class edges: requested 7, budget 6"),
         (lambda: ct.build_dual(params6(), 7), "certificate.leafless_classes", 7, 6,
-         "class enumeration budget is 6 edges"),
+         "leafless class edges: requested 7, budget 6"),
         (lambda: ct.verify_linear_system(pr4, 2),
-         "certificate.verify_linear_system", 22, 10, "row enumeration exceeds the cap"),
+         "certificate.verify_linear_system", 22, 10, "linear-system rows: requested 22, budget 10"),
     ]
     monkeypatch.setattr(ct, "LINEAR_SYSTEM_ROW_BUDGET", 10)  # read by verify_linear_system alone
     for call, where, requested, budget, message in cases:

@@ -51,7 +51,8 @@ def test_xi_past_the_class_budget_is_a_structured_error(capsys):
     code, out, err = run_cli(["xi", "--n", "6", "--k", "2", "--eps", "3/10",
                               "--lambda", "1", "--D", "7"], capsys)
     assert code == 2 and out == ""
-    assert json.loads(err) == {"error": "class enumeration budget is 6 edges", "schema_version": 1}
+    assert json.loads(err) == {"error": "leafless class edges: requested 7, budget 6", "schema_version": 1,
+                               "where": "certificate.leafless_classes", "requested": 7, "budget": 6}
 
 
 def test_dual_check(capsys):
@@ -539,7 +540,9 @@ def test_adv_corr_sbm_at_four_vertices(capsys):
     argv[argv.index("4")] = "5"
     code, out, err = run_cli(argv + ["2"], capsys)
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "matching-joint space exceeds the enumeration budget"
+    assert json.loads(err) == {"error": "matching-joint atoms: requested 125829120, budget 4194304",
+                               "schema_version": 1, "where": "measures._child_subsampling_joint",
+                               "requested": 125829120, "budget": 4194304}
 
 
 def test_bounds_audit_param_not_a_number_is_a_structured_error(tmp_path, capsys):

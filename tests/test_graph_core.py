@@ -1,11 +1,24 @@
+import ast
 import hashlib
+import importlib
 import itertools
 import math
 import random
+import re
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from lowdeg import basis as bs
+from lowdeg import bounds as bd
+from lowdeg import certificate as ct
 from lowdeg import graph_core as gc
+from lowdeg import measures as ms
+from lowdeg import models as md
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lowdeg"
 
 
 def brute_automorphisms(g: gc.LabeledGraph) -> int:
@@ -172,7 +185,7 @@ def test_budget_errors_carry_fields():
         gc.canonicalize(gc.complete_graph(17))
     err = info.value
     assert (err.where, err.requested, err.budget) == ("graph_core.canonicalize", 17, 16)
-    assert str(err) == "17 non-isolated vertices exceeds the canonical budget 16"
+    assert str(err) == "non-isolated vertices: requested 17, budget 16"
     # other raise sites still work with the message alone
     assert gc.EnumerationBudgetError("plain").requested is None
 
@@ -184,6 +197,137 @@ def test_search_budget_error_reports_nodes(monkeypatch):
         gc.canonicalize(gc.cycle_graph(16))
     err = info.value
     assert (err.where, err.requested, err.budget) == ("graph_core.canonicalize", 4, 3)
+
+
+_TWO = ms.DiscreteMeasure([0, 1], [F(1, 2), F(1, 2)])
+_PLANTED = md.ModelParams(n=12, lam=F(1), k=2, eps=F(3, 10), delta=F(1, 100), D=1)
+_SBM = md.ModelParams(n=30, lam=F(1), k=2, eps=F(1, 10), D=2, delta=F(1, 100), N=3)
+# an edge costs 10 log 10 in vertices and pays log q below that: each edge
+# is a negative piece, none bad on its own
+_NEAR = md.ModelParams(n=10, q=math.exp(-23.1), D=1)
+_STAR16 = gc.graph(20, [(0, i) for i in range(1, 17)])
+
+# (module.NAME values patched in, call, where, requested, budget, what): one
+# case per guard, each past its limit
+BUDGET_GUARDS = {
+    "canonical-vertices": ({}, lambda: gc.canonicalize(gc.complete_graph(17)),
+                           "graph_core.canonicalize", 17, 16, "non-isolated vertices"),
+    "canonical-search": ({"graph_core._SEARCH_NODE_BUDGET": 3, "graph_core._canon_memo": {}},
+                         lambda: gc.canonicalize(gc.cycle_graph(16)),
+                         "graph_core.canonicalize", 4, 3, "canonical search nodes"),
+    "embedding-host": ({}, lambda: gc.count_embeddings(gc.graph(17, [(0, 1)]), gc.complete_graph(17)),
+                       "graph_core.count_embeddings", 17, 16, "host vertices"),
+    "rooted-trees": ({}, lambda: gc.rooted_tree_counts(61),
+                     "graph_core.rooted_tree_counts", 61, 60, "tree vertices"),
+    "product": ({}, lambda: _TWO.product(*[_TWO] * 22),
+                "measures.DiscreteMeasure.product", 1 << 23, 1 << 22, "product atoms"),
+    "power": ({}, lambda: _TWO.power(23), "measures.DiscreteMeasure.power", 1 << 23, 1 << 22, "power atoms"),
+    "er-graphs": ({}, lambda: ms.er_graph_measure(8, F(1, 2)),
+                  "measures.er_graph_measure", 1 << 28, 1 << 22, "graph atoms"),
+    "sbm-joint": ({}, lambda: ms.sbm_joint_measure(7, 2, F(1), F(1, 5)),
+                  "measures.sbm_joint_measure", 1 << 28, 1 << 22, "planted atoms"),
+    "matching-joint": ({}, lambda: ms.correlated_er_joint_measure(5, F(1, 2), F(1, 2)),
+                       "measures._child_subsampling_joint", math.factorial(5) * 4 ** 10, 1 << 22,
+                       "matching-joint atoms"),
+    "planted-float": ({}, lambda: bs.evaluate_basis(bs.planted_index((0,) * 25, gc.empty_graph(25)),
+                                                    ((0,) * 25, frozenset()),
+                                                    md.ModelParams(n=25, lam=1.0, k=2, eps=0.1)),
+                      "basis._index_factors", 25, 20, "planted basis vertices in float mode"),
+    "expectation": ({"measures.ENUMERATION_BUDGET": 1},
+                    lambda: bs.exact_expectation(_TWO, bs.single_index(gc.empty_graph(2)), _NEAR),
+                    "basis.exact_expectation", 2, 1, "measure atoms"),
+    "cross-moment": ({}, lambda: bs.cross_moment_planted(_PLANTED, gc.path_graph(12, 2), (0,) * 12,
+                                                         gc.empty_graph(12)),
+                     "basis.cross_moment_planted", 2, 1, "index degree"),
+    "leaf-cancellation": ({}, lambda: bs.leaf_cancellation_check(gc.path_graph(9, 8),
+                                                                 gc.graph(9, [(0, 1)]), 2),
+                          "basis.leaf_cancellation_check", 9, 8, "cancellation check vertices"),
+    "anchored-between": ({}, lambda: bd.P_sum(gc.graph(20, [(0, i) for i in range(1, 18)]),
+                                              gc.empty_graph(20), _SBM),
+                         "bounds._anchored_between", 17, 16, "anchored extra edges"),
+    "anchored-census": ({}, lambda: bd.audit_anchored_subgraph_census(
+                            gc.graph(20, [(0, i) for i in range(1, 12)]), _SBM),
+                        "bounds.audit_anchored_subgraph_census", 12, 10, "host edges or vertices"),
+    "label-average": ({}, lambda: ct.P_of(gc.cycle_graph(12, 11), _PLANTED),
+                      "certificate._label_product_expectation", 11, 10, "label component vertices"),
+    "xi-row": ({}, lambda: ct.xi(gc.cycle_graph(12, 7), _PLANTED),
+               "certificate._row_sum", 7, 6, "recursion edges"),
+    "leafless-classes": ({}, lambda: ct.leafless_classes(7),
+                         "certificate.leafless_classes", 7, 6, "leafless class edges"),
+    "linear-system": ({"certificate.LINEAR_SYSTEM_ROW_BUDGET": 10},
+                      lambda: ct.verify_linear_system(_PLANTED, 1),
+                      "certificate.verify_linear_system", 67, 10, "linear-system rows"),
+    "reversed-advantage": ({}, lambda: ct.reversed_advantage_exact(md.ModelParams(
+                               n=4, lam=F(1), k=2, eps=F(2, 5), delta=F(1, 100)), 4),
+                           "certificate.reversed_advantage_exact", 4, 3, "exact reversed advantage D"),
+    "edge-support": ({}, lambda: md.is_admissible_er(_STAR16, _NEAR),
+                     "models._edge_support_subgraphs", 16, 15, "subgraph edges"),
+    "self-bad": ({}, lambda: md.classify_self_bad(_STAR16, _SBM),
+                 "models.classify_self_bad", 16, 15, "self-bad check edges"),
+    "connected-sets": ({"models.CONNECTED_SET_BUDGET": 100},
+                       lambda: md.contains_bad_subgraph(gc.graph(9, [(0, i) for i in range(1, 9)]),
+                                                        _NEAR, 9, "er"),
+                       "models._bad_connected_pieces", 101, 100, "connected vertex sets"),
+    "packed-pieces": ({}, lambda: md.contains_bad_subgraph(
+                          gc.graph(46, [(2 * i, 2 * i + 1) for i in range(23)]), _NEAR, 4, "er"),
+                      "models.contains_bad_subgraph", 23, 22, "near-bad pieces to pack"),
+    "modified-sbm": ({}, lambda: md.sample_modified_sbm(md.ModelParams(
+                         n=30, lam=F(1), k=2, eps=F(1, 10), D=4, delta=F(1, 100), N=3, s=F(1, 2)), 0),
+                     "models._listed_removal_targets", 4, 3, "modified-model D"),
+}
+
+
+@pytest.mark.parametrize("case", BUDGET_GUARDS)
+def test_every_budget_guard_raises_a_structured_error(case, monkeypatch):
+    patched, call, where, requested, budget, what = BUDGET_GUARDS[case]
+    for constant, value in patched.items():
+        module, name = constant.split(".")
+        monkeypatch.setattr(importlib.import_module(f"lowdeg.{module}"), name, value)
+    with pytest.raises(gc.EnumerationBudgetError) as info:
+        call()
+    err = info.value
+    assert (err.where, err.requested, err.budget, str(err)) == (
+        where, requested, budget, f"{what}: requested {requested}, budget {budget}")
+
+
+def _readme_budget_rows():
+    """(module, name, guarded wheres, limit) per row of the README's Budgets table."""
+    readme = ROOT.joinpath("README.md").read_text(encoding="utf-8")
+    section = readme.split("## Budgets", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            constant, guards, _what, limit = (cell.strip() for cell in line.strip("|").split("|"))
+            module, name = constant.strip("`").split(".")
+            rows.append((module, name, re.findall(r"`([\w.]+)`", guards), ast.literal_eval(limit.strip("`"))))
+    return rows
+
+
+def test_readme_budget_table_matches_the_constants():
+    rows = _readme_budget_rows()
+    for module, name, _wheres, limit in rows:
+        assert getattr(importlib.import_module(f"lowdeg.{module}"), name) == limit, (module, name)
+    # every module-level budget in the package has a row
+    declared = {(path.stem, name) for path in SRC.glob("*.py")
+                for name in re.findall(r"^(\w+(?:_BUDGET|_CAP|_ENVELOPE)) =",
+                                       path.read_text(encoding="utf-8"), re.MULTILINE)}
+    assert declared == {(module, name) for module, name, _, _ in rows}
+    # and every guard the table names is tripped by a case above
+    assert {w for _, _, wheres, _ in rows for w in wheres} <= {case[2] for case in BUDGET_GUARDS.values()}
+
+
+def test_only_check_budget_builds_the_budget_error():
+    built = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        built += [(path.stem, node.lineno) for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Call) and "EnumerationBudgetError"
+                  in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+        assert text.count("raise EnumerationBudgetError") == (path.stem == "graph_core"), path.name
+    helper = next(node for node in ast.parse((SRC / "graph_core.py").read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "check_budget")
+    assert [module for module, _ in built] == ["graph_core"]
+    assert helper.lineno <= built[0][1] <= helper.end_lineno
 
 
 def test_automorphism_counts_against_brute_force():

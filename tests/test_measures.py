@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from lowdeg import measures as ms
+from lowdeg.graph_core import EnumerationBudgetError
 
 
 def test_weights_must_sum_to_one():
@@ -213,12 +214,13 @@ def test_event_active_moment_audit_matches_nested_enumeration():
 
 
 def test_matching_joint_budget_error_is_structured():
-    with pytest.raises(ms.EnumerationBudgetError) as info:
+    with pytest.raises(EnumerationBudgetError) as info:
         ms.correlated_er_joint_measure(5, F(1, 2), F(1, 2))
     err = info.value
-    assert err.where == "correlated_er_joint_measure"
+    assert err.where == "measures._child_subsampling_joint"
     assert err.requested == math.factorial(5) * 4 ** 10
     assert err.budget == ms.ENUMERATION_BUDGET < err.requested
+    assert str(err) == "matching-joint atoms: requested 125829120, budget 4194304"
 
 
 def test_exact_flag_is_fixed_at_construction():

@@ -458,20 +458,21 @@ def test_models_budget_errors_carry_fields():
     sixteen = gc.graph(20, [(0, i) for i in range(1, 17)])
     er = md.ModelParams(n=500, q=F(1, 500), D=3)
     assert _budget_fields(lambda: md.is_admissible_er(sixteen, er)) == (
-        "16 edges exceeds the subgraph budget 15", "models._edge_support_subgraphs", 16, 15)
+        "subgraph edges: requested 16, budget 15", "models._edge_support_subgraphs", 16, 15)
     sbm = md.ModelParams(n=30, lam=F(1), k=2, eps=F(1, 10), D=2, delta=F(1, 100), N=3)
     assert _budget_fields(lambda: md.classify_self_bad(sixteen, sbm)) == (
-        "self-bad check exceeds the edge budget", "models.classify_self_bad", 16, 15)
+        "self-bad check edges: requested 16, budget 15", "models.classify_self_bad", 16, 15)
     # an edge costs 10 log 10 in vertices and pays log q below that: each of
     # 23 disjoint edges is a negative piece, none bad on its own
     near = md.ModelParams(n=10, q=math.exp(-23.1), D=1)
     matching = gc.graph(46, [(2 * i, 2 * i + 1) for i in range(23)])
     assert _budget_fields(lambda: md.contains_bad_subgraph(matching, near, 4, "er")) == (
-        "too many near-bad pieces to pack exactly", "models.contains_bad_subgraph", 23, 22)
+        "near-bad pieces to pack: requested 23, budget 22", "models.contains_bad_subgraph", 23, 22)
     # a star with r leaves has 2^r connected vertex sets through its centre
     star18 = gc.graph(19, [(0, i) for i in range(1, 19)])
     assert _budget_fields(lambda: md.contains_bad_subgraph(star18, near, 19, "er")) == (
-        "connected-subgraph search budget exceeded", "models._bad_connected_pieces", 200_001, 200_000)
+        "connected vertex sets: requested 200001, budget 200000", "models._bad_connected_pieces",
+        200_001, 200_000)
     # the pruned model lists short cycles only: a star has none, and its
     # 2^17 connected vertex sets are not enumerated
     pruned = md.ModelParams(n=30, lam=F(1), k=2, eps=F(1, 10), D=3, delta=F(1, 100), N=3, s=F(1, 2))
@@ -479,7 +480,7 @@ def test_models_budget_errors_carry_fields():
     assert md._listed_removal_targets(star17, pruned) == []
     too_big = md.ModelParams(n=31, lam=F(1), k=2, eps=F(1, 10), D=3, delta=F(1, 100), N=3, s=F(1, 2))
     assert _budget_fields(lambda: md.sample_modified_sbm(too_big, 0)) == (
-        "modified-model enumeration budget exceeded", "models._listed_removal_targets n", 31, 30)
+        "modified-model n: requested 31, budget 30", "models._listed_removal_targets", 31, 30)
 
 
 def test_disjoint_negative_pieces_are_bad_only_when_packed():
@@ -614,7 +615,7 @@ def test_listed_removal_targets_budget_raise_matches_graph_loop(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(md, "_log_upsilon_factors", lambda params: (1.0, -0.1))
         want = _budget_fields(lambda: _listing_oracle(g, pr))
-        assert want == ("self-bad check exceeds the edge budget", "models.classify_self_bad", 16, 15)
+        assert want == ("self-bad check edges: requested 16, budget 15", "models.classify_self_bad", 16, 15)
         with pytest.raises(ValueError, match=_NOT_POSITIVE):
             md._listed_removal_targets(g, pr)
     # missing block-model parameters fail as before: on the first candidate
