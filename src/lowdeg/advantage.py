@@ -4,7 +4,13 @@ Three routes are provided and cross-checked by the tests: the product
 basis route (exact, for independent-edge nulls), generic Gram-Schmidt
 orthogonalization over an explicit feature map (exact when both measures
 are, float otherwise), and a generalized Rayleigh-quotient route through the
-feature Gram matrix.  On top of these sit the conditional advantage for
+feature Gram matrix.  On graph and graph-pair atoms every route reads one
+moment table per law (moment_table: M(T), the chance that every edge of the
+mask T is present) and works on the orbits of the edge monomials under the
+vertex transpositions of either graph that fix the tables it reads
+(symmetry_orbits, mask_orbits): the product basis takes one centered moment
+per orbit, and Gram-Schmidt and Rayleigh orthogonalize the orbit sums
+(orbit_gram).  On top of these sit the conditional advantage for
 matching-joint measures and the hidden-informative-sample advantage, which
 dilutes a base testing problem across M independent coordinates: its
 squared advantage is exactly 1 + (Adv^2(base) - 1)/M at every D >= 1.  It
@@ -24,7 +30,8 @@ from typing import Callable
 
 from . import basis as bs
 from . import graph_core as gc
-from .measures import ENUMERATION_BUDGET, DiscreteMeasure, integer_weights
+from .graph_core import _norm_edge, check_budget
+from .measures import ENUMERATION_BUDGET, DiscreteMeasure, edge_bits, integer_weights
 from .params import ModelParams
 
 
@@ -34,7 +41,7 @@ class AdvantageReport:
 
     value_squared is exact (Fraction) when the inputs were; value is its
     float square root.  per_index holds the squared projection carried by
-    each nonconstant basis direction.
+    the nonconstant basis directions, summed per key.
     """
 
     degree: int
@@ -53,38 +60,46 @@ def _to_float_sq(value_squared) -> float:
 
 def advantage_product_basis(p: DiscreteMeasure, q_params: ModelParams, D: int,
                             kind: str) -> AdvantageReport:
-    """Advantage via the centered-edge product basis.
+    """Advantage via the centered-edge product basis, valid when the null is
+    the independent-edge measure matching the basis normalization in
+    q_params: one plus m_S^2 / (q(1-q))^|S| over the nonempty indices S, the
+    centered moment m_S = E[prod_{e in S} (x_e - q)] read exactly off P's
+    moment table (centered_moment; bs.evaluate_basis is the pointwise
+    oracle).  An orbit A of indices under the transpositions that fix the
+    table (symmetry_orbits) carries |A| m_S^2 / (q(1-q))^|S|, keyed by the
+    class of S, or of (S1, S2) when kind is "pair".  At q = 1 every index
+    has null variance 0 and is skipped, as Gram-Schmidt drops it."""
+    n, pair = q_params.n, kind == "pair"
+    q = bs.pair_edge_prob(q_params) if pair else bs.null_edge_prob(q_params)
+    coords = [(side, e) for side in range(1 + pair) for e in edge_bits(n)]
+    table = moment_table(p.outcomes, p.weights, coords, pair)
+    orbits = symmetry_orbits(coords, [(table[0], D)], D) if q * (1 - q) else {}
+    keyed = [(key, len(a) * centered_moment(table, s, q) ** 2 / (q * (1 - q)) ** s.bit_count())
+             for key, (s, a) in zip(_class_keys(n, coords, pair, orbits), orbits.items()) if s]
+    return _keyed_report(D, "product_basis", p.exact, keyed)
 
-    Valid when the null is the independent-edge measure matching the basis
-    normalization in q_params; the squared advantage is then one plus the
-    sum of squared alternative-expectations over nonempty indices.  Each
-    square is E[prod_{e in S} (x_e - q)]^2 / (q(1-q))^deg, taken from the
-    unnormalized centered moment (bs.centered_moments), so exact inputs
-    give Fractions and no square root is formed; bs.evaluate_basis is the
-    pointwise oracle.  kind is "pair" for graph-pair atoms, else "single".
-    At q = 1 every nonempty index has null variance 0 and is skipped, as
-    Gram-Schmidt drops it, so the value is 1.
-    """
-    n = q_params.n
-    if kind == "pair":
-        indices, q = bs.pair_indices(n, D), bs.pair_edge_prob(q_params)
-    else:
-        indices, q = bs.single_indices(n, D), bs.null_edge_prob(q_params)
-    indices = [idx for idx in indices if idx.degree] if q * (1 - q) else []
+
+def _keyed_report(degree: int, method: str, exact: bool, keyed: list) -> AdvantageReport:
+    """The report of squared advantage 1 plus every contribution of the
+    (key, contribution) pairs keyed, with per_index their sum per key."""
     per_index = {}
-    total = Fraction(1) if p.exact else 1.0
-    for idx, raw in zip(indices, bs.centered_moments(p, indices, n, q)):
-        contrib = raw * raw / (q * (1 - q)) ** idx.degree
-        key = _index_key(idx)
-        per_index[key] = per_index.get(key, 0) + contrib
-        total = total + contrib
-    return AdvantageReport(D, _to_float_sq(total), total, "product_basis", per_index)
+    for key, c in keyed:
+        per_index[key] = per_index.get(key, 0) + c
+    total = (Fraction(1) if exact else 1.0) + sum(c for _, c in keyed)
+    return AdvantageReport(degree, _to_float_sq(total), total, method, per_index)
 
 
-def _index_key(idx: bs.BasisIndex):
-    if idx.kind == "pair":
-        return (gc.canonicalize(idx.s1).hex_form, gc.canonicalize(idx.s2).hex_form)
-    return gc.canonicalize(idx.s1).hex_form
+def _class_keys(n: int, coords: list, pair: bool, masks) -> list:
+    """The class of each monomial mask over coords: the canonical form of the
+    graph on n vertices with its edges, a pair of them on graph-pair
+    coordinates."""
+    keys = []
+    for mask in masks:
+        forms = tuple(gc.canonicalize(gc.graph(n, [e for t, (s, e) in enumerate(coords)
+                                                   if s == side and mask >> t & 1])).hex_form
+                      for side in range(1 + pair))
+        keys.append(forms if pair else forms[0])
+    return keys
 
 
 # -- generic feature maps ---------------------------------------------------------
@@ -92,11 +107,11 @@ def _index_key(idx: bs.BasisIndex):
 
 def _edge_coordinates(measure: DiscreteMeasure):
     """(coords, pair): the sorted edge coordinates default_features grades,
-    tagged (side, edge) when pair is True (graph-pair atoms); None for
-    abstract atoms."""
+    tagged (side, edge), side 0 on single graphs, side 0 or 1 when pair is
+    True (graph-pair atoms); None for abstract atoms."""
     atom = measure.outcomes[0]
     if isinstance(atom, frozenset):
-        return sorted({e for x in measure.outcomes for e in x}), False
+        return [(0, e) for e in sorted({e for x in measure.outcomes for e in x})], False
     if isinstance(atom, tuple) and len(atom) == 2 and isinstance(atom[0], frozenset):
         return [(side, e) for side in (0, 1)
                 for e in sorted({e for x in measure.outcomes for e in x[side]})], True
@@ -121,7 +136,7 @@ def default_features(measure: DiscreteMeasure, D: int) -> list[tuple[int, Callab
             if pair:
                 feats.append((k, lambda x, c=combo: int(all(e in x[side] for side, e in c))))
             else:
-                feats.append((k, lambda x, c=combo: int(all(e in x for e in c))))
+                feats.append((k, lambda x, c=combo: int(all(e in x for _, e in c))))
     return feats
 
 
@@ -135,48 +150,45 @@ def advantage_gram_schmidt(p: DiscreteMeasure, q: DiscreteMeasure,
     exactly in rational mode.  Directions that vanish almost surely under
     the null are discarded after checking the alternative does not charge
     them (otherwise the advantage is infinite and a ValueError is raised).
-    exact=None means exact iff both measures are.
+    exact=None means exact iff both measures are.  per_index is keyed by
+    class on graph atoms with no features given, else by feature position.
     """
-    feats, degree = _features(q, features, D)
     if exact is None:
         exact = q.exact and p.exact
-    gram_inputs = _null_gram(p, q, feats, exact, monomial_degree=D if features is None else None)
-    return gram_schmidt_report(*gram_inputs, exact, degree)
+    gram, means, keys, degree = _null_gram(p, q, features, D, exact)
+    return gram_schmidt_report(gram, means, exact, degree, keys)
 
 
-def gram_schmidt_report(gram: list[list], means: list, exact: bool, degree: int) -> AdvantageReport:
+def gram_schmidt_report(gram: list[list], means: list, exact: bool, degree: int,
+                        keys: list | None = None) -> AdvantageReport:
     """Gram-Schmidt's report from the null Gram matrix and alternative means
-    of features whose first is the constant 1, by _ldl."""
+    of features whose first is the constant 1, by _ldl.  per_index sums the
+    contribution of feature i under keys[i] (its position by default)."""
     _lower, pivots, reduced = _ldl(gram, means, exact)
-    per_index = {i: r * r / d for i, (d, r) in enumerate(zip(pivots, reduced)) if i and d}
-    total = (Fraction(1) if exact else 1.0) + sum(per_index.values())
-    return AdvantageReport(degree, _to_float_sq(total), total, "gram_schmidt", per_index)
+    keys = keys or range(len(gram))
+    return _keyed_report(degree, "gram_schmidt", exact,
+                         [(keys[i], r * r / d) for i, (d, r) in enumerate(zip(pivots, reduced)) if i and d])
 
 
-def _features(q: DiscreteMeasure, features, D) -> tuple[list, int]:
-    """The feature list (default_features(q, D) if none is given) and the
-    degree of the report."""
-    if features is None:
-        if D is None:
-            raise ValueError("need features or D")
-        features = default_features(q, D)
-    return features, D if D is not None else max(d for d, _ in features)
-
-
-def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list, exact: bool,
-               monomial_degree: int | None = None):
-    """The null Gram matrix G_ij = E_Q[f_i f_j] and the alternative means
-    c_i = E_P[f_i] as nested lists.  P's weights are carried onto the null
-    atoms, so an alternative that charges an atom outside the null support
-    is rejected.
+def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list | None, D: int | None,
+               exact: bool):
+    """(gram, means, keys, degree): the null Gram matrix G_ij = E_Q[f_i f_j]
+    and the alternative means c_i = E_P[f_i] as nested lists, the per_index
+    key of each feature, and the report's degree (D, else the features'
+    top degree).  P's weights are carried onto the null atoms, so an
+    alternative that charges an atom outside the null support is rejected.
 
     Every entry is an exact sum of integers over a common denominator; float
-    mode rounds each finished entry once.  The features
-    default_features(q, monomial_degree) on graph or graph-pair atoms are
-    read off one superset-sum table per measure (_monomial_gram) if its 2^N
-    entries fit ENUMERATION_BUDGET.  Otherwise each feature is evaluated
-    once per null atom, and integer numerators are summed once per pair
-    j <= i of the symmetric G."""
+    mode rounds each finished entry once.  With no features given, graph
+    atoms get the orbit sums of default_features(q, D), which span the same
+    optimum (_monomial_gram), if the 2^N entries of a moment table fit
+    ENUMERATION_BUDGET; past it each monomial is evaluated once per null
+    atom.  Either way they are keyed by class (_class_keys) on the vertex
+    count of Q's edges, the product basis's n whenever Q charges an edge at
+    every vertex.  Other features are evaluated once per null atom and
+    keyed by position."""
+    if features is None and D is None:
+        raise ValueError("need features or D")
     at = {x: a for a, x in enumerate(q.outcomes)}
     pw = [0] * len(q)
     for x, w in p:
@@ -185,10 +197,11 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list, exact: bo
             if a is None or not q.weights[a]:
                 raise ValueError("alternative charges atoms outside the null support")
             pw[a] += w
-    coords = _edge_coordinates(q) if monomial_degree is not None else None
+    coords = _edge_coordinates(q) if features is None else None
     if coords is not None and 1 << len(coords[0]) <= ENUMERATION_BUDGET:
-        gram, means = _monomial_gram(q, pw, *coords, monomial_degree)
+        gram, means, masks = _monomial_gram(q, pw, *coords, D)
     else:
+        features = default_features(q, D) if features is None else features
         values = [[fn(x) for x in q.outcomes] for _, fn in features]
         nums, s = integer_weights([v for row in values for v in row])
         f = [nums[i:i + len(q)] for i in range(0, len(nums), len(q))]
@@ -199,24 +212,22 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list, exact: bo
             for j in range(i + 1):
                 gram[i][j] = gram[j][i] = Fraction(sum(map(operator.mul, fw, f[j])), den_q * s * s)
         means = [Fraction(sum(map(operator.mul, row, wp)), den_p * s) for row in f]
-    if exact:
-        return gram, means
-    return [list(map(float, row)) for row in gram], list(map(float, means))
+        masks = small_masks(len(coords[0]), D) if coords else None
+    keys = None
+    if coords:  # classes on the vertex count of Q's edges
+        keys = _class_keys(1 + max((v for _, e in coords[0] for v in e), default=0), *coords, masks)
+    if not exact:
+        gram, means = [list(map(float, row)) for row in gram], list(map(float, means))
+    return gram, means, keys, D if D is not None else max(d for d, _ in features)
 
 
 def _monomial_gram(q: DiscreteMeasure, pw: list, coords: list, pair: bool, D: int):
-    """_null_gram of default_features(q, D) by orbit_gram, one orbit per
-    monomial in default_features' order, on the atoms' masks over coords."""
-    bit = {c: 1 << t for t, c in enumerate(coords)}
-    if pair:
-        masks = [sum(bit[0, e] for e in a) + sum(bit[1, e] for e in b) for a, b in q.outcomes]
-    else:
-        masks = [sum(map(bit.__getitem__, x)) for x in q.outcomes]
-    table_q, table_p = ((_superset_sums(masks, w, len(coords)), den)
-                        for w, den in (integer_weights(q.weights), integer_weights(pw)))
-    mono = [sum(1 << t for t in c) for k in range(D + 1)
-            for c in itertools.combinations(range(len(coords)), k)]
-    return orbit_gram(table_q, table_p, {a: (a,) for a in mono})
+    """(gram, means, representatives) of the orbit sums of
+    default_features(q, D) by orbit_gram, on the symmetry_orbits that fix
+    Q's table up to 2D bits and P's up to D."""
+    table_q, table_p = (moment_table(q.outcomes, w, coords, pair) for w in (q.weights, pw))
+    orbits = symmetry_orbits(coords, [(table_q[0], 2 * D), (table_p[0], D)], D)
+    return (*orbit_gram(table_q, table_p, orbits), list(orbits))
 
 
 def orbit_gram(table_q: tuple, table_p: tuple, orbits: dict) -> tuple[list, list]:
@@ -234,18 +245,112 @@ def orbit_gram(table_q: tuple, table_p: tuple, orbits: dict) -> tuple[list, list
     return gram, [Fraction(len(orbit) * mp[a], den_p) for a, orbit in orbits.items()]
 
 
-def _superset_sums(masks: list[int], weights: list[int], bits: int) -> list[int]:
-    """M(T) = sum of weights[a] over the masks[a] that contain T, for every
-    T below 2^bits, by Yates' zeta transform (bits * 2^(bits-1) additions)."""
+# -- moment tables and their symmetry orbits ----------------------------------------
+
+
+def moment_table(outcomes: list, weights: list, coords: list, pair: bool) -> tuple[list[int], int]:
+    """(M, den): M[T] / den is the weight of the graph or graph-pair atoms
+    that have every coordinate (side, edge) of the mask T over coords, in
+    integers over the weights' common denominator (floats taken exactly),
+    by Yates' zeta transform.  Its 2^len(coords) entries are held to
+    ENUMERATION_BUDGET."""
+    bits = len(coords)
+    check_budget("advantage.moment_table", "moment-table entries", 1 << bits, ENUMERATION_BUDGET)
+    bit = {c: 1 << t for t, c in enumerate(coords)}
+    nums, den = integer_weights(weights)
     table = [0] * (1 << bits)
-    for m, w in zip(masks, weights):
-        table[m] += w
-    for t in range(bits):
-        b = 1 << t
+    for x, w in zip(outcomes, nums):
+        table[sum(bit[side, e] for side, g in enumerate(x if pair else (x,)) for e in g)] += w
+    for b in (1 << t for t in range(bits)):
         for m in range(1 << bits):
             if m & b:
                 table[m ^ b] += table[m]
-    return table
+    return table, den
+
+
+def centered_moment(table: tuple, s: int, q) -> Fraction:
+    """E[prod_{t in S} (x_t - q)] for the mask S, exactly, from a moment
+    table (nums, den): the sum over T within S of (-q)^|S \\ T| M(T)."""
+    nums, den = table
+    q, total, t = Fraction(q), 0, s
+    while True:
+        total += (-q) ** (s ^ t).bit_count() * nums[t]
+        if not t:
+            return total / den
+        t = (t - 1) & s
+
+
+def byte_tables(image: list[int]) -> list[tuple[int, list[int]]]:
+    """The bit permutation that sends bit t to image[t], as (shift, table)
+    per byte of a mask: table[b] is the OR of the images of the bits of the
+    byte b (apply_bytes)."""
+    out = []
+    for start in range(0, len(image), 8):
+        table = [0]
+        for img in image[start:start + 8]:
+            table += [x | img for x in table]
+        out.append((start, table))
+    return out
+
+
+def apply_bytes(tables: list[tuple[int, list[int]]], mask: int) -> int:
+    """The image of mask under the byte_tables permutation tables."""
+    img = 0
+    for shift, table in tables:
+        img |= table[mask >> shift & 255]
+    return img
+
+
+def small_masks(bits: int, max_size: int):
+    """The masks below 2^bits with at most max_size bits set, by size and
+    then in combinations order (default_features' order of monomials)."""
+    singles = [1 << t for t in range(bits)]
+    return (sum(c) for size in range(max_size + 1) for c in itertools.combinations(singles, size))
+
+
+def mask_orbits(gens: list[list], bits: int, max_size: int) -> dict[int, frozenset[int]]:
+    """Representative -> orbit for the small_masks(bits, max_size) under the
+    group the byte_tables permutations gens generate: representatives in
+    small_masks order (the empty set's orbit {0} first), each orbit the
+    closure of its representative."""
+    orbits: dict[int, frozenset[int]] = {}
+    placed: set[int] = set()
+    for mask in small_masks(bits, max_size):
+        if mask in placed:
+            continue
+        orbit, frontier = {mask}, [mask]
+        while frontier:
+            src = frontier.pop()
+            for tables in gens:
+                img = apply_bytes(tables, src)
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        orbits[mask] = frozenset(orbit)
+        placed |= orbit
+    return orbits
+
+
+def symmetry_orbits(coords: list, reads: list[tuple[list, int]], D: int) -> dict[int, frozenset[int]]:
+    """mask_orbits of the monomials of at most D coordinates (side, edge)
+    under the transpositions of two vertices on one side that send coords
+    into coords and fix each (table, k) in reads on every mask of at most k
+    bits.  They fix every Gram entry and mean a route reads, so the orbit
+    sums span an optimal test; if none qualifies, each orbit is one mask."""
+    bit = {c: 1 << t for t, c in enumerate(coords)}
+    pairs = itertools.combinations(sorted({v for _, e in coords for v in e}), 2)
+    read = [(table, list(small_masks(len(coords), k))) for table, k in reads]
+    gens = []
+    for side, (u, v) in itertools.product(sorted({s for s, _ in coords}), pairs):
+        swap = {u: v, v: u}
+        image = [bit.get((s, _norm_edge(swap.get(a, a), swap.get(b, b))) if s == side else (s, (a, b)))
+                 for s, (a, b) in coords]
+        if None in image:
+            continue
+        tables = byte_tables(image)
+        if all(table[m] == table[apply_bytes(tables, m)] for table, masks in read for m in masks):
+            gens.append(tables)
+    return mask_orbits(gens, len(coords), D)
 
 
 def _ldl(gram: list[list], means: list, exact: bool):
@@ -329,9 +434,8 @@ def advantage_rayleigh(p: DiscreteMeasure, q: DiscreteMeasure,
     cross-check of the LDL^T kernel that shares only the Gram builder)."""
     import numpy as np
 
-    feats, degree = _features(q, features, D)
-    gram, c = (np.array(m) for m in _null_gram(p, q, feats, False,
-                                                monomial_degree=D if features is None else None))
+    gram, c, _keys, degree = _null_gram(p, q, features, D, False)
+    gram, c = np.array(gram), np.array(c)
     sol, *_ = np.linalg.lstsq(gram, c, rcond=1e-12)
     if not np.allclose(gram @ sol, c, atol=1e-8):
         raise ValueError("alternative mean outside the null feature range: advantage infinite")

@@ -25,7 +25,7 @@ from . import graph_core as gc
 from . import measures as ms
 from .exactnum import Rad
 from .graph_core import LabeledGraph, check_budget
-from .measures import DiscreteMeasure, edge_bits
+from .measures import DiscreteMeasure
 from .params import ModelParams
 
 PLANTED_FLOAT_N_CAP = 20
@@ -123,14 +123,6 @@ def single_indices(n: int, D: int) -> list[BasisIndex]:
     return [single_index(s) for s in edge_subgraphs(n, D)]
 
 
-def pair_indices(n: int, D: int) -> list[BasisIndex]:
-    out = []
-    for s1 in edge_subgraphs(n, D):
-        for s2 in edge_subgraphs(n, D - len(s1.edges)):
-            out.append(pair_index(s1, s2))
-    return out
-
-
 # -- pointwise evaluation --------------------------------------------------------
 
 
@@ -191,43 +183,6 @@ def evaluate_basis(idx: BasisIndex, point, params: ModelParams):
     centered product times one square root of the normalization."""
     exact, factors, norm_sq = _index_factors(idx, params)
     return _centered_product(idx, factors, point) * _sqrt(norm_sq, exact)
-
-
-def centered_moments(measure: DiscreteMeasure, indices: list[BasisIndex], n: int, q) -> list:
-    """Unnormalized centered moments E[prod_{e in S} (x_e - q)] of a graph
-    measure on n vertices, one per index.  The indices are all single, or
-    all pair indices over graph-pair atoms, with S1 on the first graph and
-    S2 on the second.
-
-    The orthonormal moment is this value over sqrt(q(1-q))^deg, so exact
-    inputs give a Fraction and no square root is formed.  An atom x
-    contributes (1-q)^c (-q)^(deg-c) with c = |S ∩ x|, counted on edge
-    bitmasks, so the weights are summed by c, as integers over a common
-    denominator in exact mode.
-    """
-    if not indices:
-        return []
-    bit = edge_bits(n)
-    shift = len(bit)  # the second graph of a pair sits above the first
-    pair = indices[0].kind == "pair"
-
-    def mask(edges) -> int:
-        return sum(bit[e] for e in edges)
-
-    if pair:
-        points = [mask(a) | mask(b) << shift for a, b in measure.outcomes]
-    else:
-        points = [mask(x) for x in measure.outcomes]
-    weights, scale = ms.integer_weights(measure.weights) if measure.exact else (measure.weights, 1)
-    out = []
-    for idx in indices:
-        s_mask = mask(idx.s1.edges) | (mask(idx.s2.edges) << shift if pair else 0)
-        by_overlap = [0] * (idx.degree + 1)
-        for x, w in zip(points, weights):
-            by_overlap[(s_mask & x).bit_count()] += w
-        out.append(sum(c_w * (1 - q) ** c * (-q) ** (idx.degree - c)
-                       for c, c_w in enumerate(by_overlap)) / scale)
-    return out
 
 
 def exact_expectation(measure: DiscreteMeasure, idx: BasisIndex, params: ModelParams):

@@ -137,22 +137,26 @@ def audit_P_sum(s: LabeledGraph, h: LabeledGraph, params: ModelParams,
 # -- conditional-moment audit -------------------------------------------------------
 
 
-# joint measure -> {(i, j): its pair law conditioned on pi(i) = j}; an entry
-# lives as long as its joint
+# joint measure -> {(i, j): the moment table of its pair law conditioned on
+# pi(i) = j}; an entry lives as long as its joint
 _MATCH_COND_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def conditional_pair_moment(joint: ms.DiscreteMeasure, s1: LabeledGraph, s2: LabeledGraph,
                             params: ModelParams, i: int = 0, j: int = 0):
     """E[pair basis at (S1, S2) | matching sends i to j] under a matching joint:
-    the rational centered moment over sqrt(q(1-q))^deg."""
+    adv.centered_moment on the conditioned law's moment table (built once
+    per joint and (i, j)) over sqrt(q(1-q))^deg."""
+    bit = ms.edge_bits(params.n)
     cache = _MATCH_COND_CACHE.setdefault(joint, {})
     if (i, j) not in cache:
-        cache[(i, j)] = adv.condition_on_match(joint, i, j)
-    idx = bs.pair_index(s1, s2)
+        cond = adv.condition_on_match(joint, i, j)
+        coords = [(side, e) for side in (0, 1) for e in bit]
+        cache[(i, j)] = adv.moment_table(cond.outcomes, cond.weights, coords, True)
+    s = sum(bit[e] for e in s1.edges) | sum(bit[e] for e in s2.edges) << len(bit)
     q = bs.pair_edge_prob(params)
-    (raw,) = bs.centered_moments(cache[(i, j)], [idx], params.n, q)
-    return raw * bs._sqrt((q * (1 - q)) ** -idx.degree, isinstance(raw, Fraction))
+    raw = adv.centered_moment(cache[(i, j)], s, q)
+    return raw * bs._sqrt((q * (1 - q)) ** -s.bit_count(), bs._exact_inputs(q))
 
 
 def _event_joint(params: ModelParams, joint: ms.DiscreteMeasure | None = None

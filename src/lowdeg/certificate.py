@@ -44,7 +44,7 @@ from types import MappingProxyType
 from . import basis as bs
 from . import graph_core as gc
 from . import measures as ms
-from .advantage import gram_schmidt_report, orbit_gram
+from .advantage import byte_tables, gram_schmidt_report, mask_orbits, orbit_gram, small_masks
 from .exactnum import Rad
 from .graph_core import LabeledGraph
 from .params import ModelParams
@@ -215,17 +215,16 @@ class XiTable:
         return self._h_terms[m]
 
 
-def _leafless_masks(edges: list, sizes) -> list[int]:
-    """Bitmasks over edges of the subsets, of each size in sizes in
-    combinations order, in which no vertex has degree one: inc[v] marks the
+def _leafless_masks(edges: list, max_size: int) -> list[int]:
+    """Bitmasks over edges of the subsets of at most max_size edges, in
+    small_masks order, in which no vertex has degree one: inc[v] marks the
     edges at v, and no inc[v] may meet the subset in exactly one bit."""
     inc: dict[int, int] = {}
     for i, (u, v) in enumerate(edges):
         inc[u] = inc.get(u, 0) | 1 << i
         inc[v] = inc.get(v, 0) | 1 << i
     incs = list(inc.values())
-    bits = [1 << i for i in range(len(edges))]
-    return [mask for size in sizes for mask in map(sum, itertools.combinations(bits, size))
+    return [mask for mask in small_masks(len(edges), max_size)
             if all((mask & m).bit_count() != 1 for m in incs)]
 
 
@@ -238,7 +237,7 @@ def _row_sum(s: LabeledGraph, params: ModelParams, table: XiTable, proper: bool)
     gc.check_budget("certificate._row_sum", "recursion edges", len(edges), XI_EDGE_BUDGET)
     top = len(edges) - 1 if proper else len(edges)
     total = table.zero
-    for mask in _leafless_masks(edges, range(top + 1)):
+    for mask in _leafless_masks(edges, top):
         h_edges = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
         val = xi(gc.graph(s.n_vertices, h_edges), params, table)
         if val:
@@ -360,45 +359,13 @@ def row_residual(s: LabeledGraph, params: ModelParams, table: XiTable):
 @cache
 def edge_orbits(n: int, max_edges: int) -> MappingProxyType:
     """The S_n-orbits of the edge bitmasks over ms.edge_bits(n) with at most
-    max_edges edges: representative mask -> its orbit.  Representatives come
-    by size, then in combinations order, so the empty set's orbit {0} is
-    first.  Each orbit is the closure of its representative under two
-    generators of S_n, the transposition (0 1) and the cycle (0 1 ... n-1).
-    A generator maps a mask one byte at a time: the table of each byte, with
-    one entry per subset of the edge bits that byte holds, gives the OR of
-    their images.  Canonical labeling is not used.
-    Built once per (n, max_edges) and process: every caller shares the
-    result, so it is a read-only mapping of frozensets."""
+    max_edges edges, by mask_orbits under (0 1) and (0 1 ... n-1), with no
+    canonical labeling.  Built once per (n, max_edges) and process: every
+    caller shares the result, so it is a read-only mapping of frozensets."""
     bit = ms.edge_bits(n)
-    gens = []
-    for p in ([1, 0, *range(2, n)], [*range(1, n), 0]):
-        image = [bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in bit]
-        tables = []
-        for start in range(0, len(image), 8):
-            table = [0]
-            for img in image[start:start + 8]:
-                table += [x | img for x in table]
-            tables.append((start, table))
-        gens.append(tables)
-    orbits: dict[int, frozenset[int]] = {}
-    placed: set[int] = set()
-    for size in range(max_edges + 1):
-        for mask in map(sum, itertools.combinations(bit.values(), size)):
-            if mask in placed:
-                continue
-            orbit, frontier = {mask}, [mask]
-            while frontier:
-                src = frontier.pop()
-                for tables in gens:
-                    img = 0
-                    for shift, table in tables:
-                        img |= table[src >> shift & 255]
-                    if img not in orbit:
-                        orbit.add(img)
-                        frontier.append(img)
-            orbits[mask] = frozenset(orbit)
-            placed |= orbit
-    return MappingProxyType(orbits)
+    gens = [byte_tables([bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in bit])
+            for p in ([1, 0, *range(2, n)], [*range(1, n), 0])]
+    return MappingProxyType(mask_orbits(gens, len(bit), max_edges))
 
 
 def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL):

@@ -2,8 +2,9 @@
 
 Each one computes a quantity the library also computes, by a different
 path: a direct linear solve, Rad products and sums by the plain loops over
-terms, a per-permutation grouping of a joint's atoms, and the hidden-sample
-composite laws built atom by atom.  None is called by lowdeg itself.
+terms, a per-permutation grouping of a joint's atoms, the hidden-sample
+composite laws built atom by atom, and the pair indices (S1, S2) of the
+product basis listed one by one.  None is called by lowdeg itself.
 """
 
 import math
@@ -12,6 +13,13 @@ from fractions import Fraction
 from lowdeg import basis as bs
 from lowdeg.exactnum import Rad
 from lowdeg.measures import DiscreteMeasure
+
+
+def pair_indices(n: int, D: int) -> list:
+    """Every pair index (S1, S2) on n vertices with at most D edges in all,
+    by the edges of S1, then of S2 (the indices the product basis sums over)."""
+    return [bs.pair_index(s1, s2) for s1 in bs.edge_subgraphs(n, D)
+            for s2 in bs.edge_subgraphs(n, D - len(s1.edges))]
 
 
 def solve_exact(matrix: list[list], rhs: list) -> list:

@@ -100,7 +100,7 @@ def test_product_basis_per_index_matches_evaluate_basis():
     graphs = ms.sbm_graph_measure(3, 2, sbm.lam, sbm.eps)
     for measure, params, kind in ((pair, pr, "pair"), (graphs, sbm, "single")):
         rep = adv.advantage_product_basis(measure, params, 4, kind=kind)
-        indices = bs.pair_indices(3, 4) if kind == "pair" else bs.single_indices(3, 4)
+        indices = oracle.pair_indices(3, 4) if kind == "pair" else bs.single_indices(3, 4)
         want = {}
         for idx in indices:
             if idx.degree == 0:
@@ -375,11 +375,13 @@ def column_gram_schmidt(p, q, features):
 
 def test_gram_kernel_matches_column_gram_schmidt_on_pairs():
     _, _, pair, null = corr_er_setup()
-    rep = adv.advantage_gram_schmidt(pair, null, D=3, exact=True)
-    value_squared, per_index = column_gram_schmidt(pair, null, adv.default_features(null, 3))
-    assert rep.value_squared == value_squared
-    assert rep.per_index == per_index
-    assert len(per_index) == 41 and all(type(v) is F for v in rep.per_index.values())
+    features = adv.default_features(null, 3)
+    value_squared, per_index = column_gram_schmidt(pair, null, features)
+    explicit = adv.advantage_gram_schmidt(pair, null, features, exact=True)
+    assert (explicit.value_squared, explicit.per_index) == (value_squared, per_index)
+    assert len(per_index) == 41 and all(type(v) is F for v in explicit.per_index.values())
+    # the default features go through the orbit route: same value
+    assert adv.advantage_gram_schmidt(pair, null, D=3, exact=True).value_squared == value_squared
 
 
 def test_gram_kernel_matches_column_gram_schmidt_on_hidden_composite():
@@ -539,18 +541,56 @@ def n4_conditioned():
     return adv.condition_on_match(joint, 0, 0), null
 
 
-def test_fraction_free_ldl_matches_fraction_loop_on_advantage_kernels():
+def handed_orbits(monkeypatch):
+    """A list that records the orbits each orbit_gram call is handed."""
+    handed = []
+    orbit_gram = adv.orbit_gram
+    monkeypatch.setattr(adv, "orbit_gram", lambda tq, tp, orbits: handed.append(orbits)
+                        or orbit_gram(tq, tp, orbits))
+    return handed
+
+
+def orbit_and_atom_grams(handed, p, q, D, exact=True):
+    """_null_gram on default_features(q, D) by the orbit route and by the
+    per-atom route, and the orbits the orbit route handed orbit_gram (the
+    handed_orbits list), each as the list of its monomials' positions."""
+    feats = adv.default_features(q, D)
+    orbit = adv._null_gram(p, q, None, D, exact)
+    atom = adv._null_gram(p, q, feats, None, exact)
+    bits = len(adv._edge_coordinates(q)[0])
+    pos = {sum(1 << t for t in c): i for i, c in enumerate(
+        c for k in range(D + 1) for c in itertools.combinations(range(bits), k))}
+    blocks = [sorted(pos[m] for m in orbit) for orbit in handed[-1].values()]
+    assert sorted(i for b in blocks for i in b) == list(range(len(feats)))
+    return orbit, atom, blocks
+
+
+def block_sums(gram, means, blocks):
+    """The Gram matrix and means of the orbit sums of the features, from
+    theirs: G_AB is the sum of G_st over s in A and t in B."""
+    return ([[sum(gram[i][j] for i in a for j in b) for b in blocks] for a in blocks],
+            [sum(means[i] for i in a) for a in blocks])
+
+
+def test_fraction_free_ldl_matches_fraction_loop_on_advantage_kernels(monkeypatch):
+    handed = handed_orbits(monkeypatch)
     _, _, pair, null = corr_er_setup()
     cases = [(pair, null, D) for D in (1, 2, 3)] + [(*n4_conditioned(), 2)]
     for p, q, D in cases:
-        gram, means = adv._null_gram(p, q, adv.default_features(q, D), True, monomial_degree=D)
-        lower, pivots, reduced = adv._ldl(gram, means, exact=True)
-        assert (lower, pivots, reduced) == fraction_ldl(gram, means)
-        assert all(type(v) is F for v in pivots + reduced if v)
-    assert 1 + sum(r * r / d for d, r in zip(pivots[1:], reduced[1:]) if d) == F(249, 200)
+        (gram, means, *_), (atom_gram, atom_means, *_), blocks = orbit_and_atom_grams(handed, p, q, D)
+        assert (gram, means) == block_sums(atom_gram, atom_means, blocks)
+        values = []
+        for g, c in ((gram, means), (atom_gram, atom_means)):
+            lower, pivots, reduced = adv._ldl(g, c, exact=True)
+            assert (lower, pivots, reduced) == fraction_ldl(g, c)
+            assert all(type(v) is F for v in pivots + reduced if v)
+            values.append(1 + sum(r * r / d for d, r in zip(pivots[1:], reduced[1:]) if d))
+        assert values[0] == values[1]
+    assert values[0] == F(249, 200) and len(blocks) == 17
 
 
-def test_superset_sum_table_matches_the_values_path():
+def test_superset_sum_table_matches_the_values_path(monkeypatch):
+    handed = handed_orbits(monkeypatch)
     _, joint, pair, null = corr_er_setup()
     graph_null = ms.er_graph_measure(3, F(1, 3))
     graph_alt = joint.map(lambda x: x[2])  # the relabeled child: again edge-q
@@ -564,9 +604,9 @@ def test_superset_sum_table_matches_the_values_path():
     cases.append((ms.DiscreteMeasure(lopsided.outcomes, [w * (1 + 2 * len(a) + len(b)) for (a, b), w
                                                          in lopsided], normalize=True), lopsided, 3))
     for p, q, D in cases:
-        feats = adv.default_features(q, D)
-        table = adv._null_gram(p, q, feats, True, monomial_degree=D)
-        assert table == adv._null_gram(p, q, feats, True)
+        (gram, means, *_), (atom_gram, atom_means, *_), blocks = orbit_and_atom_grams(handed, p, q, D)
+        assert (gram, means) == block_sums(atom_gram, atom_means, blocks)
+        assert len(blocks) < len(atom_gram)
 
 
 def test_custom_features_and_abstract_atoms_skip_the_table(monkeypatch):
@@ -586,7 +626,7 @@ def test_custom_features_and_abstract_atoms_skip_the_table(monkeypatch):
     assert calls == [2] and custom.value_squared == default.value_squared
     linear = adv.advantage_gram_schmidt(pair, null, adv.default_features(null, 1), D=2, exact=True)
     assert calls == [2] and linear.value_squared == linear_want
-    adv.advantage_gram_schmidt(pair, null, D=2, exact=False)  # float mode evaluates features
+    adv.advantage_gram_schmidt(pair, null, D=2, exact=False)  # float mode reads the table too
     monkeypatch.setattr(adv, "ENUMERATION_BUDGET", (1 << 6) - 1)  # below the 2^6 masks of n=3 pairs
     assert adv.advantage_gram_schmidt(pair, null, D=2, exact=True) == default
     base = ms.DiscreteMeasure(["a", "b"], [F(1, 2), F(1, 2)])
@@ -603,18 +643,21 @@ def test_float_gram_on_the_table_is_the_exact_sum_rounded_once(monkeypatch):
         return table(*args)
 
     monkeypatch.setattr(adv, "_monomial_gram", spy)
+    handed = handed_orbits(monkeypatch)
     cases = []
     for q, rho in ((F(1, 3), F(1, 2)), (0.25, 0.35)):
         _, joint, pair, null = corr_er_setup(q=q, rho=rho)
         cases += [(joint.map(lambda x: x[2]), ms.er_graph_measure(3, q)), (pair, null)]
     for p, q in cases:
+        (gram, means, *_), _, blocks = orbit_and_atom_grams(handed, p, q, 2, exact=False)
+        # oracle: Fraction sums over the atoms and the orbit blocks, each
+        # rounded by float() at the end
         feats = adv.default_features(q, 2)
-        gram, means = adv._null_gram(p, q, feats, False, monomial_degree=2)
-        # oracle: Fraction sums over the atoms, each rounded by float() at the end
         rows = [[f(x) * F(w) for x, w in q] for _, f in feats]
-        assert gram == [[float(sum(a * g(x) for a, x in zip(row, q.outcomes))) for _, g in feats]
-                        for row in rows]
-        assert means == [float(sum(f(x) * F(w) for x, w in p)) for _, f in feats]
+        exact_gram = [[sum(a * g(x) for a, x in zip(row, q.outcomes)) for _, g in feats] for row in rows]
+        exact_means = [sum(f(x) * F(w) for x, w in p) for _, f in feats]
+        want = block_sums(exact_gram, exact_means, blocks)
+        assert (gram, means) == ([list(map(float, row)) for row in want[0]], list(map(float, want[1])))
         assert all(type(v) is float for v in means + gram[-1])
     assert calls == [2] * 4
     adv.advantage_rayleigh(*cases[-1], D=2)
@@ -630,3 +673,75 @@ def test_table_path_rejects_alternative_outside_null_support():
                                 normalize=True)
     with pytest.raises(ValueError, match="outside the null support"):
         adv.advantage_gram_schmidt(pair, zeroed, D=2, exact=True)
+
+
+# -- symmetry orbits ------------------------------------------------------------------
+
+
+def test_gram_schmidt_and_product_basis_agree_class_by_class(monkeypatch):
+    """On the product null, Gram-Schmidt on the orbit sums carries, class
+    by class, what the product basis carries; the orbits are those of
+    S_n x S_n, or of Stab(0) x Stab(0) under pi(1) = 1."""
+    handed = handed_orbits(monkeypatch)
+    cases = []
+    for n, q, rho, degrees in ((3, F(1, 3), F(1, 2), range(1, 7)), (4, F(1, 4), F(7, 20), range(1, 5))):
+        pr, joint, pair, _ = corr_er_setup(n=n, q=q, rho=rho)
+        cases += [(pr, p, D) for p in (pair, adv.condition_on_match(joint, 0, 0)) for D in degrees]
+    sbm = md.ModelParams(n=3, k=2, lam=F(1), eps=F(2, 5), s=F(1, 2))
+    sbm_joint = ms.correlated_sbm_joint_measure(3, 2, sbm.lam, sbm.eps, sbm.s)
+    cases += [(sbm, p, D) for p in (sbm_joint.map(lambda x: (x[1], x[2])),
+                                    adv.condition_on_match(sbm_joint, 0, 0)) for D in (2, 3)]
+    for pr, p, D in cases:
+        null = ms.er_pair_measure(pr.n, bs.pair_edge_prob(pr))
+        product = adv.advantage_product_basis(p, pr, D, kind="pair")
+        gs = adv.advantage_gram_schmidt(p, null, D=D)
+        assert gs.per_index == product.per_index, (pr.n, D)
+        assert gs.value_squared == product.value_squared
+    counts = list(map(len, handed))
+    # n=4, D = 2 and 4, without and with the condition
+    assert [counts[i] for i in (13, 15, 17, 19)] == [8, 32, 17, 93]
+    assert counts[:3] == [3, 6, 10]  # n=3: one class of S1 and one of S2 per pair of sizes
+
+
+def test_orbits_come_from_the_transpositions_that_fix_the_laws(monkeypatch):
+    handed = handed_orbits(monkeypatch)
+    _, _, pair, null = corr_er_setup()
+    # the pair law tilted by a distinct weight on two edges of each graph:
+    # no transposition of either side fixes it, so every orbit is one monomial
+    tilt = {(0, (0, 1)): 1, (0, (0, 2)): 2, (1, (0, 1)): 3, (1, (1, 2)): 4}
+    asymmetric = ms.DiscreteMeasure(pair.outcomes, [
+        w * (1 + sum(c for (side, e), c in tilt.items() if e in x[side])) for x, w in pair], normalize=True)
+    for D in (1, 2, 3):
+        features = adv.default_features(null, D)
+        rep = adv.advantage_gram_schmidt(asymmetric, null, D=D)
+        assert len(handed[-1]) == len(features) and all(len(o) == 1 for o in handed[-1].values())
+        value_squared, per_index = column_gram_schmidt(asymmetric, null, features)
+        explicit = adv.advantage_gram_schmidt(asymmetric, null, features)
+        assert rep.value_squared == explicit.value_squared == value_squared
+        coords = adv._edge_coordinates(null)[0]
+        keys = adv._class_keys(3, coords, True, adv.small_masks(len(coords), D))
+        by_class = {}
+        for i, contrib in per_index.items():
+            by_class[keys[i]] = by_class.get(keys[i], 0) + contrib
+        assert rep.per_index == by_class
+    # conditioned on pi(1) = 1, the laws are fixed by Stab(0) x Stab(0) only
+    for n, D in ((3, 3), (4, 2)):
+        _, joint, _, null = corr_er_setup(n=n, q=F(1, 4), rho=F(7, 20))
+        adv.advantage_gram_schmidt(adv.condition_on_match(joint, 0, 0), null, D=D)
+        assert sorted(map(sorted, handed[-1].values())) == sorted(map(sorted, stabilizer_orbits(n, D)))
+
+
+def stabilizer_orbits(n, D):
+    """The orbits of the pair monomials of at most D edges under every
+    (sigma, tau) in S_n x S_n fixing vertex 0, by applying each pair."""
+    edges = list(itertools.combinations(range(n), 2))
+    coords = [(side, e) for side in (0, 1) for e in edges]
+    perms = [p for p in itertools.permutations(range(n)) if p[0] == 0]
+    orbits = set()
+    for k in range(D + 1):
+        for combo in itertools.combinations(coords, k):
+            orbits.add(frozenset(
+                sum(1 << coords.index((side, tuple(sorted((perm[side][u], perm[side][v])))))
+                    for side, (u, v) in combo)
+                for perm in itertools.product(perms, repeat=2)))
+    return orbits

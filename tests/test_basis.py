@@ -11,6 +11,8 @@ from lowdeg import measures as ms
 from lowdeg import models as md
 from lowdeg.exactnum import Rad
 
+import exact_oracles as oracle
+
 
 def all_edge_sets(n):
     pairs = list(itertools.combinations(range(n), 2))
@@ -73,7 +75,7 @@ def test_pair_basis_orthonormal_exact():
     q = F(1, 3)
     pr = md.ModelParams(n=3, q=q)
     measure = ms.er_pair_measure(3, q)
-    idxs = bs.pair_indices(3, 2)
+    idxs = oracle.pair_indices(3, 2)
     table = {}
     for idx in idxs:
         table[idx] = [bs.evaluate_basis(idx, x, pr) for x in measure.outcomes]
@@ -134,7 +136,7 @@ def test_evaluate_basis_matches_per_edge_loop(exact):
     pr = md.ModelParams(n=3, lam=num(F(1)), k=2, eps=num(F(2, 5)), q=num(F(1, 4)))
     graphs = [gc.graph(3, es) for es in all_edge_sets(3)]
     cases = [(bs.single_indices(3, 3), ms.er_graph_measure(3, pr.lam / 3)),
-             (bs.pair_indices(3, 3), ms.er_pair_measure(3, pr.q)),
+             (oracle.pair_indices(3, 3), ms.er_pair_measure(3, pr.q)),
              ([bs.planted_index(sigma, s) for sigma in itertools.product(range(2), repeat=3)
                for s in graphs], ms.sbm_joint_measure(3, 2, pr.lam, pr.eps))]
     for indices, measure in cases:

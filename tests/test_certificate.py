@@ -261,7 +261,7 @@ def _reversed_tables(pr):
 
 
 def test_edge_moment_tables_are_superset_sums_of_the_enumerated_laws():
-    """Each closed-form table against advantage._superset_sums over the
+    """Each closed-form table against advantage.moment_table over the
     enumerated graph law, both integers over a denominator: nums[T] / den is
     the chance that every edge of the mask T is present."""
     from lowdeg import advantage as adv
@@ -271,8 +271,7 @@ def test_edge_moment_tables_are_superset_sums_of_the_enumerated_laws():
         bit = ms.edge_bits(n)
         laws = (ms.sbm_graph_measure(n, k, pr.lam, eps), ms.er_graph_measure(n, bs.null_edge_prob(pr)))
         for law, (nums, den) in zip(laws, _reversed_tables(pr)):
-            weights, law_den = ms.integer_weights(law.weights)
-            sums = adv._superset_sums([sum(bit[e] for e in g) for g in law.outcomes], weights, len(bit))
+            sums, law_den = adv.moment_table(law.outcomes, law.weights, [(0, e) for e in bit], False)
             assert len(nums) == len(sums) == 1 << len(bit)
             assert all(x * law_den == y * den for x, y in zip(nums, sums)), (n, k, eps)
 

@@ -644,7 +644,8 @@ def test_adv_exact_gram_schmidt_stays_exact_past_the_size_cutoff(capsys):
 
 
 def test_adv_gram_schmidt_is_exact_iff_its_inputs_are_rational(capsys):
-    # 4,096 atoms and 79 features: the n=4 conditioned law on the superset-sum table
+    # 4,096 atoms and 79 monomials: the n=4 conditioned law on the superset-sum
+    # table, in 17 orbits when exact (the float law is not exactly symmetric)
     argv = ["adv", "--model", "corr-er", "--n", "4", "--D", "2", "--method", "gram-schmidt",
             "--condition", "pi(1)=1"]
     code, out, _ = run_cli([*argv, "--q", "1/4", "--rho", "7/20"], capsys)
@@ -654,6 +655,17 @@ def test_adv_gram_schmidt_is_exact_iff_its_inputs_are_rational(capsys):
     code, out, _ = run_cli([*argv, "--q", "0.25", "--rho", "0.35"], capsys)
     assert code == 0
     assert abs(json.loads(out)["value_squared"] - 1.245) <= 1e-12
+
+
+def test_adv_at_four_vertices_and_degree_four_prints_the_readme_values(capsys):
+    argv = ["adv", "--model", "corr-er", "--n", "4", "--q", "1/4", "--rho", "7/20", "--D", "4",
+            "--exact"]
+    for condition, want in (([], (92201, 80000)), (["--condition", "pi(1)=1"], (52201, 40000))):
+        for method in ("gram-schmidt", "product-basis"):
+            code, out, _ = run_cli([*argv, *condition, "--method", method], capsys)
+            assert code == 0
+            got = json.loads(out)["value_squared"]
+            assert (got["numerator"], got["denominator"]) == want, (condition, method)
 
 
 def test_otter_output_is_strict_json(capsys):
@@ -826,8 +838,8 @@ EXACT_COMMANDS = {"xi-k24": ["xi", "--n", "40", "--k", "24", "--eps", "1/100", "
 # stdout_digest of each EXACT_COMMANDS entry, pinned like README_OUTPUT_PINS
 EXACT_OUTPUT_PINS = {
     "xi-k24": "f888d617e5e200af8ba51ddd5457224066c81530268bb9c44252c4677267a234",
-    "adv-gram-schmidt": "62f6d4ca6734f25774f3843b0378c9aa3ef9dd8a2258f1a406dcfac6566e4bc4",
-    "adv-gram-schmidt-float": "6060d2088dc377e35006df84084c54ab9563d8dd0e8224d2db9471747a4eaeab",
+    "adv-gram-schmidt": "31e3d02e09f251995751ff936a8eb090690bdaf52936a607d16b44358e76cf98",
+    "adv-gram-schmidt-float": "323d4e479a9275aa0fbe67b188f576807fdd8ce670f9538e8de68c6eb519b330",
 }
 
 

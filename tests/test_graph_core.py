@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from lowdeg import advantage as adv
 from lowdeg import basis as bs
 from lowdeg import bounds as bd
 from lowdeg import certificate as ct
@@ -229,6 +230,9 @@ BUDGET_GUARDS = {
     "matching-joint": ({}, lambda: ms.correlated_er_joint_measure(5, F(1, 2), F(1, 2)),
                        "measures._child_subsampling_joint", math.factorial(5) * 4 ** 10, 1 << 22,
                        "matching-joint atoms"),
+    "moment-table": ({}, lambda: adv.advantage_product_basis(ms.DiscreteMeasure([frozenset()], [F(1)]),
+                                                             md.ModelParams(n=8, q=F(1, 2)), 1, "single"),
+                     "advantage.moment_table", 1 << 28, 1 << 22, "moment-table entries"),
     "planted-float": ({}, lambda: bs.evaluate_basis(bs.planted_index((0,) * 25, gc.empty_graph(25)),
                                                     ((0,) * 25, frozenset()),
                                                     md.ModelParams(n=25, lam=1.0, k=2, eps=0.1)),
