@@ -47,20 +47,17 @@ class DiscreteMeasure:
         if len(self.outcomes) != len(self.weights):
             raise ValueError("outcomes and weights differ in length")
         total, exact = _checked_total(self.weights)
-        if not (exact or math.isfinite(total)):  # NaN passes every comparison below
+        if not normalize:
+            _require_unit_total(total, exact)
+        elif not (exact or math.isfinite(total)):
             raise ValueError(f"weights sum to {total}, not 1")
-        if normalize:  # one division per distinct weight object, shared by its atoms
-            if total == 0:
-                raise ValueError("cannot normalize a zero measure")
+        elif total == 0:
+            raise ValueError("cannot normalize a zero measure")
+        else:  # one division per distinct weight object, shared by its atoms
             distinct = dict(zip(map(id, self.weights), self.weights))
             scaled = {key: w / total for key, w in distinct.items()}
             self.weights = list(map(scaled.__getitem__, map(id, self.weights)))
             exact = exact and isinstance(total, Fraction)  # ints over an int total are floats
-        elif exact:
-            if total != 1:
-                raise ValueError(f"weights sum to {total}, not 1")
-        elif abs(float(total) - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {float(total)}, not 1")
         # weights are never reassigned after this point
         self.exact = exact
 
@@ -88,14 +85,16 @@ class DiscreteMeasure:
 
     def map(self, fn: Callable) -> "DiscreteMeasure":
         """Pushforward merging atoms with equal image; exact weights are summed
-        as integer_weights numerators, float weights atom by atom."""
+        as integer_weights numerators, float weights by one math.fsum per
+        image, correctly rounded whatever the order of its atoms."""
         weights, den = integer_weights(self.weights) if self.exact else (self.weights, 1)
-        acc: dict = {}
+        groups: dict = {}
         for y, w in zip(map(fn, self.outcomes), weights):
-            acc[y] = acc.get(y, 0) + w
+            groups.setdefault(y, []).append(w)
+        sums = list(map(sum if self.exact else math.fsum, groups.values()))
         if self.exact and any(isinstance(w, Fraction) for w in self.weights):
-            acc = {y: Fraction(v, den) for y, v in acc.items()}
-        return DiscreteMeasure(list(acc), list(acc.values()))
+            sums = [Fraction(v, den) for v in sums]
+        return DiscreteMeasure(list(groups), sums)
 
     def product(self, *others: "DiscreteMeasure") -> "DiscreteMeasure":
         """Product measure with flat tuple atoms (x, y, ...), one slot per factor."""
@@ -177,6 +176,24 @@ def _checked_total(weights: list) -> tuple:
         raise ValueError("negative weight")
     total = sum(map(dict(zip(distinct, nums)).__getitem__, map(id, weights)))
     return (Fraction(total, den) if any(issubclass(k, Fraction) for k in kinds) else total), True
+
+
+def _require_unit_total(total, exact: bool) -> None:
+    """Raise unless a weight total is 1: exactly, or within 1e-12 for floats."""
+    if exact:
+        if total != 1:
+            raise ValueError(f"weights sum to {total}, not 1")
+    elif not abs(float(total) - 1.0) <= 1e-12:  # NaN fails this test too
+        raise ValueError(f"weights sum to {float(total)}, not 1")
+
+
+def _measure(outcomes: list, weights: list, exact: bool) -> DiscreteMeasure:
+    """A DiscreteMeasure on weights already checked: as many as the
+    outcomes, none negative, summing to 1, exact iff all are ints and
+    Fractions."""
+    out = object.__new__(DiscreteMeasure)
+    out.outcomes, out.weights, out.exact = outcomes, weights, exact
+    return out
 
 
 def _one_like(weights) -> Fraction | float:
@@ -273,10 +290,14 @@ def _child_subsampling_joint(n: int, s, parents: list) -> DiscreteMeasure:
     1 + C(n,2) factors, so a key's weight is the one Fraction
     (sum_c num_c * prod num^count) / den^(1 + C(n,2)); float inputs keep
     their float products.
-    The cyclic garbage collector is paused while the atoms are made and
-    checked: they are acyclic tuples, and the collector would otherwise
-    walk them again and again as they are made.  Its previous state is
-    restored on the way out, also when the check raises.
+    The weights are checked on the 4^C(n,2) pairs (A, B), not on the
+    n! times as many atoms that repeat them: _checked_total rejects a
+    negative pair weight, and n! times the pairs' total must be 1 (within
+    1e-12 for floats), as DiscreteMeasure requires of every measure.
+    The cyclic garbage collector is paused while the weights are checked
+    and the atoms made: they are acyclic tuples, and the collector would
+    otherwise walk them again and again as they are made.  Its previous
+    state is restored on the way out, also when the check raises.
     """
     n_pairs = n * (n - 1) // 2
     check_budget("measures._child_subsampling_joint", "matching-joint atoms",
@@ -317,12 +338,14 @@ def _child_subsampling_joint(n: int, s, parents: list) -> DiscreteMeasure:
                     w = w + term
                 w = cache[key] = w if scale is None else Fraction(w, scale)
             weights.append(w)
+        total, exact = _checked_total(weights)
+        _require_unit_total(total * len(perms), exact)
         a_sets = [es for es in sets for _b in sets]
         outs = []
         for pi in perms:
             image = [frozenset(_norm_edge(pi[u], pi[v]) for u, v in es) for es in sets]
             outs.extend(zip(itertools.repeat(pi), a_sets, image * len(sets)))
-        return DiscreteMeasure(outs, weights * len(perms))
+        return _measure(outs, weights * len(perms), exact)
     finally:
         if enabled:
             gc.enable()

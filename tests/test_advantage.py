@@ -703,6 +703,30 @@ def test_gram_schmidt_and_product_basis_agree_class_by_class(monkeypatch):
     assert counts[:3] == [3, 6, 10]  # n=3: one class of S1 and one of S2 per pair of sizes
 
 
+def test_float_pair_laws_are_exactly_symmetric_and_share_the_exact_orbits(monkeypatch):
+    """Each image's float weight is one correctly rounded sum, so a pair law
+    and its relabelings agree bit for bit and Gram-Schmidt finds the exact
+    laws' orbits: 8 at n=4, D=2, and 17 under pi(1) = 1."""
+    handed = handed_orbits(monkeypatch)
+    _, joint, pair, null = corr_er_setup(n=4, q=0.25, rho=0.35, D=2)
+    conditioned = adv.condition_on_match(joint, 0, 0)
+
+    def relabel(edges, u, v):
+        swap = {u: v, v: u}
+        return frozenset(gc._norm_edge(swap.get(a, a), swap.get(b, b)) for a, b in edges)
+
+    for law, vertices in ((pair, range(4)), (conditioned, range(1, 4))):  # pi(1) = 1 fixes vertex 0
+        weight = dict(law)
+        assert not law.exact and len(weight) == 4096
+        for u, v in itertools.combinations(vertices, 2):
+            for (a, b), w in weight.items():
+                assert weight[relabel(a, u, v), b].hex() == w.hex()
+                assert weight[a, relabel(b, u, v)].hex() == w.hex()
+    for p, want, orbits in ((pair, F(449, 400), 8), (conditioned, F(249, 200), 17)):
+        assert abs(adv.advantage_gram_schmidt(p, null, D=2).value_squared - want) <= 1e-12
+        assert len(handed[-1]) == orbits
+
+
 def test_orbits_come_from_the_transpositions_that_fix_the_laws(monkeypatch):
     handed = handed_orbits(monkeypatch)
     _, _, pair, null = corr_er_setup()

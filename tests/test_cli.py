@@ -645,7 +645,7 @@ def test_adv_exact_gram_schmidt_stays_exact_past_the_size_cutoff(capsys):
 
 def test_adv_gram_schmidt_is_exact_iff_its_inputs_are_rational(capsys):
     # 4,096 atoms and 79 monomials: the n=4 conditioned law on the superset-sum
-    # table, in 17 orbits when exact (the float law is not exactly symmetric)
+    # table, in 17 orbits, exact or float
     argv = ["adv", "--model", "corr-er", "--n", "4", "--D", "2", "--method", "gram-schmidt",
             "--condition", "pi(1)=1"]
     code, out, _ = run_cli([*argv, "--q", "1/4", "--rho", "7/20"], capsys)

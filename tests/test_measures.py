@@ -126,6 +126,43 @@ def test_matching_joint_restores_the_garbage_collector_state(monkeypatch):
     assert seen == [False] * 4  # the atoms are checked with the collector paused
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_matching_joints_check_their_pair_weights_as_the_public_constructor_would(monkeypatch, exact):
+    """Every matching joint is the measure DiscreteMeasure makes of its atoms,
+    though its weights are checked once, on the 4^C(n,2) pairs (A, B)."""
+    num = (lambda a, b: F(a, b)) if exact else (lambda a, b: a / b)
+    parent = ms.er_graph_measure(3, num(1, 3))
+    builds = {
+        "corr-er": lambda: ms.correlated_er_joint_measure(3, num(2, 5), num(2, 3)),
+        "corr-sbm": lambda: ms.correlated_sbm_joint_measure(3, 2, num(1, 1), num(3, 10), num(1, 2)),
+        "children": lambda: ms.children_joint(3, num(1, 2), parent),
+    }
+    checked_total = ms._checked_total
+    for name, build in builds.items():
+        seen = []
+        monkeypatch.setattr(ms, "_checked_total", lambda w: seen.append(len(w)) or checked_total(w))
+        joint = build()
+        monkeypatch.setattr(ms, "_checked_total", checked_total)
+        assert seen == [4 ** 3], name
+        public = ms.DiscreteMeasure(joint.outcomes, joint.weights)
+        assert public.outcomes == joint.outcomes, name
+        assert all(a is b for a, b in zip(public.weights, joint.weights)), name
+        assert len(public.weights) == len(joint.weights) == 6 * 4 ** 3, name
+        assert public.exact is joint.exact is exact, name
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_matching_joint_rejects_a_bad_total_or_a_negative_pair_weight(exact):
+    num = (lambda a, b: F(a, b)) if exact else (lambda a, b: a / b)
+    full = 7  # every edge of K_3
+    over = [(num(1, 2), [(full, num(1, 3))]), (num(501, 1000), [(1, num(1, 2)), (full & ~1, num(1, 4))])]
+    message = "1001/1000" if exact else r"1\.00(1|09999)\d*"
+    with pytest.raises(ValueError, match=f"^weights sum to {message}, not 1$"):
+        ms._child_subsampling_joint(3, num(1, 2), over)
+    with pytest.raises(ValueError, match="^negative weight$"):
+        ms._child_subsampling_joint(3, num(3, 2), [(num(1, 1), [(full, num(1, 2))])])
+
+
 def _subsets(items):
     items = sorted(items)
     return [frozenset(c) for r in range(len(items) + 1) for c in itertools.combinations(items, r)]
@@ -509,8 +546,14 @@ def _per_atom_condition(m, predicate):
 
 
 def _per_atom_map(m, fn):
-    """Oracle: the pushforward with one weight addition per atom."""
-    acc: dict = {}
+    """Oracle: the pushforward with one weight addition per atom; a float
+    law's weights are gathered per image and summed once by math.fsum."""
+    if not m.exact:
+        acc: dict = {}
+        for x, w in m:
+            acc.setdefault(fn(x), []).append(w)
+        return list(acc), list(map(math.fsum, acc.values()))
+    acc = {}
     for x, w in m:
         acc[fn(x)] = acc.get(fn(x), 0) + w
     return list(acc), list(acc.values())
@@ -531,7 +574,7 @@ def test_condition_and_map_match_per_atom_oracles(n, p, s):
     _same_law(cond, *_per_atom_condition(joint, match))
     _same_law(cond.map(pair), *_per_atom_map(cond, pair))
     _same_law(joint.map(pair), *_per_atom_map(joint, pair))
-    if not joint.exact:  # float laws are bit-identical, addition order included
+    if not joint.exact:  # float laws are bit-identical, one fsum per image
         assert [w.hex() for w in joint.map(pair).weights] == \
             [w.hex() for w in _per_atom_map(joint, pair)[1]]
         return
