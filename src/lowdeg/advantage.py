@@ -6,11 +6,11 @@ orthogonalization over an explicit feature map (exact when both measures
 are, float otherwise), and a generalized Rayleigh-quotient route through the
 feature Gram matrix.  On graph and graph-pair atoms every route reads one
 moment table per law (moment_table: M(T), the chance that every edge of the
-mask T is present) and works on the orbits of the edge monomials under the
-vertex transpositions of either graph that fix the tables it reads
-(symmetry_orbits, mask_orbits): the product basis takes one centered moment
-per orbit, and Gram-Schmidt and Rayleigh orthogonalize the orbit sums
-(orbit_gram).  On top of these sit the conditional advantage for
+mask T is present, held only on the masks below some atom) and works on the
+orbits of the edge monomials under the vertex transpositions of either
+graph that fix the tables it reads (symmetry_orbits, mask_orbits): the
+product basis takes one centered moment per orbit, and Gram-Schmidt and
+Rayleigh orthogonalize the orbit sums (orbit_gram).  On top of these sit the conditional advantage for
 matching-joint measures and the hidden-informative-sample advantage, which
 dilutes a base testing problem across M independent coordinates: its
 squared advantage is exactly 1 + (Adv^2(base) - 1)/M at every D >= 1.  It
@@ -178,15 +178,14 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list | None, D:
     top degree).  P's weights are carried onto the null atoms, so an
     alternative that charges an atom outside the null support is rejected.
 
-    Every entry is an exact sum of integers over a common denominator; float
-    mode rounds each finished entry once.  With no features given, graph
-    atoms get the orbit sums of default_features(q, D), which span the same
-    optimum (_monomial_gram), if the 2^N entries of a moment table fit
-    ENUMERATION_BUDGET; past it each monomial is evaluated once per null
-    atom.  Either way they are keyed by class (_class_keys) on the vertex
-    count of Q's edges, the product basis's n whenever Q charges an edge at
-    every vertex.  Other features are evaluated once per null atom and
-    keyed by position."""
+    Every entry is an exact sum of integers over a common denominator;
+    float mode rounds each finished entry once.  With no features given,
+    graph atoms get the orbit sums of default_features(q, D), which span
+    the same optimum, read off the down-closure moment tables
+    (_monomial_gram) and keyed by class (_class_keys) on the vertex count
+    of Q's edges, the product basis's n whenever Q charges an edge at
+    every vertex.  Other features, and abstract atoms, are evaluated once
+    per null atom and keyed by position."""
     if features is None and D is None:
         raise ValueError("need features or D")
     at = {x: a for a, x in enumerate(q.outcomes)}
@@ -198,10 +197,10 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list | None, D:
                 raise ValueError("alternative charges atoms outside the null support")
             pw[a] += w
     coords = _edge_coordinates(q) if features is None else None
-    if coords is not None and 1 << len(coords[0]) <= ENUMERATION_BUDGET:
-        gram, means, masks = _monomial_gram(q, pw, *coords, D)
+    if coords is not None:
+        gram, means, keys = _monomial_gram(q, pw, *coords, D)
     else:
-        features = default_features(q, D) if features is None else features
+        keys, features = None, default_features(q, D) if features is None else features
         values = [[fn(x) for x in q.outcomes] for _, fn in features]
         nums, s = integer_weights([v for row in values for v in row])
         f = [nums[i:i + len(q)] for i in range(0, len(nums), len(q))]
@@ -212,22 +211,20 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list | None, D:
             for j in range(i + 1):
                 gram[i][j] = gram[j][i] = Fraction(sum(map(operator.mul, fw, f[j])), den_q * s * s)
         means = [Fraction(sum(map(operator.mul, row, wp)), den_p * s) for row in f]
-        masks = small_masks(len(coords[0]), D) if coords else None
-    keys = None
-    if coords:  # classes on the vertex count of Q's edges
-        keys = _class_keys(1 + max((v for _, e in coords[0] for v in e), default=0), *coords, masks)
     if not exact:
         gram, means = [list(map(float, row)) for row in gram], list(map(float, means))
     return gram, means, keys, D if D is not None else max(d for d, _ in features)
 
 
 def _monomial_gram(q: DiscreteMeasure, pw: list, coords: list, pair: bool, D: int):
-    """(gram, means, representatives) of the orbit sums of
-    default_features(q, D) by orbit_gram, on the symmetry_orbits that fix
-    Q's table up to 2D bits and P's up to D."""
+    """(gram, means, keys) of the orbit sums of default_features(q, D) by
+    orbit_gram, on the symmetry_orbits that fix Q's table up to 2D bits and
+    P's up to D, each keyed by the class of its representative on the
+    vertex count of Q's edges."""
     table_q, table_p = (moment_table(q.outcomes, w, coords, pair) for w in (q.weights, pw))
     orbits = symmetry_orbits(coords, [(table_q[0], 2 * D), (table_p[0], D)], D)
-    return (*orbit_gram(table_q, table_p, orbits), list(orbits))
+    n = 1 + max((v for _, e in coords for v in e), default=0)
+    return (*orbit_gram(table_q, table_p, orbits), _class_keys(n, coords, pair, orbits))
 
 
 def orbit_gram(table_q: tuple, table_p: tuple, orbits: dict) -> tuple[list, list]:
@@ -248,23 +245,30 @@ def orbit_gram(table_q: tuple, table_p: tuple, orbits: dict) -> tuple[list, list
 # -- moment tables and their symmetry orbits ----------------------------------------
 
 
-def moment_table(outcomes: list, weights: list, coords: list, pair: bool) -> tuple[list[int], int]:
+class _Table(dict):
+    """A sparse moment table's numerators: a mask it does not hold reads 0."""
+    def __missing__(self, mask: int) -> int:
+        return 0
+
+
+def moment_table(outcomes: list, weights: list, coords: list, pair: bool) -> tuple[dict[int, int], int]:
     """(M, den): M[T] / den is the weight of the graph or graph-pair atoms
     that have every coordinate (side, edge) of the mask T over coords, in
-    integers over the weights' common denominator (floats taken exactly),
-    by Yates' zeta transform.  Its 2^len(coords) entries are held to
+    integers over the weights' common denominator (floats taken exactly).
+    M holds only the masks below some atom's mask, by Yates' zeta transform
+    over the masks present, and reads 0 at any other; its size bound
+    min(2^len(coords), sum over atoms of 2^|atom|) is held to
     ENUMERATION_BUDGET."""
-    bits = len(coords)
-    check_budget("advantage.moment_table", "moment-table entries", 1 << bits, ENUMERATION_BUDGET)
     bit = {c: 1 << t for t, c in enumerate(coords)}
     nums, den = integer_weights(weights)
-    table = [0] * (1 << bits)
+    table = _Table()
     for x, w in zip(outcomes, nums):
         table[sum(bit[side, e] for side, g in enumerate(x if pair else (x,)) for e in g)] += w
-    for b in (1 << t for t in range(bits)):
-        for m in range(1 << bits):
-            if m & b:
-                table[m ^ b] += table[m]
+    check_budget("advantage.moment_table", "moment-table entries",
+                 min(1 << len(coords), sum(1 << m.bit_count() for m in table)), ENUMERATION_BUDGET)
+    for b in (1 << t for t in range(len(coords))):
+        for m in [m for m in table if m & b]:
+            table[m ^ b] += table[m]
     return table, den
 
 

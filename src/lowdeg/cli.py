@@ -103,13 +103,19 @@ def _json_object(path: str, option: str, required=(), allowed=None) -> dict:
     return raw
 
 
-def _json_number(value, where: str):
-    """A JSON number, or a string read exactly as a rational; else a ValueError naming where."""
+def _json_number(value, where: str, integer: bool = False):
+    """A JSON number, or a string read exactly as a rational; else a ValueError
+    naming where.  With integer, an int: a fractional part (nan for inf and
+    nan) is a ValueError too."""
     if isinstance(value, str):
-        return _parse_number(value, exact=True)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{where} {json.dumps(value)} is not a number or a rational string")
+        number = _parse_number(value, exact=True)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = value
+    else:
+        raise ValueError(f"{where} {json.dumps(value)} is not a number or a rational string")
+    if integer and number % 1:
+        raise ValueError(f"{where} {json.dumps(value)} is not an integer")
+    return int(number) if integer else number
 
 
 def _params_from_args(args, exact: bool) -> ModelParams:
@@ -306,7 +312,7 @@ def cmd_bounds_audit(args) -> int:
     if args.params:
         raw = _json_object(args.params, "--params", required=("n",),
                            allowed=[f.name for f in dataclasses.fields(ModelParams)])
-        raw = {k: _json_number(v, f"--params {k}") for k, v in raw.items()}
+        raw = {k: _json_number(v, f"--params {k}", k in ("n", "k", "D", "N")) for k, v in raw.items()}
         params = ModelParams(**raw)
     slack = bd.DESK_SLACK if args.slack is None else args.slack
     if not (math.isfinite(slack) and slack > 0):

@@ -77,7 +77,11 @@ class DiscreteMeasure:
         return sum(w for x, w in self if predicate(x))
 
     def condition(self, predicate: Callable) -> "DiscreteMeasure":
-        keep = [predicate(x) and w != 0 for x, w in self]
+        """Condition on predicate, dropping 0 weights: one test per kept weight object."""
+        keep = list(map(predicate, self.outcomes))
+        kept = list(itertools.compress(self.weights, keep))
+        zero = {key for key, w in dict(zip(map(id, kept), kept)).items() if w == 0}
+        keep = [k and id(w) not in zero for k, w in zip(keep, self.weights)] if zero else keep
         if not any(keep):
             raise ValueError("conditioning event has zero mass")
         outs, ws = (itertools.compress(v, keep) for v in (self.outcomes, self.weights))

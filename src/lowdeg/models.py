@@ -20,7 +20,7 @@ import numpy as np
 from . import graph_core as gc
 from . import measures as ms
 from .graph_core import LabeledGraph
-from .params import ModelParams, _check_prob  # noqa: F401  (re-exported)
+from .params import ModelParams  # noqa: F401  (re-exported)
 
 # Reciprocal growth rate of unlabeled trees, for the N-selection inequalities.
 TREE_GROWTH_ALPHA = 0.3383219
@@ -506,14 +506,15 @@ def edge_statistics_sbm(params: ModelParams, trials: int, rng_seed: int) -> dict
         inter_e += len(g) - same_e
         inter_n += total_pairs - same_n
         degree_total += 2 * len(g)
+    p_in, p_out = ms.sbm_block_probs(params.n, params.k, params.lam, params.eps)
     return {
         "trials": trials,
         "intra_rate": intra_e / intra_n,
         "inter_rate": inter_e / inter_n,
         "intra_count": intra_n,
         "inter_count": inter_n,
-        "expected_intra": float(params.sbm_p_intra),
-        "expected_inter": float(params.sbm_p_inter),
+        "expected_intra": float(p_in),
+        "expected_inter": float(p_out),
         "mean_degree": degree_total / (trials * params.n),
         "expected_mean_degree_limit": float(params.lam),
     }

@@ -12,14 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-
-def _check_prob(name: str, value):
-    # degenerate-but-meaningful endpoints are allowed: s = 1 is "no
-    # subsampling", and with it rho = 1; only zero-mass models are rejected
-    if value is None:
-        return
-    if not (0 < value <= 1):
-        raise ValueError(f"{name}={value} outside the valid probability range")
+from .measures import sbm_block_probs
 
 
 @dataclass(frozen=True)
@@ -62,8 +55,9 @@ class ModelParams:
             s = self.q + self.rho * (1 - self.q)
             object.__setattr__(self, "s", s)
             object.__setattr__(self, "p", self.q / s if s != 0 else None)
-        for name in ("p", "q", "s"):
-            _check_prob(name, getattr(self, name))
+        for name, value in (("p", self.p), ("q", self.q), ("s", self.s)):  # s = 1: no subsampling
+            if value is not None and not (0 < value <= 1):
+                raise ValueError(f"{name}={value} outside the valid probability range")
         if self.rho is not None and not (0 <= self.rho <= 1):
             raise ValueError(f"rho={self.rho} outside [0, 1]")
         if self.lam is not None and self.lam <= 0:
@@ -78,17 +72,7 @@ class ModelParams:
         if self.D is not None and self.D < 1:
             raise ValueError("D must be at least 1")
         if self.lam is not None and self.k is not None and self.eps is not None:
-            for name, pr in (("intra", self.sbm_p_intra), ("inter", self.sbm_p_inter)):
-                if not (0 <= pr <= 1):
-                    raise ValueError(f"SBM {name} edge probability {pr} outside [0,1]")
-
-    @property
-    def sbm_p_intra(self):
-        return (1 + (self.k - 1) * self.eps) * self.lam / self.n
-
-    @property
-    def sbm_p_inter(self):
-        return (1 - self.eps) * self.lam / self.n
+            sbm_block_probs(self.n, self.k, self.lam, self.eps)
 
     @property
     def lam_tilde(self):

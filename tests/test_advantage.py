@@ -628,10 +628,42 @@ def test_custom_features_and_abstract_atoms_skip_the_table(monkeypatch):
     assert calls == [2] and linear.value_squared == linear_want
     adv.advantage_gram_schmidt(pair, null, D=2, exact=False)  # float mode reads the table too
     monkeypatch.setattr(adv, "ENUMERATION_BUDGET", (1 << 6) - 1)  # below the 2^6 masks of n=3 pairs
-    assert adv.advantage_gram_schmidt(pair, null, D=2, exact=True) == default
+    with pytest.raises(gc.EnumerationBudgetError, match="moment-table entries: requested 64, budget 63"):
+        adv.advantage_gram_schmidt(pair, null, D=2, exact=True)
     base = ms.DiscreteMeasure(["a", "b"], [F(1, 2), F(1, 2)])
     adv.advantage_gram_schmidt(base, base, D=1, exact=True)
-    assert calls == [2, 2]
+    assert calls == [2, 2, 2]  # the refused call reached the table; the abstract atoms did not
+
+
+@pytest.mark.parametrize("n", [7, 8, 10])
+def test_product_basis_takes_a_one_atom_law_on_any_n(n):
+    """A path's single atom against edge-q: m of the N edges carry centered
+    moment 1 - q and the rest -q, so a + b of them carry
+    ((1-q)/q)^a (q/(1-q))^b.  The table holds the path's 2^m subsets."""
+    q, m, N = F(1, 4), n - 1, math.comb(n, 2)
+    path = ms.DiscreteMeasure([gc.path_graph(n, m).edges], [F(1)])
+    for D in (1, 2):
+        want = sum(math.comb(m, a) * math.comb(N - m, b) * ((1 - q) / q) ** a * (q / (1 - q)) ** b
+                   for a in range(D + 1) for b in range(D + 1 - a))
+        assert adv.advantage_product_basis(path, md.ModelParams(n=n, q=q), D, "single").value_squared == want
+    assert want == {7: F(782, 3), 8: F(1165, 3), 10: 758}[n]
+
+
+def test_gram_schmidt_reads_the_table_past_two_to_the_coordinates(monkeypatch):
+    """Four disjoint K4s and the empty graph: 24 charged coordinates, so 2^24
+    masks, but a down-closure of 4 * 63 + 1.  Default features take the
+    orbit route and agree with the same features given explicitly."""
+    k4s = [frozenset(itertools.combinations(range(4 * i, 4 * i + 4), 2)) for i in range(4)]
+    q = ms.DiscreteMeasure(k4s + [frozenset()], [F(1, 5)] * 5)
+    p = ms.DiscreteMeasure(k4s + [frozenset()], [F(1, 8), F(1, 8), F(1, 4), F(1, 4), F(1, 4)])
+    assert len(adv._edge_coordinates(q)[0]) == 24
+    calls = []
+    table = adv._monomial_gram
+    monkeypatch.setattr(adv, "_monomial_gram", lambda *args: calls.append(args[-1]) or table(*args))
+    for D in (1, 2):
+        want = adv.advantage_gram_schmidt(p, q, adv.default_features(q, D)).value_squared
+        assert adv.advantage_gram_schmidt(p, q, D=D).value_squared == want
+    assert calls == [1, 2]
 
 
 def test_float_gram_on_the_table_is_the_exact_sum_rounded_once(monkeypatch):

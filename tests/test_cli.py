@@ -553,6 +553,30 @@ def test_bounds_audit_param_not_a_number_is_a_structured_error(tmp_path, capsys)
                                "schema_version": 1}
 
 
+def test_bounds_audit_params_read_a_vertex_count_string_as_an_integer(tmp_path, capsys):
+    """n, k, D and N are integers: "6" and "12/2" audit what 6 does."""
+    outs = []
+    for n in (6, "6", 6.0, "12/2"):
+        code, out, err = run_cli(["bounds-audit", "--suite", "A1", "--params",
+                                  _raw_params_file(tmp_path, {"n": n})], capsys)
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs == [outs[0]] * 4
+
+
+@pytest.mark.parametrize("suite,bad,shown", [
+    ("B3", {"n": 6.5, "D": 2}, "n 6.5"),
+    ("B1", {"n": 3, "D": 2.5}, "D 2.5"),
+    ("A4", {"n": 6, "D": 2, "N": 3, "k": "5/2", "lam": 1}, 'k "5/2"'),
+])
+def test_bounds_audit_params_with_a_fractional_count_is_a_structured_error(suite, bad, shown, tmp_path, capsys):
+    payload = {"q": "1/4", "rho": "1/3", "delta": "1/100", **bad}
+    code, out, err = run_cli(["bounds-audit", "--suite", suite, "--params",
+                              _raw_params_file(tmp_path, payload)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"--params {shown} is not an integer", "schema_version": 1}
+
+
 def test_reduce_nan_threshold_is_a_structured_error(capsys):
     """A NaN threshold accepts and rejects nothing; it is refused, not reported as powerless."""
     code, out, err = run_cli(["reduce", "--n", "4", "--q", "1/4", "--rho", "1/3", "--trials", "2",

@@ -207,6 +207,8 @@ _SBM = md.ModelParams(n=30, lam=F(1), k=2, eps=F(1, 10), D=2, delta=F(1, 100), N
 # is a negative piece, none bad on its own
 _NEAR = md.ModelParams(n=10, q=math.exp(-23.1), D=1)
 _STAR16 = gc.graph(20, [(0, i) for i in range(1, 17)])
+# one atom holding 23 of K_8's 28 edges: a down-closure of 2^23 masks
+_K8_23 = ms.DiscreteMeasure([frozenset(list(ms.edge_bits(8))[:23])], [F(1)])
 
 # (module.NAME values patched in, call, where, requested, budget, what): one
 # case per guard, each past its limit
@@ -230,9 +232,8 @@ BUDGET_GUARDS = {
     "matching-joint": ({}, lambda: ms.correlated_er_joint_measure(5, F(1, 2), F(1, 2)),
                        "measures._child_subsampling_joint", math.factorial(5) * 4 ** 10, 1 << 22,
                        "matching-joint atoms"),
-    "moment-table": ({}, lambda: adv.advantage_product_basis(ms.DiscreteMeasure([frozenset()], [F(1)]),
-                                                             md.ModelParams(n=8, q=F(1, 2)), 1, "single"),
-                     "advantage.moment_table", 1 << 28, 1 << 22, "moment-table entries"),
+    "moment-table": ({}, lambda: adv.advantage_product_basis(_K8_23, md.ModelParams(n=8, q=F(1, 2)), 1, "single"),
+                     "advantage.moment_table", 1 << 23, 1 << 22, "moment-table entries"),
     "planted-float": ({}, lambda: bs.evaluate_basis(bs.planted_index((0,) * 25, gc.empty_graph(25)),
                                                     ((0,) * 25, frozenset()),
                                                     md.ModelParams(n=25, lam=1.0, k=2, eps=0.1)),

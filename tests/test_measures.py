@@ -584,6 +584,18 @@ def test_condition_and_map_match_per_atom_oracles(n, p, s):
     assert len(shared) == len(set(before)) == len(set(map(id, cond.weights))) < len(cond)
 
 
+def test_condition_compares_each_kept_weight_object_with_zero_once(monkeypatch):
+    """Conditioning the n=4 joint on pi(1)=1 keeps 24,576 atoms, which share
+    a few dozen weight objects: each is compared with 0 once, not each atom."""
+    joint = ms.correlated_er_joint_measure(4, F(5, 14), F(7, 10))
+    ids = set(map(id, joint.weights))
+    zero_tests = []
+    eq = F.__eq__
+    monkeypatch.setattr(F, "__eq__", lambda a, b: (id(a) in ids and zero_tests.append(a)) or eq(a, b))
+    cond = joint.condition(lambda x: x[0][0] == 0)
+    assert len(cond) == 24576 and 0 < len(zero_tests) <= len(ids) < 50
+
+
 def test_weight_types_survive_measure_surgery():
     ints = ms.DiscreteMeasure(["a", "b", "c"], [0, 1, 0])
     image = ints.map(lambda x: x == "b")
