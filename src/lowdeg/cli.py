@@ -119,15 +119,11 @@ def _json_number(value, where: str, integer: bool = False):
 
 
 def _params_from_args(args, exact: bool) -> ModelParams:
-    kw = dict(n=args.n)
+    kw = dict(n=args.n, k=args.k, D=args.D, N=args.N)  # argparse reads the counts as ints
     for name in ("p", "q", "s", "rho", "eps", "delta", "lam"):
         val = getattr(args, name, None)
         if val is not None:
             kw[name] = _parse_number(val, exact)
-    for name in ("k", "D", "N"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kw[name] = int(val)
     return ModelParams(**kw)
 
 

@@ -110,6 +110,13 @@ def graph(n: int, edges: Iterable[tuple[int, int]] = (), vertices: Iterable[int]
     return LabeledGraph(n, es, vs)
 
 
+def _labeled(n: int, edges: frozenset[tuple[int, int]], vertices: frozenset[int]) -> LabeledGraph:
+    """A LabeledGraph on checked fields: 0 <= u < v < n for each edge, both ends in vertices."""
+    out = object.__new__(LabeledGraph)
+    out.__dict__.update(n_vertices=n, edges=edges, vertices=vertices)
+    return out
+
+
 def empty_graph(n: int) -> LabeledGraph:
     return graph(n)
 

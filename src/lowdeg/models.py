@@ -79,8 +79,7 @@ class CorrelatedSample:
         if not self.left.edges <= base.edges:
             raise ValueError("left child has an edge outside the parent")
         inv = sorted(range(len(self.pi_star)), key=self.pi_star.__getitem__)  # inv[pi[i]] = i
-        if not all(((inv[u], inv[v]) if inv[u] < inv[v] else (inv[v], inv[u])) in base.edges
-                   for u, v in self.right.edges):
+        if not all(gc._norm_edge(inv[u], inv[v]) in base.edges for u, v in self.right.edges):
             raise ValueError("right child does not pull back into the parent")
 
 
@@ -109,10 +108,25 @@ def _upper_draw(rng: np.random.Generator, n: int, prob=None, labels=None, at=Non
     return np.concatenate(found)
 
 
-def _graph(n: int, idx: np.ndarray) -> LabeledGraph:
-    """The graph on [n] whose edges are the flat indices u*n + v, u < v."""
+def _graph(n: int, idx: np.ndarray, every: Optional[frozenset[int]] = None) -> LabeledGraph:
+    """The graph on [n] whose edges are the flat indices u*n + v, checked for 0 <= u < v; every,
+    if given, is a frozenset(range(n)) to share with the other graphs of a sample."""
+    if n < 1:
+        raise ValueError("ambient vertex count must be positive")
     u, v = np.divmod(idx, n)
-    return LabeledGraph(n, frozenset(zip(u.tolist(), v.tolist())), frozenset(range(n)))
+    if (idx < 0).any() or (u >= v).any():  # no temporary outlives the test
+        raise ValueError(f"edge index {idx[((idx < 0) | (u >= v)).argmax()]} out of range or unnormalized")
+    return gc._labeled(n, frozenset(zip(u.tolist(), v.tolist())), every or frozenset(range(n)))
+
+
+def _relabel(idx: np.ndarray, perm: np.ndarray, n: int) -> np.ndarray:
+    """Overwrite each flat index u*n + v in idx with that of {perm[u], perm[v]}; return idx."""
+    u, v = np.divmod(idx, n)
+    np.take(perm, u, out=u)
+    np.take(perm, v, out=v)
+    np.multiply(np.minimum(u, v, out=idx), n, out=idx)
+    idx += np.maximum(u, v, out=u)
+    return idx
 
 
 def draw_er(rng: np.random.Generator, n: int, q) -> LabeledGraph:
@@ -138,14 +152,22 @@ def _draw_children(rng: np.random.Generator, n: int, parent: np.ndarray, s: floa
     return rng.permutation(n), in_a, in_kept
 
 
-def _correlated_sample(n: int, sigma, parent: LabeledGraph, base: np.ndarray, children,
-                       pruned=None) -> CorrelatedSample:
-    """The sample whose children were drawn on the edges base of parent (or of pruned)."""
+def _correlated_sample(n: int, sigma, parent: LabeledGraph, base: np.ndarray, children, pruned=None):
+    """The sample whose children were drawn on the sorted flat indices base, checked on the arrays."""
     pi, in_a, in_kept = children
-    bu, bv = pi[np.array(np.divmod(base[in_kept], n))]
-    right = _graph(n, np.minimum(bu, bv) * n + np.maximum(bu, bv))
-    return CorrelatedSample(tuple(pi.tolist()), None if sigma is None else tuple(sigma.tolist()),
-                            parent, _graph(n, base[in_a]), right, parent_pruned=pruned)
+    inv = np.argsort(pi)  # the inverse of pi, if pi is a permutation
+    if not np.array_equal(pi[inv], np.arange(n)):
+        raise ValueError("pi_star is not a permutation")
+    left, right = base[in_a], _relabel(base[in_kept], pi, n)
+    graphs = _graph(n, left, parent.vertices), _graph(n, right, parent.vertices)
+    for child, error in ((left, "left child has an edge outside the parent"),  # right: pulled back in place
+                         (_relabel(right, inv, n), "right child does not pull back into the parent")):
+        if not np.all(np.searchsorted(base, child, "right") > np.searchsorted(base, child)):
+            raise ValueError(error)
+    out = object.__new__(CorrelatedSample)  # checked above: skip __post_init__
+    out.__dict__.update(pi_star=tuple(pi.tolist()), sigma_star=None if sigma is None else tuple(sigma.tolist()),
+                        parent=parent, left=graphs[0], right=graphs[1], parent_pruned=pruned)
+    return out
 
 
 def sample_correlated_er(params: ModelParams, rng_seed: int, *stream: int) -> CorrelatedSample:
@@ -445,14 +467,10 @@ def sample_modified_sbm(params: ModelParams, rng_seed: int) -> CorrelatedSample:
     n = params.n
     sigma, g_idx = _draw_sbm(rng, params)
     g = _graph(n, g_idx)
-    removed: set[tuple[int, int]] = set()
-    for target in _listed_removal_targets(g, params):
-        pick = int(rng.integers(len(target)))
-        removed.add(target[pick])
-    g_prime = gc.graph(n, g.edges - removed, vertices=range(n))
-    pruned = np.array(sorted(u * n + v for u, v in g_prime.edges), dtype=np.intp)
+    removed = [target[int(rng.integers(len(target)))] for target in _listed_removal_targets(g, params)]
+    pruned = np.setdiff1d(g_idx, [u * n + v for u, v in removed])
     children = _draw_children(rng, n, pruned, _keep_prob(params))
-    return _correlated_sample(n, sigma, g, pruned, children, g_prime)
+    return _correlated_sample(n, sigma, g, pruned, children, _graph(n, pruned, g.vertices))
 
 
 # -- vectorized statistics harnesses -------------------------------------------

@@ -8,6 +8,7 @@ re-exports it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -37,8 +38,16 @@ class ModelParams:
     N: Optional[int] = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        for name, low in (("n", 2), ("k", 2), ("D", 1), ("N", None)):  # Python and numpy ints pass, 6.0 does not
+            value = getattr(self, name)
+            if value is None and name != "n":
+                continue
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name}={value!r} is not an integer") from None
+            if low is not None and value < low:
+                raise ValueError(f"{name} must be at least {low}")
         for name in ("p", "q", "s", "rho", "lam", "eps"):  # keep int inputs exact under division
             if isinstance(getattr(self, name), int):
                 object.__setattr__(self, name, Fraction(getattr(self, name)))
@@ -62,15 +71,11 @@ class ModelParams:
             raise ValueError(f"rho={self.rho} outside [0, 1]")
         if self.lam is not None and self.lam <= 0:
             raise ValueError("lam must be positive")
-        if self.k is not None and self.k < 2:
-            raise ValueError("k must be at least 2")
         if self.eps is not None and not (0 <= self.eps < 1):
             raise ValueError(f"eps={self.eps} outside [0, 1)")
         delta_cap = 0.01 if isinstance(self.delta, float) else Fraction(1, 100)
         if self.delta is not None and not (0 < self.delta <= delta_cap):
             raise ValueError("delta must lie in (0, 0.01]")
-        if self.D is not None and self.D < 1:
-            raise ValueError("D must be at least 1")
         if self.lam is not None and self.k is not None and self.eps is not None:
             sbm_block_probs(self.n, self.k, self.lam, self.eps)
 

@@ -1,4 +1,5 @@
 import ast
+import collections
 import hashlib
 import importlib
 import itertools
@@ -333,6 +334,19 @@ def test_only_check_budget_builds_the_budget_error():
                   if isinstance(node, ast.FunctionDef) and node.name == "check_budget")
     assert [module for module, _ in built] == ["graph_core"]
     assert helper.lineno <= built[0][1] <= helper.end_lineno
+
+
+def test_only_the_trusted_constructors_skip_the_graph_and_sample_checks():
+    # object.__new__(X) builds an X without its __post_init__ checks
+    skipped = collections.defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"
+                        and ast.unparse(node.args[0]) in ("LabeledGraph", "CorrelatedSample")):
+                    skipped[ast.unparse(node.args[0])].append((path.stem, getattr(top, "name", None)))
+    assert skipped["LabeledGraph"] == [("graph_core", "_labeled")]
+    assert [module for module, _ in skipped["CorrelatedSample"]] == ["models"]
 
 
 def test_automorphism_counts_against_brute_force():

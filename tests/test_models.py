@@ -1,13 +1,16 @@
 import collections
+import dataclasses
 import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from lowdeg import bounds as bd
 from lowdeg import graph_core as gc
 from lowdeg import measures as ms
 from lowdeg import models as md
@@ -44,6 +47,16 @@ def test_param_validation():
     # degenerate endpoints are allowed
     pr = md.ModelParams(n=6, p=F(1, 2), s=F(1))
     assert pr.rho == 1
+    # counts are integers: numpy ints are read as Python ints, 6.5 and 6.0 are refused by name
+    counts = md.ModelParams(n=np.int64(6), k=np.int32(2), D=np.int16(2), N=np.uint8(3))
+    assert [(x, type(x)) for x in (counts.n, counts.k, counts.D, counts.N)] == [
+        (6, int), (2, int), (2, int), (3, int)]
+    for name in ("n", "k", "D", "N"):
+        for bad in (6.5, 6.0, F(6)):
+            with pytest.raises(ValueError, match=f"^{name}={re.escape(repr(bad))} is not an integer$"):
+                md.ModelParams(**{"n": 6, name: bad})
+    with pytest.raises(ValueError, match="^n=6.5 is not an integer$"):
+        bd.run_suite("B3", md.ModelParams(n=6.5, D=2, delta=F(1, 100)))
 
 
 def test_float_delta_is_compared_with_the_float_cap():
@@ -263,6 +276,41 @@ def test_correlated_sample_errors():
     md.CorrelatedSample((1, 2, 0), None, k3, empty, off)
     with pytest.raises(ValueError, match="right child does not pull back into the parent"):
         md.CorrelatedSample((1, 2, 0), None, k3, empty, off, parent_pruned=path)
+
+
+def test_public_constructors_accept_every_sampler_draw():
+    # the samplers check index arrays and skip the public checks, which are the oracle here
+    for name, n, seed, x in _digest_grid():
+        parts = x if isinstance(x, tuple) else [x]  # sample_sbm gives (sigma, graph)
+        if isinstance(x, md.CorrelatedSample):
+            parts = [getattr(x, f.name) for f in dataclasses.fields(x)]
+            assert md.CorrelatedSample(*parts) == x, (name, n, seed)
+        graphs = [y for y in parts if isinstance(y, gc.LabeledGraph)]
+        assert graphs or name.startswith("stats"), (name, n, seed)
+        for g in graphs:
+            public = gc.LabeledGraph(g.n_vertices, g.edges, g.vertices)
+            assert public == g and hash(public) == hash(g), (name, n, seed)
+
+
+def test_sampler_array_checks_refuse_bad_arrays():
+    with pytest.raises(ValueError, match="^ambient vertex count must be positive$"):
+        md._graph(0, np.array([], dtype=np.intp))
+    # flat indices on n = 4: 4 is (1, 0), unnormalized; -1 is negative; 17 is past n*n; 10 is the loop (2, 2)
+    for idx in (4, -1, 17, 10):
+        with pytest.raises(ValueError, match=f"^edge index {idx} out of range or unnormalized$"):
+            md._graph(4, np.array([1, idx]))
+    base = np.array([1, 6])  # (0, 1) and (1, 2)
+    both = np.array([True, True])
+    for pi in ((0, 0, 1, 2), (1, 0, 2), (0, 1, 2, 4)):
+        with pytest.raises(ValueError, match="^pi_star is not a permutation$"):
+            md._correlated_sample(4, None, md._graph(4, base), base, (np.array(pi), both, both))
+    # base holds 4, the unnormalized (1, 0): the right child pulls back to (0, 1), index 1, not in base
+    with pytest.raises(ValueError, match="^right child does not pull back into the parent$"):
+        md._correlated_sample(4, None, md._graph(4, base), np.array([4]),
+                              (np.array([2, 3, 0, 1]), np.array([False]), np.array([True])))
+    got = md._correlated_sample(4, None, md._graph(4, base), base, (np.array([2, 3, 0, 1]), both, both))
+    assert got == md.CorrelatedSample((2, 3, 0, 1), None, md._graph(4, base), md._graph(4, base),
+                                      gc.graph(4, [(2, 3), (0, 3)], vertices=range(4)))
 
 
 def _chi_square(joint, draws) -> float:
