@@ -312,14 +312,13 @@ def small_masks(bits: int, max_size: int):
     return (sum(c) for size in range(max_size + 1) for c in itertools.combinations(singles, size))
 
 
-def mask_orbits(gens: list[list], bits: int, max_size: int) -> dict[int, frozenset[int]]:
-    """Representative -> orbit for the small_masks(bits, max_size) under the
-    group the byte_tables permutations gens generate: representatives in
-    small_masks order (the empty set's orbit {0} first), each orbit the
-    closure of its representative."""
+def mask_orbits(gens: list[list], masks) -> dict[int, frozenset[int]]:
+    """Representative -> orbit for masks, a family closed under the group the
+    byte_tables permutations gens generate: representatives in the order of
+    masks, each the first of its orbit there, each orbit its closure."""
     orbits: dict[int, frozenset[int]] = {}
     placed: set[int] = set()
-    for mask in small_masks(bits, max_size):
+    for mask in masks:
         if mask in placed:
             continue
         orbit, frontier = {mask}, [mask]
@@ -354,7 +353,7 @@ def symmetry_orbits(coords: list, reads: list[tuple[list, int]], D: int) -> dict
         tables = byte_tables(image)
         if all(table[m] == table[apply_bytes(tables, m)] for table, masks in read for m in masks):
             gens.append(tables)
-    return mask_orbits(gens, len(coords), D)
+    return mask_orbits(gens, small_masks(len(coords), D))
 
 
 def _ldl(gram: list[list], means: list, exact: bool):

@@ -15,7 +15,7 @@ D=4.  The orbits come from closing each edge bitmask under two generators
 of S_n, independently of the canonical labeling that keys xi.  The exact
 reversed advantage is Gram-Schmidt with the roles swapped on orbit sums
 over the same orbits, and the leafless classes of the dual vector are the
-leafless orbits of K_m's edge subsets.
+orbits of K_m's leafless edge subsets, closed under the same generators.
 
 The label averages P_of and Q_of behind the recursion and the linear
 system are counted in integers: the per-edge scale takes one value on
@@ -216,16 +216,23 @@ class XiTable:
 
 
 def _leafless_masks(edges: list, max_size: int) -> list[int]:
-    """Bitmasks over edges of the subsets of at most max_size edges, in
-    small_masks order, in which no vertex has degree one: inc[v] marks the
-    edges at v, and no inc[v] may meet the subset in exactly one bit."""
-    inc: dict[int, int] = {}
+    """Bitmasks over edges (u < v) of the subsets of at most max_size edges with no vertex of degree
+    one, in small_masks order.  They grow vertex by vertex: a vertex's picks among its edges to later
+    vertices fix its degree.  A subset's key is size * 4^w - rev * 2^w + mask (w edges, rev the bit
+    reversal of mask): a sum over its edges, sorted in small_masks order, whose low w bits are mask."""
+    w, inc, ahead = len(edges), {}, {}
     for i, (u, v) in enumerate(edges):
-        inc[u] = inc.get(u, 0) | 1 << i
-        inc[v] = inc.get(v, 0) | 1 << i
-    incs = list(inc.values())
-    return [mask for mask in small_masks(len(edges), max_size)
-            if all((mask & m).bit_count() != 1 for m in incs)]
+        inc[u], inc[v] = inc.get(u, 0) | 1 << i, inc.get(v, 0) | 1 << i
+        ahead.setdefault(u, []).append(i)
+    low, grown = (1 << w) - 1, [0]
+    for v in sorted(inc):
+        picks = [(sum((1 << 2 * w) - (1 << 2 * w - 1 - i) + (1 << i) for i in c), len(c))
+                 for size in range(min(len(ahead.get(v, ())), max_size) + 1)
+                 for c in itertools.combinations(ahead.get(v, ()), size)]
+        grown = [key + add for key in grown
+                 for deg, room in [((key & inc[v]).bit_count(), max_size - (key & low).bit_count())]
+                 for add, size in picks if size <= room and deg + size != 1]
+    return [key & low for key in sorted(grown)]
 
 
 def _row_sum(s: LabeledGraph, params: ModelParams, table: XiTable, proper: bool):
@@ -274,14 +281,18 @@ def xi(s: LabeledGraph, params: ModelParams, table: XiTable | None = None):
 
 
 def leafless_classes(max_edges: int) -> list[LabeledGraph]:
-    """One labeled representative per isomorphism class of nonempty leafless
-    graphs with at most max_edges edges (vertex count is then at most the
-    edge count): the leafless orbits of edge_orbits(max_edges, max_edges)."""
+    """One labeled representative per isomorphism class of nonempty leafless graphs with at most
+    max_edges edges (and vertices): the orbits of the leafless edge subsets of K_max_edges with at
+    most max_edges edges, a family closed under vertex permutations: edge_orbits' representatives."""
     gc.check_budget("certificate.leafless_classes", "leafless class edges", max_edges, XI_EDGE_BUDGET)
     bit = ms.edge_bits(max_edges)
-    reps = (gc.graph(max_edges, [e for e, b in bit.items() if rep & b])
-            for rep in edge_orbits(max_edges, max_edges) if rep)
-    return [g for g in reps if not gc.leaves(g)]
+    return [gc.graph(max_edges, [e for e, b in bit.items() if rep & b]) for rep in _leafless_reps(max_edges)]
+
+
+@cache
+def _leafless_reps(m: int) -> tuple[int, ...]:
+    """leafless_classes(m) as edge bitmasks over ms.edge_bits(m), built once per m: the orbits after {0}."""
+    return tuple(mask_orbits(_vertex_generators(m), _leafless_masks(list(ms.edge_bits(m)), m)))[1:]
 
 
 @dataclass
@@ -362,10 +373,14 @@ def edge_orbits(n: int, max_edges: int) -> MappingProxyType:
     max_edges edges, by mask_orbits under (0 1) and (0 1 ... n-1), with no
     canonical labeling.  Built once per (n, max_edges) and process: every
     caller shares the result, so it is a read-only mapping of frozensets."""
+    return MappingProxyType(mask_orbits(_vertex_generators(n), small_masks(math.comb(n, 2), max_edges)))
+
+
+def _vertex_generators(n: int) -> list:
+    """byte_tables of (0 1) and (0 1 ... n-1), generators of S_n, on the edge bitmasks of ms.edge_bits(n)."""
     bit = ms.edge_bits(n)
-    gens = [byte_tables([bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in bit])
+    return [byte_tables([bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in bit])
             for p in ([1, 0, *range(2, n)], [*range(1, n), 0])]
-    return MappingProxyType(mask_orbits(gens, len(bit), max_edges))
 
 
 def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL):
@@ -472,8 +487,7 @@ def xi_cycle_union_bound(s: LabeledGraph, params: ModelParams, value=None) -> tu
         raise ValueError("graph is not a disjoint union of cycles")
     if value is None:
         value = xi(s, params, XiTable(params))
-    m = len(comps)
-    e = len(s.edges)
+    m, e = len(comps), len(s.edges)
     bound = params.k ** m * (1 - float(params.delta) / 2) ** (e / 2) * params.n ** (-e / 2)
     return abs(float(value)), bound
 

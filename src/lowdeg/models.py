@@ -133,6 +133,8 @@ def draw_er(rng: np.random.Generator, n: int, q) -> LabeledGraph:
     """One G(n, q) graph drawn from rng."""
     if q is None:
         raise ValueError("the ER model needs q")
+    if n < 1:  # before _upper_draw, which divides by n
+        raise ValueError("ambient vertex count must be positive")
     return _graph(n, _upper_draw(rng, n, float(q)))
 
 

@@ -9,6 +9,7 @@ from lowdeg import certificate as ct
 from lowdeg import graph_core as gc
 from lowdeg import measures as ms
 from lowdeg import models as md
+from lowdeg.advantage import small_masks
 from lowdeg.exactnum import Rad
 
 from exact_oracles import solve_exact
@@ -156,16 +157,46 @@ def test_leafless_classes_match_per_subset_loop():
         assert ct.leafless_classes(m) == _leafless_classes_per_subset(m)
 
 
-def test_leafless_classes_come_from_the_edge_orbits(monkeypatch):
+def test_leafless_classes_come_from_the_leafless_masks(monkeypatch):
     want = {m: _leafless_classes_per_subset(m) for m in range(7)}
 
     def refuse(*args):
-        raise AssertionError("leafless_classes reads the edge orbits only")
+        raise AssertionError("leafless_classes closes the leafless masks only")
 
     monkeypatch.setattr(gc, "canonicalize", refuse)
-    monkeypatch.setattr(ct, "_leafless_masks", refuse)
+    monkeypatch.setattr(ct, "edge_orbits", refuse)
+    ct._leafless_reps.cache_clear()
     for m in range(7):
         assert ct.leafless_classes(m) == want[m]
+
+
+def _filtered_leafless_masks(edges, max_size):
+    """The small_masks(len(edges), max_size) in which no vertex has degree one:
+    the body _leafless_masks had before it grew the subsets vertex by vertex."""
+    inc = {}
+    for i, (u, v) in enumerate(edges):
+        inc[u] = inc.get(u, 0) | 1 << i
+        inc[v] = inc.get(v, 0) | 1 << i
+    return [mask for mask in small_masks(len(edges), max_size)
+            if all((mask & m).bit_count() != 1 for m in inc.values())]
+
+
+def test_leafless_masks_match_the_small_masks_filter():
+    # same masks in the same order: _row_sum adds its terms in this order
+    for m in range(8):
+        edges = list(ms.edge_bits(m))
+        assert ct._leafless_masks(edges, m) == _filtered_leafless_masks(edges, m), m
+    for rep in ct.leafless_classes(6):
+        edges = sorted(rep.edges)
+        for size in range(len(edges) + 1):
+            assert ct._leafless_masks(edges, size) == _filtered_leafless_masks(edges, size), (edges, size)
+
+
+def test_leafless_classes_count_every_leafless_mask_of_the_complete_graph():
+    # each class has perm(m, |V|) / |Aut| labeled copies in K_m, one per nonempty leafless mask
+    for m, want in ((3, 1), (4, 7), (5, 67), (6, 822)):
+        copies = sum(math.perm(m, len(g.vertices)) // gc.automorphism_count(g) for g in ct.leafless_classes(m))
+        assert copies == len(ct._leafless_masks(list(ms.edge_bits(m)), m)) - 1 == want, m
 
 
 def test_dual_norms():
@@ -429,7 +460,7 @@ def test_edge_orbits_are_one_shared_read_only_value():
         orbits[0] = frozenset()
     assert all(type(orbit) is frozenset for orbit in orbits.values())
     pr = md.ModelParams(n=4, lam=F(1), k=2, eps=F(1, 5), delta=F(1, 100))
-    ct.build_dual(pr, 3)  # reads edge_orbits(3, 3) through leafless_classes(3)
+    ct.build_dual(pr, 3)  # closes the leafless masks of K_3, not edge_orbits(3, 3)
     ct.verify_linear_system(pr, 3)
     ct.reversed_advantage_exact(pr, 3)
     for n, m in ((4, 3), (3, 3)):

@@ -313,6 +313,13 @@ def test_sampler_array_checks_refuse_bad_arrays():
                                       gc.graph(4, [(2, 3), (0, 3)], vertices=range(4)))
 
 
+def test_draw_er_refuses_a_nonpositive_vertex_count():
+    # checked before the row-block draw, which divides by n and sizes arrays by n
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="^ambient vertex count must be positive$"):
+            md.draw_er(md.derived_rng(1), n, 0.5)
+
+
 def _chi_square(joint, draws) -> float:
     law = dict(zip(joint.outcomes, map(float, joint.weights)))
     counts = collections.Counter(draws)
