@@ -7,11 +7,11 @@ are, float otherwise), and a generalized Rayleigh-quotient route through the
 feature Gram matrix.  On graph and graph-pair atoms every route reads one
 moment table per law (moment_table: M(T), the chance that every edge of the
 mask T is present, held only on the masks below some atom) and works on the
-orbits of the edge monomials under the vertex transpositions of either
-graph that fix the tables it reads (symmetry_orbits, mask_orbits): the
-product basis takes one centered moment per orbit, and Gram-Schmidt and
-Rayleigh orthogonalize the orbit sums (orbit_gram).  On top of these sit the conditional advantage for
-matching-joint measures and the hidden-informative-sample advantage, which
+orbits of the edge monomials under S_n or one vertex's stabilizer on each
+graph, whichever fixes the tables it reads (symmetry_orbits): the product
+basis takes one centered moment per orbit, and Gram-Schmidt and Rayleigh
+orthogonalize the orbit sums (orbit_gram).  On top of these sit the
+conditional advantage for matching-joint measures and the hidden-informative-sample advantage, which
 dilutes a base testing problem across M independent coordinates: its
 squared advantage is exactly 1 + (Adv^2(base) - 1)/M at every D >= 1.  It
 is computed from the base pair alone; the tests build the M-fold composite
@@ -65,17 +65,17 @@ def advantage_product_basis(p: DiscreteMeasure, q_params: ModelParams, D: int,
     q_params: one plus m_S^2 / (q(1-q))^|S| over the nonempty indices S, the
     centered moment m_S = E[prod_{e in S} (x_e - q)] read exactly off P's
     moment table (centered_moment; bs.evaluate_basis is the pointwise
-    oracle).  An orbit A of indices under the transpositions that fix the
-    table (symmetry_orbits) carries |A| m_S^2 / (q(1-q))^|S|, keyed by the
-    class of S, or of (S1, S2) when kind is "pair".  At q = 1 every index
+    oracle).  An orbit A of indices (symmetry_orbits) carries
+    |A| m_S^2 / (q(1-q))^|S|, keyed by the class of S, or of S1 and of S2
+    when kind is "pair".  At q = 1 every index
     has null variance 0 and is skipped, as Gram-Schmidt drops it."""
     n, pair = q_params.n, kind == "pair"
     q = bs.pair_edge_prob(q_params) if pair else bs.null_edge_prob(q_params)
     coords = [(side, e) for side in range(1 + pair) for e in edge_bits(n)]
     table = moment_table(p.outcomes, p.weights, coords, pair)
-    orbits = symmetry_orbits(coords, [(table[0], D)], D) if q * (1 - q) else {}
+    orbits, keys = symmetry_orbits(coords, [(table[0], D)], D, pair) if q * (1 - q) else ({}, [])
     keyed = [(key, len(a) * centered_moment(table, s, q) ** 2 / (q * (1 - q)) ** s.bit_count())
-             for key, (s, a) in zip(_class_keys(n, coords, pair, orbits), orbits.items()) if s]
+             for key, (s, a) in zip(keys, orbits.items()) if s]
     return _keyed_report(D, "product_basis", p.exact, keyed)
 
 
@@ -87,19 +87,6 @@ def _keyed_report(degree: int, method: str, exact: bool, keyed: list) -> Advanta
         per_index[key] = per_index.get(key, 0) + c
     total = (Fraction(1) if exact else 1.0) + sum(c for _, c in keyed)
     return AdvantageReport(degree, _to_float_sq(total), total, method, per_index)
-
-
-def _class_keys(n: int, coords: list, pair: bool, masks) -> list:
-    """The class of each monomial mask over coords: the canonical form of the
-    graph on n vertices with its edges, a pair of them on graph-pair
-    coordinates."""
-    keys = []
-    for mask in masks:
-        forms = tuple(gc.canonicalize(gc.graph(n, [e for t, (s, e) in enumerate(coords)
-                                                   if s == side and mask >> t & 1])).hex_form
-                      for side in range(1 + pair))
-        keys.append(forms if pair else forms[0])
-    return keys
 
 
 # -- generic feature maps ---------------------------------------------------------
@@ -181,10 +168,8 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list | None, D:
     Every entry is an exact sum of integers over a common denominator;
     float mode rounds each finished entry once.  With no features given,
     graph atoms get the orbit sums of default_features(q, D), which span
-    the same optimum, read off the down-closure moment tables
-    (_monomial_gram) and keyed by class (_class_keys) on the vertex count
-    of Q's edges, the product basis's n whenever Q charges an edge at
-    every vertex.  Other features, and abstract atoms, are evaluated once
+    the same optimum, read off the down-closure moment tables and keyed
+    by class (_monomial_gram).  Other features, and abstract atoms, are evaluated once
     per null atom and keyed by position."""
     if features is None and D is None:
         raise ValueError("need features or D")
@@ -218,13 +203,11 @@ def _null_gram(p: DiscreteMeasure, q: DiscreteMeasure, features: list | None, D:
 
 def _monomial_gram(q: DiscreteMeasure, pw: list, coords: list, pair: bool, D: int):
     """(gram, means, keys) of the orbit sums of default_features(q, D) by
-    orbit_gram, on the symmetry_orbits that fix Q's table up to 2D bits and
-    P's up to D, each keyed by the class of its representative on the
-    vertex count of Q's edges."""
+    orbit_gram, on the symmetry_orbits of Q's table up to 2D bits and P's
+    up to D."""
     table_q, table_p = (moment_table(q.outcomes, w, coords, pair) for w in (q.weights, pw))
-    orbits = symmetry_orbits(coords, [(table_q[0], 2 * D), (table_p[0], D)], D)
-    n = 1 + max((v for _, e in coords for v in e), default=0)
-    return (*orbit_gram(table_q, table_p, orbits), _class_keys(n, coords, pair, orbits))
+    orbits, keys = symmetry_orbits(coords, [(table_q[0], 2 * D), (table_p[0], D)], D, pair)
+    return (*orbit_gram(table_q, table_p, orbits), keys)
 
 
 def orbit_gram(table_q: tuple, table_p: tuple, orbits: dict) -> tuple[list, list]:
@@ -334,26 +317,47 @@ def mask_orbits(gens: list[list], masks) -> dict[int, frozenset[int]]:
     return orbits
 
 
-def symmetry_orbits(coords: list, reads: list[tuple[list, int]], D: int) -> dict[int, frozenset[int]]:
-    """mask_orbits of the monomials of at most D coordinates (side, edge)
-    under the transpositions of two vertices on one side that send coords
-    into coords and fix each (table, k) in reads on every mask of at most k
-    bits.  They fix every Gram entry and mean a route reads, so the orbit
-    sums span an optimal test; if none qualifies, each orbit is one mask."""
-    bit = {c: 1 << t for t, c in enumerate(coords)}
-    pairs = itertools.combinations(sorted({v for _, e in coords for v in e}), 2)
-    read = [(table, list(small_masks(len(coords), k))) for table, k in reads]
-    gens = []
-    for side, (u, v) in itertools.product(sorted({s for s, _ in coords}), pairs):
-        swap = {u: v, v: u}
-        image = [bit.get((s, _norm_edge(swap.get(a, a), swap.get(b, b))) if s == side else (s, (a, b)))
-                 for s, (a, b) in coords]
+def vertex_generators(edges: list, vertices) -> list | None:
+    """byte_tables of (v0 v1) and (v0 v1 ... v_last), generators of S_vertices,
+    on the bitmasks over edges; None if one sends an edge outside edges."""
+    bit, vs, gens = {e: 1 << t for t, e in enumerate(edges)}, list(vertices), []
+    for cycle in (vs[:2], vs):
+        p = dict(zip(cycle, cycle[1:] + cycle[:1]))
+        image = [bit.get(_norm_edge(p.get(u, u), p.get(v, v))) for u, v in edges]
         if None in image:
-            continue
-        tables = byte_tables(image)
-        if all(table[m] == table[apply_bytes(tables, m)] for table, masks in read for m in masks):
-            gens.append(tables)
-    return mask_orbits(gens, small_masks(len(coords), D))
+            return None
+        gens.append(byte_tables(image))
+    return gens
+
+
+def symmetry_orbits(coords: list, reads: list[tuple[dict, int]], D: int, pair: bool) -> tuple[dict, list]:
+    """(orbits, keys) of the monomials of at most D coordinates (side, edge)
+    under G_0 x G_1.  G_s is the first of S_n, Stab(0), ..., Stab(n-1) whose
+    vertex_generators, acting on side s, fix each (table, k) in reads on the
+    masks of at most k bits it holds, hence on all (else G_s is trivial), so
+    it fixes every Gram entry and mean a route reads.  An orbit is a product
+    of side orbits (mask_orbits), its key the tuple of their classes on n
+    vertices."""
+    n = 1 + max((v for _, e in coords for v in e), default=0)
+    factors, off = [], 0
+    for side in range(1 + pair):
+        edges = [e for s, e in coords if s == side]
+        low = (1 << len(edges)) - 1 << off
+        for vs in [range(n)] + [[u for u in range(n) if u != v] for v in range(n)]:
+            gens = vertex_generators(edges, vs)
+            if gens is not None and all(table[m] == table[m & ~low | apply_bytes(g, (m & low) >> off) << off]
+                                        for g in gens for table, k in reads for m in table if m.bit_count() <= k):
+                break
+        else:
+            gens = []
+        factors.append([(rep << off, frozenset(m << off for m in orbit), gc.canonicalize(
+            gc.graph(n, [e for t, e in enumerate(edges) if rep >> t & 1])).hex_form)
+            for rep, orbit in mask_orbits(gens, small_masks(len(edges), D)).items()])
+        off += len(edges)
+    prods = {sum(r for r, _, _ in f): list(zip(*f))[1:] for f in itertools.product(*factors)}
+    order = [m for m in small_masks(off, D) if m in prods]
+    return ({m: frozenset(map(sum, itertools.product(*prods[m][0]))) for m in order},
+            [prods[m][1] if pair else prods[m][1][0] for m in order])
 
 
 def _ldl(gram: list[list], means: list, exact: bool):

@@ -11,11 +11,11 @@ each kernel against its own matrix, so residuals vanish identically for
 both.  A row's residual is invariant under vertex permutations (labels
 are i.i.d. uniform and xi is keyed by class), so the system is checked
 once per S_n-orbit of rows: 18 orbits stand for the 1,941 rows at n=6,
-D=4.  The orbits come from closing each edge bitmask under two generators
-of S_n, independently of the canonical labeling that keys xi.  The exact
-reversed advantage is Gram-Schmidt with the roles swapped on orbit sums
-over the same orbits, and the leafless classes of the dual vector are the
-orbits of K_m's leafless edge subsets, closed under the same generators.
+D=4.  The orbits close the edge bitmasks under S_n's two vertex_generators,
+not the canonical labeling that keys xi.  The exact reversed advantage is
+Gram-Schmidt with the roles swapped on orbit sums over the same orbits,
+and the dual vector's leafless classes are the orbits of K_m's leafless
+edge subsets under the same generators.
 
 The label averages P_of and Q_of behind the recursion and the linear
 system are counted in integers: the per-edge scale takes one value on
@@ -44,7 +44,7 @@ from types import MappingProxyType
 from . import basis as bs
 from . import graph_core as gc
 from . import measures as ms
-from .advantage import byte_tables, gram_schmidt_report, mask_orbits, orbit_gram, small_masks
+from .advantage import gram_schmidt_report, mask_orbits, orbit_gram, small_masks, vertex_generators
 from .exactnum import Rad
 from .graph_core import LabeledGraph
 from .params import ModelParams
@@ -292,7 +292,8 @@ def leafless_classes(max_edges: int) -> list[LabeledGraph]:
 @cache
 def _leafless_reps(m: int) -> tuple[int, ...]:
     """leafless_classes(m) as edge bitmasks over ms.edge_bits(m), built once per m: the orbits after {0}."""
-    return tuple(mask_orbits(_vertex_generators(m), _leafless_masks(list(ms.edge_bits(m)), m)))[1:]
+    edges = list(ms.edge_bits(m))
+    return tuple(mask_orbits(vertex_generators(edges, range(m)), _leafless_masks(edges, m)))[1:]
 
 
 @dataclass
@@ -370,17 +371,11 @@ def row_residual(s: LabeledGraph, params: ModelParams, table: XiTable):
 @cache
 def edge_orbits(n: int, max_edges: int) -> MappingProxyType:
     """The S_n-orbits of the edge bitmasks over ms.edge_bits(n) with at most
-    max_edges edges, by mask_orbits under (0 1) and (0 1 ... n-1), with no
+    max_edges edges, by mask_orbits under vertex_generators, with no
     canonical labeling.  Built once per (n, max_edges) and process: every
     caller shares the result, so it is a read-only mapping of frozensets."""
-    return MappingProxyType(mask_orbits(_vertex_generators(n), small_masks(math.comb(n, 2), max_edges)))
-
-
-def _vertex_generators(n: int) -> list:
-    """byte_tables of (0 1) and (0 1 ... n-1), generators of S_n, on the edge bitmasks of ms.edge_bits(n)."""
-    bit = ms.edge_bits(n)
-    return [byte_tables([bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in bit])
-            for p in ([1, 0, *range(2, n)], [*range(1, n), 0])]
+    gens = vertex_generators(list(ms.edge_bits(n)), range(n))
+    return MappingProxyType(mask_orbits(gens, small_masks(math.comb(n, 2), max_edges)))
 
 
 def verify_linear_system(params: ModelParams, D: int, kernel: str = FIRST_ORDER_KERNEL):

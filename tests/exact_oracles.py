@@ -3,14 +3,18 @@
 Each one computes a quantity the library also computes, by a different
 path: a direct linear solve, Rad products and sums by the plain loops over
 terms, a per-permutation grouping of a joint's atoms, the hidden-sample
-composite laws built atom by atom, and the pair indices (S1, S2) of the
-product basis listed one by one.  None is called by lowdeg itself.
+composite laws built atom by atom, the pair indices (S1, S2) of the
+product basis listed one by one, and the symmetry orbits of the edge
+monomials found by searching every vertex transposition.  None is called
+by lowdeg itself.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from lowdeg import basis as bs
+from lowdeg import graph_core as gc
 from lowdeg.exactnum import Rad
 from lowdeg.measures import DiscreteMeasure
 
@@ -116,3 +120,55 @@ def hidden_likelihood_ratio(problem, outcome: tuple):
             raise ValueError(f"outcome {y!r} outside the base null support")
         total = total + table[y]
     return total / problem.M
+
+
+def transposition_orbits(coords: list, reads: list, D: int) -> dict:
+    """Representative -> orbit of the monomial masks of at most D coordinates
+    (side, edge), under the group that the vertex transpositions of one side
+    generate when they send coords into coords and fix each (table, k) in
+    reads on every mask of at most k bits.  Masks move one bit at a time;
+    each representative is its orbit's first mask by size, then in
+    combinations order."""
+    at = {c: t for t, c in enumerate(coords)}
+
+    def masks(k):
+        return [sum(1 << t for t in c) for size in range(k + 1)
+                for c in itertools.combinations(range(len(coords)), size)]
+
+    def move(image, mask):
+        return sum(1 << image[t] for t in range(len(coords)) if mask >> t & 1)
+
+    gens, reads = [], [(table, masks(k)) for table, k in reads]
+    vertices = sorted({v for _, e in coords for v in e})
+    for side, (u, v) in itertools.product(sorted({s for s, _ in coords}), itertools.combinations(vertices, 2)):
+        swap = {u: v, v: u}
+        image = [at.get((s, tuple(sorted((swap.get(a, a), swap.get(b, b))))) if s == side else (s, (a, b)))
+                 for s, (a, b) in coords]
+        if None not in image and all(table[m] == table[move(image, m)] for table, read in reads for m in read):
+            gens.append(image)
+    orbits, placed = {}, set()
+    for mask in masks(D):
+        if mask not in placed:
+            orbit, frontier = {mask}, [mask]
+            while frontier:
+                src = frontier.pop()
+                for img in (move(image, src) for image in gens):
+                    if img not in orbit:
+                        orbit.add(img)
+                        frontier.append(img)
+            orbits[mask] = frozenset(orbit)
+            placed |= orbit
+    return orbits
+
+
+def class_keys(n: int, coords: list, pair: bool, masks) -> list:
+    """The class of each monomial mask over coords: the canonical form of the
+    graph on n vertices with its edges, a pair of them on graph-pair
+    coordinates."""
+    keys = []
+    for mask in masks:
+        forms = tuple(gc.canonicalize(gc.graph(n, [e for t, (s, e) in enumerate(coords)
+                                                   if s == side and mask >> t & 1])).hex_form
+                      for side in range(1 + pair))
+        keys.append(forms if pair else forms[0])
+    return keys

@@ -775,7 +775,7 @@ def test_orbits_come_from_the_transpositions_that_fix_the_laws(monkeypatch):
         explicit = adv.advantage_gram_schmidt(asymmetric, null, features)
         assert rep.value_squared == explicit.value_squared == value_squared
         coords = adv._edge_coordinates(null)[0]
-        keys = adv._class_keys(3, coords, True, adv.small_masks(len(coords), D))
+        keys = oracle.class_keys(3, coords, True, adv.small_masks(len(coords), D))
         by_class = {}
         for i, contrib in per_index.items():
             by_class[keys[i]] = by_class.get(keys[i], 0) + contrib
@@ -801,3 +801,87 @@ def stabilizer_orbits(n, D):
                     for side, (u, v) in combo)
                 for perm in itertools.product(perms, repeat=2)))
     return orbits
+
+
+def spied_symmetry_orbits(monkeypatch):
+    """A list of (arguments, result) of each symmetry_orbits call."""
+    calls = []
+    orbits = adv.symmetry_orbits
+    monkeypatch.setattr(adv, "symmetry_orbits", lambda *args: calls.append((args, orbits(*args))) or calls[-1][1])
+    return calls
+
+
+def transposition_search(coords, reads, D, pair):
+    """The oracle's (orbits, keys) for the arguments of symmetry_orbits."""
+    orbits = oracle.transposition_orbits(coords, reads, D)
+    n = 1 + max((v for _, e in coords for v in e), default=0)
+    return orbits, oracle.class_keys(n, coords, pair, orbits)
+
+
+def test_named_groups_give_the_orbits_of_the_transposition_search(monkeypatch):
+    """On every law the advantage tests serve at n <= 4, the first of S_n,
+    Stab(0), ..., Stab(n-1) that fixes each side gives the orbits and keys,
+    in the same order, that the search over all vertex transpositions gives.
+    The one exception is the four-K4 law, fixed only by permutations within
+    its blocks: it gets one orbit per monomial."""
+    calls = spied_symmetry_orbits(monkeypatch)
+    cases = []
+    for n, q, rho, D, matches in ((3, F(1, 3), F(1, 2), 3, ((0, 0), (0, 1), (1, 2), (2, 0))),
+                                  (4, F(1, 4), F(7, 20), 2, ((0, 0), (3, 1))), (4, 0.25, 0.35, 2, ((2, 3),))):
+        pr, joint, pair, null = corr_er_setup(n=n, q=q, rho=rho)
+        cases += [(pr, p, null, D) for p in [pair] + [adv.condition_on_match(joint, i, j) for i, j in matches]]
+    sbm = md.ModelParams(n=3, k=2, lam=F(1), eps=F(2, 5), s=F(1, 2))
+    sbm_joint = ms.correlated_sbm_joint_measure(3, 2, sbm.lam, sbm.eps, sbm.s)
+    cases += [(sbm, p, ms.er_pair_measure(3, bs.pair_edge_prob(sbm)), 3) for p in
+              (sbm_joint.map(lambda x: (x[1], x[2])), *(adv.condition_on_match(sbm_joint, 0, j) for j in (0, 2)))]
+    _, joint, pair, null = corr_er_setup()
+    graph = md.ModelParams(n=3, q=F(1, 3))
+    graph_null = ms.er_graph_measure(3, graph.q)
+    cases += [(graph, joint.map(lambda x: x[2]), graph_null, 3)]
+    for tilt in ({(0, 1): 1, (0, 2): 1}, {(0, 1): 1}, {(0, 1): 1, (1, 2): 2}):  # Stab(0), Stab(2), none
+        cases.append((graph, ms.DiscreteMeasure(graph_null.outcomes, [
+            w * (1 + sum(c for e, c in tilt.items() if e in x)) for x, w in graph_null], normalize=True),
+            graph_null, 3))
+    tilt = {(0, (0, 1)): 1, (0, (0, 2)): 2, (1, (0, 1)): 3, (1, (1, 2)): 4}
+    cases.append((None, ms.DiscreteMeasure(pair.outcomes, [
+        w * (1 + sum(c for (side, e), c in tilt.items() if e in x[side])) for x, w in pair], normalize=True),
+        null, 3))
+    lopsided = ms.er_graph_measure(3, F(1, 3)).product(ms.er_graph_measure(3, F(1, 4)))
+    cases += [(None, pair, lopsided, 2), (None, ms.DiscreteMeasure(lopsided.outcomes, [
+        w * (1 + 2 * len(a) + len(b)) for (a, b), w in lopsided], normalize=True), lopsided, 3)]
+    for pr, p, q, D in cases:
+        adv.advantage_gram_schmidt(p, q, D=D)
+        if pr is not None and p.exact:
+            adv.advantage_product_basis(p, pr, D, kind="pair" if adv._edge_coordinates(p)[1] else "single")
+    assert len(calls) == 35
+    for args, got in calls:
+        want = transposition_search(*args)
+        assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1]
+    k4s = [frozenset(itertools.combinations(range(4 * i, 4 * i + 4), 2)) for i in range(4)]
+    q = ms.DiscreteMeasure(k4s + [frozenset()], [F(1, 5)] * 5)
+    adv.advantage_gram_schmidt(q, q, D=1)
+    args, (orbits, _) = calls[-1]
+    assert len(orbits) == 25 and len(transposition_search(*args)[0]) == 5  # the search finds S_4 on each block
+    adv.advantage_gram_schmidt(q, q, D=2)
+    assert len(calls[-1][1][0]) == 1 + 24 + 276  # one orbit per monomial
+
+
+@pytest.mark.parametrize("n, D, counts, roots", [
+    (3, 3, (10, 23), [(0, 0)]), (4, 2, (8, 17), [(0, 0)]), (4, 4, (32, 93), [(0, 0), (1, 3)]),
+    (5, 4, (44, 164), [(0, 0), (2, 4)]), (6, 4, (54, 200), [(3, 3), (5, 2)])])
+def test_product_orbit_counts_on_synthetic_tables(n, D, counts, roots):
+    """An empty table is fixed by S_n x S_n.  One that charges the edges at
+    vertex i on side 0 and at vertex j on side 1 is fixed by Stab(i) x
+    Stab(j), so its orbits are products of rooted one-graph orbits."""
+    coords = [(side, e) for side in (0, 1) for e in ms.edge_bits(n)]
+    monomials = sum(math.comb(len(coords), k) for k in range(D + 1))
+    for table, want in [(adv._Table(), counts[0])] + [(adv._Table(
+            {1 << t: 1 for t, (side, e) in enumerate(coords) if (i, j)[side] in e}), counts[1]) for i, j in roots]:
+        orbits, keys = adv.symmetry_orbits(coords, [(table, D)], D, True)
+        assert len(orbits) == len(keys) == want
+        assert sum(map(len, orbits.values())) == monomials
+        side0 = (1 << len(coords) // 2) - 1
+        rooted = [sum(table) & side0, sum(table) & ~side0]
+        for rep, orbit in orbits.items():  # each side keeps its count of rooted edges
+            assert {tuple((m & r).bit_count() for r in rooted) for m in orbit} == {
+                tuple((rep & r).bit_count() for r in rooted)}

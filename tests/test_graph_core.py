@@ -349,6 +349,20 @@ def test_only_the_trusted_constructors_skip_the_graph_and_sample_checks():
     assert [module for module, _ in skipped["CorrelatedSample"]] == ["models"]
 
 
+def test_only_vertex_generators_builds_permutation_tables():
+    # the vertex groups' generators are built in one place, and the certificate builds none of its own
+    built = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            built += [(path.stem, getattr(top, "name", None)) for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "byte_tables"]
+    assert built == [("advantage", "vertex_generators")]
+    certificate = (SRC / "certificate.py").read_text(encoding="utf-8")
+    assert "byte_tables" not in certificate and not [
+        node.name for node in ast.walk(ast.parse(certificate)) if isinstance(node, ast.FunctionDef)
+        and "generator" in node.name]
+
+
 def test_automorphism_counts_against_brute_force():
     cases = [
         (gc.graph(3, [(0, 1), (1, 2), (0, 2)]), 6),
