@@ -355,7 +355,8 @@ def symmetry_orbits(coords: list, reads: list[tuple[dict, int]], D: int, pair: b
             for rep, orbit in mask_orbits(gens, small_masks(len(edges), D)).items()])
         off += len(edges)
     prods = {sum(r for r, _, _ in f): list(zip(*f))[1:] for f in itertools.product(*factors)}
-    order = [m for m in small_masks(off, D) if m in prods]
+    order = sorted((m for m in prods if m.bit_count() <= D),  # small_masks(off, D) order
+                   key=lambda m: (m.bit_count(), [t for t in range(off) if m >> t & 1]))
     return ({m: frozenset(map(sum, itertools.product(*prods[m][0]))) for m in order},
             [prods[m][1] if pair else prods[m][1][0] for m in order])
 

@@ -287,8 +287,12 @@ def _child_subsampling_joint(n: int, s, parents: list) -> DiscreteMeasure:
     of per-edge factors -- p s^2 on A∩B, p s (1-s) on A△B, and
     1 - p + p (1-s)^2 off A∪B (the parent summed out) -- summed over the
     components.  It depends only on the count of edges in each state
-    within each class mask, so it is computed once per such key and every
-    atom of a key shares one weight object.
+    within each class mask.  Each edge mask gets the id of its per-class
+    counts; a pair is keyed by the ids of A∩B and A△B, as the one int
+    id(A∩B) * #ids + id(A△B) (the third count is the class size less the
+    other two), each key's weight is computed once, and every atom of a key
+    shares one weight object.  A and pi(B) are the edge_sets(n) objects,
+    pi(B) found by its image mask.
     With exact inputs every coefficient and factor is put over one common
     denominator den (integer_weights).  A component's term has exactly
     1 + C(n,2) factors, so a key's weight is the one Fraction
@@ -306,13 +310,12 @@ def _child_subsampling_joint(n: int, s, parents: list) -> DiscreteMeasure:
     n_pairs = n * (n - 1) // 2
     check_budget("measures._child_subsampling_joint", "matching-joint atoms",
                  math.factorial(n) * 4 ** n_pairs, ENUMERATION_BUDGET)
-    sets = edge_sets(n)
-    full = len(sets) - 1
+    bits, sets = edge_bits(n), edge_sets(n)
     perms = list(itertools.permutations(range(n)))
     masks = list(dict.fromkeys(mask for _coef, classes in parents for mask, _p in classes))
     components = []
     for coef, classes in parents:
-        factors = [(3 * masks.index(mask), (p * s * s, p * s * (1 - s), 1 - p + p * (1 - s) * (1 - s)))
+        factors = [(masks.index(mask), (p * s * s, p * s * (1 - s), 1 - p + p * (1 - s) * (1 - s)))
                    for mask, p in classes]
         components.append((coef / len(perms), factors))
     values = [v for coef, factors in components
@@ -327,28 +330,31 @@ def _child_subsampling_joint(n: int, s, parents: list) -> DiscreteMeasure:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        cache: dict = {}
-        weights = []
-        for a, b in itertools.product(range(len(sets)), repeat=2):
-            states = (a & b, a ^ b, full & ~(a | b))
-            key = tuple([(st & mask).bit_count() for mask in masks for st in states])
-            w = cache.get(key)
-            if w is None:
-                w = 0
-                for term, factors in components:
-                    for at, fs in factors:
-                        for f, c in zip(fs, key[at:at + 3]):
-                            term = term * f ** c
-                    w = w + term
-                w = cache[key] = w if scale is None else Fraction(w, scale)
-            weights.append(w)
+        ids: dict = {}
+        count_id = [ids.setdefault(tuple([(x & m).bit_count() for m in masks]), len(ids))
+                    for x in range(len(sets))]
+        counts, sizes = list(ids), [m.bit_count() for m in masks]
+        keys = [count_id[a & b] * len(ids) + count_id[a ^ b]
+                for a in range(len(sets)) for b in range(len(sets))]
+        cache = dict.fromkeys(keys)
+        for key in cache:
+            both, one = map(counts.__getitem__, divmod(key, len(ids)))
+            w = 0
+            for term, factors in components:
+                for at, fs in factors:
+                    for f, c in zip(fs, (both[at], one[at], sizes[at] - both[at] - one[at])):
+                        term = term * f ** c
+                w = w + term
+            cache[key] = w if scale is None else Fraction(w, scale)
+        weights = list(map(cache.__getitem__, keys))
         total, exact = _checked_total(weights)
         _require_unit_total(total * len(perms), exact)
-        a_sets = [es for es in sets for _b in sets]
         outs = []
         for pi in perms:
-            image = [frozenset(_norm_edge(pi[u], pi[v]) for u, v in es) for es in sets]
-            outs.extend(zip(itertools.repeat(pi), a_sets, image * len(sets)))
+            image = [0]
+            for u, v in bits:
+                image += [x | bits[_norm_edge(pi[u], pi[v])] for x in image]
+            outs.extend(itertools.product((pi,), sets, map(sets.__getitem__, image)))
         return _measure(outs, weights * len(perms), exact)
     finally:
         if enabled:

@@ -470,7 +470,7 @@ def sample_modified_sbm(params: ModelParams, rng_seed: int) -> CorrelatedSample:
     sigma, g_idx = _draw_sbm(rng, params)
     g = _graph(n, g_idx)
     removed = [target[int(rng.integers(len(target)))] for target in _listed_removal_targets(g, params)]
-    pruned = np.setdiff1d(g_idx, [u * n + v for u, v in removed])
+    pruned = g_idx[~np.isin(g_idx, [u * n + v for u, v in removed])]
     children = _draw_children(rng, n, pruned, _keep_prob(params))
     return _correlated_sample(n, sigma, g, pruned, children, _graph(n, pruned, g.vertices))
 

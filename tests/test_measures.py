@@ -489,14 +489,42 @@ def test_correlated_er_joint_matches_per_triple_loop(n, p, s, keep_parent):
 
 
 def test_correlated_sbm_joint_matches_per_triple_loop():
-    for lam, eps, s in ((F(1), F(3, 10), F(1, 2)), (1.0, 0.3, 0.5)):
-        joint = ms.correlated_sbm_joint_measure(3, 2, lam, eps, s)
-        p_in, p_out = ms.sbm_block_probs(3, 2, lam, eps)
+    for (n, k), (lam, eps, s) in itertools.product(((3, 2), (4, 2), (4, 3)),
+                                                   ((F(1), F(3, 10), F(1, 2)), (1.0, 0.3, 0.5))):
+        joint = ms.correlated_sbm_joint_measure(n, k, lam, eps, s)
+        p_in, p_out = ms.sbm_block_probs(n, k, lam, eps)
         one = ms._one_like([lam, eps, s])
-        parents = [(one * count / 2 ** 3, [(intra, p_in), (7 & ~intra, p_out)])
-                   for intra, count in ms.label_classes(3, 2).items()]
-        outs, weights = _per_triple_joint(3, s, parents, keep_parent=False)
+        full = (1 << n * (n - 1) // 2) - 1
+        parents = [(one * count / k ** n, [(intra, p_in), (full & ~intra, p_out)])
+                   for intra, count in ms.label_classes(n, k).items()]
+        outs, weights = _per_triple_joint(n, s, parents, keep_parent=False)
         assert joint.outcomes == outs and joint.weights == weights
+        assert list(map(type, joint.weights)) == list(map(type, weights))
+
+
+@pytest.mark.parametrize("n,q,s", [(3, F(1, 3), F(2, 3)), (4, 0.4, 0.75)])
+def test_children_of_a_conditioned_parent_match_per_triple_loop(n, q, s):
+    """The law B1 reads: the children of a parent law conditioned on an
+    event, each parent graph a point-mass component."""
+    parent = ms.er_graph_measure(n, q).condition(lambda g: len(g) not in (1, 3))
+    joint = ms.children_joint(n, s, parent)
+    bits = ms.edge_bits(n)
+    full = (1 << len(bits)) - 1
+    masks = [sum(bits[e] for e in g) for g in parent.outcomes]
+    parents = [(w, [(m, 1), (full & ~m, 0)]) for m, w in zip(masks, parent.weights)]
+    outs, weights = _per_triple_joint(n, s, parents, keep_parent=False)
+    assert joint.outcomes == outs and joint.weights == weights
+    assert list(map(type, joint.weights)) == list(map(type, weights))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matching_joint_atoms_are_the_edge_set_objects(n):
+    """A and pi(B) are drawn from one edge_sets(n) list: 2^C(n,2) graph
+    objects in all, none built per permutation."""
+    joint = ms.correlated_er_joint_measure(n, F(1, 2), F(2, 3))
+    graphs = {id(g): g for _pi, a, b in joint.outcomes for g in (a, b)}
+    assert len(graphs) == 2 ** (n * (n - 1) // 2)
+    assert sorted(graphs.values(), key=sorted) == sorted(ms.edge_sets(n), key=sorted)
 
 
 def test_checked_total_counts_repeated_weight_objects():

@@ -3,8 +3,12 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +262,23 @@ def test_draws_match_the_digest_of_the_dense_samplers():
     for name, n, seed, x in _digest_grid():
         h.update(f"{name} {n} {seed} {_draw_record(x)}\n".encode())
     assert h.hexdigest() == "4b725a67d7fe86c31b3176fc978d6c118319423bc2deb4c28d36136df1927ffb"
+
+
+# One draw from each sampler, in a fresh interpreter: which numpy modules do they load?
+SAMPLER_PROBE = ("import sys\nfrom fractions import Fraction as F\nfrom lowdeg import models as md\n"
+                 "md.sample_correlated_er(md.ModelParams(n=12, q=F(1, 4), rho=F(1, 2)), 0, 5)\n"
+                 "pr = md.ModelParams(n=10, lam=F(3, 2), k=2, eps=F(1, 10), s=F(1, 2), D=2,"
+                 " delta=F(1, 100), N=4)\n"
+                 "md.sample_correlated_sbm(pr, 0)\nmd.sample_modified_sbm(pr, 0)\n"
+                 "print('numpy.ma' in sys.modules)")
+
+
+def test_samplers_do_not_import_numpy_ma():
+    """numpy.ma takes 10-15 ms to import; np.setdiff1d loads it on first call."""
+    env = {**os.environ, "PYTHONPATH": str(Path(md.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", SAMPLER_PROBE], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 def test_correlated_sample_errors():
