@@ -469,13 +469,6 @@ def conditional_advantage(joint: DiscreteMeasure, q_params: ModelParams, D: int,
 # -- hidden informative sample ------------------------------------------------------
 
 
-def hidden_sample_size(error_rate: float, n: int) -> int:
-    """Coordinate count min(n, ceil(error_rate^(-1/2)))."""
-    if not 0 < error_rate <= 1:
-        raise ValueError("error rate must lie in (0, 1]")
-    return min(n, math.ceil(1.0 / math.sqrt(float(error_rate))))
-
-
 @dataclass(frozen=True)
 class HiddenSampleProblem:
     """M-fold product null against a uniformly hidden single planted slot,

@@ -106,12 +106,6 @@ class BasisIndex:
 def single_index(s: LabeledGraph) -> BasisIndex:
     return BasisIndex("single", s)
 
-def pair_index(s1: LabeledGraph, s2: LabeledGraph) -> BasisIndex:
-    return BasisIndex("pair", s1, s2)
-
-def planted_index(sigma: tuple[int, ...], s: LabeledGraph) -> BasisIndex:
-    return BasisIndex("planted", s, sigma=sigma)
-
 
 def edge_subgraphs(n: int, max_edges: int) -> list[LabeledGraph]:
     """All edge-induced subgraphs of the complete graph with at most max_edges,
@@ -219,15 +213,6 @@ def cross_moment_planted(params: ModelParams, s: LabeledGraph, sigma: tuple[int,
     for u, v in sorted(h.edges):
         sq *= _h_squared(k, eps, lam, n, sigma[u], sigma[v])
     return math.prod(omega(k, sigma[u], sigma[v]) for u, v in cross) * _sqrt(sq, exact)
-
-
-def path_expectation(k: int, a, b, length: int, lab0: int, lab1: int):
-    """Expectation of a product of (a + b*omega) factors along a path,
-    conditioned on the endpoint labels: a^l + b^l * omega(endpoints)."""
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    w = omega(k, lab0, lab1)
-    return a ** length + b ** length * w
 
 
 def leaf_cancellation_check(s: LabeledGraph, h: LabeledGraph, k: int):

@@ -181,15 +181,6 @@ def _event_joint(params: ModelParams, joint: ms.DiscreteMeasure | None = None
     return "event-active", ms.children_joint(params.n, params.s, parent)
 
 
-def audit_conditional_moment(s1: LabeledGraph, s2: LabeledGraph, params: ModelParams,
-                             joint: ms.DiscreteMeasure | None = None,
-                             slack: float = DESK_SLACK) -> BoundAudit:
-    """Conditional pair-moment bound: |E[phi | pi(0)=0]| against the
-    embedding sum, with the vertex-0 factor n when 0 lies in both graphs.
-    The joint and the regime recorded on the audit are _event_joint's."""
-    return _conditional_moment_audit(s1, s2, params, *_event_joint(params, joint), slack)
-
-
 def _conditional_moment_audit(s1: LabeledGraph, s2: LabeledGraph, params: ModelParams, regime: str,
                               joint: ms.DiscreteMeasure, slack: float) -> BoundAudit:
     val = conditional_pair_moment(joint, s1, s2, params)

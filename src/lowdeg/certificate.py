@@ -24,7 +24,9 @@ k-1 or -1, so each component's label classes are tallied as integer
 omega-products by the number of equal-label scaled edges.  Square roots
 enter only in one short sum per component, over powers of the two edge
 scales that are computed once per XiTable together with the powers of
-the transfer weight.  P_of_path_form is an independent oracle.
+the transfer weight.  The tests hold P_of to an independent oracle,
+P_of_path_form in tests/exact_oracles.py, which averages closed forms
+over the threads between branch vertices.
 
 The recursion and the rows of the linear system share one row sum
 (_row_sum).  The recursion table is built bottom-up by edge count;
@@ -124,40 +126,6 @@ def Q_of(s: LabeledGraph, h: LabeledGraph, params: ModelParams):
     return _label_product_expectation(XiTable(params), h.edges, s.edges - h.edges)
 
 
-def P_of_path_form(s: LabeledGraph, params: ModelParams):
-    """Independent oracle for P_of: decompose the leafless graph into
-    threads between branch vertices and average the per-thread closed form
-    over the branch labels only."""
-    if gc.leaves(s):
-        raise ValueError("path-form evaluation expects a leafless graph")
-    k = params.k
-    a, b = bs.h_decomposition(k, params.eps, params.lam, params.n)
-    exact = bs._exact_inputs(params.lam, params.eps)
-    total = Rad.of(1) if exact else 1.0
-    for comp in gc.connected_components(s):
-        cedges = [e for e in s.edges if e[0] in comp]
-        sub = gc.graph(s.n_vertices, cedges)
-        deco = gc.decompose_difference(sub, gc.empty_graph(s.n_vertices), "A3")
-        if deco.cycles:
-            # a bare cycle component: coinciding endpoints collapse the
-            # conditional average to the closed form directly
-            assert not deco.paths and len(deco.cycles) == 1
-            l = len(deco.cycles[0].edges)
-            total = total * (a ** l + b ** l * (k - 1))
-            continue
-        branch = sorted({v for pair in deco.endpoints for v in pair})
-        acc = Rad.of(0) if exact else 0.0
-        for labels in itertools.product(range(k), repeat=len(branch)):
-            assign = dict(zip(branch, labels))
-            term = Rad.of(1) if exact else 1.0
-            for p, (u, v) in zip(deco.paths, deco.endpoints):
-                term = term * bs.path_expectation(k, a, b, len(p.edges), assign[u], assign[v])
-            acc = acc + term
-        denom = Fraction(k) ** len(branch) if exact else float(k ** len(branch))
-        total = total * (acc / denom)
-    return total
-
-
 # -- the recursion table ---------------------------------------------------------
 
 
@@ -179,6 +147,8 @@ class XiTable:
         missing = [name for name in ("lam", "eps", "k") if getattr(self.params, name) is None]
         if missing:
             raise ValueError(f"the dual certificate needs {', '.join(missing)}")
+        if self.params.lam == self.params.n:
+            raise ValueError("the dual certificate needs lambda < n: the null edge probability lambda/n is 1")
 
     @cached_property
     def exact(self) -> bool:

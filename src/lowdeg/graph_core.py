@@ -125,16 +125,6 @@ def complete_graph(n: int) -> LabeledGraph:
     return graph(n, itertools.combinations(range(n), 2), range(n))
 
 
-def cycle_graph(n: int, length: int | None = None, offset: int = 0) -> LabeledGraph:
-    m = length if length is not None else n
-    verts = [offset + i for i in range(m)]
-    return graph(n, [(verts[i], verts[(i + 1) % m]) for i in range(m)])
-
-
-def path_graph(n: int, length: int, offset: int = 0) -> LabeledGraph:
-    return graph(n, [(offset + i, offset + i + 1) for i in range(length)])
-
-
 def relabel(g: LabeledGraph, perm: dict[int, int] | list[int]) -> LabeledGraph:
     """Apply a vertex bijection of the ambient set."""
     if isinstance(perm, list):
@@ -174,17 +164,6 @@ def leaves(g: LabeledGraph) -> frozenset[int]:
 
 def is_subgraph(h: LabeledGraph, g: LabeledGraph) -> bool:
     return h.n_vertices == g.n_vertices and h.vertices <= g.vertices and h.edges <= g.edges
-
-
-def edge_induced_ops(s: LabeledGraph, t: LabeledGraph) -> tuple[LabeledGraph, LabeledGraph, LabeledGraph]:
-    """Edge-induced intersection, union and symmetric difference (no isolated vertices)."""
-    if s.n_vertices != t.n_vertices:
-        raise ValueError("graphs live on different ambient vertex sets")
-    n = s.n_vertices
-    cap = graph(n, s.edges & t.edges)
-    cup = graph(n, s.edges | t.edges)
-    symdiff = graph(n, s.edges ^ t.edges)
-    return cap, cup, symdiff
 
 
 def graph_union(s: LabeledGraph, t: LabeledGraph) -> LabeledGraph:
@@ -716,10 +695,3 @@ def write_edge_list(g: LabeledGraph) -> str:
     lines = [f"{g.n_vertices} {len(g.edges)}"]
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
-
-
-def read_edge_list(text: str) -> LabeledGraph:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    n, m = map(int, lines[0].split())
-    edges = [tuple(map(int, ln.split())) for ln in lines[1 : m + 1]]
-    return graph(n, edges, range(n))

@@ -271,10 +271,6 @@ def sbm_joint_measure(n: int, k: int, lam, eps) -> DiscreteMeasure:
     return DiscreteMeasure(outs, ws)
 
 
-def sbm_graph_measure(n: int, k: int, lam, eps) -> DiscreteMeasure:
-    return sbm_joint_measure(n, k, lam, eps).map(lambda x: x[1])
-
-
 def _child_subsampling_joint(n: int, s, parents: list) -> DiscreteMeasure:
     """Joint (pi, A, pi(B)) law of two children that keep each parent edge
     independently with probability s, the second relabeled by a uniform

@@ -473,68 +473,3 @@ def sample_modified_sbm(params: ModelParams, rng_seed: int) -> CorrelatedSample:
     pruned = g_idx[~np.isin(g_idx, [u * n + v for u, v in removed])]
     children = _draw_children(rng, n, pruned, _keep_prob(params))
     return _correlated_sample(n, sigma, g, pruned, children, _graph(n, pruned, g.vertices))
-
-
-# -- vectorized statistics harnesses -------------------------------------------
-
-
-def edge_statistics_correlated_er(params: ModelParams, trials: int, rng_seed: int) -> dict:
-    """Empirical edge marginals and the joint indicator across aligned pairs.
-
-    Shares the draw routine with sample_correlated_er; only scalar
-    statistics are accumulated, so large n is fine.  B aligned by pi is the
-    second child's kept set, so the joint count is |A & kept|.
-    """
-    n = params.n
-    total_pairs = n * (n - 1) // 2
-    a_edges = b_edges = joint = 0
-    for t in range(trials):
-        rng = derived_rng(rng_seed, t)
-        g = _upper_draw(rng, n, float(params.p))
-        _, in_a, in_kept = _draw_children(rng, n, g, float(params.s))
-        a_edges += int(np.count_nonzero(in_a))
-        b_edges += int(np.count_nonzero(in_kept))
-        joint += int(np.count_nonzero(in_a & in_kept))
-    count = trials * total_pairs
-    q = float(params.q)
-    phat = a_edges / count
-    rho_hat = (joint / count - phat ** 2) / (phat * (1 - phat)) if 0 < phat < 1 else float("nan")
-    return {
-        "trials": trials,
-        "pair_count": count,
-        "a_density": phat,
-        "b_density": b_edges / count,
-        "joint_density": joint / count,
-        "expected_density": q,
-        "expected_joint": q * (q + float(params.rho) * (1 - q)),
-        "rho_hat": rho_hat,
-    }
-
-
-def edge_statistics_sbm(params: ModelParams, trials: int, rng_seed: int) -> dict:
-    total_pairs = params.n * (params.n - 1) // 2
-    intra_e = intra_n = inter_e = inter_n = 0
-    degree_total = 0
-    for t in range(trials):
-        rng = derived_rng(rng_seed, t)
-        sigma, g = _draw_sbm(rng, params)
-        u, v = np.divmod(g, params.n)
-        same_e = int(np.count_nonzero(sigma[u] == sigma[v]))
-        same_n = sum(c * (c - 1) // 2 for c in np.bincount(sigma).tolist())
-        intra_e += same_e
-        intra_n += same_n
-        inter_e += len(g) - same_e
-        inter_n += total_pairs - same_n
-        degree_total += 2 * len(g)
-    p_in, p_out = ms.sbm_block_probs(params.n, params.k, params.lam, params.eps)
-    return {
-        "trials": trials,
-        "intra_rate": intra_e / intra_n,
-        "inter_rate": inter_e / inter_n,
-        "intra_count": intra_n,
-        "inter_count": inter_n,
-        "expected_intra": float(p_in),
-        "expected_inter": float(p_out),
-        "mean_degree": degree_total / (trials * params.n),
-        "expected_mean_degree_limit": float(params.lam),
-    }

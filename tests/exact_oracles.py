@@ -4,9 +4,10 @@ Each one computes a quantity the library also computes, by a different
 path: a direct linear solve, Rad products and sums by the plain loops over
 terms, a per-permutation grouping of a joint's atoms, the hidden-sample
 composite laws built atom by atom, the pair indices (S1, S2) of the
-product basis listed one by one, and the symmetry orbits of the edge
-monomials found by searching every vertex transposition.  None is called
-by lowdeg itself.
+product basis listed one by one, the symmetry orbits of the edge
+monomials found by searching every vertex transposition, and the label
+average P of a leafless graph by its threads between branch vertices.
+None is called by lowdeg itself.
 """
 
 import itertools
@@ -16,13 +17,17 @@ from fractions import Fraction
 from lowdeg import basis as bs
 from lowdeg import graph_core as gc
 from lowdeg.exactnum import Rad
+from lowdeg.graph_core import LabeledGraph
 from lowdeg.measures import DiscreteMeasure
+from lowdeg.params import ModelParams
+
+import helpers as hp
 
 
 def pair_indices(n: int, D: int) -> list:
     """Every pair index (S1, S2) on n vertices with at most D edges in all,
     by the edges of S1, then of S2 (the indices the product basis sums over)."""
-    return [bs.pair_index(s1, s2) for s1 in bs.edge_subgraphs(n, D)
+    return [hp.pair_index(s1, s2) for s1 in bs.edge_subgraphs(n, D)
             for s2 in bs.edge_subgraphs(n, D - len(s1.edges))]
 
 
@@ -172,3 +177,46 @@ def class_keys(n: int, coords: list, pair: bool, masks) -> list:
                       for side in range(1 + pair))
         keys.append(forms if pair else forms[0])
     return keys
+
+
+def path_expectation(k: int, a, b, length: int, lab0: int, lab1: int):
+    """Expectation of a product of (a + b*omega) factors along a path,
+    conditioned on the endpoint labels: a^l + b^l * omega(endpoints)."""
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    w = bs.omega(k, lab0, lab1)
+    return a ** length + b ** length * w
+
+
+def P_of_path_form(s: LabeledGraph, params: ModelParams):
+    """Independent oracle for certificate.P_of: decompose the leafless graph
+    into threads between branch vertices and average the per-thread closed
+    form over the branch labels only."""
+    if gc.leaves(s):
+        raise ValueError("path-form evaluation expects a leafless graph")
+    k = params.k
+    a, b = bs.h_decomposition(k, params.eps, params.lam, params.n)
+    exact = bs._exact_inputs(params.lam, params.eps)
+    total = Rad.of(1) if exact else 1.0
+    for comp in gc.connected_components(s):
+        cedges = [e for e in s.edges if e[0] in comp]
+        sub = gc.graph(s.n_vertices, cedges)
+        deco = gc.decompose_difference(sub, gc.empty_graph(s.n_vertices), "A3")
+        if deco.cycles:
+            # a bare cycle component: coinciding endpoints collapse the
+            # conditional average to the closed form directly
+            assert not deco.paths and len(deco.cycles) == 1
+            l = len(deco.cycles[0].edges)
+            total = total * (a ** l + b ** l * (k - 1))
+            continue
+        branch = sorted({v for pair in deco.endpoints for v in pair})
+        acc = Rad.of(0) if exact else 0.0
+        for labels in itertools.product(range(k), repeat=len(branch)):
+            assign = dict(zip(branch, labels))
+            term = Rad.of(1) if exact else 1.0
+            for p, (u, v) in zip(deco.paths, deco.endpoints):
+                term = term * path_expectation(k, a, b, len(p.edges), assign[u], assign[v])
+            acc = acc + term
+        denom = Fraction(k) ** len(branch) if exact else float(k ** len(branch))
+        total = total * (acc / denom)
+    return total

@@ -12,6 +12,7 @@ from lowdeg import models as md
 from lowdeg.exactnum import Rad
 
 import exact_oracles as oracle
+import helpers as hp
 
 
 def all_edge_sets(n):
@@ -66,7 +67,7 @@ def test_evaluate_basis_values():
     got = bs.evaluate_basis(edge_idx, frozenset({(0, 1)}), pr)
     assert got == (1 - q0) / Rad.sqrt(q0 * (1 - q0))
     # planted indicator prefactor
-    psi = bs.planted_index((0, 0, 0), gc.empty_graph(3))
+    psi = hp.planted_index((0, 0, 0), gc.empty_graph(3))
     assert bs.evaluate_basis(psi, ((0, 0, 0), frozenset()), pr) == Rad.sqrt(F(8))
     assert bs.evaluate_basis(psi, ((0, 0, 1), frozenset()), pr) == Rad.of(0)
 
@@ -137,7 +138,7 @@ def test_evaluate_basis_matches_per_edge_loop(exact):
     graphs = [gc.graph(3, es) for es in all_edge_sets(3)]
     cases = [(bs.single_indices(3, 3), ms.er_graph_measure(3, pr.lam / 3)),
              (oracle.pair_indices(3, 3), ms.er_pair_measure(3, pr.q)),
-             ([bs.planted_index(sigma, s) for sigma in itertools.product(range(2), repeat=3)
+             ([hp.planted_index(sigma, s) for sigma in itertools.product(range(2), repeat=3)
                for s in graphs], ms.sbm_joint_measure(3, 2, pr.lam, pr.eps))]
     for indices, measure in cases:
         for idx in indices:
@@ -153,9 +154,9 @@ def test_basis_values_take_one_root_and_no_inverse(monkeypatch):
     pr = md.ModelParams(n=4, lam=F(1), k=2, eps=F(2, 5), q=F(1, 3))
     tri = [(0, 1), (1, 2), (0, 2)]
     cases = [(bs.single_index(gc.graph(4, tri)), ms.er_graph_measure(4, F(1, 4))),
-             (bs.single_index(gc.graph(4, tri)), ms.sbm_graph_measure(4, 2, pr.lam, pr.eps)),
-             (bs.pair_index(gc.graph(3, tri), gc.graph(3, [(0, 1)])), ms.er_pair_measure(3, pr.q)),
-             (bs.planted_index((0, 1, 0, 0), gc.graph(4, tri)), ms.sbm_joint_measure(4, 2, pr.lam, pr.eps))]
+             (bs.single_index(gc.graph(4, tri)), hp.sbm_graph_measure(4, 2, pr.lam, pr.eps)),
+             (hp.pair_index(gc.graph(3, tri), gc.graph(3, [(0, 1)])), ms.er_pair_measure(3, pr.q)),
+             (hp.planted_index((0, 1, 0, 0), gc.graph(4, tri)), ms.sbm_joint_measure(4, 2, pr.lam, pr.eps))]
     calls = dict.fromkeys(("mul", "inverse", "sqrt"), 0)
     mul, inverse, sqrt = Rad.__mul__, Rad.inverse, Rad.sqrt
 
@@ -205,7 +206,7 @@ def test_cross_moment_closed_form_exhaustive():
             for sigma in itertools.product(range(2), repeat=3):
                 closed = bs.cross_moment_planted(pr, s, sigma, h)
                 phi = bs.single_index(s)
-                psi = bs.planted_index(sigma, h)
+                psi = hp.planted_index(sigma, h)
                 brute = joint.expectation(
                     lambda x: bs.evaluate_basis(phi, x[1], pr) * bs.evaluate_basis(psi, x, pr))
                 assert closed == brute
@@ -235,7 +236,7 @@ def test_cross_moment_zero_when_not_nested():
 def test_parseval_completeness_full_degree():
     # at full degree the squared basis expansion recovers the chi-square mass
     pr = md.ModelParams(n=3, lam=F(1), k=2, eps=F(2, 5))
-    planted = ms.sbm_graph_measure(3, 2, pr.lam, pr.eps)
+    planted = hp.sbm_graph_measure(3, 2, pr.lam, pr.eps)
     null = ms.er_graph_measure(3, bs.null_edge_prob(pr))
     total = F(0)
     for es in all_edge_sets(3):
@@ -248,7 +249,7 @@ def test_parseval_completeness_full_degree():
 
 def test_moment_table_per_class():
     pr = md.ModelParams(n=3, lam=F(1), k=2, eps=F(2, 5))
-    planted = ms.sbm_graph_measure(3, 2, pr.lam, pr.eps)
+    planted = hp.sbm_graph_measure(3, 2, pr.lam, pr.eps)
     indices = bs.single_indices(3, 2)
     by_class: dict[str, set] = {}
     for idx in indices:
@@ -276,7 +277,7 @@ def test_path_expectation_brute_force_grid():
                         lab_end = (lab0 + 1) % k
                         for labl in (lab0, lab_end):
                             want = _brute_path(k, a, b, length, lab0, labl)
-                            got = bs.path_expectation(k, a, b, length, lab0, labl)
+                            got = oracle.path_expectation(k, a, b, length, lab0, labl)
                             assert got == want
 
 
@@ -292,7 +293,7 @@ def _brute_path(k, a, b, length, lab0, labl):
 
 
 def test_path_expectation_b_zero():
-    assert bs.path_expectation(3, F(2, 3), F(0), 4, 0, 1) == F(2, 3) ** 4
+    assert oracle.path_expectation(3, F(2, 3), F(0), 4, 0, 1) == F(2, 3) ** 4
 
 
 def test_leaf_cancellation_examples_and_random():
@@ -329,7 +330,7 @@ def test_leaf_cancellation_precondition():
 
 def test_planted_float_cap():
     pr = md.ModelParams(n=25, lam=1.0, k=2, eps=0.1)
-    idx = bs.planted_index(tuple([0] * 25), gc.empty_graph(25))
+    idx = hp.planted_index(tuple([0] * 25), gc.empty_graph(25))
     with pytest.raises(gc.EnumerationBudgetError):
         bs.evaluate_basis(idx, (tuple([0] * 25), frozenset()), pr)
 
@@ -343,7 +344,7 @@ def _budget_fields(call):
 
 def test_basis_budget_errors_carry_fields():
     pr = md.ModelParams(n=25, lam=1.0, k=2, eps=0.1)
-    idx = bs.planted_index(tuple([0] * 25), gc.empty_graph(25))
+    idx = hp.planted_index(tuple([0] * 25), gc.empty_graph(25))
     assert _budget_fields(lambda: bs.evaluate_basis(idx, (tuple([0] * 25), frozenset()), pr)) == (
         "planted basis vertices in float mode: requested 25, budget 20", "basis._index_factors", 25, 20)
 
@@ -357,6 +358,6 @@ def test_basis_budget_errors_carry_fields():
     path = gc.graph(4, [(0, 1), (1, 2)])
     assert _budget_fields(lambda: bs.cross_moment_planted(planted, path, (0, 0, 1, 1), gc.empty_graph(4))) == (
         "index degree: requested 2, budget 1", "basis.cross_moment_planted", 2, 1)
-    long_path = gc.path_graph(9, 8)
+    long_path = hp.path_graph(9, 8)
     assert _budget_fields(lambda: bs.leaf_cancellation_check(long_path, gc.graph(9, [(0, 1)]), 2)) == (
         "cancellation check vertices: requested 9, budget 8", "basis.leaf_cancellation_check", 9, 8)

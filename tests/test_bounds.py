@@ -12,6 +12,8 @@ from lowdeg import graph_core as gc
 from lowdeg import measures as ms
 from lowdeg import models as md
 
+import helpers as hp
+
 
 def test_f_bound_trivial_and_hand_expansion():
     pr = md.ModelParams(n=4, q=F(1, 4), rho=F(1, 3), D=2, delta=F(1, 100))
@@ -77,7 +79,7 @@ def test_conditional_moment_fixture_and_symmetry():
     edge = gc.graph(4, [(0, 1)])
     val = bd.conditional_pair_moment(joint, edge, edge, pr)
     assert val == pr.rho / 3  # hand computation over the three target slots
-    audit = bd.audit_conditional_moment(edge, edge, pr, joint)
+    audit = hp.audit_conditional_moment(edge, edge, pr, joint)
     assert audit.holds and audit.regime == "event-vacuous"
     # swapping the two sides leaves the moment unchanged (exchangeability)
     tri = gc.graph(4, [(0, 1), (1, 2), (0, 2)])
@@ -90,7 +92,7 @@ def test_conditional_moment_vanishes_when_independent():
     edge = gc.graph(3, [(0, 1)])
     assert bd.conditional_pair_moment(joint, edge, edge, pr) == 0
     # and for the empty pair the moment is one, inside the slack bound
-    audit = bd.audit_conditional_moment(gc.empty_graph(3), gc.empty_graph(3), pr, joint)
+    audit = hp.audit_conditional_moment(gc.empty_graph(3), gc.empty_graph(3), pr, joint)
     assert audit.lhs == 1.0 and audit.holds
 
 
@@ -105,7 +107,7 @@ def test_b1_decides_the_regime_once_and_builds_its_joint_once(monkeypatch):
     active = md.ModelParams(n=3, q=F(1, 10 ** 10), rho=F(1, 3), D=2, delta=F(1, 100))
     audits = bd.run_suite("B1", active)
     assert calls == ["children_joint"]
-    assert [a.row() for a in audits] == [bd.audit_conditional_moment(s1, s2, active).row()
+    assert [a.row() for a in audits] == [hp.audit_conditional_moment(s1, s2, active).row()
                                          for s1, s2 in bd.default_pair_fixtures(3)]
     assert {a.regime for a in audits} == {"event-active"}
     calls.clear()

@@ -12,7 +12,8 @@ from lowdeg import models as md
 from lowdeg.advantage import small_masks
 from lowdeg.exactnum import Rad
 
-from exact_oracles import solve_exact
+from exact_oracles import P_of_path_form, solve_exact
+import helpers as hp
 
 
 def params6(eps=F(3, 10), lam=F(1)):
@@ -41,25 +42,25 @@ def test_p_of_cycle_closed_form():
     pr = params6()
     a, b = bs.h_decomposition(2, pr.eps, pr.lam, pr.n)
     for length in (3, 4):
-        cyc = gc.cycle_graph(6, length)
+        cyc = hp.cycle_graph(6, length)
         closed = a ** length + (2 - 1) * b ** length
         assert ct.P_of(cyc, pr) == closed
-        assert ct.P_of_path_form(cyc, pr) == closed
+        assert P_of_path_form(cyc, pr) == closed
     # k = 3 cross-check against the label-enumeration oracle
     pr3 = md.ModelParams(n=9, lam=F(1), k=3, eps=F(1, 5), delta=F(1, 100))
     a3, b3 = bs.h_decomposition(3, pr3.eps, pr3.lam, pr3.n)
-    tri = gc.cycle_graph(9, 3)
+    tri = hp.cycle_graph(9, 3)
     assert ct.P_of(tri, pr3) == a3 ** 3 + 2 * b3 ** 3
     assert ct.P_of(tri, pr3) == brute_label_average(3, 3, pr3.eps, pr3.lam, 9, tri.edges, [])
 
 
 def test_q_of_values():
     pr = params6()
-    tri = gc.cycle_graph(6, 3)
+    tri = hp.cycle_graph(6, 3)
     q_val = ct.Q_of(tri, gc.empty_graph(6), pr)
     assert q_val.as_fraction() == 1  # k - 1
     pr3 = md.ModelParams(n=9, lam=F(1), k=3, eps=F(1, 5), delta=F(1, 100))
-    tri9 = gc.cycle_graph(9, 3)
+    tri9 = hp.cycle_graph(9, 3)
     assert ct.Q_of(tri9, gc.empty_graph(9), pr3).as_fraction() == 2
     # oracle agreement on a mixed instance
     s = gc.graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
@@ -73,7 +74,7 @@ def test_p_of_path_form_matches_enumeration_on_classes():
     pr = params6()
     for rep in ct.leafless_classes(6):
         rep6 = gc.graph(max(6, rep.n_vertices), rep.edges)
-        assert ct.P_of_path_form(rep6, pr) == ct.P_of(rep6, pr)
+        assert P_of_path_form(rep6, pr) == ct.P_of(rep6, pr)
 
 
 def test_xi_base_cases():
@@ -87,7 +88,7 @@ def test_xi_triangle_closed_form():
     pr = params6()
     a, b = bs.h_decomposition(2, pr.eps, pr.lam, pr.n)
     t = ct.transfer_weight(pr, ct.FIRST_ORDER_KERNEL)
-    tri = gc.cycle_graph(6, 3)
+    tri = hp.cycle_graph(6, 3)
     closed = -(2 - 1) * t ** 3 / (a ** 3 + (2 - 1) * b ** 3)
     got = ct.xi(tri, pr)
     assert got == closed
@@ -203,7 +204,7 @@ def test_dual_norms():
     pr = params6()
     assert ct.build_dual(pr, 2).norm == 1.0
     dual3 = ct.build_dual(pr, 3)
-    tri = gc.cycle_graph(6, 3)
+    tri = hp.cycle_graph(6, 3)
     xi_tri = ct.xi(tri, pr)
     want = 1 + 20 * (xi_tri * xi_tri).as_fraction()  # 20 labeled triangles in K6
     assert dual3.norm_squared == want
@@ -277,7 +278,7 @@ def test_reversed_advantage_equals_gram_schmidt_with_the_roles_swapped():
     for k in (2, 3):
         pr = md.ModelParams(n=4, lam=F(1), k=k, eps=F(2, 5), delta=F(1, 100))
         null = ms.er_graph_measure(4, bs.null_edge_prob(pr))
-        planted = ms.sbm_graph_measure(4, k, pr.lam, pr.eps)
+        planted = hp.sbm_graph_measure(4, k, pr.lam, pr.eps)
         for D in (1, 2, 3):
             want = adv.advantage_gram_schmidt(null, planted, D=D).value_squared
             assert type(want) is F and (want > 1) == (D == 3), (k, D)
@@ -301,7 +302,7 @@ def test_edge_moment_tables_are_superset_sums_of_the_enumerated_laws():
     for n, k, eps in itertools.product((2, 3, 4), (2, 3), (F(0), F(2, 5))):
         pr = md.ModelParams(n=n, lam=F(1), k=k, eps=eps)
         bit = ms.edge_bits(n)
-        laws = (ms.sbm_graph_measure(n, k, pr.lam, eps), ms.er_graph_measure(n, bs.null_edge_prob(pr)))
+        laws = (hp.sbm_graph_measure(n, k, pr.lam, eps), ms.er_graph_measure(n, bs.null_edge_prob(pr)))
         for law, (nums, den) in zip(laws, _reversed_tables(pr)):
             sums, law_den = adv.moment_table(law.outcomes, law.weights, [(0, e) for e in bit], False)
             assert len(nums) == 1 << len(bit)
@@ -585,7 +586,7 @@ def test_duality_sandwich_is_decided_exactly_at_three_communities(monkeypatch):
 def test_magnitude_bound_audits():
     pr = params6(eps=F(1, 10), lam=F(1, 2))  # small signal: bound regime applies
     assert ct.lambda0_condition_ok(pr)
-    tri = gc.cycle_graph(6, 3)
+    tri = hp.cycle_graph(6, 3)
     lhs, rhs = ct.xi_cycle_union_bound(tri, pr)
     assert lhs <= rhs
     pr12 = pr.with_(n=12)
@@ -696,13 +697,13 @@ def test_xi_cycle_closed_form_at_many_communities():
     pr = md.ModelParams(n=40, lam=F(1), k=k, eps=F(1, 100), delta=F(1, 100))
     a, b = bs.h_decomposition(k, pr.eps, pr.lam, pr.n)
     t = ct.transfer_weight(pr, ct.FIRST_ORDER_KERNEL)
-    assert ct.xi(gc.cycle_graph(40, 6), pr) == -(k - 1) * t ** 6 / (a ** 6 + (k - 1) * b ** 6)
+    assert ct.xi(hp.cycle_graph(40, 6), pr) == -(k - 1) * t ** 6 / (a ** 6 + (k - 1) * b ** 6)
 
 
 def test_p_of_long_cycle_matches_path_form():
     pr = md.ModelParams(n=40, lam=F(1), k=7, eps=F(1, 100), delta=F(1, 100))
-    c9 = gc.cycle_graph(40, 9)
-    assert ct.P_of(c9, pr) == ct.P_of_path_form(c9, pr)
+    c9 = hp.cycle_graph(40, 9)
+    assert ct.P_of(c9, pr) == P_of_path_form(c9, pr)
 
 
 def test_linear_system_exactly_zero_k3():
@@ -720,9 +721,9 @@ def test_certificate_budget_errors_are_structured(monkeypatch):
     pr12 = md.ModelParams(n=12, lam=F(1), k=2, eps=F(3, 10), delta=F(1, 100))
     pr4 = md.ModelParams(n=4, lam=F(1), k=2, eps=F(3, 10), delta=F(1, 100))
     cases = [
-        (lambda: ct.P_of(gc.cycle_graph(12, 11), pr12), "certificate._label_product_expectation", 11, 10,
+        (lambda: ct.P_of(hp.cycle_graph(12, 11), pr12), "certificate._label_product_expectation", 11, 10,
          "label component vertices: requested 11, budget 10"),
-        (lambda: ct.xi(gc.cycle_graph(12, 7), pr12), "certificate._row_sum", 7, 6,
+        (lambda: ct.xi(hp.cycle_graph(12, 7), pr12), "certificate._row_sum", 7, 6,
          "recursion edges: requested 7, budget 6"),
         (lambda: ct.leafless_classes(7), "certificate.leafless_classes", 7, 6,
          "leafless class edges: requested 7, budget 6"),
@@ -793,7 +794,7 @@ def test_int_rates_give_the_values_of_their_fractions():
     sigma = (0, 0, 1)
 
     def values(pr):
-        return (bs.evaluate_basis(bs.planted_index(sigma, tri), (sigma, tri.edges), pr),
+        return (bs.evaluate_basis(hp.planted_index(sigma, tri), (sigma, tri.edges), pr),
                 ct.XiTable(pr)._h_scales,
                 bs.cross_moment_planted(pr, tri, sigma, gc.graph(3, [(0, 1)])),
                 ct.xi(tri, pr))
@@ -829,7 +830,7 @@ def test_linear_system_orbit_quotient_matches_per_row_loop(monkeypatch):
 
     def perturbed_xi(s, params, table=None):
         value = exact_xi(s, params, table)
-        tri_key = gc.canonicalize(gc.cycle_graph(s.n_vertices, 3)).hex_form
+        tri_key = gc.canonicalize(hp.cycle_graph(s.n_vertices, 3)).hex_form
         if gc.canonicalize(gc.graph(s.n_vertices, s.edges)).hex_form == tri_key:
             value = value * F(8, 7)
         return value

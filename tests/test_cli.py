@@ -137,15 +137,16 @@ def test_sample_modified_model(tmp_path, capsys):
 
 
 def test_sample_block_model_writes_the_graph_and_its_labels(tmp_path, capsys):
-    from lowdeg import graph_core as gc
     from lowdeg import models as md
+
+    import helpers as hp
 
     code, _, _ = run_cli(["sample", "--model", "sbm", "--n", "8", "--lambda", "3/2", "--k", "3",
                           "--eps", "1/10", "--seed", "4", "--exact", "--out", str(tmp_path)], capsys)
     assert code == 0
     params = md.ModelParams(n=8, lam=Fraction(3, 2), k=3, eps=Fraction(1, 10))
     sigma, graph = md.sample_sbm(params, 4)
-    written = gc.read_edge_list((tmp_path / "trial0000_graph.edges").read_text(encoding="utf-8"))
+    written = hp.read_edge_list((tmp_path / "trial0000_graph.edges").read_text(encoding="utf-8"))
     assert written.edges == graph.edges and written.n_vertices == 8
     meta = json.loads((tmp_path / "trial0000_meta.json").read_text(encoding="utf-8"))
     assert meta["sigma_star"] == list(sigma)
@@ -215,6 +216,19 @@ def test_certificate_commands_without_lambda_are_structured_errors(capsys):
         code, out, err = run_cli([*argv, "--n", "4", "--k", "2", "--eps", "1/5", "--exact"], capsys)
         assert code == 2 and out == ""
         assert json.loads(err)["error"].endswith("needs lam")
+
+
+@pytest.mark.parametrize("argv", [["xi"], ["xi", "--exact"], ["xi", "--kernel", "exact"],
+                                  ["xi", "--kernel", "exact", "--exact"], ["dual-check", "--delta", "1/100"],
+                                  ["dual-check", "--delta", "1/100", "--exact"]],
+                         ids=["xi-float", "xi-exact", "xi-exact-kernel-float", "xi-exact-kernel-exact",
+                              "dual-check-float", "dual-check-exact"])
+def test_certificate_commands_at_lambda_equal_to_n_are_structured_errors(argv, capsys):
+    # eps = 0 keeps every block probability at lambda/n = 1, so only the certificate can refuse it
+    code, out, err = run_cli([*argv, "--n", "4", "--k", "2", "--eps", "0", "--lambda", "4", "--D", "3"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "the dual certificate needs lambda < n: the null edge probability "
+                                        "lambda/n is 1", "schema_version": 1}
 
 
 def test_reduce_rates_are_the_shares_of_the_printed_statistics(capsys):

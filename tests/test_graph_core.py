@@ -19,6 +19,8 @@ from lowdeg import graph_core as gc
 from lowdeg import measures as ms
 from lowdeg import models as md
 
+import helpers as hp
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "lowdeg"
 
@@ -111,14 +113,14 @@ def test_graph_validation():
 def test_edge_induced_ops():
     s = gc.graph(4, [(0, 1)])
     t = gc.graph(4, [(1, 2)])
-    cap, cup, sym = gc.edge_induced_ops(s, t)
+    cap, cup, sym = hp.edge_induced_ops(s, t)
     assert cap.edges == frozenset() and cap.vertices == frozenset()
     assert cup.edges == frozenset({(0, 1), (1, 2)})
     assert sym.edges == cup.edges
-    cap, cup, sym = gc.edge_induced_ops(s, s)
+    cap, cup, sym = hp.edge_induced_ops(s, s)
     assert cap.edges == cup.edges == s.edges and not sym.edges
     with pytest.raises(ValueError):
-        gc.edge_induced_ops(s, gc.graph(5, [(0, 1)]))
+        hp.edge_induced_ops(s, gc.graph(5, [(0, 1)]))
 
 
 def test_edge_count_additivity_random():
@@ -126,7 +128,7 @@ def test_edge_count_additivity_random():
     for _ in range(100):
         s = random_graph(rng, 4)
         t = random_graph(rng, 4)
-        cap, cup, _ = gc.edge_induced_ops(s, t)
+        cap, cup, _ = hp.edge_induced_ops(s, t)
         assert len(cup.edges) + len(cap.edges) == len(s.edges) + len(t.edges)
 
 
@@ -196,7 +198,7 @@ def test_search_budget_error_reports_nodes(monkeypatch):
     monkeypatch.setattr(gc, "_canon_memo", {})
     monkeypatch.setattr(gc, "_SEARCH_NODE_BUDGET", 3)
     with pytest.raises(gc.EnumerationBudgetError) as info:
-        gc.canonicalize(gc.cycle_graph(16))
+        gc.canonicalize(hp.cycle_graph(16))
     err = info.value
     assert (err.where, err.requested, err.budget) == ("graph_core.canonicalize", 4, 3)
 
@@ -217,7 +219,7 @@ BUDGET_GUARDS = {
     "canonical-vertices": ({}, lambda: gc.canonicalize(gc.complete_graph(17)),
                            "graph_core.canonicalize", 17, 16, "non-isolated vertices"),
     "canonical-search": ({"graph_core._SEARCH_NODE_BUDGET": 3, "graph_core._canon_memo": {}},
-                         lambda: gc.canonicalize(gc.cycle_graph(16)),
+                         lambda: gc.canonicalize(hp.cycle_graph(16)),
                          "graph_core.canonicalize", 4, 3, "canonical search nodes"),
     "embedding-host": ({}, lambda: gc.count_embeddings(gc.graph(17, [(0, 1)]), gc.complete_graph(17)),
                        "graph_core.count_embeddings", 17, 16, "host vertices"),
@@ -235,17 +237,17 @@ BUDGET_GUARDS = {
                        "matching-joint atoms"),
     "moment-table": ({}, lambda: adv.advantage_product_basis(_K8_23, md.ModelParams(n=8, q=F(1, 2)), 1, "single"),
                      "advantage.moment_table", 1 << 23, 1 << 22, "moment-table entries"),
-    "planted-float": ({}, lambda: bs.evaluate_basis(bs.planted_index((0,) * 25, gc.empty_graph(25)),
+    "planted-float": ({}, lambda: bs.evaluate_basis(hp.planted_index((0,) * 25, gc.empty_graph(25)),
                                                     ((0,) * 25, frozenset()),
                                                     md.ModelParams(n=25, lam=1.0, k=2, eps=0.1)),
                       "basis._index_factors", 25, 20, "planted basis vertices in float mode"),
     "expectation": ({"measures.ENUMERATION_BUDGET": 1},
                     lambda: bs.exact_expectation(_TWO, bs.single_index(gc.empty_graph(2)), _NEAR),
                     "basis.exact_expectation", 2, 1, "measure atoms"),
-    "cross-moment": ({}, lambda: bs.cross_moment_planted(_PLANTED, gc.path_graph(12, 2), (0,) * 12,
+    "cross-moment": ({}, lambda: bs.cross_moment_planted(_PLANTED, hp.path_graph(12, 2), (0,) * 12,
                                                          gc.empty_graph(12)),
                      "basis.cross_moment_planted", 2, 1, "index degree"),
-    "leaf-cancellation": ({}, lambda: bs.leaf_cancellation_check(gc.path_graph(9, 8),
+    "leaf-cancellation": ({}, lambda: bs.leaf_cancellation_check(hp.path_graph(9, 8),
                                                                  gc.graph(9, [(0, 1)]), 2),
                           "basis.leaf_cancellation_check", 9, 8, "cancellation check vertices"),
     "anchored-between": ({}, lambda: bd.P_sum(gc.graph(20, [(0, i) for i in range(1, 18)]),
@@ -254,9 +256,9 @@ BUDGET_GUARDS = {
     "anchored-census": ({}, lambda: bd.audit_anchored_subgraph_census(
                             gc.graph(20, [(0, i) for i in range(1, 12)]), _SBM),
                         "bounds.audit_anchored_subgraph_census", 12, 10, "host edges or vertices"),
-    "label-average": ({}, lambda: ct.P_of(gc.cycle_graph(12, 11), _PLANTED),
+    "label-average": ({}, lambda: ct.P_of(hp.cycle_graph(12, 11), _PLANTED),
                       "certificate._label_product_expectation", 11, 10, "label component vertices"),
-    "xi-row": ({}, lambda: ct.xi(gc.cycle_graph(12, 7), _PLANTED),
+    "xi-row": ({}, lambda: ct.xi(hp.cycle_graph(12, 7), _PLANTED),
                "certificate._row_sum", 7, 6, "recursion edges"),
     "leafless-classes": ({}, lambda: ct.leafless_classes(7),
                          "certificate.leafless_classes", 7, 6, "leafless class edges"),
@@ -381,7 +383,7 @@ def test_automorphism_counts_against_brute_force():
 def test_automorphism_count_shares_the_canonical_budget():
     # 11-16 non-isolated vertices
     q4 = gc.graph(16, hypercube_edges(4))
-    assert gc.automorphism_count(gc.cycle_graph(16)) == 32
+    assert gc.automorphism_count(hp.cycle_graph(16)) == 32
     assert gc.automorphism_count(q4) == 384
     assert gc.automorphism_count(star(10)) == math.factorial(10)
     with pytest.raises(gc.EnumerationBudgetError):
@@ -422,7 +424,7 @@ def _shuffled(g: gc.LabeledGraph, rng: random.Random) -> gc.LabeledGraph:
 def test_closed_form_automorphism_counts_and_relabeling_invariance():
     cases = [(star(r), math.factorial(r)) for r in range(2, 16)]
     cases += [(matching(m), 2 ** m * math.factorial(m)) for m in range(1, 9)]
-    cases += [(gc.cycle_graph(length), 2 * length) for length in range(3, 17)]
+    cases += [(hp.cycle_graph(length), 2 * length) for length in range(3, 17)]
     cases += [(cycles(2, m), 2 * (2 * m) ** 2) for m in range(3, 9)]
     cases += [(gc.graph(16, hypercube_edges(4)), 384), (petersen(), 120)]
     rng = random.Random(12)
@@ -840,6 +842,6 @@ def test_edge_list_round_trip():
     g = gc.graph(5, [(0, 1), (2, 4)], vertices=range(5))
     text = gc.write_edge_list(g)
     assert text.splitlines()[0] == "5 2"
-    back = gc.read_edge_list(text)
+    back = hp.read_edge_list(text)
     assert back.edges == g.edges and back.n_vertices == 5
     assert back.vertices == frozenset(range(5))  # isolated vertices implied by n

@@ -8,6 +8,8 @@ import pytest
 from lowdeg import measures as ms
 from lowdeg.graph_core import EnumerationBudgetError
 
+import helpers as hp
+
 
 def test_weights_must_sum_to_one():
     with pytest.raises(ValueError):
@@ -218,7 +220,7 @@ def test_children_of_the_er_law_are_the_er_matching_joint(n):
 def test_children_of_the_block_model_law_are_the_sbm_matching_joint(k):
     lam, eps, s = F(3, 2), F(2, 5), F(2, 3)
     joint = ms.correlated_sbm_joint_measure(3, k, lam, eps, s)
-    children = ms.children_joint(3, s, ms.sbm_graph_measure(3, k, lam, eps))
+    children = ms.children_joint(3, s, hp.sbm_graph_measure(3, k, lam, eps))
     assert children.outcomes == joint.outcomes and children.weights == joint.weights
 
 
@@ -245,7 +247,7 @@ def test_event_active_moment_audit_matches_nested_enumeration():
         oracle[pi, a, b] = oracle.get((pi, a, b), 0) + w / mass
     joint = ms.DiscreteMeasure(list(oracle), list(oracle.values()))
     for s1, s2 in bd.default_pair_fixtures(n):
-        audit = bd.audit_conditional_moment(s1, s2, params)
+        audit = hp.audit_conditional_moment(s1, s2, params)
         assert audit.regime == "event-active"
         assert audit.lhs == abs(float(bd.conditional_pair_moment(joint, s1, s2, params)))
 

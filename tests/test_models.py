@@ -20,6 +20,7 @@ from lowdeg import measures as ms
 from lowdeg import models as md
 
 import dense_oracle as dense
+import helpers as hp
 
 
 def se3(p: float, count: int) -> float:
@@ -106,7 +107,7 @@ def test_degenerate_full_subsampling():
 
 def test_correlated_er_monte_carlo_marginals():
     pr = md.ModelParams(n=200, q=F(3, 10), rho=F(1, 2))
-    stats = md.edge_statistics_correlated_er(pr, 60, 17)
+    stats = hp.edge_statistics_correlated_er(pr, 60, 17)
     assert abs(stats["a_density"] - 0.3) <= se3(0.3, stats["pair_count"])
     assert abs(stats["b_density"] - 0.3) <= se3(0.3, stats["pair_count"])
     pj = stats["expected_joint"]
@@ -117,7 +118,7 @@ def test_correlated_er_monte_carlo_marginals():
 
 def test_sbm_monte_carlo_rates():
     pr = md.ModelParams(n=300, lam=F(2), k=2, eps=F(1, 2))
-    stats = md.edge_statistics_sbm(pr, 80, 23)
+    stats = hp.edge_statistics_sbm(pr, 80, 23)
     assert abs(stats["intra_rate"] - stats["expected_intra"]) <= se3(stats["expected_intra"], stats["intra_count"])
     assert abs(stats["inter_rate"] - stats["expected_inter"]) <= se3(stats["expected_inter"], stats["inter_count"])
     # mean degree concentrates near lam (up to the 1/n label imbalance)
@@ -209,13 +210,13 @@ def test_samplers_match_the_dense_oracle():
     for seed in range(8):
         assert md.sample_modified_sbm(mod, seed) == dense.sample_modified_sbm(mod, seed)
     er = md.ModelParams(n=300, q=F(3, 10), rho=F(1, 2))
-    stats = md.edge_statistics_correlated_er(er, 3, 17)
+    stats = hp.edge_statistics_correlated_er(er, 3, 17)
     a_edges, b_edges, joint = dense.edge_statistics_correlated_er(er, 3, 17)
     count = stats["pair_count"]
     assert (stats["a_density"], stats["b_density"], stats["joint_density"]) == (
         a_edges / count, b_edges / count, joint / count)
     sbm = md.ModelParams(n=300, lam=F(2), k=3, eps=F(1, 2))
-    stats = md.edge_statistics_sbm(sbm, 3, 23)
+    stats = hp.edge_statistics_sbm(sbm, 3, 23)
     intra_e, intra_n, inter_e, inter_n, degree_total = dense.edge_statistics_sbm(sbm, 3, 23)
     assert (stats["intra_rate"], stats["inter_rate"], stats["intra_count"], stats["inter_count"]) == (
         intra_e / intra_n, inter_e / inter_n, intra_n, inter_n)
@@ -250,9 +251,9 @@ def _digest_grid():
         pr = md.ModelParams(n=n, lam=F(3, 2), k=2, eps=F(1, 10), s=F(1, 2), D=2, delta=F(1, 100), N=4)
         for seed in range(3):
             yield "mod_sbm", n, seed, md.sample_modified_sbm(pr, seed)
-    yield "stats_er", 200, 17, md.edge_statistics_correlated_er(
+    yield "stats_er", 200, 17, hp.edge_statistics_correlated_er(
         md.ModelParams(n=200, q=F(3, 10), rho=F(1, 2)), 5, 17)
-    yield "stats_sbm", 300, 23, md.edge_statistics_sbm(
+    yield "stats_sbm", 300, 23, hp.edge_statistics_sbm(
         md.ModelParams(n=300, lam=F(2), k=2, eps=F(1, 2)), 5, 23)
 
 
@@ -388,7 +389,7 @@ def test_block_model_sampler_matches_its_enumerated_joint():
 
 def test_phi_potential_formula():
     pr = md.ModelParams(n=10 ** 4, q=F(1, 1000), D=4)
-    c4 = gc.cycle_graph(8, 4)
+    c4 = hp.cycle_graph(8, 4)
     want = ((10 ** 4) ** (1 + 4 / 4) * 4 ** 20) ** 4 * ((1 / 1000) * 4 ** 6) ** 4
     assert math.isclose(md.phi_potential(c4, pr), want, rel_tol=1e-9)
     assert md.log_phi_potential(c4, pr) > 0  # not bad
@@ -405,7 +406,7 @@ def test_phi_submodularity_random():
     for _ in range(200):
         s = gc.graph(5, [e for e in pairs if rng.random() < 0.5])
         t = gc.graph(5, [e for e in pairs if rng.random() < 0.5])
-        cap, _, _ = gc.edge_induced_ops(s, t)
+        cap, _, _ = hp.edge_induced_ops(s, t)
         union = gc.graph_union(s, t)
         lhs = md.log_phi_potential(union, pr) + md.log_phi_potential(cap, pr)
         rhs = md.log_phi_potential(s, pr) + md.log_phi_potential(t, pr)
